@@ -37,17 +37,20 @@ double ColumnCoherence(const ColumnInvertedIndex& index,
   uint32_t sup_pos = 0;
   uint32_t sup_zero = 0;
   uint32_t b_max = 0;
+  const size_t n = index.num_columns();
   for (size_t i = 0; i < distinct.size(); ++i) {
-    const bool i_supported =
-        index.ColumnFrequency(distinct[i]) >= opts.min_value_support;
+    const size_t cu = index.ColumnFrequency(distinct[i]);
+    const bool i_supported = cu >= opts.min_value_support;
     for (size_t j = i + 1; j < distinct.size(); ++j) {
-      if (i_supported &&
-          index.ColumnFrequency(distinct[j]) >= opts.min_value_support) {
-        const double npmi = Npmi(index, distinct[i], distinct[j]);
+      const size_t cv = index.ColumnFrequency(distinct[j]);
+      if (i_supported && cv >= opts.min_value_support) {
+        // One posting-list intersection per pair feeds both the NPMI and
+        // the margin profile.
+        const size_t c_uv = index.CoOccurrence(distinct[i], distinct[j]);
+        const double npmi = NpmiFromCounts(n, cu, cv, c_uv);
         sum += npmi;
         if (profile != nullptr) {
-          const uint32_t cuv = static_cast<uint32_t>(
-              index.CoOccurrence(distinct[i], distinct[j]));
+          const uint32_t cuv = static_cast<uint32_t>(c_uv);
           if (cuv > 0) {
             ++sup_pos;
             sum_pos += npmi;

@@ -19,6 +19,13 @@ double Pmi(const ColumnInvertedIndex& index, ValueId u, ValueId v);
 /// NPMI(u, u) == 1 for any value present in the corpus.
 double Npmi(const ColumnInvertedIndex& index, ValueId u, ValueId v);
 
+/// NPMI from the counts Npmi reads off the index: N = `num_columns`,
+/// |C(u)| = `c_u`, |C(v)| = `c_v` and |C(u) ∩ C(v)| = `c_uv`. For callers
+/// that need c_uv themselves (coherence profiles), so each pair's posting
+/// lists are intersected once. Bitwise equal to Npmi on the same counts.
+double NpmiFromCounts(size_t num_columns, size_t c_u, size_t c_v,
+                      size_t c_uv);
+
 /// The paper's s(u, v) coherence between two values == NPMI.
 inline double ValueCoherence(const ColumnInvertedIndex& index, ValueId u,
                              ValueId v) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 namespace ms {
@@ -35,6 +37,14 @@ bool ValuesMatch(ValueId a, ValueId b, const StringPool& pool,
 
 namespace {
 
+/// A residue pair with its two pool strings, resolved once for the content
+/// sort below.
+struct KeyedPair {
+  ValuePair pair;
+  std::string_view left = {};
+  std::string_view right = {};
+};
+
 /// Greedy one-to-one matching of a's pairs against b's pairs. Exact matches
 /// are resolved with a sorted merge first; only the residue pays the
 /// quadratic approximate pass (candidate tables are small). The matcher
@@ -46,23 +56,23 @@ size_t CountPairOverlap(const BinaryTable& a, const BinaryTable& b,
   const auto& pb = b.pairs();
   size_t exact = 0;
   // Reusable scratch: one allocation per thread, not three per scored pair.
-  static thread_local std::vector<ValuePair> rest_a, rest_b;
+  static thread_local std::vector<KeyedPair> rest_a, rest_b;
   rest_a.clear();
   rest_b.clear();
   size_t i = 0, j = 0;
   while (i < pa.size() && j < pb.size()) {
     if (pa[i] < pb[j]) {
-      rest_a.push_back(pa[i++]);
+      rest_a.push_back({pa[i++]});
     } else if (pb[j] < pa[i]) {
-      rest_b.push_back(pb[j++]);
+      rest_b.push_back({pb[j++]});
     } else {
       ++exact;
       ++i;
       ++j;
     }
   }
-  for (; i < pa.size(); ++i) rest_a.push_back(pa[i]);
-  for (; j < pb.size(); ++j) rest_b.push_back(pb[j]);
+  for (; i < pa.size(); ++i) rest_a.push_back({pa[i]});
+  for (; j < pb.size(); ++j) rest_b.push_back({pb[j]});
 
   if (exact_only) return exact;
   if (rest_a.empty() || rest_b.empty()) return exact;
@@ -74,14 +84,23 @@ size_t CountPairOverlap(const BinaryTable& a, const BinaryTable& b,
   // value content so two corpora holding the same tables score
   // identically no matter how their pools were grown (the incremental
   // path's pool retains removed tables' values; a cold rebuild's does
-  // not).
-  const StringPool& cpool = matcher.pool();
-  const auto by_content = [&](const ValuePair& x, const ValuePair& y) {
-    return std::make_pair(cpool.Get(x.left), cpool.Get(x.right)) <
-           std::make_pair(cpool.Get(y.left), cpool.Get(y.right));
+  // not). The keys come from the matcher's value cache, resolved once per
+  // element, not from StringPool::Get: every Get locks the pool, so calling
+  // it per comparison serializes the scoring workers on that one mutex.
+  // The pool stores each string once, so equal keys mean equal pairs and
+  // the order is the same as sorting through the pool.
+  const auto sort_by_content = [&matcher](std::vector<KeyedPair>& rest) {
+    for (KeyedPair& k : rest) {
+      k.left = matcher.Text(k.pair.left);
+      k.right = matcher.Text(k.pair.right);
+    }
+    std::sort(rest.begin(), rest.end(),
+              [](const KeyedPair& x, const KeyedPair& y) {
+                return std::tie(x.left, x.right) < std::tie(y.left, y.right);
+              });
   };
-  std::sort(rest_a.begin(), rest_a.end(), by_content);
-  std::sort(rest_b.begin(), rest_b.end(), by_content);
+  sort_by_content(rest_a);
+  sort_by_content(rest_b);
 
   // Approximate residue matching (greedy, each b-pair used once).
   static thread_local std::vector<bool> used;
@@ -90,9 +109,9 @@ size_t CountPairOverlap(const BinaryTable& a, const BinaryTable& b,
   for (const auto& qa : rest_a) {
     for (size_t k = 0; k < rest_b.size(); ++k) {
       if (used[k]) continue;
-      const auto& qb = rest_b[k];
-      if (matcher.Match(qa.left, qb.left) &&
-          matcher.Match(qa.right, qb.right)) {
+      const ValuePair& qb = rest_b[k].pair;
+      if (matcher.Match(qa.pair.left, qb.left) &&
+          matcher.Match(qa.pair.right, qb.right)) {
         used[k] = true;
         ++approx;
         break;

@@ -44,7 +44,12 @@ inline constexpr ValueId kInvalidValueId = UINT32_MAX;
 /// Append-only interning pool. Intern() is thread-safe; Get() is safe to
 /// call concurrently with Intern() because stored bytes never move (deque
 /// storage for owned strings, caller-pinned memory for adopted ones) and
-/// ids are handed out only after the string is in place.
+/// ids are handed out only after the string is in place. Every Get() still
+/// locks `mu_` (the id -> view table may reallocate), so calling it per
+/// element inside a parallel loop serializes the workers on that mutex.
+/// Hot loops read strings through a cache of the returned views instead,
+/// as BatchApproxMatcher::Text does: a view stays valid as long as its id
+/// (until the pool dies or TruncateTo drops the id).
 class StringPool {
  public:
   StringPool() = default;

@@ -232,6 +232,13 @@ bool BatchApproxMatcher::Match(ValueId a, ValueId b) {
   return MyersDistanceBounded(p, sb, band) <= band;
 }
 
+std::string_view BatchApproxMatcher::Text(ValueId id) {
+  if (max_cached_values_ != 0 && infos_.size() + 1 > max_cached_values_) {
+    FlushCache();
+  }
+  return InfoFor(id).text;
+}
+
 void BatchApproxMatcher::Reconfigure(const EditDistanceOptions& edit,
                                      bool approximate_matching,
                                      const SynonymDictionary* synonyms,

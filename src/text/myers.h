@@ -130,8 +130,8 @@ struct MatcherStats {
 /// Beyond the pattern masks, the matcher interns per-value state once per
 /// first sight: the pool string_view (stable — StringPool stores strings in
 /// a deque and never moves them — so this skips the pool's per-Get mutex)
-/// and the precomputed ⌊len · f_ed⌋ threshold component. A Match call after
-/// warm-up touches no locks and allocates nothing.
+/// and the precomputed ⌊len · f_ed⌋ threshold component. A Match or Text
+/// call after warm-up touches no locks and allocates nothing.
 ///
 /// Long-lived matchers (SynthesisSession keeps one per worker across runs)
 /// can bound the cache with `max_cached_values`: when the cap is exceeded
@@ -160,6 +160,12 @@ class BatchApproxMatcher {
   /// then the fractional-threshold approximate match with `a` as the
   /// pattern side.
   bool Match(ValueId a, ValueId b);
+
+  /// The pool string of `id`, read through the value cache: only the first
+  /// sight of an id calls StringPool::Get (and takes its lock). The view
+  /// points into the pool, not the cache, so it outlives cache flushes.
+  /// Honours `max_cached_values` the way Match does.
+  std::string_view Text(ValueId id);
 
   /// Re-points the matcher at a new matching configuration while keeping
   /// as much warm state as validity allows: the per-value cache (texts,

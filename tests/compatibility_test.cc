@@ -355,5 +355,174 @@ TEST_F(FastPathFixture, InexactHintsAreIgnored) {
   EXPECT_EQ(with_hint.shared_pairs, 9999u);  // recorded, not trusted
 }
 
+// ------------------------------------------------- residue content order
+
+/// The same string tables built in two pools that interned their strings
+/// in different orders, so every ValueId — and with it the id order the
+/// residue pairs arrive in — differs between the two.
+struct TwoPools {
+  StringPool first;
+  StringPool second;
+
+  /// Interns `strings` into `first` in order and into `second` reversed.
+  explicit TwoPools(const std::vector<std::string>& strings) {
+    for (const auto& s : strings) first.Intern(s);
+    for (auto it = strings.rbegin(); it != strings.rend(); ++it) {
+      second.Intern(*it);
+    }
+  }
+
+  static BinaryTable Build(
+      StringPool& pool,
+      const std::vector<std::pair<std::string, std::string>>& rows) {
+    std::vector<ValuePair> pairs;
+    for (const auto& [l, r] : rows) {
+      pairs.push_back({pool.Intern(l), pool.Intern(r)});
+    }
+    return BinaryTable::FromPairs(std::move(pairs));
+  }
+};
+
+/// Scores (a, b) in both pools through the matcher path and the reference
+/// and requires all four results to be bitwise equal; returns the first.
+PairScores ScoreInBothPools(
+    TwoPools& pools,
+    const std::vector<std::pair<std::string, std::string>>& a,
+    const std::vector<std::pair<std::string, std::string>>& b,
+    const CompatibilityOptions& opts, BatchApproxMatcher& m1,
+    BatchApproxMatcher& m2, const std::string& ctx) {
+  const BinaryTable a1 = TwoPools::Build(pools.first, a);
+  const BinaryTable b1 = TwoPools::Build(pools.first, b);
+  const BinaryTable a2 = TwoPools::Build(pools.second, a);
+  const BinaryTable b2 = TwoPools::Build(pools.second, b);
+  const PairScores fast1 =
+      ComputeCompatibility(a1, b1, pools.first, opts, &m1);
+  const PairScores fast2 =
+      ComputeCompatibility(a2, b2, pools.second, opts, &m2);
+  const PairScores ref1 =
+      ComputeCompatibilityReference(a1, b1, pools.first, opts);
+  const PairScores ref2 =
+      ComputeCompatibilityReference(a2, b2, pools.second, opts);
+  for (const PairScores* other : {&fast2, &ref1, &ref2}) {
+    EXPECT_EQ(fast1.overlap, other->overlap) << ctx;
+    EXPECT_EQ(fast1.conflicts, other->conflicts) << ctx;
+    EXPECT_EQ(fast1.w_pos, other->w_pos) << ctx;  // bitwise
+    EXPECT_EQ(fast1.w_neg, other->w_neg) << ctx;
+  }
+  return fast1;
+}
+
+TEST(ResidueOrderTest, InterningOrderCannotChangeAScore) {
+  // A hand-built case where the greedy residue matching depends on order:
+  // "abcdefghij" matches both b lefts, "abcdefghizw" only "abcdefghiz".
+  // Content order hands "abcdefghiz" to "abcdefghij" first and strands
+  // "abcdefghizw" (overlap 1). The second pool's id order takes
+  // "abcdefghizw" first, and there both find a partner (overlap 2), so
+  // without the content sort the two pools would disagree.
+  const std::vector<std::pair<std::string, std::string>> a = {
+      {"abcdefghij", "cc1"}, {"abcdefghizw", "cc1"}};
+  const std::vector<std::pair<std::string, std::string>> b = {
+      {"abcdefghxy", "cc1"}, {"abcdefghiz", "cc1"}};
+  TwoPools pools({"abcdefghij", "abcdefghizw", "abcdefghiz", "abcdefghxy",
+                  "cc1"});
+  ASSERT_LT(pools.second.Find("abcdefghizw"),
+            pools.second.Find("abcdefghij"));
+  ASSERT_LT(pools.second.Find("abcdefghxy"), pools.second.Find("abcdefghiz"));
+  CompatibilityOptions opts;
+  BatchApproxMatcher m1(pools.first, opts.edit, true, nullptr);
+  BatchApproxMatcher m2(pools.second, opts.edit, true, nullptr);
+  EXPECT_EQ(ScoreInBothPools(pools, a, b, opts, m1, m2, "hand-built").overlap,
+            1u);
+
+  // Random residue-heavy tables over typo'd variants, scored through one
+  // long-lived matcher per pool as the session does.
+  Rng rng(75);
+  std::vector<std::string> lefts, rights;
+  for (int i = 0; i < 60; ++i) {
+    std::string s = "entity " + std::to_string(rng.Uniform(20));
+    if (rng.UniformDouble() < 0.6) {
+      s += std::string(1, static_cast<char>('a' + rng.Uniform(26)));
+    }
+    lefts.push_back(s);
+  }
+  for (int i = 0; i < 20; ++i) {
+    rights.push_back("code " + std::to_string(rng.Uniform(6)) +
+                     std::string(1, static_cast<char>('a' + rng.Uniform(3))));
+  }
+  std::vector<std::string> universe = lefts;
+  universe.insert(universe.end(), rights.begin(), rights.end());
+  rng.Shuffle(universe);
+  TwoPools random_pools(universe);
+  BatchApproxMatcher r1(random_pools.first, opts.edit, true, nullptr);
+  BatchApproxMatcher r2(random_pools.second, opts.edit, true, nullptr);
+  size_t approx_overlap = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::pair<std::string, std::string>> ta, tb;
+    for (size_t r = 2 + rng.Uniform(10); r > 0; --r) {
+      ta.push_back({rng.Pick(lefts), rng.Pick(rights)});
+    }
+    for (size_t r = 2 + rng.Uniform(10); r > 0; --r) {
+      tb.push_back({rng.Pick(lefts), rng.Pick(rights)});
+    }
+    approx_overlap += ScoreInBothPools(random_pools, ta, tb, opts, r1, r2,
+                                       "round " + std::to_string(round))
+                          .overlap;
+  }
+  EXPECT_GT(approx_overlap, 0u);
+}
+
+TEST_F(FastPathFixture, ResidueKeysRespectTheMatcherCacheCap) {
+  // Residue-heavy tables scored through a matcher capped at 4 values: the
+  // sort keys are read through the cache too, so the cap must hold after
+  // every pair and flushing must not change a score. Under synonym-only
+  // matching Match caches nothing, so there only the keys fill the cache.
+  Rng rng(76);
+  auto lefts = MakeUniverse(rng, 80);
+  auto rights = MakeUniverse(rng, 40);
+  SynonymDictionary dict(pool_);
+  dict.AddSynonym("entity 2", "entity 3");
+  for (const bool approx : {true, false}) {
+    CompatibilityOptions opts;
+    opts.approximate_matching = approx;
+    if (!approx) opts.synonyms = &dict;
+    BatchApproxMatcher capped(*pool_, opts.edit, approx, opts.synonyms,
+                              nullptr, /*max_cached_values=*/4);
+    BatchApproxMatcher uncapped(*pool_, opts.edit, approx, opts.synonyms);
+    for (int round = 0; round < 150; ++round) {
+      const BinaryTable a = RandomTable(rng, lefts, rights);
+      const BinaryTable b = RandomTable(rng, lefts, rights);
+      const std::string ctx =
+          "round " + std::to_string(round) + " approx=" +
+          std::to_string(approx);
+      const PairScores ref =
+          ComputeCompatibilityReference(a, b, *pool_, opts);
+      ExpectSameScores(
+          ComputeCompatibility(a, b, *pool_, opts, &capped), ref, ctx);
+      ExpectSameScores(
+          ComputeCompatibility(a, b, *pool_, opts, &uncapped), ref, ctx);
+      ASSERT_LE(capped.cached_values(), 4u) << ctx;
+    }
+    EXPECT_GT(capped.stats().cache_flushes, 0u);
+    EXPECT_GT(uncapped.cached_values(), 4u);
+  }
+}
+
+TEST_F(FastPathFixture, TextReadsThePoolThroughTheCache) {
+  std::vector<ValueId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ids.push_back(pool_->Intern("value " + std::to_string(i)));
+  }
+  BatchApproxMatcher matcher(*pool_, EditDistanceOptions{}, true, nullptr,
+                             nullptr, /*max_cached_values=*/4);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ValueId id : ids) {
+      EXPECT_EQ(matcher.Text(id), pool_->Get(id));
+      EXPECT_LE(matcher.cached_values(), 4u);
+    }
+  }
+  EXPECT_GT(matcher.stats().cache_flushes, 0u);
+  EXPECT_EQ(matcher.stats().match_calls, 0u);
+}
+
 }  // namespace
 }  // namespace ms

@@ -22,13 +22,13 @@
 namespace ms {
 namespace {
 
-GeneratedWorld SmallWorld(uint64_t seed = 7) {
+GeneratedWorld SmallWorld(uint64_t seed = 7, size_t popularity = 12) {
   auto all = BuiltinWebRelationships();
   std::vector<RelationshipSpec> specs;
   for (auto& s : all) {
     if (s.name == "country_iso3" || s.name == "country_ioc" ||
         s.name == "state_abbrev" || s.name == "element_symbol") {
-      s.popularity = 12;
+      s.popularity = popularity;
       specs.push_back(std::move(s));
     }
   }
@@ -154,6 +154,46 @@ TEST(SessionStagedTest, RepeatedScoringIsDeterministic) {
     EXPECT_EQ(e1.w_neg, e2.w_neg);
   }
   EXPECT_EQ(session.session_stats().warm_scoring_runs, 1u);
+}
+
+TEST(ScoringConcurrencyTest, EdgesAreBitwiseEqualAcrossThreadCounts) {
+  // One candidate set scored on 1, 2 and 4 threads: every worker sorts its
+  // residues through its own matcher's cached strings and thread-local
+  // scratch, so the thread count must not change a single edge. A tiny
+  // matcher cache cap makes the workers flush mid-sort as well.
+  GeneratedWorld world = SmallWorld(53, /*popularity=*/30);
+  SynthesisOptions opts = FastOptions();
+  opts.num_threads = 1;
+  SynthesisSession session(opts);
+  auto cands = session.ExtractCandidates(world.corpus);
+  ASSERT_TRUE(cands.ok());
+  auto blocked = session.BlockPairs(cands.value());
+  ASSERT_TRUE(blocked.ok());
+  // Several scoring chunks per worker (chunks are 256 pairs).
+  ASSERT_GT(blocked.value().pairs.size(), 4u * 2u * 256u);
+
+  auto base = session.ScorePairs(cands.value(), blocked.value());
+  ASSERT_TRUE(base.ok());
+  const auto& want = base.value().graph.edges();
+  ASSERT_FALSE(want.empty());
+  for (const size_t cap : {size_t{1} << 20, size_t{16}}) {
+    for (const size_t threads : {1u, 2u, 4u}) {
+      opts.num_threads = threads;
+      opts.matcher_cache_cap = cap;
+      ASSERT_TRUE(session.UpdateOptions(opts).ok());
+      auto g = session.ScorePairs(cands.value(), blocked.value());
+      ASSERT_TRUE(g.ok());
+      const auto& got = g.value().graph.edges();
+      ASSERT_EQ(got.size(), want.size())
+          << threads << " threads, cap " << cap;
+      for (size_t e = 0; e < want.size(); ++e) {
+        ASSERT_EQ(got[e].u, want[e].u) << "edge " << e;
+        ASSERT_EQ(got[e].v, want[e].v) << "edge " << e;
+        ASSERT_EQ(got[e].w_pos, want[e].w_pos) << "edge " << e;  // bitwise
+        ASSERT_EQ(got[e].w_neg, want[e].w_neg) << "edge " << e;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- Validate()

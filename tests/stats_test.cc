@@ -1,6 +1,10 @@
 // Tests for the corpus inverted index, PMI/NPMI (Equations 1-2, Example 4),
 // and column coherence (Example 5's Table 7 scenario).
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -338,6 +342,162 @@ TEST_F(StatsFixture, StableVerdictsAgreeWithReEvaluationOnDisjointGrowth) {
       }
     }
   }
+}
+
+// ------------------------------------- one intersection per supported pair
+
+/// ColumnCoherence as it stood before NPMI and the margin profile shared
+/// one c_uv: Npmi intersects the pair's posting lists, then the profile
+/// intersects them again. The oracle for the fused implementation.
+double TwoCallColumnCoherence(const ColumnInvertedIndex& index,
+                              const std::vector<ValueId>& cells,
+                              const CoherenceOptions& opts,
+                              CoherenceProfile* profile) {
+  if (profile != nullptr) {
+    *profile = CoherenceProfile{};
+    profile->n_eval = static_cast<uint32_t>(index.num_columns());
+  }
+  std::vector<ValueId> distinct(cells);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  if (distinct.empty()) return 0.0;
+  if (distinct.size() == 1) {
+    if (profile != nullptr) profile->score = 1.0;
+    return 1.0;
+  }
+  if (distinct.size() > opts.max_sampled_values) {
+    Rng rng(opts.sample_seed);
+    rng.Shuffle(distinct);
+    distinct.resize(opts.max_sampled_values);
+  }
+  double sum = 0.0;
+  double sum_pos = 0.0;
+  size_t pairs = 0;
+  uint32_t sup_pos = 0;
+  uint32_t sup_zero = 0;
+  uint32_t b_max = 0;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    const bool i_supported =
+        index.ColumnFrequency(distinct[i]) >= opts.min_value_support;
+    for (size_t j = i + 1; j < distinct.size(); ++j) {
+      if (i_supported &&
+          index.ColumnFrequency(distinct[j]) >= opts.min_value_support) {
+        const double npmi = Npmi(index, distinct[i], distinct[j]);
+        sum += npmi;
+        if (profile != nullptr) {
+          const uint32_t cuv = static_cast<uint32_t>(
+              index.CoOccurrence(distinct[i], distinct[j]));
+          if (cuv > 0) {
+            ++sup_pos;
+            sum_pos += npmi;
+            b_max = std::max(b_max, cuv);
+          } else {
+            ++sup_zero;
+          }
+        }
+      }
+      ++pairs;
+    }
+  }
+  const double score = pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  if (profile != nullptr) {
+    profile->score = score;
+    profile->sum_pos = sum_pos;
+    profile->pairs = static_cast<uint32_t>(pairs);
+    profile->sup_pos = sup_pos;
+    profile->sup_zero = sup_zero;
+    profile->b_max = b_max;
+  }
+  return score;
+}
+
+TEST(CoherenceFusionTest, ProfilesMatchTheTwoCallOracleBitwise) {
+  // Profiles are persisted in snapshots and drive the margin cache, so the
+  // fused evaluation must reproduce every field bit for bit: on random
+  // skewed corpora, at every support threshold, for columns below and
+  // above the sampling cap, and with values the index has never seen.
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  size_t sampled_columns = 0;
+  size_t positive_pairs = 0;
+  size_t zero_pairs = 0;
+  for (uint64_t seed : {5u, 29u, 64u}) {
+    Rng rng(seed);
+    TableCorpus corpus;
+    std::vector<std::vector<std::string>> columns;
+    const size_t n_tables = 30 + rng.Uniform(30);
+    for (size_t t = 0; t < n_tables; ++t) {
+      std::vector<std::string> cells;
+      // One column in five is wide, mixing hot values with a long tail
+      // so it holds more distinct values than the 32-value sample.
+      const bool wide = rng.Uniform(5) == 0;
+      const size_t n_rows = wide ? 50 + rng.Uniform(30) : 1 + rng.Uniform(20);
+      for (size_t r = 0; r < n_rows; ++r) {
+        cells.push_back("w" + std::to_string(wide && r % 2 == 1
+                                                 ? 120 + rng.Uniform(400)
+                                                 : rng.Zipf(120)));
+      }
+      corpus.AddFromStrings("d" + std::to_string(t), TableSource::kWeb, {"c"},
+                            {cells});
+      columns.push_back(std::move(cells));
+    }
+    ColumnInvertedIndex index;
+    index.Build(corpus);
+    // Interned after the build: column frequency 0, which only
+    // min_value_support 0 lets into the pair loop.
+    std::vector<ValueId> unseen;
+    for (int k = 0; k < 3; ++k) {
+      unseen.push_back(
+          corpus.pool().Intern("unseen " + std::to_string(k)));
+    }
+
+    for (const size_t support : {0u, 1u, 2u}) {
+      CoherenceOptions opts;
+      opts.min_value_support = support;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        std::vector<ValueId> cells;
+        for (const auto& v : columns[c]) cells.push_back(corpus.pool().Find(v));
+        if (c % 4 == 0) cells.push_back(unseen[c % unseen.size()]);
+        const std::string ctx = "seed " + std::to_string(seed) + " support " +
+                                std::to_string(support) + " column " +
+                                std::to_string(c);
+        CoherenceProfile fused, oracle;
+        const double fs = ColumnCoherence(index, cells, opts, &fused);
+        const double os = TwoCallColumnCoherence(index, cells, opts, &oracle);
+        ASSERT_EQ(bits(fs), bits(os)) << ctx;
+        ASSERT_EQ(bits(ColumnCoherence(index, cells, opts)), bits(os)) << ctx;
+        ASSERT_EQ(bits(fused.score), bits(oracle.score)) << ctx;
+        ASSERT_EQ(bits(fused.sum_pos), bits(oracle.sum_pos)) << ctx;
+        ASSERT_EQ(fused.pairs, oracle.pairs) << ctx;
+        ASSERT_EQ(fused.sup_pos, oracle.sup_pos) << ctx;
+        ASSERT_EQ(fused.sup_zero, oracle.sup_zero) << ctx;
+        ASSERT_EQ(fused.b_max, oracle.b_max) << ctx;
+        ASSERT_EQ(fused.n_eval, oracle.n_eval) << ctx;
+        std::vector<ValueId> distinct = cells;
+        std::sort(distinct.begin(), distinct.end());
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        if (distinct.size() > opts.max_sampled_values) ++sampled_columns;
+        positive_pairs += oracle.sup_pos;
+        zero_pairs += oracle.sup_zero;
+      }
+    }
+  }
+  // The corpora exercised what they were built for.
+  EXPECT_GT(sampled_columns, 0u);
+  EXPECT_GT(positive_pairs, 0u);
+  EXPECT_GT(zero_pairs, 0u);
+}
+
+TEST(CoherenceFusionTest, NpmiFromCountsKeepsTheOrderOfChecks) {
+  // No columns wins over everything, then an unseen value, then no
+  // co-occurrence, then co-occurrence in every column.
+  EXPECT_EQ(NpmiFromCounts(0, 1, 1, 1), 0.0);
+  EXPECT_EQ(NpmiFromCounts(10, 0, 3, 0), 0.0);
+  EXPECT_EQ(NpmiFromCounts(10, 3, 3, 0), -1.0);
+  EXPECT_EQ(NpmiFromCounts(10, 10, 10, 10), 1.0);
+  EXPECT_GT(NpmiFromCounts(10, 4, 3, 2), 0.0);
+  EXPECT_LT(NpmiFromCounts(10, 4, 3, 2), 1.0);
 }
 
 }  // namespace
