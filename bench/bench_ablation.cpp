@@ -58,8 +58,7 @@ int main() {
   SynthesisOptions opts;
   opts.min_domains = 1;  // keep fragments so consolidation has work to do
   opts.min_pairs = 2;
-  SynthesisPipeline pipeline(opts);
-  SynthesisResult result = pipeline.Run(world.corpus);
+  SynthesisResult result = bench::Synthesize(opts, world.corpus);
 
   auto avg_f = [&](const std::vector<SynthesizedMapping>& ms) {
     auto per_case = bench::ScoreCases(bench::Relations(ms), world);

@@ -15,8 +15,7 @@ int main() {
   bench::PrintWorldSummary(world);
   std::cout << "trusted feeds: " << world.trusted.size() << "\n";
 
-  SynthesisPipeline pipeline{SynthesisOptions{}};
-  SynthesisResult r = pipeline.Run(world.corpus);
+  SynthesisResult r = bench::Synthesize(SynthesisOptions{}, world.corpus);
 
   auto before = bench::ScoreCases(bench::Relations(r.mappings), world);
 

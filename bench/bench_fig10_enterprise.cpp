@@ -37,8 +37,7 @@ int main() {
 
   // --- Figure 11: example synthesized enterprise mappings.
   PrintBanner(std::cout, "Figure 11: example enterprise mappings");
-  SynthesisPipeline pipeline{SynthesisOptions{}};
-  SynthesisResult r = pipeline.Run(world.corpus);
+  SynthesisResult r = bench::Synthesize(SynthesisOptions{}, world.corpus);
   const StringPool& pool = world.corpus.pool();
   size_t shown = 0;
   for (const auto& m : r.mappings) {

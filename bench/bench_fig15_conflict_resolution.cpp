@@ -18,9 +18,8 @@ int main() {
     SynthesisOptions o;
     o.resolve_conflicts = resolve;
     o.use_majority_voting = majority;
-    SynthesisPipeline pipeline(o);
     return bench::ScoreCases(
-        bench::Relations(pipeline.Run(world.corpus).mappings), world);
+        bench::Relations(bench::Synthesize(o, world.corpus).mappings), world);
   };
 
   auto with_cr = run(true, false);

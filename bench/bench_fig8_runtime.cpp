@@ -25,8 +25,7 @@ int main() {
 
   // Step-level breakdown for Synthesis (Section 5.3 discussion: table
   // synthesis dominates).
-  SynthesisPipeline pipeline{SynthesisOptions{}};
-  SynthesisResult r = pipeline.Run(world.corpus);
+  SynthesisResult r = bench::Synthesize(SynthesisOptions{}, world.corpus);
   PrintBanner(std::cout, "Synthesis step breakdown (seconds)");
   TextTable steps({"step", "seconds"});
   steps.AddRow({"index build", bench::F(r.stats.index_seconds, 3)});

@@ -16,8 +16,7 @@ int main() {
                    "mappings"});
   for (double frac : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     TableCorpus subset = world.corpus.Subset(frac);
-    SynthesisPipeline pipeline{SynthesisOptions{}};
-    SynthesisResult r = pipeline.Run(subset);
+    SynthesisResult r = bench::Synthesize(SynthesisOptions{}, subset);
     table.AddRow({std::to_string(static_cast<int>(frac * 100)),
                   std::to_string(subset.size()),
                   std::to_string(r.stats.candidates),

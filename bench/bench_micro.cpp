@@ -111,38 +111,44 @@ void BM_MyersPrebuiltPattern(benchmark::State& state) {
 }
 BENCHMARK(BM_MyersPrebuiltPattern)->Arg(8)->Arg(32)->Arg(128);
 
-// Mismatched lengths: the length-gap prefilter rejects before any DP work;
-// both gates should collapse to a subtraction.
+// Mismatched lengths: the length-gap prefilter rejects before any kernel
+// work, so the predicate should collapse to a subtraction.
 void BM_ApproxMatchMismatchedLengths(benchmark::State& state) {
   Rng rng(2);
   EditDistanceOptions opts;
-  opts.use_bit_parallel = state.range(0) != 0;
   std::string short_s = RandomString(rng, 8);
   std::string long_s = RandomString(rng, 120);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ApproxMatch(short_s, long_s, opts));
   }
 }
-BENCHMARK(BM_ApproxMatchMismatchedLengths)->Arg(0)->Arg(1);
+BENCHMARK(BM_ApproxMatchMismatchedLengths);
 
-// Gate off = the scalar banded path through the same predicate, for
-// tracking the ApproxMatch-level speedup on near-miss pairs (the common
-// case in conflict counting: similar lengths, distance just over θ).
-void BM_ApproxMatchGate(benchmark::State& state) {
+// ApproxMatch (Myers) against the scalar banded DP under the same
+// fractional threshold (second arg 0), for tracking the predicate-level
+// speedup on near-miss pairs (the common case in conflict counting: similar
+// lengths, distance just over θ).
+void BM_ApproxMatchVsBanded(benchmark::State& state) {
   Rng rng(2);
   EditDistanceOptions opts;
-  opts.use_bit_parallel = state.range(1) != 0;
+  const bool myers = state.range(1) != 0;
   const size_t len = static_cast<size_t>(state.range(0));
   std::vector<std::string> values;
   for (int i = 0; i < 64; ++i) values.push_back(RandomString(rng, len));
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        ApproxMatch(values[i % 64], values[(i + 1) % 64], opts));
+    const std::string& a = values[i % 64];
+    const std::string& b = values[(i + 1) % 64];
+    if (myers) {
+      benchmark::DoNotOptimize(ApproxMatch(a, b, opts));
+    } else {
+      const size_t band = FractionalThreshold(a, b, opts);
+      benchmark::DoNotOptimize(EditDistanceBanded(a, b, band) <= band);
+    }
     ++i;
   }
 }
-BENCHMARK(BM_ApproxMatchGate)
+BENCHMARK(BM_ApproxMatchVsBanded)
     ->Args({12, 0})
     ->Args({12, 1})
     ->Args({28, 0})
@@ -151,7 +157,7 @@ BENCHMARK(BM_ApproxMatchGate)
     ->Args({90, 1});
 
 // The full scoring kernel through the batch matcher (mask cache warm), the
-// configuration BuildCompatibilityGraph runs per chunk.
+// configuration session scoring runs per chunk.
 void BM_BatchMatcherScoring(benchmark::State& state) {
   auto pool = std::make_shared<StringPool>();
   Rng rng(11);

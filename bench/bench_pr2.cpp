@@ -149,25 +149,24 @@ int main(int argc, char** argv) {
   const StringPool& pool = *vocab.pool;
 
   // ---------------------------------------------------------- scalar oracle
-  CompatibilityOptions scalar_opts;
-  scalar_opts.edit.use_bit_parallel = false;
-  scalar_opts.reuse_blocking_counts = false;
+  // ComputeCompatibilityReference matches values through the banded DP
+  // itself, so both modes run under the same options.
+  const CompatibilityOptions opts;
 
-  std::cout << "pair scoring: seed scalar (banded DP, per-pair ValuesMatch)"
+  std::cout << "pair scoring: seed scalar (banded DP, per-pair matching)"
             << "...\n"
             << std::flush;
   std::vector<PairScores> ref_scores(pairs.size());
   const double scalar_s = BestOf([&] {
     for (size_t i = 0; i < pairs.size(); ++i) {
       ref_scores[i] = ComputeCompatibilityReference(
-          candidates[pairs[i].a], candidates[pairs[i].b], pool, scalar_opts);
+          candidates[pairs[i].a], candidates[pairs[i].b], pool, opts);
     }
   });
 
   // ------------------------------------------------------------- fast path
   // The pipeline's chunked loop: one BatchApproxMatcher per chunk so mask
   // builds amortize, blocking hints threaded through.
-  CompatibilityOptions fast_opts;  // defaults: Myers on, reuse on
   std::vector<PairScores> fast_scores(pairs.size());
   ScoringStats sstats;
   const double fast_s = BestOf([&] {
@@ -175,15 +174,14 @@ int main(int argc, char** argv) {
     constexpr size_t kChunk = 256;
     for (size_t begin = 0; begin < pairs.size(); begin += kChunk) {
       const size_t end = std::min(begin + kChunk, pairs.size());
-      BatchApproxMatcher matcher(pool, fast_opts.edit,
-                                 fast_opts.approximate_matching,
-                                 fast_opts.synonyms);
+      BatchApproxMatcher matcher(pool, opts.edit, opts.approximate_matching,
+                                 opts.synonyms);
       for (size_t i = begin; i < end; ++i) {
         const BlockingHint hint{pairs[i].shared_pairs, pairs[i].shared_lefts,
                                 bstats.exact_counts};
         fast_scores[i] = ComputeCompatibility(candidates[pairs[i].a],
                                               candidates[pairs[i].b], pool,
-                                              fast_opts, &matcher, &hint,
+                                              opts, &matcher, &hint,
                                               &sstats);
       }
       sstats.matcher.Add(matcher.stats());

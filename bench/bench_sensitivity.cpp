@@ -12,8 +12,7 @@ int main() {
   bench::PrintWorldSummary(world);
 
   auto score = [&](const SynthesisOptions& o) {
-    SynthesisPipeline pipeline(o);
-    SynthesisResult r = pipeline.Run(world.corpus);
+    SynthesisResult r = bench::Synthesize(o, world.corpus);
     auto per_case = bench::ScoreCases(bench::Relations(r.mappings), world);
     double f = 0;
     for (const auto& s : per_case) f += s.fscore;

@@ -2,6 +2,7 @@
 // world construction, evaluation shortcuts, and report formatting.
 #pragma once
 
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -10,7 +11,7 @@
 #include "corpusgen/generator.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
-#include "synth/pipeline.h"
+#include "synth/session.h"
 
 namespace ms::bench {
 
@@ -22,6 +23,20 @@ inline GeneratedWorld StandardWebWorld(double popularity_scale = 1.0,
   opts.seed = seed;
   opts.popularity_scale = popularity_scale;
   return GenerateWebWorld(opts);
+}
+
+/// Runs the full synthesis chain through a fresh session. A failed run
+/// makes every number the figure would print meaningless, so it exits
+/// non-zero with the status.
+inline SynthesisResult Synthesize(const SynthesisOptions& options,
+                                  const TableCorpus& corpus) {
+  SynthesisSession session(options);
+  Result<SynthesisResult> r = session.Run(corpus);
+  if (!r.ok()) {
+    std::cerr << "synthesis failed: " << r.status().ToString() << "\n";
+    std::exit(1);
+  }
+  return std::move(r).value();
 }
 
 /// Relations view over synthesized mappings.

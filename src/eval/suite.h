@@ -9,7 +9,7 @@
 
 #include "corpusgen/generator.h"
 #include "eval/runner.h"
-#include "synth/pipeline.h"
+#include "synth/session.h"
 
 namespace ms {
 

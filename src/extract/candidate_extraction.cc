@@ -153,50 +153,10 @@ ExtractionResult ExtractCandidates(const TableCorpus& corpus,
                                    const ColumnInvertedIndex& index,
                                    const ExtractionOptions& options,
                                    ThreadPool* pool) {
-  ExtractionResult result;
-  auto shared_pool = corpus.shared_pool();
-  ShardedNormalizationCache norm(shared_pool.get(), options.normalize);
-
-  const auto& tables = corpus.tables();
-  std::vector<std::vector<BinaryTable>> per_table(tables.size());
-  std::vector<std::vector<uint32_t>> per_kept(tables.size());
-  std::vector<std::vector<CoherenceProfile>> per_margin(tables.size());
-  std::vector<ExtractionStats> per_stats(tables.size());
-  const bool margins_on = options.coherence_threshold > -1.0;
-
-  auto process = [&](size_t ti) {
-    const Table& t = tables[ti];
-    ExtractionStats& st = per_stats[ti];
-    ComputeKeptColumns(t, index, options, &st, &per_kept[ti],
-                       margins_on ? &per_margin[ti] : nullptr);
-    ExtractFromKept(t, per_kept[ti], corpus.pool(), &norm, options, &st,
-                    &per_table[ti]);
-  };
-
-  if (pool) {
-    pool->ParallelFor(tables.size(), process);
-  } else {
-    for (size_t i = 0; i < tables.size(); ++i) process(i);
-  }
-
-  result.stats.normalize_cache_hits = norm.hits();
-  result.stats.normalize_cache_misses = norm.misses();
-  for (size_t i = 0; i < tables.size(); ++i) {
-    result.stats.tables_seen += per_stats[i].tables_seen;
-    result.stats.columns_seen += per_stats[i].columns_seen;
-    result.stats.columns_kept += per_stats[i].columns_kept;
-    result.stats.pairs_considered += per_stats[i].pairs_considered;
-    result.stats.pairs_kept += per_stats[i].pairs_kept;
-    for (auto& cand : per_table[i]) {
-      cand.id = static_cast<BinaryTableId>(result.candidates.size());
-      result.candidates.push_back(std::move(cand));
-    }
-  }
-  BuildCsr(per_kept, &result.kept_offsets, &result.kept_columns);
-  if (margins_on) {
-    BuildCsr(per_margin, &result.margin_offsets, &result.margins);
-  }
-  return result;
+  // A cold run is the delta pass with no old tables: every table is
+  // appended, so every table is fully extracted and ids start at 0.
+  return ExtractCandidatesDelta(corpus, index, DeltaExtractionRequest{},
+                                options, pool);
 }
 
 DeltaExtractionResult ExtractCandidatesDelta(
@@ -222,12 +182,16 @@ DeltaExtractionResult ExtractCandidatesDelta(
   // co-occurrence involving them) may have moved under this mutation —
   // everything the removed tables held plus everything the appended tables
   // hold. A live old column containing none of them kept all its counts,
-  // so its cached margin bound applies.
-  std::unordered_set<ValueId> touched(request.removed_values.begin(),
-                                      request.removed_values.end());
-  for (size_t ti = first_new_table; ti < tables.size(); ++ti) {
-    for (const Column& c : tables[ti].columns) {
-      touched.insert(c.cells.begin(), c.cells.end());
+  // so its cached margin bound applies. Only old columns consult it, so a
+  // pass without old tables (a cold run) never builds it.
+  std::unordered_set<ValueId> touched;
+  if (first_new_table > 0) {
+    touched.insert(request.removed_values.begin(),
+                   request.removed_values.end());
+    for (size_t ti = first_new_table; ti < tables.size(); ++ti) {
+      for (const Column& c : tables[ti].columns) {
+        touched.insert(c.cells.begin(), c.cells.end());
+      }
     }
   }
   auto column_touched = [&](const Column& c) {
@@ -342,8 +306,8 @@ DeltaExtractionResult ExtractCandidatesDelta(
   for (size_t i = 0; i < tables.size(); ++i) {
     for (auto& cand : per_table[i]) {
       cand.id = static_cast<BinaryTableId>(request.first_new_id +
-                                           result.new_candidates.size());
-      result.new_candidates.push_back(std::move(cand));
+                                           result.candidates.size());
+      result.candidates.push_back(std::move(cand));
     }
   }
   BuildCsr(per_kept, &result.kept_offsets, &result.kept_columns);

@@ -65,7 +65,10 @@ struct ExtractionStats {
 };
 
 struct ExtractionResult {
-  std::vector<BinaryTable> candidates;  ///< ids assigned densely from 0
+  /// Extracted candidates, ids assigned densely in corpus-table order: from
+  /// 0 for a cold run, from DeltaExtractionRequest::first_new_id for a
+  /// delta pass.
+  std::vector<BinaryTable> candidates;
   ExtractionStats stats;
   /// Per-table kept-column signatures, CSR over corpus table index:
   /// kept_columns[kept_offsets[t] .. kept_offsets[t+1]) are the column
@@ -89,9 +92,10 @@ struct ExtractionResult {
   std::vector<CoherenceProfile> margins;
 };
 
-/// Runs Algorithm 1 over the whole corpus. `index` must have been built on
-/// `corpus`. Normalized values are interned into the corpus pool. Thread
-/// pool optional (per-table parallelism).
+/// Runs Algorithm 1 over the whole corpus: ExtractCandidatesDelta with no
+/// old tables. `index` must have been built on `corpus`. Normalized values
+/// are interned into the corpus pool. Thread pool optional (per-table
+/// parallelism).
 ExtractionResult ExtractCandidates(const TableCorpus& corpus,
                                    const ColumnInvertedIndex& index,
                                    const ExtractionOptions& options = {},
@@ -125,26 +129,23 @@ struct DeltaExtractionRequest {
 };
 
 /// Output of one incremental extraction pass (SynthesisSession::
-/// AppendTables / RemoveTables / ReplaceTables): candidates for the
-/// appended tables — plus re-extractions for any old table whose
-/// kept-column signature flipped under the mutated index — and the union
-/// signatures for the merged artifact.
-struct DeltaExtractionResult {
-  /// Candidates of appended tables and of flipped old tables, ids assigned
-  /// densely from `first_new_id` in corpus-table order (flipped tables
-  /// sort before appended ones). When `stable` holds these are exactly the
-  /// ids a cold run over the grown corpus would assign the appended
-  /// tables' candidates.
-  std::vector<BinaryTable> new_candidates;
-  /// Counters for the appended tables only (add to the base run's to get
-  /// the union totals; flipped re-extractions are deliberately excluded so
-  /// the stable path stays byte-identical to a cold rebuild's counters).
-  /// Normalize-cache counters cover this pass alone.
-  ExtractionStats stats;
+/// AppendTables / RemoveTables / ReplaceTables). `candidates` holds the
+/// appended tables' candidates plus re-extractions for any old table whose
+/// kept-column signature flipped under the mutated index, ids assigned
+/// densely from `first_new_id` in corpus-table order (flipped tables sort
+/// before appended ones); when `stable` holds these are exactly the ids a
+/// cold run over the grown corpus would assign the appended tables'
+/// candidates. `stats` counts the appended tables only (add to the base
+/// run's to get the union totals; flipped re-extractions are deliberately
+/// excluded so the stable path stays byte-identical to a cold rebuild's
+/// counters), and its normalize-cache counters cover this pass alone. The
+/// kept/margin CSRs are the union signatures (old tables re-checked +
+/// appended tables), ready to carry on the merged candidate artifact.
+struct DeltaExtractionResult : ExtractionResult {
   /// True iff no live old table's kept-column set changed under the
   /// mutated index. When false, `flipped_tables` lists the tables whose
   /// base candidates the caller must tombstone in favor of the
-  /// re-extractions included in `new_candidates`.
+  /// re-extractions included in `candidates`.
   bool stable = false;
   /// How many old tables' kept sets flipped (observability: a fleet whose
   /// appends keep re-extracting wants to know whether one borderline
@@ -156,12 +157,6 @@ struct DeltaExtractionResult {
   /// sampled re-check.
   size_t margin_skips = 0;
   size_t margin_rechecks = 0;
-  /// Union signatures (old tables re-checked + appended tables), ready to
-  /// carry on the merged candidate artifact.
-  std::vector<uint32_t> kept_offsets;
-  std::vector<uint32_t> kept_columns;
-  std::vector<uint32_t> margin_offsets;
-  std::vector<CoherenceProfile> margins;
 };
 
 /// Incremental Algorithm 1: `index` must reflect the *mutated* corpus

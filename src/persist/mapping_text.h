@@ -9,11 +9,9 @@
 //   ...
 //   (blank line)
 //
-// synth/mapping_io.h remains as a thin compatibility wrapper over these
-// functions; new code should include this header. For machine-to-machine
-// round trips (lineage ids, stats, checksums) use the binary snapshot
-// (persist/artifact_codec.h) instead — TSV is lossy by design (table
-// contents live in the corpus, not the mapping file).
+// For machine-to-machine round trips (lineage ids, stats, checksums) use
+// the binary snapshot (persist/artifact_codec.h) instead — TSV is lossy by
+// design (table contents live in the corpus, not the mapping file).
 #pragma once
 
 #include <iosfwd>

@@ -3,12 +3,14 @@
 // or left-hand values (for w-) and only score pairs within a group with at
 // least θ_overlap shared items.
 //
-// The production path is a sharded streaming design: one map+shuffle round
-// hash-partitions (item-hash -> table-id) postings, then each partition is
-// sort-grouped and its co-occurring id pairs are streamed straight into
-// hash-sharded flat count maps keyed by the packed id pair. The quadratic
-// id-pair stream is never materialized and the final count/threshold pass is
-// parallel over shards. `GenerateCandidatePairsReference` keeps the original
+// The production path is one sharded streaming engine,
+// `GenerateDeltaCandidatePairs`: a map+shuffle round hash-partitions
+// (item-hash -> table-id) postings, then each partition is sort-grouped and
+// its co-occurring id pairs are streamed straight into hash-sharded flat
+// count maps keyed by the packed id pair. The quadratic id-pair stream is
+// never materialized and the final count/threshold pass is parallel over
+// shards. A cold run (`GenerateCandidatePairs`) is that engine over an empty
+// base. `GenerateCandidatePairsReference` keeps the original
 // emit-everything-then-count implementation for equivalence tests and
 // benchmarking.
 #pragma once
@@ -50,8 +52,7 @@ struct CandidateTablePair {
   /// cardinalities: neither a nor b was ever dropped from a truncated
   /// posting list, so no list containing both could have lost either of
   /// them. Scoring uses this to skip the exact pair-list merge per pair
-  /// (CompatibilityOptions::reuse_blocking_counts) instead of requiring the
-  /// whole run to be truncation-free.
+  /// instead of requiring the whole run to be truncation-free.
   bool counts_exact = false;
 };
 
@@ -86,7 +87,8 @@ struct BlockingStats {
   std::vector<uint8_t> tainted;
 };
 
-/// Runs blocking over all candidates. Returned pairs satisfy
+/// Runs blocking over all candidates: GenerateDeltaCandidatePairs with
+/// every candidate appended to an empty base. Returned pairs satisfy
 /// shared_pairs >= θ_overlap or shared_lefts >= θ_overlap, sorted by (a, b).
 std::vector<CandidateTablePair> GenerateCandidatePairs(
     const std::vector<BinaryTable>& candidates,
@@ -110,6 +112,10 @@ struct DeltaBlockingStats {
   size_t dropped_postings = 0;
   /// Delta-relevant keys processed (keys any appended candidate holds).
   size_t scanned_keys = 0;
+  /// This pass's phase timings (a cold run reports them as BlockingStats').
+  double map_shuffle_seconds = 0.0;
+  double count_seconds = 0.0;
+  double reduce_seconds = 0.0;
 };
 
 /// Incremental blocking for appended candidates: returns exactly the pairs
@@ -122,7 +128,9 @@ struct DeltaBlockingStats {
 ///
 /// Only keys held by an appended candidate are counted: existing candidates
 /// are scanned once (linear) to contribute their postings for those keys,
-/// and the quadratic counting runs over the delta-relevant keys alone.
+/// and the quadratic counting runs over the delta-relevant keys alone. With
+/// `first_new` == 0 there are no existing candidates, so the key filter is
+/// skipped and the pass is a full blocking run.
 ///
 /// `tainted` is the union-run taint bitmap, in/out: pass the base run's
 /// bitmap (resized to candidates.size(); empty stays empty until a

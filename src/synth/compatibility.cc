@@ -219,11 +219,10 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
   if (a.empty() || b.empty()) return s;
 
   const bool exact_only = !opts.approximate_matching && !opts.synonyms;
-  const bool trust_hint = opts.reuse_blocking_counts && hint && hint->exact;
 
   // Overlap. Under exact-only matching, |B ∩ B'| is precisely blocking's
   // shared-pair co-occurrence count, so an exact hint replaces the merge.
-  if (exact_only && trust_hint) {
+  if (exact_only && hint && hint->exact) {
     s.overlap = hint->shared_pairs;
     if (stats) ++stats->overlap_merges_skipped;
   } else {
@@ -239,12 +238,27 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
 }
 
 // --------------------------------------------------------------- reference
-// The seed implementation, verbatim modulo naming: per-call ValuesMatch
-// (which itself honours the use_bit_parallel gate), no mask caching, no
-// blocking-count reuse. tests/compatibility_test.cc and bench_pr2 hold the
-// fast path to byte-identical agreement with this.
+// The seed implementation, verbatim modulo naming: per-call value matching
+// through the scalar banded DP, no mask caching, no blocking-count reuse.
+// tests/compatibility_test.cc and bench_pr2 hold the fast path to
+// byte-identical agreement with this.
 
 namespace {
+
+/// The seed value predicate: exact, synonym, then the banded DP under the
+/// fractional threshold.
+bool ReferenceValuesMatch(ValueId a, ValueId b, const StringPool& pool,
+                          const CompatibilityOptions& opts) {
+  if (a == b) return true;
+  if (AreSynonymsVia(opts.synonym_snapshot, opts.synonyms, a, b)) return true;
+  if (!opts.approximate_matching) return false;
+  const std::string_view sa = pool.Get(a);
+  const std::string_view sb = pool.Get(b);
+  if (sa == sb) return true;
+  const size_t band = FractionalThreshold(sa, sb, opts.edit);
+  if (band == 0) return false;
+  return EditDistanceBanded(sa, sb, band) <= band;
+}
 
 size_t ReferenceCountPairOverlap(const BinaryTable& a, const BinaryTable& b,
                                  const StringPool& pool,
@@ -286,8 +300,8 @@ size_t ReferenceCountPairOverlap(const BinaryTable& a, const BinaryTable& b,
     for (size_t k = 0; k < rest_b.size(); ++k) {
       if (used[k]) continue;
       const auto& qb = rest_b[k];
-      if (ValuesMatch(qa.left, qb.left, pool, opts) &&
-          ValuesMatch(qa.right, qb.right, pool, opts)) {
+      if (ReferenceValuesMatch(qa.left, qb.left, pool, opts) &&
+          ReferenceValuesMatch(qa.right, qb.right, pool, opts)) {
         used[k] = true;
         ++approx;
         break;
@@ -317,11 +331,11 @@ size_t ReferenceCountConflicts(const BinaryTable& a, const BinaryTable& b,
       size_t je = j;
       const ValueId lb = pb[j].left;
       while (je < pb.size() && pb[je].left == lb) ++je;
-      if (ValuesMatch(la, lb, pool, opts)) {
+      if (ReferenceValuesMatch(la, lb, pool, opts)) {
         any_left_match = true;
         for (size_t x = i; x < ie && !any_right_conflict; ++x) {
           for (size_t y = j; y < je; ++y) {
-            if (!ValuesMatch(pa[x].right, pb[y].right, pool, opts)) {
+            if (!ReferenceValuesMatch(pa[x].right, pb[y].right, pool, opts)) {
               any_right_conflict = true;
               break;
             }

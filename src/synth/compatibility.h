@@ -3,8 +3,7 @@
 //   w-(B, B') = -max{ |F(B,B')|/|B| , |F(B,B')|/|B'| }  (Eq. 4)
 // where F is the conflict set (same left, different right). Value matching
 // is exact on normalized strings, then approximate via bit-parallel Myers
-// edit distance with a fractional threshold (scalar banded DP behind the
-// EditDistanceOptions::use_bit_parallel gate), then synonym-dictionary
+// edit distance with a fractional threshold, then synonym-dictionary
 // assisted.
 //
 // The production entry point is the extended ComputeCompatibility overload:
@@ -12,7 +11,8 @@
 // cached across the whole candidate loop) and can reuse the shared_pairs /
 // shared_lefts counts the blocking stage already computed instead of
 // re-intersecting the sorted pair lists. ComputeCompatibilityReference
-// keeps the seed scalar implementation as the equivalence oracle.
+// keeps the seed scalar implementation (banded DP, no caching, no hints) as
+// the equivalence oracle.
 #pragma once
 
 #include "common/status.h"
@@ -36,11 +36,6 @@ struct CompatibilityOptions {
   /// Results are identical as long as the snapshot reflects the current
   /// dictionary state; SynthesisSession maintains this automatically.
   const SynonymSnapshot* synonym_snapshot = nullptr;
-  /// Reuse the blocking stage's co-occurrence counts (BlockingHint) to skip
-  /// the exact pair-list merge / conflict scan where they are provably
-  /// equivalent. Only fires for hints marked exact (the pair's counts were
-  /// not affected by posting truncation).
-  bool reuse_blocking_counts = true;
 
   /// InvalidArgument on malformed edit-distance thresholds, or when a
   /// snapshot is supplied without (or stale against) its dictionary.
@@ -99,11 +94,13 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
                                 const CompatibilityOptions& opts = {});
 
 /// Hot-path form: scores through a caller-owned matcher (whose cached
-/// pattern masks survive across calls) and optionally reuses blocking's
-/// counts. `matcher` must have been constructed from the same pool and the
-/// same matching configuration as `opts`. Matcher kernel counters accumulate
-/// inside `matcher`; only the fast-path skip counters are added to `stats`
-/// here (callers merge matcher->stats() once at the end of their loop).
+/// pattern masks survive across calls). A hint marked exact (the pair's
+/// counts were not affected by posting truncation) replaces the exact
+/// pair-list merge under exact-only matching. `matcher` must have been
+/// constructed from the same pool and the same matching configuration as
+/// `opts`. Matcher kernel counters accumulate inside `matcher`; only the
+/// fast-path skip counters are added to `stats` here (callers merge
+/// matcher->stats() once at the end of their loop).
 PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
                                 const StringPool& pool,
                                 const CompatibilityOptions& opts,
@@ -111,10 +108,10 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
                                 const BlockingHint* hint = nullptr,
                                 ScoringStats* stats = nullptr);
 
-/// The seed scalar implementation (per-call ValuesMatch, no mask caching,
-/// no blocking reuse). Kept as the differential-test oracle and the
-/// baseline for bench_pr2; identical results to the fast path by
-/// construction.
+/// The seed scalar implementation (per-call value matching through the
+/// banded DP, no mask caching, no blocking reuse). Kept as the
+/// differential-test oracle and the baseline for bench_pr2; identical
+/// results to the fast path by construction.
 PairScores ComputeCompatibilityReference(const BinaryTable& a,
                                          const BinaryTable& b,
                                          const StringPool& pool,

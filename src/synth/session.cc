@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <iterator>
 #include <mutex>
 #include <unordered_map>
@@ -92,105 +91,70 @@ uint64_t OptionsFingerprint(const SynthesisOptions& o) {
 
 namespace {
 
-/// The shared scoring core: chunked scoring of `pairs` into a finalized
-/// graph. `worker_matcher` (optional) supplies a persistent per-worker
-/// matcher — the session's warm path; when absent, each chunk builds a
-/// short-lived matcher exactly like the pre-session pipeline, so both paths
-/// stay byte-identical by construction.
-CompatibilityGraph ScorePairsCore(
-    const std::vector<BinaryTable>& candidates, const StringPool& pool,
-    const std::vector<CandidateTablePair>& pairs,
-    const CompatibilityOptions& compat, ThreadPool* threads,
-    const std::function<BatchApproxMatcher*()>& worker_matcher,
-    ScoringStats* scoring_out) {
-  CompatibilityGraph graph(candidates.size());
-  std::vector<PairScores> scores(pairs.size());
-
-  // Pairs arrive sorted by (a, b), so consecutive pairs share table a and —
-  // more importantly — value strings. Scoring in chunks through a matcher
-  // lets every pattern bitmask build amortize across the chunk (and, for
-  // session-owned matchers, across the whole run and every later run),
-  // and the per-pair blocking hints let exactly-counted pairs skip the
-  // pair-list merge entirely.
-  constexpr size_t kScoringChunk = 256;
-  const size_t num_chunks = (pairs.size() + kScoringChunk - 1) / kScoringChunk;
-  std::vector<ScoringStats> chunk_stats(num_chunks);
-  auto score_chunk = [&](size_t c) {
-    const size_t begin = c * kScoringChunk;
-    const size_t end = std::min(begin + kScoringChunk, pairs.size());
-    BatchApproxMatcher* matcher =
-        worker_matcher ? worker_matcher() : nullptr;
-    std::unique_ptr<BatchApproxMatcher> local;
-    if (matcher == nullptr) {
-      local = std::make_unique<BatchApproxMatcher>(
-          pool, compat.edit, compat.approximate_matching, compat.synonyms,
-          compat.synonym_snapshot);
-      matcher = local.get();
-    }
-    ScoringStats& st = chunk_stats[c];
-    for (size_t i = begin; i < end; ++i) {
-      const BlockingHint hint{pairs[i].shared_pairs, pairs[i].shared_lefts,
-                              pairs[i].counts_exact};
-      // ComputeCompatibility is orientation-sensitive: conflicts count the
-      // FIRST table's conflicting left-runs, and the approximate-overlap
-      // greedy matches the first table's residue against the second's. A
-      // cold run orders operands by candidate id, which equals table order
-      // under dense assignment — so score in (source table, id) order
-      // explicitly. For cold runs this is the identical orientation; for
-      // incremental families where a re-extracted table sits at tail ids it
-      // is what keeps every edge weight bit-identical to the cold oracle's.
-      const BinaryTable& ta = candidates[pairs[i].a];
-      const BinaryTable& tb = candidates[pairs[i].b];
-      const bool cold_swapped =
-          std::tie(tb.source_table, pairs[i].b) <
-          std::tie(ta.source_table, pairs[i].a);
-      scores[i] = cold_swapped
-                      ? ComputeCompatibility(tb, ta, pool, compat, matcher,
-                                             &hint, &st)
-                      : ComputeCompatibility(ta, tb, pool, compat, matcher,
-                                             &hint, &st);
-    }
-    // Short-lived matchers surrender their kernel counters here; persistent
-    // ones accumulate and are drained once per run by the session.
-    if (local) st.matcher.Add(local->stats());
-  };
-  if (threads) {
-    threads->ParallelFor(num_chunks, score_chunk);
-  } else {
-    for (size_t c = 0; c < num_chunks; ++c) score_chunk(c);
+/// Algorithm 3 per positive component (Appendix F divide-and-conquer):
+/// each of `components` is partitioned on its component-local subgraph,
+/// with members in the order given — the greedy tie-breaks on local index,
+/// so that order is part of the result. Partition() passes every component
+/// with members in ascending id; the mutation path passes its dirty
+/// components with members in cold order, (source table, id). `comp` maps
+/// every vertex to its component, which filters out cross-component edges
+/// (positive weight below θ_edge). New partition ids are drawn from
+/// `partition->num_partitions` upward; vertices outside `components` keep
+/// whatever `partition->partition_of` already holds. When `groups` is given,
+/// every partition formed is appended to it (in scheduling order).
+void PartitionComponents(const CompatibilityGraph& graph,
+                         const std::vector<uint32_t>& comp,
+                         const std::vector<std::vector<VertexId>>& components,
+                         const PartitionerOptions& options,
+                         ThreadPool* threads, PartitionResult* partition,
+                         std::vector<std::vector<VertexId>>* groups) {
+  // One global vertex -> component-local-index table, filled in a single
+  // O(V) pass: component member lists are disjoint, so per-component O(V)
+  // scratch vectors would cost O(V·C) total.
+  std::vector<uint32_t> local_of(graph.num_vertices(), 0);
+  for (const auto& members : components) {
+    for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
   }
-  if (scoring_out) {
-    for (const auto& st : chunk_stats) scoring_out->Add(st);
-  }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (scores[i].w_pos > 0.0 || scores[i].w_neg < 0.0) {
-      graph.AddEdge(pairs[i].a, pairs[i].b, scores[i].w_pos, scores[i].w_neg);
+  partition->partition_of.resize(graph.num_vertices(), 0);
+  std::atomic<uint32_t> next_partition{
+      static_cast<uint32_t>(partition->num_partitions)};
+  std::mutex mu;
+  threads->ParallelFor(components.size(), [&](size_t k) {
+    const auto& members = components[k];
+    if (members.size() == 1) {
+      partition->partition_of[members[0]] = next_partition.fetch_add(1);
+      if (groups == nullptr) return;
+      std::lock_guard<std::mutex> lock(mu);
+      groups->push_back({members[0]});
+      return;
     }
-  }
-  graph.Finalize();
-  return graph;
-}
-
-/// Builds the component-local subgraph of `members` and runs Algorithm 3 on
-/// it. `local_of` maps global vertex -> component-local index; cross-
-/// component edges (positive weight below θ_edge) are filtered via `comp`.
-/// Shared by Partition() and the append path's dirty-component re-run so
-/// both produce identical partitions for identical components.
-PartitionResult PartitionComponentSubgraph(
-    const CompatibilityGraph& graph, const std::vector<uint32_t>& comp,
-    const std::vector<uint32_t>& local_of,
-    const std::vector<VertexId>& members, const PartitionerOptions& options) {
-  CompatibilityGraph sub(members.size());
-  for (VertexId v : members) {
-    for (uint32_t e : graph.IncidentEdges(v)) {
-      const auto& edge = graph.edges()[e];
-      if (edge.u != v) continue;  // visit each edge once (u < v)
-      if (comp[edge.v] != comp[v]) continue;
-      sub.AddEdge(local_of[edge.u], local_of[edge.v], edge.w_pos, edge.w_neg);
+    CompatibilityGraph sub(members.size());
+    for (VertexId v : members) {
+      for (uint32_t e : graph.IncidentEdges(v)) {
+        const auto& edge = graph.edges()[e];
+        if (edge.u != v) continue;  // visit each edge once (u < v)
+        if (comp[edge.v] != comp[v]) continue;
+        sub.AddEdge(local_of[edge.u], local_of[edge.v], edge.w_pos,
+                    edge.w_neg);
+      }
     }
-  }
-  sub.Finalize();
-  return GreedyPartition(sub, options);
+    sub.Finalize();
+    const PartitionResult local = GreedyPartition(sub, options);
+    const uint32_t base = next_partition.fetch_add(
+        static_cast<uint32_t>(local.num_partitions));
+    std::vector<std::vector<VertexId>> local_groups(
+        groups != nullptr ? local.num_partitions : 0);
+    for (uint32_t i = 0; i < members.size(); ++i) {
+      partition->partition_of[members[i]] = base + local.partition_of[i];
+      if (groups != nullptr) {
+        local_groups[local.partition_of[i]].push_back(members[i]);
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    partition->merges_performed += local.merges_performed;
+    for (auto& g : local_groups) groups->push_back(std::move(g));
+  });
+  partition->num_partitions = next_partition.load();
 }
 
 /// Conflict resolution + mapping assembly for a set of partition groups
@@ -264,30 +228,6 @@ void FillBlockingStats(const BlockingStats& bstats, size_t num_pairs,
 
 }  // namespace
 
-CompatibilityGraph BuildCompatibilityGraph(
-    const std::vector<BinaryTable>& candidates, const StringPool& pool,
-    const BlockingOptions& blocking, const CompatibilityOptions& compat,
-    ThreadPool* pool_threads, PipelineStats* stats) {
-  Timer timer;
-  BlockingStats bstats;
-  auto pairs =
-      GenerateCandidatePairs(candidates, blocking, pool_threads, &bstats);
-  if (stats) {
-    FillBlockingStats(bstats, pairs.size(), timer.ElapsedSeconds(), stats);
-  }
-
-  timer.Restart();
-  ScoringStats scoring;
-  CompatibilityGraph graph = ScorePairsCore(candidates, pool, pairs, compat,
-                                            pool_threads, nullptr, &scoring);
-  if (stats) {
-    stats->scoring.Add(scoring);
-    stats->scoring_seconds = timer.ElapsedSeconds();
-    stats->graph_edges = graph.num_edges();
-  }
-  return graph;
-}
-
 // ------------------------------------------------------------------ session
 
 /// Per-worker persistent matchers: slot i belongs to pool worker i, the
@@ -295,6 +235,7 @@ CompatibilityGraph BuildCompatibilityGraph(
 /// never affect scores, so reuse across runs changes speed only.
 struct SynthesisSession::MatcherSlots {
   const StringPool* pool = nullptr;
+  uint64_t pool_truncations = 0;  ///< pool.truncations() when built
   double fractional = 0.0;
   size_t cap = 0;
   std::vector<std::unique_ptr<BatchApproxMatcher>> slots;
@@ -484,14 +425,19 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
   // (Re)build or re-point the per-worker matchers. Everything cached in a
   // matcher depends only on the pool contents and edit.fractional, so a
   // re-score under tweaked thresholds starts with every mask it ever built.
+  // A pool truncation (append rollback) can rebind cached ids to different
+  // strings and frees the cached views' bytes, so it forces a rebuild.
   const size_t num_slots = threads_->num_threads() + 1;
+  const uint64_t truncations = pool.truncations();
   const bool warm = matchers_ != nullptr && matchers_->pool == &pool &&
+                    matchers_->pool_truncations == truncations &&
                     matchers_->slots.size() == num_slots &&
                     matchers_->fractional == eff.edit.fractional &&
                     matchers_->cap == options_.matcher_cache_cap;
   if (!warm) {
     matchers_ = std::make_unique<MatcherSlots>();
     matchers_->pool = &pool;
+    matchers_->pool_truncations = truncations;
     matchers_->fractional = eff.edit.fractional;
     matchers_->cap = options_.matcher_cache_cap;
     matchers_->slots.resize(num_slots);
@@ -517,12 +463,54 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
     return matchers_->slots[wi].get();
   };
 
-  CompatibilityGraph graph = ScorePairsCore(tables, pool, pairs, eff,
-                                            threads_.get(), worker_matcher,
-                                            scoring);
+  // Pairs arrive sorted by (a, b), so consecutive pairs share table a and —
+  // more importantly — value strings. Scoring in chunks through a worker's
+  // matcher lets every pattern bitmask build amortize across the chunk, the
+  // whole run and every later run, and the per-pair blocking hints let
+  // exactly-counted pairs skip the pair-list merge entirely.
+  std::vector<PairScores> scores(pairs.size());
+  constexpr size_t kScoringChunk = 256;
+  const size_t num_chunks = (pairs.size() + kScoringChunk - 1) / kScoringChunk;
+  std::vector<ScoringStats> chunk_stats(num_chunks);
+  threads_->ParallelFor(num_chunks, [&](size_t c) {
+    const size_t begin = c * kScoringChunk;
+    const size_t end = std::min(begin + kScoringChunk, pairs.size());
+    BatchApproxMatcher* matcher = worker_matcher();
+    ScoringStats& st = chunk_stats[c];
+    for (size_t i = begin; i < end; ++i) {
+      const BlockingHint hint{pairs[i].shared_pairs, pairs[i].shared_lefts,
+                              pairs[i].counts_exact};
+      // ComputeCompatibility is orientation-sensitive: conflicts count the
+      // FIRST table's conflicting left-runs, and the approximate-overlap
+      // greedy matches the first table's residue against the second's. A
+      // cold run orders operands by candidate id, which equals table order
+      // under dense assignment — so score in (source table, id) order
+      // explicitly. For cold runs this is the identical orientation; for
+      // incremental families where a re-extracted table sits at tail ids it
+      // is what keeps every edge weight bit-identical to the cold oracle's.
+      const BinaryTable& ta = tables[pairs[i].a];
+      const BinaryTable& tb = tables[pairs[i].b];
+      const bool cold_swapped =
+          std::tie(tb.source_table, pairs[i].b) <
+          std::tie(ta.source_table, pairs[i].a);
+      scores[i] = cold_swapped
+                      ? ComputeCompatibility(tb, ta, pool, eff, matcher,
+                                             &hint, &st)
+                      : ComputeCompatibility(ta, tb, pool, eff, matcher,
+                                             &hint, &st);
+    }
+  });
+  for (const auto& st : chunk_stats) scoring->Add(st);
   for (const auto& slot : matchers_->slots) {
     scoring->matcher.Add(slot->stats());
   }
+  CompatibilityGraph graph(tables.size());
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (scores[i].w_pos > 0.0 || scores[i].w_neg < 0.0) {
+      graph.AddEdge(pairs[i].a, pairs[i].b, scores[i].w_pos, scores[i].w_neg);
+    }
+  }
+  graph.Finalize();
   return graph;
 }
 
@@ -571,43 +559,12 @@ Result<Partitions> SynthesisSession::Partition(const ScoredGraph& sg) {
   Timer step;
   PartitionResult partition;
   if (options_.divide_and_conquer) {
-    auto comp = ConnectedComponentsBfs(graph, options_.partitioner.theta_edge);
-    auto groups = GroupByComponent(comp);
+    const auto comp =
+        ConnectedComponentsBfs(graph, options_.partitioner.theta_edge);
+    const auto groups = GroupByComponent(comp);
     out.stats.components = groups.size();
-
-    // One global vertex -> component-local-index table, filled in a single
-    // O(V) pass: component member lists are disjoint, so per-component
-    // O(V) scratch vectors (the previous shape) would cost O(V·C) total.
-    // Cross-component edges (positive weight below θ_edge) are filtered by
-    // comparing component ids, which local_of alone can no longer express.
-    std::vector<uint32_t> local_of(graph.num_vertices(), 0);
-    for (const auto& members : groups) {
-      for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
-    }
-
-    partition.partition_of.assign(graph.num_vertices(), 0);
-    std::atomic<uint32_t> next_partition{0};
-    std::mutex mu;
-
-    auto run_component = [&](size_t gi) {
-      const auto& members = groups[gi];
-      if (members.size() == 1) {
-        uint32_t pid = next_partition.fetch_add(1);
-        partition.partition_of[members[0]] = pid;
-        return;
-      }
-      PartitionResult local = PartitionComponentSubgraph(
-          graph, comp, local_of, members, options_.partitioner);
-      uint32_t base = next_partition.fetch_add(
-          static_cast<uint32_t>(local.num_partitions));
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        partition.partition_of[members[i]] = base + local.partition_of[i];
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      partition.merges_performed += local.merges_performed;
-    };
-    threads_->ParallelFor(groups.size(), run_component);
-    partition.num_partitions = next_partition.load();
+    PartitionComponents(graph, comp, groups, options_.partitioner,
+                        threads_.get(), &partition, nullptr);
   } else {
     partition = GreedyPartition(graph, options_.partitioner);
   }
@@ -920,7 +877,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   out.append.unstable_tables = delta.unstable_tables;
   out.append.margin_skips = delta.margin_skips;
   out.append.margin_rechecks = delta.margin_rechecks;
-  out.append.new_candidates = delta.new_candidates.size();
+  out.append.new_candidates = delta.candidates.size();
   unstable_total->Add(delta.unstable_tables);
   margin_skips_total->Add(delta.margin_skips);
   margin_rechecks_total->Add(delta.margin_rechecks);
@@ -980,7 +937,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
                         " coherence verdicts shifted");
   }
   // Flipped tables: their base candidates are superseded by the
-  // re-extractions riding along in delta.new_candidates.
+  // re-extractions riding along in delta.candidates.
   for (size_t i = 0;
        !delta.flipped_tables.empty() && i < base_tables.size(); ++i) {
     if (newly_dead[i] || candidates.is_dead(static_cast<BinaryTableId>(i))) {
@@ -1003,8 +960,8 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // was never extracted.
   out.candidates.owned = base_tables;
   out.candidates.owned.reserve(base_tables.size() +
-                               delta.new_candidates.size());
-  for (auto& c : delta.new_candidates) {
+                               delta.candidates.size());
+  for (auto& c : delta.candidates) {
     out.candidates.owned.push_back(std::move(c));
   }
   if (have_dead) {
@@ -1272,7 +1229,8 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     }
 
     partition.partition_of.assign(out.scored.graph.num_vertices(), 0);
-    // Clean components: carry the base partitioning, renumbered densely.
+    // Clean components: carry the base partitioning, renumbered densely;
+    // the dirty ones draw fresh ids after them.
     uint32_t next_pid = 0;
     {
       std::unordered_map<uint32_t, uint32_t> remap;
@@ -1287,11 +1245,9 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
       }
     }
 
-    std::vector<uint32_t> local_of(out.scored.graph.num_vertices(), 0);
-    std::vector<size_t> dirty_idx;
+    std::vector<std::vector<VertexId>> dirty;
     for (size_t g = 0; g < groups.size(); ++g) {
       if (!comp_dirty[g]) continue;
-      dirty_idx.push_back(g);
       // The greedy partitioner tie-breaks on vertex ids, so hand each
       // dirty component its members in the relative order a cold run's
       // dense ids would impose: by source table, then by id (within one
@@ -1306,54 +1262,31 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
                   return std::tie(out.candidates.owned[x].source_table, x) <
                          std::tie(out.candidates.owned[y].source_table, y);
                 });
-      for (uint32_t i = 0; i < groups[g].size(); ++i) {
-        local_of[groups[g][i]] = i;
-      }
+      dirty.push_back(std::move(groups[g]));
     }
-    std::atomic<uint32_t> next_partition{next_pid};
-    std::mutex mu;
-    auto run_dirty = [&](size_t k) {
-      const auto& members = groups[dirty_idx[k]];
-      if (members.size() == 1) {
-        partition.partition_of[members[0]] = next_partition.fetch_add(1);
-        // Retired candidates are isolated singleton components: they keep
-        // a partition slot (vertex ids stay stable) but resolve nothing.
-        if (vertex_dead(members[0])) return;
-        std::lock_guard<std::mutex> lock(mu);
-        dirty_groups.push_back({members[0]});
-        return;
-      }
-      PartitionResult local = PartitionComponentSubgraph(
-          out.scored.graph, comp, local_of, members, options_.partitioner);
-      const uint32_t base = next_partition.fetch_add(
-          static_cast<uint32_t>(local.num_partitions));
-      std::vector<std::vector<VertexId>> local_groups(local.num_partitions);
-      for (uint32_t i = 0; i < members.size(); ++i) {
-        partition.partition_of[members[i]] = base + local.partition_of[i];
-        local_groups[local.partition_of[i]].push_back(members[i]);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      // merges_performed covers only re-partitioned components: the base
-      // artifact stores a whole-run total that cannot be decomposed per
-      // clean component, so this informational counter intentionally
-      // reports the append's own work, not the cold-equivalent total.
-      partition.merges_performed += local.merges_performed;
-      for (auto& gvec : local_groups) dirty_groups.push_back(std::move(gvec));
-    };
-    threads_->ParallelFor(dirty_idx.size(), run_dirty);
-    partition.num_partitions = next_partition.load();
-    out.append.dirty_components = dirty_idx.size();
-    out.append.clean_components = num_components - dirty_idx.size();
+    // merges_performed covers only re-partitioned components: the base
+    // artifact stores a whole-run total that cannot be decomposed per clean
+    // component, so this informational counter intentionally reports the
+    // mutation's own work, not the cold-equivalent total.
+    partition.num_partitions = next_pid;
+    PartitionComponents(out.scored.graph, comp, dirty, options_.partitioner,
+                        threads_.get(), &partition, &dirty_groups);
+    out.append.dirty_components = dirty.size();
+    out.append.clean_components = num_components - dirty.size();
   } else {
     // Without divide-and-conquer the greedy runs globally; no component
     // boundary protects any prior partition, so everything is re-run.
     partition = GreedyPartition(out.scored.graph, options_.partitioner);
     dirty_groups = partition.Groups();
-    if (total_dead > 0) {
-      std::erase_if(dirty_groups, [&](const std::vector<VertexId>& g) {
-        return g.size() == 1 && vertex_dead(g[0]);
-      });
-    }
+  }
+  // Retired candidates are isolated singletons: they keep a partition slot
+  // (vertex ids stay stable) but resolve nothing.
+  if (total_dead > 0) {
+    std::erase_if(dirty_groups, [&](const std::vector<VertexId>& g) {
+      return g.size() == 1 && vertex_dead(g[0]);
+    });
+  }
+  if (!options_.divide_and_conquer) {
     out.append.dirty_components = dirty_groups.size();
   }
   out.partitions.partition = std::move(partition);

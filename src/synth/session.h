@@ -22,9 +22,6 @@
 // SynthesisOptions::Validate() instead of silently misbehaving, artifacts
 // fed to the wrong stage or the wrong session fail with FailedPrecondition
 // instead of undefined behavior, and corpus-loading failures propagate.
-//
-// The legacy SynthesisPipeline (synth/pipeline.h) is a thin wrapper over a
-// session; staged and monolithic runs produce byte-identical mappings.
 #pragma once
 
 #include <cstdint>
@@ -101,9 +98,9 @@ struct PipelineStats {
   double blocking_count_seconds = 0.0;        ///< sort-group + shard counting
   double blocking_reduce_seconds = 0.0;       ///< shard merge + threshold
 
-  /// Scoring-stage breakdown: bit-parallel kernel mix (Myers64 vs blocked
-  /// vs scalar fallback), pattern-mask cache effectiveness, and how many
-  /// pair merges / conflict scans the blocking-count reuse eliminated.
+  /// Scoring-stage breakdown: bit-parallel kernel mix (Myers64 vs blocked),
+  /// pattern-mask cache effectiveness, and how many pair merges the
+  /// blocking-count reuse eliminated.
   ScoringStats scoring;
 
   size_t candidates = 0;
@@ -279,12 +276,11 @@ struct AppendedArtifacts {
 /// Stable 64-bit fingerprint of every option that affects artifact
 /// *contents* (extraction, blocking, scoring, partitioning, conflict and
 /// curation knobs, plus the synonym dictionary version when one is wired
-/// in). Pure-speed knobs — num_threads, matcher_cache_cap, the bit-parallel
-/// gate, blocking-count reuse — are excluded: results are identical across
-/// them by construction, so a snapshot saved under one machine's tuning
-/// restores under another's. Snapshots embed this fingerprint and
-/// RestoreSnapshot refuses (FailedPrecondition) when it does not match the
-/// restoring session's options.
+/// in). Pure-speed knobs — num_threads, matcher_cache_cap — are excluded:
+/// results are identical across them by construction, so a snapshot saved
+/// under one machine's tuning restores under another's. Snapshots embed this
+/// fingerprint and RestoreSnapshot refuses (FailedPrecondition) when it does
+/// not match the restoring session's options.
 uint64_t OptionsFingerprint(const SynthesisOptions& options);
 
 /// A process-restart image restored from a snapshot file: the stage
@@ -302,15 +298,6 @@ struct SessionSnapshot {
   bool has_result = false;
   SynthesisResult result;
 };
-
-/// Builds the full compatibility graph for a candidate set: blocking, then
-/// exact w+/w- scoring of every surviving pair (parallel). Exposed so the
-/// SchemaCC / Correlation baselines run on the identical graph; the session
-/// stages decompose the same computation.
-CompatibilityGraph BuildCompatibilityGraph(
-    const std::vector<BinaryTable>& candidates, const StringPool& pool,
-    const BlockingOptions& blocking, const CompatibilityOptions& compat,
-    ThreadPool* pool_threads = nullptr, PipelineStats* stats = nullptr);
 
 class SynthesisSession {
  public:
@@ -375,7 +362,7 @@ class SynthesisSession {
 
   // ------------------------------------------------------------ composites
 
-  /// Full chain from a raw corpus (what SynthesisPipeline::Run wraps).
+  /// Full chain from a raw corpus.
   Result<SynthesisResult> Run(const TableCorpus& corpus);
 
   /// Full chain from pre-extracted candidates.
@@ -542,8 +529,9 @@ class SynthesisSession {
   ConflictResolutionOptions EffectiveConflict();
   uint64_t NextArtifactId() { return next_artifact_id_++; }
   /// Scores `pairs` over `tables` through the session's persistent
-  /// per-worker matchers (building/warming them as needed); shared by
-  /// ScorePairs and the append delta-scoring path.
+  /// per-worker matchers (building/warming them as needed) into a finalized
+  /// graph; the only scoring path, shared by ScorePairs and the mutation
+  /// path's delta scoring.
   CompatibilityGraph ScoreThroughSessionMatchers(
       const std::vector<BinaryTable>& tables, const StringPool& pool,
       const std::vector<CandidateTablePair>& pairs, ScoringStats* scoring);

@@ -82,6 +82,7 @@ bool StringPool::read_only() const {
 void StringPool::TruncateTo(size_t new_size) {
   std::lock_guard<std::mutex> lock(mu_);
   if (new_size >= views_.size()) return;
+  ++truncations_;
   for (size_t i = views_.size(); i-- > new_size;) {
     // Keep-first duplicate semantics: only drop the index entry if this id
     // owns it (a tail duplicate of an earlier string must not unmap it).
@@ -115,6 +116,11 @@ std::string_view StringPool::Get(ValueId id) const {
 size_t StringPool::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return views_.size();
+}
+
+uint64_t StringPool::truncations() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return truncations_;
 }
 
 size_t StringPool::indexed_strings() const {

@@ -95,6 +95,11 @@ class StringPool {
   /// paths that precede any append. No-op when new_size >= size().
   void TruncateTo(size_t new_size);
 
+  /// How many TruncateTo calls have dropped ids. A dropped id can be handed
+  /// out again for a different string, so anything cached per id (views,
+  /// lengths, masks) is valid only while this count is unchanged.
+  uint64_t truncations() const;
+
   /// Returns the id for `s` or kInvalidValueId if never interned. Builds
   /// the deferred index over adopted views if necessary.
   ValueId Find(std::string_view s) const;
@@ -124,6 +129,7 @@ class StringPool {
   mutable size_t indexed_ = 0;
   std::vector<std::shared_ptr<const void>> backings_;
   bool read_only_ = false;
+  uint64_t truncations_ = 0;
 };
 
 }  // namespace ms

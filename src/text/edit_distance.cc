@@ -96,21 +96,18 @@ bool ApproxMatch(std::string_view a, std::string_view b,
   if (a == b) return true;
   const size_t band = FractionalThreshold(a, b, opts);
   if (band == 0) return false;  // short strings require exact equality
-  if (opts.use_bit_parallel) {
-    const size_t gap =
-        a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
-    if (gap > band) return false;  // length gap alone exceeds the band
-    // Pattern = shorter side (fewer words for the blocked kernel). The
-    // thread_local pattern keeps the blocked Peq table's heap allocation
-    // out of the per-call cost; the bounded kernel keeps the banded DP's
-    // early-out property.
-    const std::string_view pat = a.size() <= b.size() ? a : b;
-    const std::string_view txt = a.size() <= b.size() ? b : a;
-    static thread_local MyersPattern pattern;
-    BuildMyersPattern(pat, &pattern);
-    return MyersDistanceBounded(pattern, txt, band) <= band;
-  }
-  return EditDistanceBanded(a, b, band) <= band;
+  const size_t gap =
+      a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
+  if (gap > band) return false;  // length gap alone exceeds the band
+  // Pattern = shorter side (fewer words for the blocked kernel). The
+  // thread_local pattern keeps the blocked Peq table's heap allocation out
+  // of the per-call cost; the bounded kernel keeps the banded DP's early-out
+  // property.
+  const std::string_view pat = a.size() <= b.size() ? a : b;
+  const std::string_view txt = a.size() <= b.size() ? b : a;
+  static thread_local MyersPattern pattern;
+  BuildMyersPattern(pat, &pattern);
+  return MyersDistanceBounded(pattern, txt, band) <= band;
 }
 
 }  // namespace ms

@@ -3,9 +3,11 @@
 // The match predicate uses a *fractional* edit-distance threshold
 //   θ_ed(v1, v2) = min{ ⌊|v1|·f_ed⌋, ⌊|v2|·f_ed⌋, k_ed }
 // so short codes ("USA" vs "RSA") require exact equality while longer names
-// tolerate small variations. The distance itself is computed with a banded
-// dynamic program (Ukkonen-style, Algorithm 2) that only fills a diagonal
-// band of width θ_ed, giving O(θ_ed · min(|v1|,|v2|)) time.
+// tolerate small variations. The match predicate runs the bit-parallel
+// Myers kernel (text/myers.h). The paper's banded dynamic program
+// (Ukkonen-style, Algorithm 2), which only fills a diagonal band of width
+// θ_ed in O(θ_ed · min(|v1|,|v2|)) time, stays here as the scalar oracle
+// the kernels are tested against.
 #pragma once
 
 #include <cstddef>
@@ -19,11 +21,6 @@ namespace ms {
 struct EditDistanceOptions {
   double fractional = 0.2;  ///< f_ed
   size_t cap = 10;          ///< k_ed safeguard
-  /// Runtime feature gate for the bit-parallel Myers kernels (text/myers.h).
-  /// Both paths compute the exact distance, so flipping this never changes
-  /// results — only speed. Off = the scalar banded DP below, kept as the
-  /// oracle and fallback.
-  bool use_bit_parallel = true;
 
   /// InvalidArgument when f_ed is not a finite value in [0, 1) — f_ed >= 1
   /// would declare every pair of equal-length strings a match — or the cap
@@ -40,6 +37,7 @@ size_t EditDistanceFull(std::string_view a, std::string_view b);
 
 /// Banded Levenshtein: returns the exact distance if it is <= band,
 /// otherwise any value > band (early-exits). band may be 0 (exact match).
+/// The scalar oracle for the Myers kernels and ComputeCompatibilityReference.
 size_t EditDistanceBanded(std::string_view a, std::string_view b, size_t band);
 
 /// The dynamic threshold θ_ed(v1, v2).
@@ -48,7 +46,7 @@ size_t FractionalThreshold(std::string_view a, std::string_view b,
 
 /// True when a and b approximately match under the fractional threshold
 /// (Example 8: "American Samoa" ~ "American Samoa (US)" after
-/// normalization).
+/// normalization), decided by the bounded Myers kernel.
 bool ApproxMatch(std::string_view a, std::string_view b,
                  const EditDistanceOptions& opts = {});
 

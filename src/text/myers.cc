@@ -208,10 +208,6 @@ bool BatchApproxMatcher::Match(ValueId a, ValueId b) {
   const size_t gap =
       sa.size() > sb.size() ? sa.size() - sb.size() : sb.size() - sa.size();
   if (gap > band) return false;  // length gap alone exceeds the threshold
-  if (!edit_.use_bit_parallel) {
-    ++stats_.banded_calls;
-    return EditDistanceBanded(sa, sb, band) <= band;
-  }
   // Byte-class presence lower bound (see ValueInfo::char_mask): cheap
   // popcounts reject most non-matches before touching a kernel.
   const uint64_t only_a = ia->char_mask & ~ib.char_mask;

@@ -29,8 +29,7 @@
 // band-limited approximations), so they agree with `EditDistanceFull`
 // everywhere and with `EditDistanceBanded` whenever the distance fits the
 // band — the property the differential tests in tests/text_test.cc enforce.
-// The scalar banded DP remains the runtime fallback behind
-// `EditDistanceOptions::use_bit_parallel`.
+// The scalar banded DP stays off the hot path, as the oracle.
 #pragma once
 
 #include <array>
@@ -102,7 +101,10 @@ struct MatcherStats {
   size_t match_calls = 0;          ///< Match() invocations
   size_t myers64_calls = 0;        ///< single-word kernel runs
   size_t myers_blocked_calls = 0;  ///< multi-word kernel runs
-  size_t banded_calls = 0;         ///< scalar fallback runs (gate off)
+  /// Scalar banded-DP runs. Always 0 since the Myers kernels became the
+  /// only matching path; kept so persisted stats and reports keep their
+  /// layout.
+  size_t banded_calls = 0;
   size_t pattern_cache_hits = 0;   ///< mask tables reused
   size_t pattern_cache_misses = 0; ///< mask tables built
   size_t charmask_rejects = 0;     ///< pairs rejected before any kernel run

@@ -175,13 +175,18 @@ void ExpectSamePairs(const std::vector<CandidateTablePair>& got,
     EXPECT_EQ(got[i].b, want[i].b) << "at " << i;
     EXPECT_EQ(got[i].shared_pairs, want[i].shared_pairs) << "at " << i;
     EXPECT_EQ(got[i].shared_lefts, want[i].shared_lefts) << "at " << i;
+    EXPECT_EQ(got[i].counts_exact, want[i].counts_exact) << "at " << i;
   }
 }
 
 TEST_F(BlockingFixture, ShardedMatchesReferenceOnRandomCorpora) {
   // The sharded streaming implementation must emit the exact same
-  // CandidateTablePair set (values included) as the seed emit-then-count
-  // algorithm, across seeds, overlap thresholds, and truncation caps.
+  // CandidateTablePair set (values and per-pair taint included) as the seed
+  // emit-then-count algorithm, across seeds, overlap thresholds, truncation
+  // caps and thread counts.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  size_t inexact_pairs = 0;
   for (uint64_t seed : {7u, 19u, 101u}) {
     Rng rng(seed);
     std::vector<BinaryTable> cands;
@@ -203,11 +208,14 @@ TEST_F(BlockingFixture, ShardedMatchesReferenceOnRandomCorpora) {
         opts.max_posting = cap;
         auto reference = GenerateCandidatePairsReference(cands, opts);
         ExpectSamePairs(GenerateCandidatePairs(cands, opts), reference);
-        ThreadPool pool(4);
-        ExpectSamePairs(GenerateCandidatePairs(cands, opts, &pool), reference);
+        ExpectSamePairs(GenerateCandidatePairs(cands, opts, &one), reference);
+        ExpectSamePairs(GenerateCandidatePairs(cands, opts, &four), reference);
+        for (const auto& p : reference) inexact_pairs += !p.counts_exact;
       }
     }
   }
+  // The cap-4 corpora truncate, so taint was compared, not just defaults.
+  EXPECT_GT(inexact_pairs, 0u);
 }
 
 TEST_F(BlockingFixture, DroppedPostingsAreCounted) {

@@ -247,25 +247,23 @@ TEST_F(FastPathFixture, BatchMatcherAgreesWithValuesMatch) {
   SynonymDictionary dict(pool_);
   dict.AddSynonym("entity 0", "entity 1");
   for (const bool approx : {true, false}) {
-    for (const bool gate : {true, false}) {
-      const SynonymDictionary* configs[] = {nullptr, &dict};
-      for (const SynonymDictionary* syn : configs) {
-        CompatibilityOptions opts;
-        opts.approximate_matching = approx;
-        opts.edit.use_bit_parallel = gate;
-        opts.synonyms = syn;
-        BatchApproxMatcher matcher(*pool_, opts.edit, approx, syn);
-        for (int i = 0; i < 4000; ++i) {
-          const ValueId a = rng.Pick(ids);
-          const ValueId b = rng.Pick(ids);
-          ASSERT_EQ(matcher.Match(a, b), ValuesMatch(a, b, *pool_, opts))
-              << pool_->Get(a) << " vs " << pool_->Get(b) << " approx="
-              << approx << " gate=" << gate << " syn=" << (syn != nullptr);
-        }
-        EXPECT_EQ(matcher.stats().match_calls, 4000u);
-        if (approx && gate) {
-          EXPECT_GT(matcher.stats().pattern_cache_hits, 0u);
-        }
+    const SynonymDictionary* configs[] = {nullptr, &dict};
+    for (const SynonymDictionary* syn : configs) {
+      CompatibilityOptions opts;
+      opts.approximate_matching = approx;
+      opts.synonyms = syn;
+      BatchApproxMatcher matcher(*pool_, opts.edit, approx, syn);
+      for (int i = 0; i < 4000; ++i) {
+        const ValueId a = rng.Pick(ids);
+        const ValueId b = rng.Pick(ids);
+        ASSERT_EQ(matcher.Match(a, b), ValuesMatch(a, b, *pool_, opts))
+            << pool_->Get(a) << " vs " << pool_->Get(b) << " approx="
+            << approx << " syn=" << (syn != nullptr);
+      }
+      EXPECT_EQ(matcher.stats().match_calls, 4000u);
+      EXPECT_EQ(matcher.stats().banded_calls, 0u);
+      if (approx) {
+        EXPECT_GT(matcher.stats().pattern_cache_hits, 0u);
       }
     }
   }
@@ -281,19 +279,17 @@ TEST_F(FastPathFixture, FastPathMatchesReferenceOnRandomTables) {
     BinaryTable a = RandomTable(rng, lefts, rights);
     BinaryTable b = RandomTable(rng, lefts, rights);
     for (const bool approx : {true, false}) {
-      for (const bool gate : {true, false}) {
-        CompatibilityOptions opts;
-        opts.approximate_matching = approx;
-        opts.edit.use_bit_parallel = gate;
-        if (round % 3 == 0) opts.synonyms = &dict;
-        const PairScores ref = ComputeCompatibilityReference(a, b, *pool_,
-                                                             opts);
-        const PairScores fast = ComputeCompatibility(a, b, *pool_, opts);
-        ExpectSameScores(fast, ref,
-                         "round " + std::to_string(round) + " approx=" +
-                             std::to_string(approx) + " gate=" +
-                             std::to_string(gate));
-      }
+      CompatibilityOptions opts;
+      opts.approximate_matching = approx;
+      if (round % 3 == 0) opts.synonyms = &dict;
+      // The reference matches through the scalar banded DP, the fast path
+      // through the Myers kernels.
+      const PairScores ref = ComputeCompatibilityReference(a, b, *pool_,
+                                                           opts);
+      const PairScores fast = ComputeCompatibility(a, b, *pool_, opts);
+      ExpectSameScores(fast, ref,
+                       "round " + std::to_string(round) + " approx=" +
+                           std::to_string(approx));
     }
   }
 }
@@ -318,7 +314,6 @@ TEST_F(FastPathFixture, BlockingHintReuseIsExact) {
 
   CompatibilityOptions opts;
   opts.approximate_matching = false;
-  ASSERT_TRUE(opts.reuse_blocking_counts);
   BatchApproxMatcher matcher(*pool_, opts.edit, false, nullptr);
   ScoringStats sstats;
   for (const auto& p : pairs) {

@@ -9,7 +9,7 @@
 
 #include "common/random.h"
 #include "synth/exact_partition.h"
-#include "synth/mapping_io.h"
+#include "persist/mapping_text.h"
 #include "synth/redundancy.h"
 #include "synth/temporal.h"
 
@@ -255,12 +255,12 @@ TEST_F(ExtensionFixture, MappingTsvRoundTrip) {
   ms.push_back(std::move(m));
 
   std::ostringstream out;
-  ASSERT_TRUE(WriteMappingsTsv(ms, *pool_, out).ok());
+  ASSERT_TRUE(persist::WriteMappingsTsv(ms, *pool_, out).ok());
 
   auto pool2 = std::make_shared<StringPool>();
   std::vector<SynthesizedMapping> loaded;
   std::istringstream in(out.str());
-  ASSERT_TRUE(ReadMappingsTsv(in, pool2.get(), &loaded).ok());
+  ASSERT_TRUE(persist::ReadMappingsTsv(in, pool2.get(), &loaded).ok());
   ASSERT_EQ(loaded.size(), 1u);
   EXPECT_EQ(loaded[0].left_label, "Country");
   EXPECT_EQ(loaded[0].right_label, "Code");
@@ -283,16 +283,17 @@ TEST_F(ExtensionFixture, MappingTsvRejectsGarbage) {
   auto pool2 = std::make_shared<StringPool>();
   std::vector<SynthesizedMapping> loaded;
   std::istringstream bad("not a mapping\n");
-  EXPECT_FALSE(ReadMappingsTsv(bad, pool2.get(), &loaded).ok());
+  EXPECT_FALSE(persist::ReadMappingsTsv(bad, pool2.get(), &loaded).ok());
   std::istringstream bad2("#mapping\tA\tB\t1\t1\t1\nonly-one-cell\n");
-  EXPECT_FALSE(ReadMappingsTsv(bad2, pool2.get(), &loaded).ok());
+  EXPECT_FALSE(persist::ReadMappingsTsv(bad2, pool2.get(), &loaded).ok());
 }
 
 TEST_F(ExtensionFixture, MappingFileIoMissingPath) {
   auto pool2 = std::make_shared<StringPool>();
   std::vector<SynthesizedMapping> loaded;
-  EXPECT_FALSE(
-      LoadMappings("/nonexistent/mappings.tsv", pool2.get(), &loaded).ok());
+  EXPECT_FALSE(persist::LoadMappingsTsv("/nonexistent/mappings.tsv",
+                                        pool2.get(), &loaded)
+                   .ok());
 }
 
 }  // namespace

@@ -28,7 +28,6 @@
 #include "persist/mapping_text.h"
 #include "persist/mmap_file.h"
 #include "persist/snapshot.h"
-#include "synth/mapping_io.h"
 #include "synth/session.h"
 #include "table/tsv.h"
 
@@ -404,8 +403,6 @@ TEST(SessionSnapshotTest, FingerprintMismatchIsFailedPrecondition) {
   SynthesisOptions tuned = FastOptions();
   tuned.num_threads = 2;
   tuned.matcher_cache_cap = 123;
-  tuned.compat.edit.use_bit_parallel = false;
-  tuned.compat.reuse_blocking_counts = false;
   SynthesisSession tuned_session(tuned);
   auto ok_restore = tuned_session.RestoreSnapshot(path);
   EXPECT_TRUE(ok_restore.ok()) << ok_restore.status().ToString();
@@ -871,8 +868,8 @@ TEST(ServiceSnapshotTest, OpenFromMappingsFilePropagatesStatusFailClosed) {
 
   // A real file round-trips through the legacy-format path.
   const std::string good = TempPath("ms_persist_good_mappings.tsv");
-  ASSERT_TRUE(SaveMappings(service.last_result().mappings,
-                           world.corpus.pool(), good)
+  ASSERT_TRUE(persist::SaveMappingsTsv(service.last_result().mappings,
+                                      world.corpus.pool(), good)
                   .ok());
   st = service.OpenFromMappingsFile(good);
   ASSERT_TRUE(st.ok()) << st.ToString();
@@ -904,34 +901,6 @@ TEST(ServiceSnapshotTest, ResynthesizeDownstreamOfSnapshotWorks) {
   st = restarted.Resynthesize(upstream);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-}
-
-// ----------------------------------------------------------- legacy wrapper
-
-TEST(MappingIoCompatTest, WrapperDelegatesToPersistLayer) {
-  GeneratedWorld world = SmallWorld(51);
-  SynthesisSession session(FastOptions());
-  auto result = session.Run(world.corpus);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result.value().mappings.empty());
-
-  const std::string path = TempPath("ms_persist_compat.tsv");
-  // Old API writes...
-  ASSERT_TRUE(
-      SaveMappings(result.value().mappings, world.corpus.pool(), path).ok());
-  // ...new API reads, and vice versa.
-  StringPool pool1;
-  std::vector<SynthesizedMapping> via_persist;
-  ASSERT_TRUE(persist::LoadMappingsTsv(path, &pool1, &via_persist).ok());
-  EXPECT_EQ(via_persist.size(), result.value().mappings.size());
-
-  ASSERT_TRUE(
-      persist::SaveMappingsTsv(via_persist, pool1, path).ok());
-  auto pool2 = std::make_shared<StringPool>();
-  std::vector<SynthesizedMapping> via_wrapper;
-  ASSERT_TRUE(LoadMappings(path, pool2.get(), &via_wrapper).ok());
-  EXPECT_EQ(via_wrapper.size(), via_persist.size());
   std::remove(path.c_str());
 }
 

@@ -9,7 +9,7 @@
 #include "corpusgen/builtin_domains.h"
 #include "corpusgen/generator.h"
 #include "eval/metrics.h"
-#include "synth/pipeline.h"
+#include "synth/session.h"
 
 namespace ms {
 namespace {
@@ -40,12 +40,21 @@ SynthesisOptions FastOptions() {
   return o;
 }
 
+/// One full run on a fresh session. A failed run fails the test and yields
+/// an empty result.
+SynthesisResult Synthesize(const SynthesisOptions& options,
+                           const TableCorpus& corpus) {
+  SynthesisSession session(options);
+  Result<SynthesisResult> r = session.Run(corpus);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::move(r).value() : SynthesisResult{};
+}
+
 class PipelineFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     world_ = new GeneratedWorld(SmallWorld());
-    SynthesisPipeline pipeline(FastOptions());
-    result_ = new SynthesisResult(pipeline.Run(world_->corpus));
+    result_ = new SynthesisResult(Synthesize(FastOptions(), world_->corpus));
   }
   static void TearDownTestSuite() {
     delete result_;
@@ -142,8 +151,8 @@ TEST(PipelineOptionTest, DivideAndConquerMatchesGlobalRun) {
   a.divide_and_conquer = true;
   SynthesisOptions b = FastOptions();
   b.divide_and_conquer = false;
-  SynthesisResult ra = SynthesisPipeline(a).Run(world.corpus);
-  SynthesisResult rb = SynthesisPipeline(b).Run(world.corpus);
+  SynthesisResult ra = Synthesize(a, world.corpus);
+  SynthesisResult rb = Synthesize(b, world.corpus);
   // Same number of mappings with identical pair-set sizes (partition ids
   // may differ, the partition contents may not).
   ASSERT_EQ(ra.mappings.size(), rb.mappings.size());
@@ -168,9 +177,9 @@ TEST(PipelineOptionTest, ConflictResolutionImprovesPrecision) {
     }
     return p / static_cast<double>(world.cases.size());
   };
-  double p_with = avg_precision(SynthesisPipeline(with).Run(world.corpus));
+  double p_with = avg_precision(Synthesize(with, world.corpus));
   double p_without =
-      avg_precision(SynthesisPipeline(without).Run(world.corpus));
+      avg_precision(Synthesize(without, world.corpus));
   EXPECT_GE(p_with + 1e-9, p_without);
 }
 
@@ -178,7 +187,7 @@ TEST(PipelineOptionTest, MajorityVotingAlsoYieldsFunctionalMappings) {
   GeneratedWorld world = SmallWorld(17);
   SynthesisOptions o = FastOptions();
   o.use_majority_voting = true;
-  SynthesisResult r = SynthesisPipeline(o).Run(world.corpus);
+  SynthesisResult r = Synthesize(o, world.corpus);
   ASSERT_FALSE(r.mappings.empty());
   for (const auto& m : r.mappings) {
     EXPECT_DOUBLE_EQ(m.merged.FdHoldRatio(), 1.0);
@@ -201,8 +210,8 @@ TEST(PipelineOptionTest, NegativeSignalAblationDegradesSeparation) {
     }
     return f / static_cast<double>(world.cases.size());
   };
-  double f_full = avg_f(SynthesisPipeline(full).Run(world.corpus));
-  double f_pos = avg_f(SynthesisPipeline(pos_only).Run(world.corpus));
+  double f_full = avg_f(Synthesize(full, world.corpus));
+  double f_pos = avg_f(Synthesize(pos_only, world.corpus));
   EXPECT_GT(f_full, f_pos);
 }
 
@@ -214,84 +223,57 @@ TEST(PipelineOptionTest, PopularityFilterIsMonotone) {
   SynthesisOptions strict = FastOptions();
   strict.min_domains = 4;
   strict.min_pairs = 8;
-  size_t n_loose = SynthesisPipeline(loose).Run(world.corpus).mappings.size();
+  size_t n_loose = Synthesize(loose, world.corpus).mappings.size();
   size_t n_strict =
-      SynthesisPipeline(strict).Run(world.corpus).mappings.size();
+      Synthesize(strict, world.corpus).mappings.size();
   EXPECT_GE(n_loose, n_strict);
-}
-
-/// Canonical view of a mapping set: partition ids (and hence vector order)
-/// depend on thread scheduling, so compare as a sorted multiset of
-/// (labels, member count, exact pair list).
-std::multiset<std::string> CanonicalMappings(const SynthesisResult& r,
-                                             const StringPool& pool) {
-  std::multiset<std::string> out;
-  for (const auto& m : r.mappings) {
-    std::string key = m.left_label + "\x1f" + m.right_label + "\x1f" +
-                      std::to_string(m.kept_tables.size()) + "\x1f";
-    for (const auto& p : m.merged.pairs()) {
-      key += std::string(pool.Get(p.left)) + "\x1e" +
-             std::string(pool.Get(p.right)) + "\x1f";
-    }
-    out.insert(std::move(key));
-  }
-  return out;
 }
 
 TEST(PipelineEquivalenceTest, BitParallelFastPathIsByteIdentical) {
   // The tentpole guarantee: Myers kernels + batched mask caching + blocking
-  // count reuse change speed only. Pair scores must be bitwise identical
-  // and the final mappings must carry exactly the same pairs.
+  // count reuse change speed only. Every edge the session scores must carry
+  // bitwise the weights the seed scalar scorer (banded DP, no caching, no
+  // hints) gives its blocked pair, and no pair the oracle scores non-zero
+  // may be missing.
   GeneratedWorld world = SmallWorld(31);
-  ColumnInvertedIndex index;
-  index.Build(world.corpus);
-  auto extracted = ExtractCandidates(world.corpus, index);
   const StringPool& pool = world.corpus.pool();
+  SynthesisSession session(FastOptions());
+  auto cands = session.ExtractCandidates(world.corpus);
+  ASSERT_TRUE(cands.ok()) << cands.status().ToString();
+  auto blocked = session.BlockPairs(cands.value());
+  ASSERT_TRUE(blocked.ok());
+  auto scored = session.ScorePairs(cands.value(), blocked.value());
+  ASSERT_TRUE(scored.ok());
 
-  SynthesisOptions fast = FastOptions();  // bit-parallel + reuse: defaults
-  SynthesisOptions slow = FastOptions();
-  slow.compat.edit.use_bit_parallel = false;
-  slow.compat.reuse_blocking_counts = false;
-
-  // Graph level: identical edges, bitwise-identical weights.
-  PipelineStats fast_stats, slow_stats;
-  CompatibilityGraph gf =
-      BuildCompatibilityGraph(extracted.candidates, pool, fast.blocking,
-                              fast.compat, nullptr, &fast_stats);
-  CompatibilityGraph gs =
-      BuildCompatibilityGraph(extracted.candidates, pool, slow.blocking,
-                              slow.compat, nullptr, &slow_stats);
-  ASSERT_EQ(gf.num_edges(), gs.num_edges());
-  for (size_t e = 0; e < gf.edges().size(); ++e) {
-    EXPECT_EQ(gf.edges()[e].u, gs.edges()[e].u) << e;
-    EXPECT_EQ(gf.edges()[e].v, gs.edges()[e].v) << e;
-    EXPECT_EQ(gf.edges()[e].w_pos, gs.edges()[e].w_pos) << e;  // bitwise
-    EXPECT_EQ(gf.edges()[e].w_neg, gs.edges()[e].w_neg) << e;
+  const std::vector<BinaryTable>& tables = cands.value().tables();
+  const std::vector<CompatEdge>& edges = scored.value().graph.edges();
+  size_t e = 0;
+  for (const CandidateTablePair& p : blocked.value().pairs) {
+    const PairScores ref = ComputeCompatibilityReference(
+        tables[p.a], tables[p.b], pool, session.options().compat);
+    if (ref.w_pos <= 0.0 && ref.w_neg >= 0.0) continue;
+    ASSERT_LT(e, edges.size());
+    EXPECT_EQ(edges[e].u, p.a) << e;
+    EXPECT_EQ(edges[e].v, p.b) << e;
+    EXPECT_EQ(edges[e].w_pos, ref.w_pos) << e;  // bitwise
+    EXPECT_EQ(edges[e].w_neg, ref.w_neg) << e;
+    ++e;
   }
-  // The fast run actually took the bit-parallel path (and the slow one the
-  // scalar fallback) — guards against silently comparing the same code.
-  EXPECT_GT(fast_stats.scoring.matcher.myers64_calls, 0u);
-  EXPECT_EQ(fast_stats.scoring.matcher.banded_calls, 0u);
-  EXPECT_EQ(slow_stats.scoring.matcher.myers64_calls, 0u);
-  EXPECT_GT(slow_stats.scoring.matcher.banded_calls, 0u);
-
-  // End-to-end: identical mappings, pair for pair.
-  SynthesisResult rf = SynthesisPipeline(fast).Run(world.corpus);
-  SynthesisResult rs = SynthesisPipeline(slow).Run(world.corpus);
-  ASSERT_EQ(rf.mappings.size(), rs.mappings.size());
-  EXPECT_EQ(CanonicalMappings(rf, pool), CanonicalMappings(rs, pool));
-  EXPECT_EQ(rf.stats.graph_edges, rs.stats.graph_edges);
-  EXPECT_EQ(rf.stats.candidate_pairs, rs.stats.candidate_pairs);
-  EXPECT_EQ(rf.stats.partitions, rs.stats.partitions);
+  EXPECT_EQ(e, edges.size());
+  // The session actually took the bit-parallel path — guards against the
+  // oracle silently comparing against itself.
+  const MatcherStats& m = scored.value().stats.scoring.matcher;
+  EXPECT_GT(m.myers64_calls, 0u);
+  EXPECT_EQ(m.banded_calls, 0u);
 }
 
 TEST(PipelineEquivalenceTest, ScoringStatsArePopulated) {
   GeneratedWorld world = SmallWorld(37);
-  SynthesisResult r = SynthesisPipeline(FastOptions()).Run(world.corpus);
+  SynthesisResult r = Synthesize(FastOptions(), world.corpus);
   const auto& sc = r.stats.scoring;
   EXPECT_GT(sc.matcher.match_calls, 0u);
   EXPECT_GT(sc.matcher.myers64_calls, 0u);
-  EXPECT_EQ(sc.matcher.banded_calls, 0u);  // gate defaults on
+  EXPECT_EQ(sc.matcher.banded_calls, 0u);  // the banded DP is off the hot path
   // Mask caching must actually amortize: strictly more kernel calls than
   // mask builds.
   EXPECT_GT(sc.matcher.pattern_cache_hits, 0u);
@@ -302,11 +284,11 @@ TEST(PipelineOptionTest, RunOnCandidatesDirectly) {
   ColumnInvertedIndex index;
   index.Build(world.corpus);
   auto extracted = ExtractCandidates(world.corpus, index);
-  SynthesisPipeline pipeline(FastOptions());
-  SynthesisResult r =
-      pipeline.RunOnCandidates(extracted.candidates, world.corpus.pool());
-  EXPECT_FALSE(r.mappings.empty());
-  EXPECT_EQ(r.stats.candidates, extracted.candidates.size());
+  SynthesisSession session(FastOptions());
+  auto r = session.RunOnCandidates(extracted.candidates, world.corpus.pool());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().mappings.empty());
+  EXPECT_EQ(r.value().stats.candidates, extracted.candidates.size());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Tests for the staged SynthesisSession API: staged runs must be
-// byte-identical to the monolithic pipeline, warm re-runs must provably
+// byte-identical to the one-call Run composite, warm re-runs must provably
 // skip the upstream stages (asserted via session stage counters), malformed
 // options must be rejected with Status::InvalidArgument instead of
 // undefined behavior, artifact lineage misuse must fail with
 // FailedPrecondition, and corpus-file failures must propagate.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -15,7 +16,7 @@
 #include "apps/serving.h"
 #include "corpusgen/builtin_domains.h"
 #include "corpusgen/generator.h"
-#include "synth/pipeline.h"
+#include "graph/connected_components.h"
 #include "synth/session.h"
 #include "table/tsv.h"
 
@@ -69,8 +70,11 @@ TEST(SessionStagedTest, StagedRunMatchesMonolithicByteIdentically) {
   GeneratedWorld world = SmallWorld(41);
   const StringPool& pool = world.corpus.pool();
 
-  // Monolithic: the legacy wrapper.
-  SynthesisResult mono = SynthesisPipeline(FastOptions()).Run(world.corpus);
+  // Monolithic: the one-call composite on its own session.
+  SynthesisSession mono_session(FastOptions());
+  auto mono_run = mono_session.Run(world.corpus);
+  ASSERT_TRUE(mono_run.ok()) << mono_run.status().ToString();
+  const SynthesisResult& mono = mono_run.value();
 
   // Staged: every stage explicit.
   SynthesisSession session(FastOptions());
@@ -126,8 +130,10 @@ TEST(SessionStagedTest, WarmRescoreSkipsExtractionAndBlocking) {
 
   // Warm result must be byte-identical to a cold run under the same
   // options (warm state is a speed lever, never a results lever).
-  SynthesisResult cold = SynthesisPipeline(tweaked).Run(world.corpus);
-  EXPECT_EQ(CanonicalMappings(cold, pool),
+  SynthesisSession cold_session(tweaked);
+  auto cold = cold_session.Run(world.corpus);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(CanonicalMappings(cold.value(), pool),
             CanonicalMappings(warm.value(), pool));
 }
 
@@ -597,6 +603,105 @@ TEST(SessionBlockingTest, TruncationTaintsOnlyTouchedPairs) {
   }
 }
 
+// ------------------------------------------------ component partitioning
+
+TEST(SessionPartitionTest, ColdDivideAndConquerKeepsAscendingIdOrder) {
+  // Each triple (A, B, C) = ids (3t, 3t+1, 3t+2): A-B and B-C tie at
+  // w+ = 0.5, A-C conflict (w- = -0.5 < τ). The greedy merges whichever tie
+  // comes first in component-local order, so the partition depends on the
+  // member order. Source tables run backwards (C's table < B's < A's):
+  // a cold Partition() must still hand each component its members in
+  // ascending id, not in the (source table, id) order mutations use.
+  StringPool pool;
+  std::vector<BinaryTable> cands;
+  auto add = [&](const std::string& tag,
+                 std::vector<std::pair<std::string, std::string>> rows) {
+    std::vector<ValuePair> pairs;
+    for (const auto& [l, r] : rows) {
+      pairs.push_back({pool.Intern(tag + l), pool.Intern(tag + r)});
+    }
+    BinaryTable b = BinaryTable::FromPairs(std::move(pairs));
+    b.id = static_cast<BinaryTableId>(cands.size());
+    cands.push_back(std::move(b));
+  };
+  constexpr int kTriples = 4;
+  for (int t = 0; t < kTriples; ++t) {
+    const std::string tag = "t" + std::to_string(t) + "_";
+    add(tag, {{"a", "1"}, {"b", "2"}, {"p", "5"}, {"q", "6"}});
+    add(tag, {{"a", "1"}, {"b", "2"}, {"x", "9"}, {"y", "8"}});
+    add(tag, {{"x", "9"}, {"y", "8"}, {"p", "7"}, {"q", "0"}});
+  }
+  add("lone_", {{"m", "1"}, {"n", "2"}, {"o", "3"}});
+  for (BinaryTable& b : cands) {
+    b.source_table = static_cast<uint32_t>(cands.size() - b.id);
+  }
+
+  SynthesisSession session(FastOptions());
+  ASSERT_TRUE(session.options().divide_and_conquer);
+  auto adopted = session.AdoptCandidates(cands, pool);
+  ASSERT_TRUE(adopted.ok());
+  auto blocked = session.BlockPairs(adopted.value());
+  ASSERT_TRUE(blocked.ok());
+  auto scored = session.ScorePairs(adopted.value(), blocked.value());
+  ASSERT_TRUE(scored.ok());
+  auto parts = session.Partition(scored.value());
+  ASSERT_TRUE(parts.ok());
+
+  // Test-local oracle: GreedyPartition per positive component, members in
+  // the order `less` imposes; returns the partitions as sorted id sets.
+  const CompatibilityGraph& graph = scored.value().graph;
+  const PartitionerOptions& popts = session.options().partitioner;
+  auto per_component = [&](auto less, size_t* merges) {
+    const auto comp = ConnectedComponentsBfs(graph, popts.theta_edge);
+    std::set<std::vector<VertexId>> out;
+    for (std::vector<VertexId> members : GroupByComponent(comp)) {
+      std::sort(members.begin(), members.end(), less);
+      std::vector<uint32_t> local_of(graph.num_vertices(), 0);
+      for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
+      CompatibilityGraph sub(members.size());
+      for (const CompatEdge& e : graph.edges()) {
+        if (comp[e.u] != comp[members[0]] || comp[e.v] != comp[e.u]) continue;
+        sub.AddEdge(local_of[e.u], local_of[e.v], e.w_pos, e.w_neg);
+      }
+      sub.Finalize();
+      const PartitionResult local = GreedyPartition(sub, popts);
+      *merges += local.merges_performed;
+      std::vector<std::vector<VertexId>> groups(local.num_partitions);
+      for (uint32_t i = 0; i < members.size(); ++i) {
+        groups[local.partition_of[i]].push_back(members[i]);
+      }
+      for (auto& g : groups) {
+        std::sort(g.begin(), g.end());
+        out.insert(std::move(g));
+      }
+    }
+    return out;
+  };
+  size_t merges = 0, table_order_merges = 0;
+  const auto want = per_component(std::less<VertexId>(), &merges);
+  const auto table_order = per_component(
+      [&](VertexId x, VertexId y) {
+        return std::tie(cands[x].source_table, x) <
+               std::tie(cands[y].source_table, y);
+      },
+      &table_order_merges);
+  // The fixture really is order-sensitive.
+  ASSERT_NE(want, table_order);
+
+  std::set<std::vector<VertexId>> got;
+  for (auto& g : parts.value().partition.Groups()) got.insert(std::move(g));
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(parts.value().partition.num_partitions, want.size());
+  EXPECT_EQ(parts.value().partition.merges_performed, merges);
+  EXPECT_EQ(parts.value().stats.components, kTriples + 1u);
+  // Concretely: every triple merges A with B and leaves C alone.
+  for (int t = 0; t < kTriples; ++t) {
+    const VertexId a = 3 * t;
+    EXPECT_EQ(got.count({a, a + 1}), 1u) << "triple " << t;
+    EXPECT_EQ(got.count({a + 2}), 1u) << "triple " << t;
+  }
+}
+
 // --------------------------------------------------- matcher memory bounds
 
 TEST(SessionMatcherTest, CompactPeqShrinksShortPatterns) {
@@ -639,6 +744,60 @@ TEST(SessionMatcherTest, CacheCapFlushesAndStaysCorrect) {
   EXPECT_LE(capped.cached_values(), 8u);
   EXPECT_EQ(unbounded.stats().cache_flushes, 0u);
   EXPECT_GT(unbounded.cache_bytes(), 0u);
+}
+
+TEST(SessionMatcherTest, PoolTruncationRetiresWarmMatchers) {
+  // An append rollback truncates the pool, and the retry can hand the
+  // dropped ids to different strings. The session's warm matchers cache
+  // each id's text, length floor and char mask, so a truncation must not
+  // let them score the new strings as the old ones.
+  StringPool pool;
+  auto table = [&](std::vector<std::pair<std::string, std::string>> rows,
+                   BinaryTableId id) {
+    std::vector<ValuePair> pairs;
+    for (const auto& [l, r] : rows) {
+      pairs.push_back({pool.Intern(l), pool.Intern(r)});
+    }
+    BinaryTable b = BinaryTable::FromPairs(std::move(pairs));
+    b.id = id;
+    b.source_table = id;
+    return b;
+  };
+  SynthesisOptions opts = FastOptions();
+  opts.num_threads = 1;  // one worker slot: the second run must reuse it
+  SynthesisSession session(opts);
+  auto score = [](SynthesisSession& s, const std::vector<BinaryTable>& c,
+                  const StringPool& p) {
+    auto adopted = s.AdoptCandidates(c, p);
+    auto blocked = s.BlockPairs(adopted.value());
+    return s.ScorePairs(adopted.value(), blocked.value()).value().graph;
+  };
+  for (const char* v : {"a", "1", "b", "2", "code"}) pool.Intern(v);
+  const size_t base_size = pool.size();
+
+  // Short tail values: their cached length floor forbids any approximate
+  // match.
+  std::vector<BinaryTable> before = {
+      table({{"a", "1"}, {"b", "2"}, {"qqqq", "code"}}, 0),
+      table({{"a", "1"}, {"b", "2"}, {"xxxx", "code"}}, 1)};
+  score(session, before, pool);
+
+  pool.TruncateTo(base_size);
+  // The same ids now name two long values one edit apart.
+  std::vector<BinaryTable> after = {
+      table({{"a", "1"}, {"b", "2"}, {"united kingdomx", "code"}}, 0),
+      table({{"a", "1"}, {"b", "2"}, {"united kingdomy", "code"}}, 1)};
+  ASSERT_EQ(after[0].pairs().back().left, before[0].pairs().back().left);
+  const CompatibilityGraph warm = score(session, after, pool);
+  EXPECT_EQ(session.session_stats().warm_scoring_runs, 0u);
+
+  SynthesisSession fresh(opts);
+  const CompatibilityGraph cold = score(fresh, after, pool);
+  ASSERT_EQ(cold.num_edges(), 1u);
+  EXPECT_EQ(cold.edges()[0].w_pos, 1.0);  // the residue matched
+  ASSERT_EQ(warm.num_edges(), cold.num_edges());
+  EXPECT_EQ(warm.edges()[0].w_pos, cold.edges()[0].w_pos);
+  EXPECT_EQ(warm.edges()[0].w_neg, cold.edges()[0].w_neg);
 }
 
 // --------------------------------------------------------- mapping service

@@ -4,6 +4,7 @@
 // harness), the fractional matching threshold, and the synonym dictionary.
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -207,6 +208,15 @@ struct DiffCase {
   std::string a, b;
 };
 
+/// The scalar form of the ApproxMatch predicate: the same fractional
+/// threshold, decided by the banded DP instead of the Myers kernel.
+bool BandedApproxMatch(std::string_view a, std::string_view b,
+                       const EditDistanceOptions& opts = {}) {
+  if (a == b) return true;
+  const size_t band = FractionalThreshold(a, b, opts);
+  return band > 0 && EditDistanceBanded(a, b, band) <= band;
+}
+
 DiffCase MakeDiffCase(Rng& rng) {
   auto rand_char = [&](int alphabet) -> char {
     switch (alphabet) {
@@ -330,11 +340,13 @@ TEST_P(MyersDifferentialTest, AllImplementationsAgree) {
       }
     }
 
-    // The ApproxMatch predicate is gate-invariant.
-    EditDistanceOptions fast, slow;
-    fast.use_bit_parallel = true;
-    slow.use_bit_parallel = false;
-    EXPECT_EQ(ApproxMatch(c.a, c.b, fast), ApproxMatch(c.a, c.b, slow))
+    // The Myers-backed ApproxMatch predicate agrees with the banded DP and
+    // with the full-matrix distance under the same threshold.
+    EXPECT_EQ(ApproxMatch(c.a, c.b), BandedApproxMatch(c.a, c.b))
+        << "iter=" << iter;
+    const size_t threshold = FractionalThreshold(c.a, c.b);
+    EXPECT_EQ(ApproxMatch(c.a, c.b),
+              c.a == c.b || (threshold > 0 && truth <= threshold))
         << "iter=" << iter;
   }
 }
@@ -345,16 +357,14 @@ INSTANTIATE_TEST_SUITE_P(RandomSeeds, MyersDifferentialTest,
 
 // ----------------------------------------------------- ApproxMatch properties
 
-TEST(ApproxMatchPropertyTest, SymmetricUnderBothGates) {
+TEST(ApproxMatchPropertyTest, SymmetricLikeTheBandedDp) {
   Rng rng(555);
   for (int iter = 0; iter < 2000; ++iter) {
     const DiffCase c = MakeDiffCase(rng);
-    for (const bool gate : {true, false}) {
-      EditDistanceOptions opts;
-      opts.use_bit_parallel = gate;
-      EXPECT_EQ(ApproxMatch(c.a, c.b, opts), ApproxMatch(c.b, c.a, opts))
-          << "gate=" << gate << " iter=" << iter;
-    }
+    EXPECT_EQ(ApproxMatch(c.a, c.b), ApproxMatch(c.b, c.a))
+        << "iter=" << iter;
+    EXPECT_EQ(BandedApproxMatch(c.a, c.b), BandedApproxMatch(c.b, c.a))
+        << "iter=" << iter;
   }
 }
 
@@ -381,14 +391,13 @@ TEST(FractionalThresholdTest, EmptyStringBoundaries) {
   EXPECT_EQ(FractionalThreshold("", ""), 0u);
   EXPECT_EQ(FractionalThreshold("", "abcdefghij"), 0u);
   // Equal strings still match (exact equality shortcut), empty-vs-nonempty
-  // never does under any gate.
-  for (const bool gate : {true, false}) {
-    EditDistanceOptions opts;
-    opts.use_bit_parallel = gate;
-    EXPECT_TRUE(ApproxMatch("", "", opts));
-    EXPECT_FALSE(ApproxMatch("", "a", opts));
-    EXPECT_FALSE(ApproxMatch("abcdefghij", "", opts));
-  }
+  // never does, in the Myers predicate and the banded DP alike.
+  EXPECT_TRUE(ApproxMatch("", ""));
+  EXPECT_FALSE(ApproxMatch("", "a"));
+  EXPECT_FALSE(ApproxMatch("abcdefghij", ""));
+  EXPECT_TRUE(BandedApproxMatch("", ""));
+  EXPECT_FALSE(BandedApproxMatch("", "a"));
+  EXPECT_FALSE(BandedApproxMatch("abcdefghij", ""));
 }
 
 TEST(FractionalThresholdTest, ExactlyIntegralProducts) {
@@ -415,12 +424,10 @@ TEST(FractionalThresholdTest, CapSaturationBoundary) {
   std::string ten_edits = base, eleven_edits = base;
   for (int i = 0; i < 10; ++i) ten_edits[i] = 'y';
   for (int i = 0; i < 11; ++i) eleven_edits[i] = 'y';
-  for (const bool gate : {true, false}) {
-    EditDistanceOptions opts;
-    opts.use_bit_parallel = gate;
-    EXPECT_TRUE(ApproxMatch(base, ten_edits, opts)) << gate;
-    EXPECT_FALSE(ApproxMatch(base, eleven_edits, opts)) << gate;
-  }
+  EXPECT_TRUE(ApproxMatch(base, ten_edits));
+  EXPECT_FALSE(ApproxMatch(base, eleven_edits));
+  EXPECT_TRUE(BandedApproxMatch(base, ten_edits));
+  EXPECT_FALSE(BandedApproxMatch(base, eleven_edits));
 }
 
 TEST(FractionalThresholdTest, PaperExample8) {
