@@ -36,24 +36,59 @@ void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
   }
 }
 
+// A candidate's position in the truncation order: (order[id], id), packed.
+uint64_t TruncationRank(const std::vector<uint32_t>& order, uint32_t id) {
+  return (uint64_t{order[id]} << 32) | id;
+}
+
 // Appends all co-occurring (i < j) id pairs from one posting list
 // (reference implementation only). Dropped ids go to `tainted` under
 // `tainted_mu` so the reference matches the production per-pair exactness.
 void EmitIdPairs(std::vector<uint32_t>& ids, size_t max_posting,
+                 const std::vector<uint32_t>& order,
                  std::vector<std::pair<uint64_t, bool>>* out, bool is_pair,
                  std::mutex& tainted_mu, std::vector<uint32_t>* tainted) {
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   if (ids.size() > max_posting) {
-    std::lock_guard<std::mutex> lock(tainted_mu);
-    tainted->insert(tainted->end(), ids.begin() + max_posting, ids.end());
+    if (!order.empty()) {
+      std::sort(ids.begin(), ids.end(), [&](uint32_t x, uint32_t y) {
+        return TruncationRank(order, x) < TruncationRank(order, y);
+      });
+    }
+    {
+      std::lock_guard<std::mutex> lock(tainted_mu);
+      tainted->insert(tainted->end(), ids.begin() + max_posting, ids.end());
+    }
     ids.resize(max_posting);
+    std::sort(ids.begin(), ids.end());
   }
   for (size_t x = 0; x < ids.size(); ++x) {
     for (size_t y = x + 1; y < ids.size(); ++y) {
       out->push_back({(static_cast<uint64_t>(ids[x]) << 32) | ids[y], is_pair});
     }
   }
+}
+
+// Truncates one posting list (sorted by id, de-duplicated) to the
+// max_posting candidates that come first in the truncation order, appending
+// the dropped ids to `dropped`; the kept ids stay sorted by id. In id order
+// the kept ids are the prefix already; any other order partitions the list
+// by rank, so only lists that actually truncate pay for it.
+void TruncatePosting(std::vector<uint32_t>& ids, size_t max_posting,
+                     const std::vector<uint32_t>& order,
+                     std::vector<uint32_t>* dropped) {
+  if (ids.size() <= max_posting) return;
+  if (!order.empty()) {
+    std::nth_element(ids.begin(), ids.begin() + max_posting, ids.end(),
+                     [&](uint32_t x, uint32_t y) {
+                       return TruncationRank(order, x) <
+                              TruncationRank(order, y);
+                     });
+    std::sort(ids.begin(), ids.begin() + max_posting);
+  }
+  dropped->insert(dropped->end(), ids.begin() + max_posting, ids.end());
+  ids.resize(max_posting);
 }
 
 std::vector<CandidateTablePair> CollectAndSort(
@@ -88,16 +123,25 @@ Status BlockingOptions::Validate() const {
   return Status::OK();
 }
 
+bool DeltaMergeIsExact(bool retired, bool reranked,
+                       size_t base_dropped_postings,
+                       size_t delta_dropped_postings) {
+  const bool resurrection = retired && base_dropped_postings != 0;
+  const bool displacement = reranked && delta_dropped_postings != 0;
+  return !resurrection && !displacement;
+}
+
 std::vector<CandidateTablePair> GenerateCandidatePairs(
     const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
-    ThreadPool* pool, BlockingStats* stats) {
-  if (candidates.empty()) return {};
+    ThreadPool* pool, BlockingStats* stats,
+    const std::vector<uint32_t>& order) {
   // A cold run is the delta pass over an empty base: every id is appended,
-  // every key is new, and the union taint bitmap starts empty.
+  // every key is new, and the union taint bitmap starts empty. An empty
+  // input still reports its (exact, empty) stats.
   std::vector<uint8_t> tainted;
   DeltaBlockingStats delta;
   auto out = GenerateDeltaCandidatePairs(candidates, 0, options, pool,
-                                         &tainted, &delta);
+                                         &tainted, &delta, order);
   if (stats) {
     stats->map_shuffle_seconds = delta.map_shuffle_seconds;
     stats->count_seconds = delta.count_seconds;
@@ -115,7 +159,8 @@ std::vector<CandidateTablePair> GenerateCandidatePairs(
 std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
     const std::vector<BinaryTable>& candidates, uint32_t first_new,
     const BlockingOptions& options, ThreadPool* pool,
-    std::vector<uint8_t>* tainted, DeltaBlockingStats* stats) {
+    std::vector<uint8_t>* tainted, DeltaBlockingStats* stats,
+    const std::vector<uint32_t>& order) {
   if (first_new >= candidates.size()) return {};
   Timer timer;
   std::vector<uint8_t> local_tainted;
@@ -161,10 +206,11 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
   // and stream the co-occurring id pairs that touch an appended id directly
   // into per-partition flat count maps sharded by the packed id pair.
   // Nothing quadratic is ever stored; each id pair costs one hash-map
-  // increment. Truncation follows union semantics exactly: appended ids sort
-  // after all existing ids, so the kept prefix of every list starts with the
-  // base run's kept old ids — old-old counts and old-candidate taint can
-  // never change, which is why they are not recomputed here.
+  // increment. Truncation follows union semantics: each list keeps the
+  // max_posting candidates first in truncation order. Old-old counts and
+  // old-candidate taint are not recomputed here — they equal the base run's
+  // unless a new candidate ranks before old ones and displaces one from a
+  // truncated list (see DeltaMergeIsExact).
   timer.Restart();
   const size_t workers = pool ? pool->num_threads() : 1;
   const bool parallel = pool && workers > 1;
@@ -202,8 +248,7 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
       }
       i = j;
       ++part_scanned[p];
-      // Ids are sorted, so the base run's posting for this key is the
-      // old-id prefix.
+      // Ids are sorted, so the old ids are the prefix below first_new.
       const size_t old_len = static_cast<size_t>(
           std::lower_bound(ids.begin(), ids.end(), first_new) - ids.begin());
       if (old_len == 0) ++part_new_keys[p];
@@ -213,19 +258,16 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
           ids.size() > options.max_posting ? ids.size() - options.max_posting
                                            : 0;
       part_dropped_delta[p] += union_dropped - base_dropped;
-      if (ids.size() > options.max_posting) {
-        // Deterministic truncation (lowest ids kept), but accounted for. The
-        // dropped tail can include old ids (already tainted in the base run
-        // — re-adding is idempotent) and appended ids (newly tainted).
-        part_tainted[p].insert(part_tainted[p].end(),
-                               ids.begin() + options.max_posting, ids.end());
-        ids.resize(options.max_posting);
-      }
+      // Deterministic truncation, accounted for. The dropped ids can include
+      // old ids (already tainted in the base run unless displaced —
+      // re-adding is idempotent) and appended ids (newly tainted).
+      TruncatePosting(ids, options.max_posting, order, &part_tainted[p]);
       const bool is_pair = (key & 1) == 0;
       // Only pairs touching an appended id: a < b and appended ids are the
       // largest, so restricting b to the appended suffix of the kept list
-      // covers exactly (old x new) and (new x new).
-      const size_t first_new_pos = std::min(old_len, ids.size());
+      // (still sorted by id) covers exactly (old x new) and (new x new).
+      const size_t first_new_pos = static_cast<size_t>(
+          std::lower_bound(ids.begin(), ids.end(), first_new) - ids.begin());
       for (size_t x = 0; x < ids.size(); ++x) {
         const uint64_t hi = static_cast<uint64_t>(ids[x]) << 32;
         for (size_t y = std::max(x + 1, first_new_pos); y < ids.size(); ++y) {
@@ -331,7 +373,7 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
 
 std::vector<CandidateTablePair> GenerateCandidatePairsReference(
     const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
-    ThreadPool* pool) {
+    ThreadPool* pool, const std::vector<uint32_t>& order) {
   // --- MapReduce round: key = hashed value pair (or hashed left value with
   // a tag bit), value = candidate id. Reduce emits co-occurring id pairs.
   std::vector<uint32_t> inputs(candidates.size());
@@ -348,7 +390,7 @@ std::vector<CandidateTablePair> GenerateCandidatePairsReference(
                      std::vector<KV>*)>
       reduce_fn = [&](const uint64_t& key, std::vector<uint32_t>& ids,
                       std::vector<KV>* out) {
-        EmitIdPairs(ids, options.max_posting, out, (key & 1) == 0,
+        EmitIdPairs(ids, options.max_posting, order, out, (key & 1) == 0,
                     tainted_mu, &tainted_ids);
       };
 

@@ -13,6 +13,16 @@
 // base. `GenerateCandidatePairsReference` keeps the original
 // emit-everything-then-count implementation for equivalence tests and
 // benchmarking.
+//
+// Truncation order. Every entry point takes an optional `order` (one entry
+// per candidate id): a posting list longer than max_posting keeps the
+// max_posting candidates with the smallest (order[id], id) and drops the
+// rest. Empty means id order. SynthesisSession passes each candidate's source
+// table, so truncation follows (source table, id): the order in which a cold
+// extraction over the same corpus assigns dense ids. That keeps a mutated
+// family's truncation identical to its cold rebuild's even where a
+// re-extracted table's candidates sit at tail ids. Only lists that actually
+// truncate are re-sorted.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +40,9 @@ struct BlockingOptions {
   size_t theta_overlap = 2;
   /// Posting lists longer than this are truncated: extremely common values
   /// ("usa", "total") would otherwise create quadratic hot keys. Truncation
-  /// is deterministic (lowest candidate ids win) and the number of dropped
-  /// postings is reported in BlockingStats.
+  /// is deterministic (the candidates first in truncation order win; see the
+  /// file comment) and the number of dropped postings is reported in
+  /// BlockingStats.
   size_t max_posting = 256;
 
   /// InvalidArgument when θ_overlap is 0 (every id pair would survive —
@@ -62,9 +73,9 @@ struct BlockingStats {
   double count_seconds = 0.0;        ///< sort-group + sharded counting
   double reduce_seconds = 0.0;       ///< shard merge + threshold + sort
   size_t keys = 0;                   ///< distinct blocking keys seen
-  /// Postings dropped by the max_posting cap. The cap keeps lowest candidate
-  /// ids, so high-id candidates silently lose pairs; this counter makes that
-  /// bias observable instead of silent.
+  /// Postings dropped by the max_posting cap. The cap keeps the candidates
+  /// first in truncation order, so late-ranked candidates silently lose
+  /// pairs; this counter makes that bias observable instead of silent.
   size_t dropped_postings = 0;
   /// Candidates dropped from at least one truncated posting list. Only
   /// pairs touching one of these have potentially understated counts; all
@@ -80,27 +91,30 @@ struct BlockingStats {
   /// Per-candidate taint bitmap (empty when no posting list was truncated):
   /// tainted[id] == 1 iff candidate `id` was dropped from at least one
   /// truncated posting list. This is the state incremental blocking needs:
-  /// appended candidates sort after every existing id, so truncation keeps
-  /// the same old-id prefix and an old candidate's taint can never change —
-  /// the union run's bitmap is this one plus whatever the delta pass taints.
-  /// Persisted with the BlockedPairs artifact so restore-then-append works.
+  /// when a delta pass merges (DeltaMergeIsExact), no old candidate was
+  /// displaced, so old taint is unchanged and the union run's bitmap is this
+  /// one plus whatever the delta pass taints. Persisted with the
+  /// BlockedPairs artifact so restore-then-append works.
   std::vector<uint8_t> tainted;
 };
 
 /// Runs blocking over all candidates: GenerateDeltaCandidatePairs with
 /// every candidate appended to an empty base. Returned pairs satisfy
 /// shared_pairs >= θ_overlap or shared_lefts >= θ_overlap, sorted by (a, b).
+/// `order` is the truncation order (empty = id order). Empty input reports
+/// empty, exact stats.
 std::vector<CandidateTablePair> GenerateCandidatePairs(
     const std::vector<BinaryTable>& candidates,
     const BlockingOptions& options = {}, ThreadPool* pool = nullptr,
-    BlockingStats* stats = nullptr);
+    BlockingStats* stats = nullptr, const std::vector<uint32_t>& order = {});
 
 /// The seed implementation (materialize every co-occurring id pair, then
 /// count in one hash map). Kept as the equivalence oracle for tests and as
 /// the baseline for bench_micro/bench_pr1; do not use on large inputs.
 std::vector<CandidateTablePair> GenerateCandidatePairsReference(
     const std::vector<BinaryTable>& candidates,
-    const BlockingOptions& options = {}, ThreadPool* pool = nullptr);
+    const BlockingOptions& options = {}, ThreadPool* pool = nullptr,
+    const std::vector<uint32_t>& order = {});
 
 /// Accounting for one delta-blocking pass (feeds the merged BlockingStats).
 struct DeltaBlockingStats {
@@ -119,12 +133,14 @@ struct DeltaBlockingStats {
 };
 
 /// Incremental blocking for appended candidates: returns exactly the pairs
-/// of a full GenerateCandidatePairs run over `candidates` that involve at
-/// least one id >= `first_new` — the only pairs the append created. Pairs
-/// between two existing candidates are untouched by appends (appended ids
-/// sort after all existing ids, so truncation keeps the identical old-id
-/// prefix of every posting list), which is what makes merging this output
-/// into a base run's pairs byte-equivalent to re-blocking from scratch.
+/// of a full GenerateCandidatePairs run over `candidates` (same `order`)
+/// that involve at least one id >= `first_new`, the only pairs the append
+/// created. Merging this output into a base run's pairs is byte-equivalent
+/// to re-blocking from scratch whenever DeltaMergeIsExact holds: then pairs
+/// between two existing candidates keep their base counts. New candidates
+/// that rank after every existing one (appended tables under the session's
+/// (source table, id) order) always satisfy it, because truncation keeps the
+/// same old prefix of every posting list.
 ///
 /// Only keys held by an appended candidate are counted: existing candidates
 /// are scanned once (linear) to contribute their postings for those keys,
@@ -140,6 +156,26 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
     const std::vector<BinaryTable>& candidates, uint32_t first_new,
     const BlockingOptions& options = {}, ThreadPool* pool = nullptr,
     std::vector<uint8_t>* tainted = nullptr,
-    DeltaBlockingStats* stats = nullptr);
+    DeltaBlockingStats* stats = nullptr,
+    const std::vector<uint32_t>& order = {});
+
+/// The session's branch rule: whether merging a delta pass into its base
+/// run reproduces re-blocking the whole mutated candidate set. Two things
+/// break the merge:
+///  - resurrection: the mutation `retired` candidates and the base run
+///    truncated (`base_dropped_postings` != 0). Freed slots can pull dropped
+///    postings back under the cap and revive old pairs on keys the delta
+///    pass never scans.
+///  - displacement: some new candidate is `reranked`, i.e. ranks before
+///    existing ones in truncation order (a re-extracted old table), and a
+///    delta key's union list truncated (`delta_dropped_postings` != 0, which
+///    is exactly that). Such a candidate can push an old posting out of the
+///    kept prefix.
+/// A pure append of new tables always merges. Pass 0 for
+/// `delta_dropped_postings` to ask before running the pass whether it can
+/// merge at all. When the rule fails, re-block with GenerateCandidatePairs.
+bool DeltaMergeIsExact(bool retired, bool reranked,
+                       size_t base_dropped_postings,
+                       size_t delta_dropped_postings);
 
 }  // namespace ms

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <iterator>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/hashing.h"
@@ -91,17 +92,34 @@ uint64_t OptionsFingerprint(const SynthesisOptions& o) {
 
 namespace {
 
-/// Algorithm 3 per positive component (Appendix F divide-and-conquer):
-/// each of `components` is partitioned on its component-local subgraph,
-/// with members in the order given — the greedy tie-breaks on local index,
-/// so that order is part of the result. Partition() passes every component
-/// with members in ascending id; the mutation path passes its dirty
-/// components with members in cold order, (source table, id). `comp` maps
-/// every vertex to its component, which filters out cross-component edges
-/// (positive weight below θ_edge). New partition ids are drawn from
-/// `partition->num_partitions` upward; vertices outside `components` keep
-/// whatever `partition->partition_of` already holds. When `groups` is given,
-/// every partition formed is appended to it (in scheduling order).
+/// The vertex groups Algorithm 3 runs on, members in ascending id: the
+/// positive components (Appendix F divide-and-conquer) or, without it, one
+/// group holding every vertex. `comp` receives each vertex's group index.
+std::vector<std::vector<VertexId>> PartitionScopes(
+    const CompatibilityGraph& graph, const SynthesisOptions& options,
+    std::vector<uint32_t>* comp) {
+  if (options.divide_and_conquer) {
+    *comp = ConnectedComponentsBfs(graph, options.partitioner.theta_edge);
+    return GroupByComponent(*comp);
+  }
+  comp->assign(graph.num_vertices(), 0);
+  if (graph.num_vertices() == 0) return {};
+  std::vector<VertexId> all(graph.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  return {std::move(all)};
+}
+
+/// Algorithm 3 per scope (see PartitionScopes): each of `components` is
+/// partitioned on its component-local subgraph, with members in the order
+/// given — the greedy tie-breaks on local index, so that order is part of
+/// the result. Partition() passes every scope with members in ascending id;
+/// the mutation path passes its dirty scopes with members in cold order,
+/// (source table, id). `comp` maps every vertex to its scope, which filters
+/// out cross-component edges (positive weight below θ_edge). New partition
+/// ids are drawn from `partition->num_partitions` upward; vertices outside
+/// `components` keep whatever `partition->partition_of` already holds. When
+/// `groups` is given, every partition formed is appended to it (in
+/// scheduling order).
 void PartitionComponents(const CompatibilityGraph& graph,
                          const std::vector<uint32_t>& comp,
                          const std::vector<std::vector<VertexId>>& components,
@@ -212,6 +230,29 @@ void AddExtractionStats(ExtractionStats* dst, const ExtractionStats& s) {
 obs::Histogram* StageHistogram(const char* stage) {
   return obs::MetricsRegistry::Global().GetHistogram("ms_synth_stage_us",
                                                      {{"stage", stage}});
+}
+
+/// Posting-list truncation order for a candidate family (see blocking.h):
+/// each candidate's source table, so lists truncate in (source table, id)
+/// order, the order in which a cold extraction over the same corpus assigns
+/// dense ids. Empty (id order) when the live ids already follow it, which
+/// every cold extraction's do, and for adopted sets, whose ids are their
+/// order by definition. Dead candidates hold no postings, so they are
+/// ignored.
+std::vector<uint32_t> TruncationOrder(const CandidateSet& c) {
+  if (c.kept_offsets.empty()) return {};
+  const std::vector<BinaryTable>& tables = c.tables();
+  std::vector<uint32_t> order(tables.size());
+  bool id_order = true;
+  uint32_t prev = 0;
+  for (size_t i = 0; i < tables.size(); ++i) {
+    order[i] = tables[i].source_table;
+    if (c.is_dead(static_cast<BinaryTableId>(i))) continue;
+    id_order = id_order && order[i] >= prev;
+    prev = order[i];
+  }
+  if (id_order) order.clear();
+  return order;
 }
 
 void FillBlockingStats(const BlockingStats& bstats, size_t num_pairs,
@@ -406,7 +447,8 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
   BlockedPairs out;
   Timer timer;
   out.pairs = GenerateCandidatePairs(candidates.tables(), options_.blocking,
-                                     threads_.get(), &out.blocking);
+                                     threads_.get(), &out.blocking,
+                                     TruncationOrder(candidates));
   out.stats = candidates.stats;
   FillBlockingStats(out.blocking, out.pairs.size(), timer.ElapsedSeconds(),
                     &out.stats);
@@ -558,16 +600,11 @@ Result<Partitions> SynthesisSession::Partition(const ScoredGraph& sg) {
   // divide-and-conquer).
   Timer step;
   PartitionResult partition;
-  if (options_.divide_and_conquer) {
-    const auto comp =
-        ConnectedComponentsBfs(graph, options_.partitioner.theta_edge);
-    const auto groups = GroupByComponent(comp);
-    out.stats.components = groups.size();
-    PartitionComponents(graph, comp, groups, options_.partitioner,
-                        threads_.get(), &partition, nullptr);
-  } else {
-    partition = GreedyPartition(graph, options_.partitioner);
-  }
+  std::vector<uint32_t> comp;
+  const auto groups = PartitionScopes(graph, options_, &comp);
+  if (options_.divide_and_conquer) out.stats.components = groups.size();
+  PartitionComponents(graph, comp, groups, options_.partitioner,
+                      threads_.get(), &partition, nullptr);
   out.stats.partition_seconds = step.ElapsedSeconds();
   out.stats.partitions = partition.num_partitions;
   out.partition = std::move(partition);
@@ -885,8 +922,12 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   const size_t live_old_tables = first_new_table -
                                  candidates.tombstoned_tables.size() -
                                  removed_tables.size();
-  const auto full_rebuild =
-      [&](const std::string& why) -> Result<AppendedArtifacts> {
+  if (!delta.stable && delta.unstable_tables * 2 > live_old_tables) {
+    // A majority of the surviving tables flipped their coherence verdict:
+    // partial re-extraction would churn most candidate ids anyway, so an
+    // internal cold re-run is both cheaper and re-densifies ids (results
+    // are still exact — exactness is never traded for speed). This is the
+    // delta path's only fallback.
     ++session_stats_.append_full_rebuilds;
     full_rebuilds_total->Increment();
     out.append.full_rebuild = true;
@@ -923,18 +964,11 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
         out.candidates.owned.size() -
         std::min(out.candidates.owned.size(), base_tables.size());
     out.append.append_seconds = append_timer.ElapsedSeconds();
-    MS_LOG(Info) << "append: " << why << "; fell back to a full rebuild ("
-                 << out.candidates.owned.size() << " candidates)";
+    MS_LOG(Info) << "append: " << delta.unstable_tables << "/"
+                 << live_old_tables << " coherence verdicts shifted; fell "
+                 << "back to a full rebuild (" << out.candidates.owned.size()
+                 << " candidates)";
     return out;
-  };
-  if (!delta.stable && delta.unstable_tables * 2 > live_old_tables) {
-    // A majority of the surviving tables flipped their coherence verdict:
-    // partial re-extraction would churn most candidate ids anyway, so an
-    // internal cold re-run is both cheaper and re-densifies ids (results
-    // are still exact — exactness is never traded for speed).
-    return full_rebuild(std::to_string(delta.unstable_tables) + "/" +
-                        std::to_string(live_old_tables) +
-                        " coherence verdicts shifted");
   }
   // Flipped tables: their base candidates are superseded by the
   // re-extractions riding along in delta.candidates.
@@ -1006,83 +1040,42 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   AddExtractionStats(&out.candidates.stats.extraction, delta.stats);
   out.candidates.stats.candidates = out.candidates.owned.size() - total_dead;
 
-  // Appends and removals only ever *relabel* live candidate ids — they
-  // never reorder them, so the live sequence stays sorted by source table
-  // exactly like a cold run's dense assignment. A flipped table's
-  // re-extraction is the one mutation that can break this (it takes tail
-  // ids where a cold run would slot it in table order), and the break
-  // persists across later mutations until the table is removed or a
-  // rebuild re-densifies ids. Every downstream step that is
-  // id-ORDER-dependent — posting-list truncation keeps the lowest ids, the
-  // global greedy partition tie-breaks on vertex ids — is cold-exact iff
-  // this ordering holds, so the order, not the presence of flips, is what
-  // gates the shortcuts below.
-  bool order_ok = true;
-  {
-    uint32_t prev_table = 0;
-    for (size_t i = 0; i < out.candidates.owned.size(); ++i) {
-      if (i < out.candidates.dead.size() && out.candidates.dead[i]) continue;
-      const uint32_t t = out.candidates.owned[i].source_table;
-      if (t < prev_table) {
-        order_ok = false;
-        break;
-      }
-      prev_table = t;
-    }
-  }
-  if (!order_ok && !options_.divide_and_conquer) {
-    // Without divide-and-conquer the greedy partition runs over the whole
-    // graph on raw vertex ids; its tie-breaks cannot be re-sorted into
-    // cold order the way per-component subgraphs can, so a broken id
-    // order forces a rebuild to keep the cold-oracle equivalence exact.
-    return full_rebuild(std::to_string(delta.unstable_tables) +
-                        " coherence verdicts shifted without "
-                        "divide-and-conquer");
-  }
-  if (!order_ok && blocked.blocking.dropped_postings != 0) {
-    // Posting-list truncation keeps the lowest candidate ids, so which
-    // pairs survive a hot key depends on id order. The base run already
-    // truncated, and this family's live ids are no longer in cold order:
-    // only a rebuild keeps the cold-oracle equivalence exact.
-    return full_rebuild(std::to_string(delta.unstable_tables) +
-                        " coherence verdicts shifted with truncated "
-                        "posting lists");
-  }
-
-  // --- Delta blocking. Appends: only keys the new candidates touch are
-  // counted, only (new x all) pairs can emerge — old pairs' counts and
-  // old-candidate taint are append-invariant (appended ids sort last, so
-  // truncation keeps the identical old-id prefix of every posting list)
-  // and merge verbatim. Removals additionally drop every base pair that
-  // touches a retired candidate; that filter stays exact as long as the
-  // base run never truncated a posting list (dropped_postings == 0 —
-  // surviving pairs' key sets are untouched). When the base run DID
-  // truncate, deleting ids can pull previously-dropped postings back under
-  // the cap and resurrect pairs between old candidates, so blocking re-runs
-  // from scratch — but scoring below still reuses every base edge whose
-  // pair survived (edge weights depend only on the candidates' contents).
+  // --- Blocking. Posting lists truncate in (source table, id) order, the
+  // order in which a cold rebuild over the mutated corpus assigns its dense
+  // ids (TruncationOrder). Appends and removals keep live ids in table
+  // order, but a flipped table's re-extraction takes tail ids where a cold
+  // run would slot it in table order; ranking by source table keeps every
+  // kept set, count and taint bit identical to the cold run's all the same.
+  //
+  // The delta pass counts only keys the new candidates touch and emits only
+  // (new x all) pairs; base pairs minus those touching a retired candidate
+  // merge verbatim. DeltaMergeIsExact says when that merge is exact: not
+  // when a retirement meets a truncated base (freed slots resurrect old
+  // pairs), and not when a re-extraction ranks among old candidates and a
+  // delta key truncates (it can displace an old posting). Otherwise the
+  // mutated set is re-blocked from scratch; scoring below still reuses
+  // every base edge whose pair survived.
   step.Restart();
+  const std::vector<uint32_t> order = TruncationOrder(out.candidates);
+  const bool reextracted = !delta.flipped_tables.empty();
+  const size_t base_dropped = blocked.blocking.dropped_postings;
   std::vector<CandidateTablePair> delta_pairs;
-  if (!have_dead || blocked.blocking.dropped_postings == 0) {
-    std::vector<uint8_t> tainted = blocked.blocking.tainted;
-    if (!tainted.empty()) tainted.resize(out.candidates.owned.size(), 0);
-    DeltaBlockingStats dstats;
-    if (first_new_id < out.candidates.owned.size()) {
-      delta_pairs = GenerateDeltaCandidatePairs(
-          out.candidates.owned, first_new_id, options_.blocking,
-          threads_.get(), &tainted, &dstats);
-    }
-    if (!order_ok && dstats.dropped_postings != 0) {
-      // The union posting lists truncated for the first time during this
-      // mutation (possibly a pure append — the id-order break can stem
-      // from a flip several generations back). Same reasoning as the
-      // pre-blocking check: truncation keeps the lowest ids, and the live
-      // ids are not in cold order, so only a rebuild preserves exact cold
-      // equivalence.
-      return full_rebuild(std::to_string(delta.unstable_tables) +
-                          " coherence verdicts shifted and the delta "
-                          "blocking pass truncated posting lists");
-    }
+  std::vector<uint8_t> tainted = blocked.blocking.tainted;
+  if (!tainted.empty()) tainted.resize(out.candidates.owned.size(), 0);
+  DeltaBlockingStats dstats;
+  bool merge = DeltaMergeIsExact(have_dead, reextracted, base_dropped, 0);
+  if (merge && first_new_id < out.candidates.owned.size()) {
+    delta_pairs = GenerateDeltaCandidatePairs(
+        out.candidates.owned, first_new_id, options_.blocking,
+        threads_.get(), &tainted, &dstats, order);
+    merge = DeltaMergeIsExact(have_dead, reextracted, base_dropped,
+                              dstats.dropped_postings);
+  }
+  const auto less_ab = [](const CandidateTablePair& x,
+                          const CandidateTablePair& y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  };
+  if (merge) {
     std::vector<CandidateTablePair> base_kept;
     const std::vector<CandidateTablePair>* base_src = &blocked.pairs;
     if (have_dead) {
@@ -1096,9 +1089,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     out.blocked.pairs.reserve(base_src->size() + delta_pairs.size());
     std::merge(base_src->begin(), base_src->end(), delta_pairs.begin(),
                delta_pairs.end(), std::back_inserter(out.blocked.pairs),
-               [](const CandidateTablePair& x, const CandidateTablePair& y) {
-                 return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-               });
+               less_ab);
     out.blocked.blocking = blocked.blocking;
     out.blocked.blocking.keys += dstats.new_keys;
     out.blocked.blocking.dropped_postings += dstats.dropped_postings;
@@ -1111,19 +1102,14 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   } else {
     BlockingStats bstats;
     std::vector<CandidateTablePair> full_pairs = GenerateCandidatePairs(
-        out.candidates.owned, options_.blocking, threads_.get(), &bstats);
-    const auto less_ab = [](const CandidateTablePair& x,
-                            const CandidateTablePair& y) {
-      return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-    };
+        out.candidates.owned, options_.blocking, threads_.get(), &bstats,
+        order);
     // Pairs the base run never scored (new candidates' and resurrected
     // old-old pairs) are the only ones that need scoring.
-    for (const auto& p : full_pairs) {
-      if (!std::binary_search(blocked.pairs.begin(), blocked.pairs.end(), p,
-                              less_ab)) {
-        delta_pairs.push_back(p);
-      }
-    }
+    delta_pairs.clear();
+    std::set_difference(full_pairs.begin(), full_pairs.end(),
+                        blocked.pairs.begin(), blocked.pairs.end(),
+                        std::back_inserter(delta_pairs), less_ab);
     out.blocked.pairs = std::move(full_pairs);
     out.blocked.blocking = std::move(bstats);
   }
@@ -1136,24 +1122,39 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // --- Delta scoring through the warm per-worker matchers, then splice:
   // both edge lists are sorted by (u, v) — blocking emits pairs sorted and
   // scoring adds edges in pair order — so the merged list is exactly what
-  // one cold scoring pass over the merged pairs would have built. Base
-  // edges incident to a retired candidate vanish with it; every other base
-  // edge is reused verbatim (weights depend only on the two candidates'
-  // contents, which are unchanged).
+  // one cold scoring pass over the merged pairs would have built. A base
+  // edge stays iff its pair still survives blocking (a retired candidate
+  // loses every pair; a displaced posting can cost an old pair its overlap)
+  // and is then reused verbatim: weights depend only on the two candidates'
+  // contents, which are unchanged. Both endpoints of every dropped base
+  // edge and of every delta edge are marked dirty for the partition step.
   step.Restart();
   ScoringStats scoring;
   CompatibilityGraph delta_graph = ScoreThroughSessionMatchers(
       out.candidates.owned, *pool, delta_pairs, &scoring);
   out.append.delta_edges = delta_graph.num_edges();
-  CompatibilityGraph merged(out.candidates.owned.size());
+  const size_t num_vertices = out.candidates.owned.size();
+  std::vector<uint8_t> dirty_vertex(num_vertices, 0);
+  const auto mark_endpoints = [&](const CompatEdge& e) {
+    dirty_vertex[e.u] = 1;
+    dirty_vertex[e.v] = 1;
+  };
+  CompatibilityGraph merged(num_vertices);
   {
     const auto& be = scored.graph.edges();
     const auto& de = delta_graph.edges();
-    size_t bi = 0, di = 0;
+    const auto& kept = out.blocked.pairs;
+    size_t bi = 0, di = 0, ki = 0;
+    const auto base_survives = [&](const CompatEdge& e) {
+      while (ki < kept.size() &&
+             std::tie(kept[ki].a, kept[ki].b) < std::tie(e.u, e.v)) {
+        ++ki;
+      }
+      return ki < kept.size() && kept[ki].a == e.u && kept[ki].b == e.v;
+    };
     while (bi < be.size() || di < de.size()) {
-      if (bi < be.size() && have_dead &&
-          (newly_dead[be[bi].u] || newly_dead[be[bi].v])) {
-        ++bi;
+      if (bi < be.size() && !base_survives(be[bi])) {
+        mark_endpoints(be[bi++]);
         continue;
       }
       const bool take_base =
@@ -1161,6 +1162,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
           (bi < be.size() &&
            std::tie(be[bi].u, be[bi].v) < std::tie(de[di].u, de[di].v));
       const CompatEdge& e = take_base ? be[bi++] : de[di++];
+      if (!take_base) mark_endpoints(e);
       merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
     }
   }
@@ -1173,121 +1175,92 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
       scored.stats.scoring_seconds + step.ElapsedSeconds();
   out.scored.stats.graph_edges = out.scored.graph.num_edges();
 
-  // --- Component-restricted partition: a component is re-partitioned only
-  // when its induced subgraph could differ from the base run's — it holds
-  // a new candidate (delta pairs all touch one on pure appends), a
-  // candidate this mutation retired, a base-graph neighbor of a retired
-  // candidate (it lost an incident edge), or an endpoint of a delta-scored
-  // edge (covers old-old pairs resurfacing out of truncation). Every other
-  // component's subgraph — and therefore its greedy partition — is
-  // provably identical to the base run's; carry it. (If removal split a
-  // base component, every resulting piece contains a former neighbor of a
-  // retired vertex, so all pieces are re-partitioned — membership of clean
-  // components is exactly their base membership.)
+  // --- Scope-restricted partition (see PartitionScopes: the positive
+  // components, or the whole graph without divide-and-conquer). A scope is
+  // re-partitioned only when its induced subgraph could differ from the
+  // base run's: it holds a dirty vertex — a new candidate, a candidate this
+  // mutation retired, or an endpoint of a dropped base edge or a delta
+  // edge. Every other scope's subgraph — and therefore its greedy
+  // partition — is provably identical to the base run's; carry it. (If a
+  // dropped edge split a base component, every resulting piece holds one
+  // of its endpoints, so all pieces are re-partitioned — membership of
+  // clean components is exactly their base membership.)
   step.Restart();
-  PartitionResult partition;
-  std::vector<std::vector<VertexId>> dirty_groups;
-  std::vector<uint32_t> comp;
-  std::vector<char> comp_dirty;
-  size_t num_components = 0;
+  for (size_t v = first_new_id; v < num_vertices; ++v) dirty_vertex[v] = 1;
+  for (size_t v = 0; v < newly_dead.size(); ++v) {
+    if (newly_dead[v]) dirty_vertex[v] = 1;
+  }
   const std::vector<uint8_t>& dead_bitmap = out.candidates.dead;
   const auto vertex_dead = [&](VertexId v) {
     return v < dead_bitmap.size() && dead_bitmap[v] != 0;
   };
-  if (options_.divide_and_conquer) {
-    comp = ConnectedComponentsBfs(out.scored.graph,
-                                  options_.partitioner.theta_edge);
-    auto groups = GroupByComponent(comp);
-    num_components = groups.size();
-    std::vector<uint8_t> dirty_vertex(out.scored.graph.num_vertices(), 0);
-    for (size_t v = first_new_id; v < dirty_vertex.size(); ++v) {
-      dirty_vertex[v] = 1;
-    }
-    if (have_dead) {
-      for (size_t v = 0; v < newly_dead.size(); ++v) {
-        if (newly_dead[v]) dirty_vertex[v] = 1;
-      }
-      for (const auto& e : scored.graph.edges()) {
-        if (newly_dead[e.u] || newly_dead[e.v]) {
-          dirty_vertex[e.u] = 1;
-          dirty_vertex[e.v] = 1;
-        }
-      }
-      for (const auto& e : delta_graph.edges()) {
-        dirty_vertex[e.u] = 1;
-        dirty_vertex[e.v] = 1;
+  std::vector<uint32_t> comp;
+  std::vector<std::vector<VertexId>> groups =
+      PartitionScopes(out.scored.graph, options_, &comp);
+  const size_t num_components = groups.size();
+  std::vector<char> comp_dirty(groups.size(), 0);
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (VertexId v : groups[g]) {
+      if (dirty_vertex[v]) {
+        comp_dirty[g] = 1;
+        break;
       }
     }
-    comp_dirty.assign(groups.size(), 0);
-    for (size_t g = 0; g < groups.size(); ++g) {
-      for (VertexId v : groups[g]) {
-        if (dirty_vertex[v]) {
-          comp_dirty[g] = 1;
-          break;
-        }
-      }
-    }
-
-    partition.partition_of.assign(out.scored.graph.num_vertices(), 0);
-    // Clean components: carry the base partitioning, renumbered densely;
-    // the dirty ones draw fresh ids after them.
-    uint32_t next_pid = 0;
-    {
-      std::unordered_map<uint32_t, uint32_t> remap;
-      for (size_t g = 0; g < groups.size(); ++g) {
-        if (comp_dirty[g]) continue;
-        for (VertexId v : groups[g]) {
-          const uint32_t base_pid = partitions.partition.partition_of[v];
-          auto [it, inserted] = remap.emplace(base_pid, next_pid);
-          if (inserted) ++next_pid;
-          partition.partition_of[v] = it->second;
-        }
-      }
-    }
-
-    std::vector<std::vector<VertexId>> dirty;
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (!comp_dirty[g]) continue;
-      // The greedy partitioner tie-breaks on vertex ids, so hand each
-      // dirty component its members in the relative order a cold run's
-      // dense ids would impose: by source table, then by id (within one
-      // table, id order is extraction order for base candidates and
-      // re-extractions alike). For append/removal-only families this is a
-      // no-op — live ids are already table-ordered — but it makes the
-      // local subgraph bit-identical to the cold run's even when a
-      // flipped table's re-extraction sits at tail ids, and it feeds
-      // conflict resolution its members in cold order too.
-      std::sort(groups[g].begin(), groups[g].end(),
-                [&](VertexId x, VertexId y) {
-                  return std::tie(out.candidates.owned[x].source_table, x) <
-                         std::tie(out.candidates.owned[y].source_table, y);
-                });
-      dirty.push_back(std::move(groups[g]));
-    }
-    // merges_performed covers only re-partitioned components: the base
-    // artifact stores a whole-run total that cannot be decomposed per clean
-    // component, so this informational counter intentionally reports the
-    // mutation's own work, not the cold-equivalent total.
-    partition.num_partitions = next_pid;
-    PartitionComponents(out.scored.graph, comp, dirty, options_.partitioner,
-                        threads_.get(), &partition, &dirty_groups);
-    out.append.dirty_components = dirty.size();
-    out.append.clean_components = num_components - dirty.size();
-  } else {
-    // Without divide-and-conquer the greedy runs globally; no component
-    // boundary protects any prior partition, so everything is re-run.
-    partition = GreedyPartition(out.scored.graph, options_.partitioner);
-    dirty_groups = partition.Groups();
   }
+
+  PartitionResult partition;
+  partition.partition_of.assign(num_vertices, 0);
+  // Clean scopes: carry the base partitioning, renumbered densely; the
+  // dirty ones draw fresh ids after them.
+  uint32_t next_pid = 0;
+  {
+    std::unordered_map<uint32_t, uint32_t> remap;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (comp_dirty[g]) continue;
+      for (VertexId v : groups[g]) {
+        const uint32_t base_pid = partitions.partition.partition_of[v];
+        auto [it, inserted] = remap.emplace(base_pid, next_pid);
+        if (inserted) ++next_pid;
+        partition.partition_of[v] = it->second;
+      }
+    }
+  }
+
+  std::vector<std::vector<VertexId>> dirty;
+  for (size_t g = 0; g < groups.size(); ++g) {
+    if (!comp_dirty[g]) continue;
+    // The greedy partitioner tie-breaks on vertex ids, so hand each dirty
+    // scope its members in the relative order a cold run's dense ids would
+    // impose: by source table, then by id (within one table, id order is
+    // extraction order for base candidates and re-extractions alike). For
+    // append/removal-only families this is a no-op — live ids are already
+    // table-ordered — but it makes the local subgraph bit-identical to the
+    // cold run's even when a flipped table's re-extraction sits at tail
+    // ids, and it feeds conflict resolution its members in cold order too.
+    // Retired candidates are isolated, so where they sort cannot matter.
+    std::sort(groups[g].begin(), groups[g].end(),
+              [&](VertexId x, VertexId y) {
+                return std::tie(out.candidates.owned[x].source_table, x) <
+                       std::tie(out.candidates.owned[y].source_table, y);
+              });
+    dirty.push_back(std::move(groups[g]));
+  }
+  // merges_performed covers only re-partitioned scopes: the base artifact
+  // stores a whole-run total that cannot be decomposed per clean scope, so
+  // this informational counter intentionally reports the mutation's own
+  // work, not the cold-equivalent total.
+  partition.num_partitions = next_pid;
+  std::vector<std::vector<VertexId>> dirty_groups;
+  PartitionComponents(out.scored.graph, comp, dirty, options_.partitioner,
+                      threads_.get(), &partition, &dirty_groups);
+  out.append.dirty_components = dirty.size();
+  out.append.clean_components = num_components - dirty.size();
   // Retired candidates are isolated singletons: they keep a partition slot
   // (vertex ids stay stable) but resolve nothing.
   if (total_dead > 0) {
     std::erase_if(dirty_groups, [&](const std::vector<VertexId>& g) {
       return g.size() == 1 && vertex_dead(g[0]);
     });
-  }
-  if (!options_.divide_and_conquer) {
-    out.append.dirty_components = dirty_groups.size();
   }
   out.partitions.partition = std::move(partition);
   out.partitions.stats = out.scored.stats;
@@ -1302,9 +1275,9 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   out.partitions.stats.partitions =
       out.partitions.partition.num_partitions - total_dead;
 
-  // --- Resolve only the dirty groups; mappings of clean components carry
-  // over verbatim (their partitions, members, and conflict sets are
-  // untouched, and the curation filter is per-mapping).
+  // --- Resolve only the dirty groups; mappings of clean scopes carry over
+  // verbatim (their partitions, members, and conflict sets are untouched,
+  // and the curation filter is per-mapping).
   step.Restart();
   const ConflictResolutionOptions conflict = EffectiveConflict();
   std::vector<SynthesizedMapping> resolved = ResolveGroups(
@@ -1312,13 +1285,11 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   std::vector<SynthesizedMapping> merged_mappings = FilterByPopularity(
       std::move(resolved), options_.min_domains, options_.min_pairs);
   size_t carried = 0;
-  if (options_.divide_and_conquer) {
-    for (const auto& m : result.mappings) {
-      if (m.member_tables.empty()) continue;
-      if (!comp_dirty[comp[m.member_tables[0]]]) {
-        merged_mappings.push_back(m);
-        ++carried;
-      }
+  for (const auto& m : result.mappings) {
+    if (m.member_tables.empty()) continue;
+    if (!comp_dirty[comp[m.member_tables[0]]]) {
+      merged_mappings.push_back(m);
+      ++carried;
     }
   }
   std::sort(merged_mappings.begin(), merged_mappings.end(),

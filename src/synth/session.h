@@ -218,9 +218,11 @@ struct Partitions {
 /// What one incremental mutation (AppendTables / RemoveTables /
 /// ReplaceTables) did, for observability and tests. The contract is
 /// equivalence with a cold rebuild over the mutated corpus — byte-level
-/// when no coherence verdict flips, mapping-level (same mappings, stable
-/// candidate ids, dead slots ignored) otherwise; these counters expose how
-/// much work the delta restriction actually saved.
+/// for appends that flip no coherence verdict; otherwise identical once
+/// each live candidate is mapped to its cold id (live ids in (source table,
+/// id) order; dead slots ignored): same blocked pairs, taint, graph edges
+/// and mappings. These counters expose how much work the delta restriction
+/// actually saved.
 struct AppendStats {
   size_t appended_tables = 0;
   size_t removed_tables = 0;
@@ -228,21 +230,28 @@ struct AppendStats {
   /// Candidates tombstoned by this mutation (removed tables' plus flipped
   /// tables' superseded extractions).
   size_t removed_candidates = 0;
-  /// Blocked pairs created by the append (every one touches a new
-  /// candidate); the only pairs that were scored.
+  /// Blocked pairs the base run did not have: every pair touching a new
+  /// candidate, plus old pairs a removal pulled back under a truncated
+  /// posting list. The only pairs that were scored.
   size_t delta_pairs = 0;
   /// Graph edges spliced in from the delta pairs.
   size_t delta_edges = 0;
-  /// Positive components containing at least one new candidate — the only
-  /// ones re-partitioned and re-resolved (divide-and-conquer mode).
+  /// Partition scopes (positive components; the whole graph without
+  /// divide-and-conquer) holding a dirty vertex — a new or retired
+  /// candidate, or an endpoint of a delta edge or of a base edge whose pair
+  /// no longer survives blocking. The only ones re-partitioned and
+  /// re-resolved; clean scopes carry their partitions and mappings.
   size_t dirty_components = 0;
   size_t clean_components = 0;
-  /// Mappings carried over verbatim from the previous result (their
-  /// components have no new candidate and no delta edge, so their greedy
-  /// partition and conflict resolution are provably unchanged).
+  /// Mappings carried over verbatim from the previous result (their scopes
+  /// hold no dirty vertex, so their greedy partition and conflict
+  /// resolution are provably unchanged).
   size_t carried_mappings = 0;
   /// False iff some pre-existing table's coherence verdict flipped under
-  /// the mutated corpus statistics.
+  /// the mutated corpus statistics. A flip stays on the delta path: the
+  /// flipped tables are re-extracted at tail ids, and truncation and
+  /// partitioning follow (source table, id) order, so where those ids
+  /// landed does not matter.
   bool extraction_stable = false;
   /// How many old tables flipped (0 when extraction_stable). Flipped
   /// tables are re-extracted in place (their old candidates tombstoned,
@@ -254,9 +263,11 @@ struct AppendStats {
   /// settled by the cached monotonicity bound vs exact re-checks paid.
   size_t margin_skips = 0;
   size_t margin_rechecks = 0;
-  /// True when instability spanned most of the corpus and an internal cold
-  /// re-run was cheaper than partial re-extraction (results are still
-  /// exact; ids re-densify and tombstones compact away).
+  /// True only when a majority of the surviving old tables flipped their
+  /// coherence verdict (unstable_tables * 2 > live old tables): an internal
+  /// cold re-run then replaces partial re-extraction (results are still
+  /// exact; ids re-densify and tombstones compact away). Every other
+  /// mutation, truncated posting lists included, stays on the delta path.
   bool full_rebuild = false;
   double append_seconds = 0.0;
 };
@@ -340,7 +351,10 @@ class SynthesisSession {
   Result<CandidateSet> AdoptCandidates(
       const std::vector<BinaryTable>& candidates, const StringPool& pool);
 
-  /// Stage 2: inverted-index blocking (Section 4.1 "Efficiency").
+  /// Stage 2: inverted-index blocking (Section 4.1 "Efficiency"). Posting
+  /// lists truncate in (source table, id) order, which is id order for
+  /// every cold extraction and adopted set, so a mutated family re-blocks
+  /// exactly as its cold rebuild would.
   Result<BlockedPairs> BlockPairs(const CandidateSet& candidates);
 
   /// Stage 3: exact w+/w- scoring of every blocked pair through the
@@ -396,14 +410,17 @@ class SynthesisSession {
   ///     exactness tax), but extraction's normalize + FD work runs only
   ///     over the appended tables;
   ///   - blocking counts only keys the new candidates touch and emits only
-  ///     (new x all) pairs — old-pair counts and taint provably cannot
-  ///     change under appends;
-  ///   - only the delta pairs are scored (through the warm per-worker
-  ///     matchers) and spliced into the existing graph;
-  ///   - only components containing a new candidate are re-partitioned and
-  ///     re-resolved; untouched components' mappings carry over verbatim
-  ///     (divide-and-conquer mode).
-  /// If a coherence verdict flipped, falls back to a full internal re-run
+  ///     (new x all) pairs whenever DeltaMergeIsExact holds (always for a
+  ///     plain append: appended tables rank last in the (source table, id)
+  ///     truncation order); otherwise the mutated set is re-blocked, and
+  ///     base pairs and edges that no longer survive are dropped;
+  ///   - only pairs the base never scored are scored (through the warm
+  ///     per-worker matchers) and spliced into the existing graph;
+  ///   - only partition scopes holding a new candidate or touching a
+  ///     changed edge are re-partitioned and re-resolved; the others'
+  ///     mappings carry over verbatim.
+  /// Tables whose coherence verdict flipped are re-extracted in place; only
+  /// a majority flip falls back to a full internal re-run
   /// (AppendStats::full_rebuild) — exactness is never traded for speed.
   ///
   /// `first_new_table` must equal candidates.source_tables. All artifacts

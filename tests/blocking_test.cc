@@ -162,7 +162,12 @@ TEST_F(BlockingFixture, HotKeyCapBoundsPairExplosion) {
 }
 
 TEST_F(BlockingFixture, EmptyCandidateSet) {
-  EXPECT_TRUE(GenerateCandidatePairs({}, {}).empty());
+  // Empty input still reports its stats: nothing truncated, counts exact.
+  BlockingStats stats;
+  EXPECT_TRUE(GenerateCandidatePairs({}, {}, nullptr, &stats).empty());
+  EXPECT_TRUE(stats.exact_counts);
+  EXPECT_EQ(stats.keys, 0u);
+  EXPECT_EQ(stats.dropped_postings, 0u);
 }
 
 // ------------------------------------------------- sharded-vs-seed oracle
@@ -216,6 +221,68 @@ TEST_F(BlockingFixture, ShardedMatchesReferenceOnRandomCorpora) {
   }
   // The cap-4 corpora truncate, so taint was compared, not just defaults.
   EXPECT_GT(inexact_pairs, 0u);
+}
+
+TEST_F(BlockingFixture, ShardedMatchesReferenceUnderTruncationOrder) {
+  // Truncation in a caller-given order — source tables that run against
+  // id order, as a mutated family's re-extractions do — must agree with the
+  // reference on every pair, count and taint bit, serially and on 1- and
+  // 4-thread pools; and the order must really change what is kept.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  size_t order_mattered = 0;
+  for (uint64_t seed : {3u, 29u, 211u}) {
+    Rng rng(seed);
+    std::vector<BinaryTable> cands;
+    std::vector<uint32_t> order;
+    const size_t n = 30 + rng.Uniform(40);
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<std::pair<std::string, std::string>> rows;
+      const size_t n_rows = 3 + rng.Uniform(12);
+      for (size_t r = 0; r < n_rows; ++r) {
+        rows.push_back({"k" + std::to_string(rng.Zipf(60)),
+                        "v" + std::to_string(rng.Uniform(12))});
+      }
+      cands.push_back(Make(rows));
+      // A few candidates per source table, tables shuffled against ids.
+      order.push_back(static_cast<uint32_t>(rng.Uniform(n / 3 + 1)));
+    }
+    for (size_t theta : {1u, 2u}) {
+      for (size_t cap : {2u, 3u, 4u}) {
+        BlockingOptions opts;
+        opts.theta_overlap = theta;
+        opts.max_posting = cap;
+        auto reference = GenerateCandidatePairsReference(cands, opts, nullptr,
+                                                         order);
+        BlockingStats stats;
+        ExpectSamePairs(
+            GenerateCandidatePairs(cands, opts, nullptr, &stats, order),
+            reference);
+        ExpectSamePairs(GenerateCandidatePairs(cands, opts, &one, nullptr,
+                                               order),
+                        reference);
+        ExpectSamePairs(GenerateCandidatePairs(cands, opts, &four, nullptr,
+                                               order),
+                        reference);
+        size_t inexact = 0;
+        for (const auto& p : reference) inexact += !p.counts_exact;
+        EXPECT_GT(stats.dropped_postings, 0u);
+        EXPECT_EQ(stats.tainted_candidates > 0, inexact > 0);
+
+        const auto by_id = GenerateCandidatePairsReference(cands, opts);
+        order_mattered +=
+            by_id.size() != reference.size() ||
+            !std::equal(by_id.begin(), by_id.end(), reference.begin(),
+                        [](const auto& x, const auto& y) {
+                          return x.a == y.a && x.b == y.b &&
+                                 x.shared_pairs == y.shared_pairs &&
+                                 x.shared_lefts == y.shared_lefts &&
+                                 x.counts_exact == y.counts_exact;
+                        });
+      }
+    }
+  }
+  EXPECT_GT(order_mattered, 0u);
 }
 
 TEST_F(BlockingFixture, DroppedPostingsAreCounted) {

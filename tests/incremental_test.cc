@@ -8,16 +8,18 @@
 // independently), same blocked pairs including per-pair count-exactness,
 // same graph edges bit-for-bit, same deterministic pipeline counters
 // (candidates, pairs, keys, truncation taint, edges, partitions, mappings).
-// One carve-out (PR 10): an append that flips a minority of old coherence
-// verdicts re-extracts only the flipped tables, keeping every other
-// candidate id stable and parking the re-extractions at tail ids. Ids then
-// legitimately differ from a cold run's table-order assignment, so those
-// schedules assert the mapping-level contract (identical canonical
-// mappings) instead of byte identity — which still holds because the
-// shortcut is only taken when no posting list ever truncated (truncation
-// keeps the lowest ids, so it is the one id-order-dependent stage; with
-// truncation in play a flip falls back to the internal cold rebuild, which
-// restores byte identity).
+// One carve-out: an append that flips a minority of old coherence verdicts
+// re-extracts only the flipped tables, keeping every other candidate id
+// stable and parking the re-extractions at tail ids (removals likewise
+// leave dead slots). Ids then legitimately differ from a cold run's dense
+// table-order assignment, so those schedules map every live candidate to
+// its cold id — live ids sorted by (source table, id) — and assert that
+// blocked pairs (counts and exactness included), the taint bitmap and every
+// graph edge are identical under that map, plus identical canonical
+// mappings. This holds with truncation in play: posting lists truncate in
+// (source table, id) order, so which postings a hot key keeps does not
+// depend on where a re-extraction's ids landed. Only a majority flip falls
+// back to the internal cold rebuild.
 // The randomized differential runs under the ASan+UBSan CI leg like every
 // other suite; MS_FUZZ_ITERS deepens it in CI (see .github/workflows/ci.yml).
 #include <cstdio>
@@ -32,6 +34,7 @@
 #include "apps/serving.h"
 #include "common/random.h"
 #include "persist/corpus_store.h"
+#include "persist/snapshot.h"
 #include "synth/blocking.h"
 #include "synth/session.h"
 #include "table/corpus.h"
@@ -47,6 +50,13 @@ size_t FuzzIters(size_t fallback) {
   if (env == nullptr || *env == '\0') return fallback;
   const long v = std::strtol(env, nullptr, 10);
   return v > 0 ? static_cast<size_t>(v) : fallback;
+}
+
+/// Coverage floors ("the generator really produced case X") hold at the
+/// default depth or deeper: a deeper run replays the default run's
+/// iterations first (one Rng, consumed in order), so it only adds cases.
+bool AtDefaultDepth(size_t default_iters) {
+  return FuzzIters(default_iters) >= default_iters;
 }
 
 std::string ScratchPath(const std::string& name) {
@@ -160,6 +170,25 @@ void ExpectPairsIdentical(const std::vector<CandidateTablePair>& cold,
   }
 }
 
+/// Maps every live candidate of an incremental family to the id a cold
+/// rebuild over the same live tables assigns it: cold ids are dense in
+/// (source table, extraction order), and so are live incremental
+/// candidates sorted by (source table, id). Dead slots map to UINT32_MAX.
+std::vector<uint32_t> ColdIds(const CandidateSet& inc) {
+  const std::vector<BinaryTable>& tables = inc.tables();
+  std::vector<uint32_t> live;
+  for (uint32_t i = 0; i < tables.size(); ++i) {
+    if (!inc.is_dead(i)) live.push_back(i);
+  }
+  std::sort(live.begin(), live.end(), [&](uint32_t x, uint32_t y) {
+    return std::tie(tables[x].source_table, x) <
+           std::tie(tables[y].source_table, y);
+  });
+  std::vector<uint32_t> cold(tables.size(), UINT32_MAX);
+  for (uint32_t k = 0; k < live.size(); ++k) cold[live[k]] = k;
+  return cold;
+}
+
 void ExpectEdgesIdentical(const CompatibilityGraph& cold,
                           const CompatibilityGraph& inc) {
   ASSERT_EQ(cold.num_vertices(), inc.num_vertices());
@@ -206,6 +235,59 @@ struct Family {
   SynthesisResult result;
 };
 
+/// The id-level oracle for families whose ids moved: under ColdIds, the
+/// blocked pairs (counts and per-pair exactness included), the taint
+/// bitmap and every graph edge (bitwise) must equal the cold rebuild's.
+/// Dead candidates must hold no pair, no taint bit and no edge.
+void ExpectIdenticalUnderColdIds(const Family& cold, const Family& inc) {
+  const std::vector<uint32_t> id = ColdIds(inc.candidates);
+  const size_t n = cold.candidates.tables().size();
+  ASSERT_EQ(n, inc.candidates.num_live());
+
+  std::vector<CandidateTablePair> pairs;
+  pairs.reserve(inc.blocked.pairs.size());
+  for (CandidateTablePair p : inc.blocked.pairs) {
+    ASSERT_NE(id[p.a], UINT32_MAX) << "pair on dead candidate " << p.a;
+    ASSERT_NE(id[p.b], UINT32_MAX) << "pair on dead candidate " << p.b;
+    p.a = id[p.a];
+    p.b = id[p.b];
+    if (p.a > p.b) std::swap(p.a, p.b);
+    pairs.push_back(p);
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  });
+  ExpectPairsIdentical(cold.blocked.pairs, pairs);
+
+  std::vector<uint8_t> want(n, 0), got(n, 0);
+  for (size_t i = 0; i < cold.blocked.blocking.tainted.size(); ++i) {
+    want[i] = cold.blocked.blocking.tainted[i];
+  }
+  for (size_t i = 0; i < inc.blocked.blocking.tainted.size(); ++i) {
+    if (!inc.blocked.blocking.tainted[i]) continue;
+    ASSERT_NE(id[i], UINT32_MAX) << "dead candidate " << i << " tainted";
+    got[id[i]] = 1;
+  }
+  EXPECT_EQ(want, got);
+
+  std::vector<CompatEdge> edges;
+  for (CompatEdge e : inc.scored.graph.edges()) {
+    ASSERT_NE(id[e.u], UINT32_MAX) << "edge on dead candidate " << e.u;
+    ASSERT_NE(id[e.v], UINT32_MAX) << "edge on dead candidate " << e.v;
+    e.u = id[e.u];
+    e.v = id[e.v];
+    if (e.u > e.v) std::swap(e.u, e.v);
+    edges.push_back(e);
+  }
+  std::sort(edges.begin(), edges.end(), [](const auto& x, const auto& y) {
+    return std::tie(x.u, x.v) < std::tie(y.u, y.v);
+  });
+  CompatibilityGraph mapped(n);
+  for (const CompatEdge& e : edges) mapped.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
+  mapped.Finalize();
+  ExpectEdgesIdentical(cold.scored.graph, mapped);
+}
+
 Family ColdChain(SynthesisSession* session, const TableCorpus& corpus) {
   Family f;
   auto c = session->ExtractCandidates(corpus);
@@ -240,7 +322,7 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
   const size_t iters = FuzzIters(6);
   Rng rng(20260729);
   size_t stable_appends = 0, fallback_appends = 0, total_appends = 0;
-  size_t flip_schedules = 0;
+  size_t flip_schedules = 0, flip_truncation_schedules = 0;
   for (size_t iter = 0; iter < iters; ++iter) {
     const size_t n_tables = 30 + rng.Uniform(50);
     auto specs = RandomCorpusSpec(rng, n_tables);
@@ -261,7 +343,8 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
     // Random result-affecting knobs, chosen to exercise truncation taint,
     // both partitioning modes, and both coherence regimes (threshold -1
     // passes every column => appends provably stable; positive thresholds
-    // may flip verdicts and exercise the full-rebuild fallback).
+    // may flip verdicts, re-extracting the flipped tables at tail ids or,
+    // on a majority flip, rebuilding internally).
     SynthesisOptions o = BaseOptions();
     const double coh[] = {-1.0, 0.05, 0.15};
     o.extraction.coherence_threshold = coh[rng.Uniform(3)];
@@ -294,7 +377,9 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
     ASSERT_FALSE(HasFailure());
     size_t appends = 0;
     bool byte_exact = true;
+    bool flip_with_truncation = false;
     for (size_t b = 1; b + 1 < bounds.size(); ++b) {
+      const size_t base_dropped = inc.blocked.blocking.dropped_postings;
       Result<AppendedArtifacts> grown = [&] {
         if (rng.Bernoulli(0.5)) {
           // Ingestion shape: the batch arrives as its own corpus.
@@ -318,12 +403,23 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
       } else {
         ++stable_appends;
       }
+      // The internal cold rebuild is reserved for a majority flip: every
+      // other mutation, truncated posting lists included, stays on the
+      // delta path. Append schedules remove nothing, so the live old
+      // tables are exactly the ones before this batch.
+      EXPECT_EQ(family.append.full_rebuild,
+                family.append.unstable_tables * 2 > bounds[b]);
       // A minority flip served by partial re-extraction keeps old ids
       // stable but parks re-extractions at tail ids: byte identity with a
       // cold run's table-order id assignment is forfeit for the rest of
-      // the schedule (the mapping-level contract below still holds).
-      byte_exact = byte_exact && (family.append.extraction_stable ||
-                                  family.append.full_rebuild);
+      // the schedule (the cold-id oracle below takes over).
+      const bool partial_flip =
+          !family.append.extraction_stable && !family.append.full_rebuild;
+      byte_exact = byte_exact && !partial_flip;
+      flip_with_truncation =
+          flip_with_truncation ||
+          (partial_flip &&
+           (base_dropped != 0 || family.blocked.blocking.dropped_postings != 0));
       // Coherence threshold -1 passes every column: the kept sets cannot
       // flip, so the delta fast path must have been taken.
       if (o.extraction.coherence_threshold == -1.0) {
@@ -355,37 +451,61 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
       ExpectCountersIdentical(cold.result.stats, inc.result.stats);
     } else {
       ++flip_schedules;
-      // The flip shortcut is only taken while live ids stay in cold
-      // relative order, so everything id-order-dependent — including
-      // posting-list truncation — behaves exactly as the cold run's, and
-      // the content-level counters stay exact even though ids moved.
-      EXPECT_EQ(cold.blocked.pairs.size(), inc.blocked.pairs.size());
+      flip_truncation_schedules += flip_with_truncation;
+      // Ids moved, but truncation and partitioning follow (source table,
+      // id), so blocking, scoring and the counters are identical under the
+      // cold-id map.
+      ExpectIdenticalUnderColdIds(cold, inc);
       EXPECT_EQ(cold.result.stats.candidates, inc.result.stats.candidates);
+      EXPECT_EQ(cold.result.stats.candidate_pairs,
+                inc.result.stats.candidate_pairs);
+      EXPECT_EQ(cold.result.stats.blocking_dropped_postings,
+                inc.result.stats.blocking_dropped_postings);
+      EXPECT_EQ(cold.result.stats.blocking_tainted_candidates,
+                inc.result.stats.blocking_tainted_candidates);
       EXPECT_EQ(cold.result.stats.graph_edges, inc.result.stats.graph_edges);
+      EXPECT_EQ(cold.result.stats.components, inc.result.stats.components);
+      EXPECT_EQ(cold.result.stats.partitions, inc.result.stats.partitions);
       EXPECT_EQ(cold.result.stats.mappings, inc.result.stats.mappings);
-      EXPECT_EQ(cold.blocked.blocking.dropped_postings,
-                inc.blocked.blocking.dropped_postings);
     }
     EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
               Canonical(inc.result, inc_corpus.pool()));
     ASSERT_FALSE(HasFailure());
   }
-  // The suite must exercise the delta fast path, not just the fallback.
+  // The suite must exercise the delta fast path, not just the fallback,
+  // and a partial flip on truncated posting lists, where truncation order
+  // decides whether the re-extraction's tail ids stay cold-exact.
   EXPECT_GT(stable_appends, 0u)
       << "no append took the fast path across " << total_appends << " appends";
+  if (AtDefaultDepth(6)) {
+    EXPECT_GT(flip_truncation_schedules, 0u)
+        << "no schedule flipped a verdict while posting lists truncated";
+  }
   std::printf(
       "append schedules: %zu appends, %zu fast-path, %zu fallback, "
-      "%zu flip schedules\n",
-      total_appends, stable_appends, fallback_appends, flip_schedules);
+      "%zu flip schedules, %zu with truncation\n",
+      total_appends, stable_appends, fallback_appends, flip_schedules,
+      flip_truncation_schedules);
 }
 
 TEST(IncrementalDifferentialTest, DeltaBlockingMatchesFullReblocking) {
-  // Sharp blocking-level differential: merging a base run's pairs with the
-  // delta pass must reproduce full re-blocking exactly — counts, per-pair
-  // exactness, taint bitmap, key and truncation accounting.
-  const size_t iters = FuzzIters(8);
+  // Sharp blocking-level differential: whenever the session's branch rule
+  // (DeltaMergeIsExact) merges, merging a base run's pairs with the delta
+  // pass must reproduce full re-blocking exactly — counts, per-pair
+  // exactness, taint bitmap, key and truncation accounting. Three input
+  // shapes: id order; appended tables (new candidates rank after every
+  // old one); and re-extractions, whose truncation rank lands among the
+  // old candidates'. A re-extraction can displace an old posting from a
+  // truncated list, which the delta pass cannot see; the rule must never
+  // merge such a pass, and the fixture must really produce some.
+  const size_t iters = FuzzIters(8) * 4;
   Rng rng(77);
   ThreadPool pool(4);
+  size_t reranked_merges = 0, displacements = 0;
+  const auto less_ab = [](const CandidateTablePair& x,
+                          const CandidateTablePair& y) {
+    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  };
   for (size_t iter = 0; iter < iters; ++iter) {
     const size_t n = 20 + rng.Uniform(60);
     std::vector<BinaryTable> candidates;
@@ -405,44 +525,86 @@ TEST(IncrementalDifferentialTest, DeltaBlockingMatchesFullReblocking) {
     const size_t postings[] = {2, 3, 5, 256};
     options.max_posting = postings[rng.Uniform(4)];
     const uint32_t first_new = static_cast<uint32_t>(rng.Uniform(n + 1));
+    // Truncation order: source tables, two candidates per old table. New
+    // candidates either follow every old table (appended) or, in the
+    // re-extraction shape, may take an old table's slot.
+    const uint64_t shape = rng.Uniform(3);  // 0 id, 1 appended, 2 re-extracted
+    std::vector<uint32_t> order;
+    if (shape != 0) {
+      for (uint32_t i = 0; i < n; ++i) {
+        const bool early = shape == 2 && i >= first_new && first_new > 0 &&
+                           rng.Bernoulli(0.5);
+        order.push_back(i < first_new ? i / 2
+                        : early       ? static_cast<uint32_t>(
+                                      rng.Uniform((first_new + 1) / 2))
+                                      : static_cast<uint32_t>(n + i));
+      }
+    }
+    bool reranked = false;
+    for (uint32_t j = first_new; !order.empty() && j < n; ++j) {
+      reranked = reranked || (first_new > 0 && order[j] < order[first_new - 1]);
+    }
     SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n) +
                  " first_new " + std::to_string(first_new) + " max_posting " +
-                 std::to_string(options.max_posting));
+                 std::to_string(options.max_posting) + " shape " +
+                 std::to_string(shape));
 
     BlockingStats full_stats;
     auto full = GenerateCandidatePairs(candidates, options, &pool,
-                                       &full_stats);
+                                       &full_stats, order);
 
     std::vector<BinaryTable> base(candidates.begin(),
                                   candidates.begin() + first_new);
     BlockingStats base_stats;
     auto base_pairs = GenerateCandidatePairs(base, options, &pool,
-                                             &base_stats);
+                                             &base_stats, order);
     std::vector<uint8_t> tainted = base_stats.tainted;
     if (!tainted.empty()) tainted.resize(n, 0);
     DeltaBlockingStats dstats;
     auto delta = GenerateDeltaCandidatePairs(candidates, first_new, options,
-                                             &pool, &tainted, &dstats);
+                                             &pool, &tainted, &dstats, order);
     std::vector<CandidateTablePair> merged;
     merged.reserve(base_pairs.size() + delta.size());
     std::merge(base_pairs.begin(), base_pairs.end(), delta.begin(),
-               delta.end(), std::back_inserter(merged),
-               [](const CandidateTablePair& x, const CandidateTablePair& y) {
-                 return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-               });
+               delta.end(), std::back_inserter(merged), less_ab);
+    std::vector<uint8_t> full_bitmap = full_stats.tainted;
+    full_bitmap.resize(n, 0);
+    tainted.resize(n, 0);
 
-    ExpectPairsIdentical(full, merged);
-    if (!full_stats.tainted.empty() || !tainted.empty()) {
-      std::vector<uint8_t> full_bitmap = full_stats.tainted;
-      full_bitmap.resize(n, 0);
-      tainted.resize(n, 0);
-      EXPECT_EQ(full_bitmap, tainted);
+    if (!DeltaMergeIsExact(/*retired=*/false, reranked,
+                           base_stats.dropped_postings,
+                           dstats.dropped_postings)) {
+      // The rule re-blocks; count the passes that really were wrong.
+      const bool same =
+          full_bitmap == tainted && full.size() == merged.size() &&
+          std::equal(full.begin(), full.end(), merged.begin(),
+                     [](const auto& x, const auto& y) {
+                       return x.a == y.a && x.b == y.b &&
+                              x.shared_pairs == y.shared_pairs &&
+                              x.shared_lefts == y.shared_lefts &&
+                              x.counts_exact == y.counts_exact;
+                     });
+      displacements += !same;
+      continue;
     }
+    reranked_merges += reranked;
+    ExpectPairsIdentical(full, merged);
+    EXPECT_EQ(full_bitmap, tainted);
     EXPECT_EQ(full_stats.keys, base_stats.keys + dstats.new_keys);
     EXPECT_EQ(full_stats.dropped_postings,
               base_stats.dropped_postings + dstats.dropped_postings);
     ASSERT_FALSE(HasFailure());
   }
+  // Re-extractions that rank early both merge (no delta key truncated)
+  // and displace old postings (the rule had to re-block).
+  if (AtDefaultDepth(8)) {
+    EXPECT_GT(reranked_merges, 0u);
+    EXPECT_GT(displacements, 0u);
+  }
+  std::printf(
+      "delta blocking: %zu merges with re-extractions, %zu displacements "
+      "re-blocked\n",
+      reranked_merges, displacements);
 }
 
 // ------------------------------------------- randomized mutation schedules
@@ -453,24 +615,25 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
   // wipes included) must end up serving exactly the mappings a cold
   // rebuild over the surviving tables serves. Removals tombstone corpus
   // slots in place — ids stay stable by design — so candidate ids can
-  // never match a cold run's dense table-order assignment; the oracle
-  // comparison is content-level: canonical mappings plus the
-  // content-determined counters (candidates, pairs, edges, mappings).
-  // Configs keep max_posting high enough that no posting list truncates:
-  // truncation keeps the lowest candidate ids, which makes its effect
-  // id-assignment-dependent by design, so no exact oracle statement exists
-  // for truncated mutation schedules (the counts_exact/tainted machinery
-  // is how blocking already owns that approximation).
+  // never match a cold run's dense table-order assignment; the oracle maps
+  // every live candidate to its cold id (ExpectIdenticalUnderColdIds) and
+  // compares blocked pairs, taint and edges under that map, plus canonical
+  // mappings and the content-determined counters. Small max_posting caps
+  // make posting lists truncate; truncation follows (source table, id), so
+  // the dropped postings and tainted candidates must match the cold run's
+  // at every step too.
   const size_t iters = FuzzIters(6);
   Rng rng(20260808);
   size_t appends = 0, removes = 0, replaces = 0, wipes = 0;
+  size_t truncated_steps = 0, flip_steps = 0;
   for (size_t iter = 0; iter < iters; ++iter) {
     const size_t n_specs = 30 + rng.Uniform(40);
     auto specs = RandomCorpusSpec(rng, n_specs);
     SynthesisOptions o = BaseOptions();
     const double coh[] = {-1.0, 0.05, 0.15};
     o.extraction.coherence_threshold = coh[rng.Uniform(3)];
-    o.blocking.max_posting = 256;
+    const size_t postings[] = {2, 4, 8, 256};
+    o.blocking.max_posting = postings[rng.Uniform(4)];
     o.blocking.theta_overlap = 1 + rng.Uniform(2);
     o.divide_and_conquer = rng.Bernoulli(0.8);
     o.min_domains = 1 + rng.Uniform(2);
@@ -479,6 +642,7 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
     SCOPED_TRACE("iter " + std::to_string(iter) + " specs " +
                  std::to_string(n_specs) + " base " + std::to_string(base_n) +
                  " coh " + std::to_string(o.extraction.coherence_threshold) +
+                 " max_posting " + std::to_string(o.blocking.max_posting) +
                  " theta " + std::to_string(o.blocking.theta_overlap) +
                  " dnc " + std::to_string(o.divide_and_conquer));
 
@@ -518,6 +682,8 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
       if (op != 1 && next_spec < n_specs) {
         batch = std::min<size_t>(rng.Uniform(9), n_specs - next_spec);
       }
+      size_t live_before = 0;
+      for (uint8_t l : live) live_before += l;
       Result<AppendedArtifacts> grown = [&] {
         if (op == 0) {
           ++appends;
@@ -560,6 +726,11 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
       EXPECT_EQ(family.candidates.tombstoned_tables.size(), total_removed);
       EXPECT_EQ(family.append.appended_tables, batch);
       EXPECT_EQ(family.append.removed_tables, removed.size());
+      // Only a majority flip of the surviving old tables rebuilds.
+      EXPECT_EQ(family.append.full_rebuild,
+                family.append.unstable_tables * 2 >
+                    live_before - removed.size());
+      flip_steps += family.append.unstable_tables > 0;
       EXPECT_EQ(family.blocked.candidates_id, family.candidates.artifact_id);
       EXPECT_EQ(family.scored.candidates_id, family.candidates.artifact_id);
       EXPECT_EQ(family.partitions.graph_id, family.scored.artifact_id);
@@ -589,10 +760,12 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
       Family cold = ColdChain(&cold_session, cold_corpus);
       ASSERT_FALSE(HasFailure());
 
-      // Config sanity: the oracle statement assumes truncation never fired.
-      ASSERT_EQ(cold.blocked.blocking.dropped_postings, 0u);
-      ASSERT_EQ(inc.blocked.blocking.dropped_postings, 0u);
-
+      truncated_steps += cold.blocked.blocking.dropped_postings != 0;
+      EXPECT_EQ(cold.blocked.blocking.dropped_postings,
+                inc.blocked.blocking.dropped_postings);
+      EXPECT_EQ(cold.blocked.blocking.tainted_candidates,
+                inc.blocked.blocking.tainted_candidates);
+      ExpectIdenticalUnderColdIds(cold, inc);
       EXPECT_EQ(cold.result.stats.candidates, inc.result.stats.candidates);
       EXPECT_EQ(cold.blocked.pairs.size(), inc.blocked.pairs.size());
       EXPECT_EQ(cold.result.stats.graph_edges, inc.result.stats.graph_edges);
@@ -604,10 +777,14 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
   }
   EXPECT_GT(removes + replaces, 0u)
       << "the schedule generator produced no shrinking mutations";
+  if (AtDefaultDepth(6)) {
+    EXPECT_GT(truncated_steps, 0u)
+        << "no mutation step ran with truncated posting lists";
+  }
   std::printf(
       "mutation schedules: %zu appends, %zu removes, %zu replaces, "
-      "%zu wipes\n",
-      appends, removes, replaces, wipes);
+      "%zu wipes, %zu truncated steps, %zu flip steps\n",
+      appends, removes, replaces, wipes, truncated_steps, flip_steps);
 }
 
 // ------------------------------------------------------------- edge cases
@@ -843,6 +1020,199 @@ TEST(IncrementalApiTest, AppendFromGrowingCorpusStartsEmpty) {
   EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
             Canonical(grown.value().result, inc_corpus.pool()));
   ExpectCountersIdentical(cold.result.stats, grown.value().result.stats);
+}
+
+TEST(IncrementalApiTest, EmptyFamilyAppendMatchesColdBlockedSection) {
+  // A one-column table yields no candidate (a binary table needs two
+  // columns). Growing such a corpus by another one-column table must report
+  // the same blocking stats, and persist the same blocked section, as a
+  // cold run over both tables: an empty cold run's stats are exact too.
+  const auto add_one_column = [](TableCorpus* corpus, const std::string& tag) {
+    corpus->AddFromStrings(tag + ".example", TableSource::kWeb, {"name"},
+                           {{tag + " one", tag + " two", tag + " three"}});
+  };
+  SynthesisOptions o = BaseOptions();
+  TableCorpus inc_corpus;
+  add_one_column(&inc_corpus, "first");
+  SynthesisSession session(o);
+  Family inc = ColdChain(&session, inc_corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_TRUE(inc.candidates.tables().empty());
+  add_one_column(&inc_corpus, "second");
+  auto grown = session.AppendTables(inc_corpus, 1, inc.candidates,
+                                    inc.blocked, inc.scored, inc.partitions,
+                                    inc.result);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  const AppendedArtifacts& a = grown.value();
+
+  TableCorpus cold_corpus;
+  add_one_column(&cold_corpus, "first");
+  add_one_column(&cold_corpus, "second");
+  SynthesisSession cold_session(o);
+  Family cold = ColdChain(&cold_session, cold_corpus);
+  ASSERT_FALSE(HasFailure());
+
+  const BlockingStats& want = cold.blocked.blocking;
+  const BlockingStats& got = a.blocked.blocking;
+  EXPECT_TRUE(want.exact_counts);
+  EXPECT_EQ(want.exact_counts, got.exact_counts);
+  EXPECT_EQ(want.keys, got.keys);
+  EXPECT_EQ(want.dropped_postings, got.dropped_postings);
+  EXPECT_EQ(want.tainted_candidates, got.tainted_candidates);
+  EXPECT_EQ(want.tainted, got.tainted);
+
+  // The persisted blocked sections agree byte for byte once the
+  // run-dependent timings and cumulative pipeline stats are cleared.
+  const auto blocked_section = [](SynthesisSession* s,
+                                  const CandidateSet& candidates,
+                                  BlockedPairs blocked,
+                                  const std::string& path) -> std::string {
+    blocked.stats = PipelineStats{};
+    blocked.blocking.map_shuffle_seconds = 0.0;
+    blocked.blocking.count_seconds = 0.0;
+    blocked.blocking.reduce_seconds = 0.0;
+    EXPECT_TRUE(s->SaveSnapshot(path, candidates, &blocked).ok());
+    auto reader =
+        persist::ContainerReader::Open(path, persist::kSessionSnapshotMagic);
+    EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+    if (!reader.ok()) return {};
+    auto section = reader.value().Section(persist::kSectionBlockedPairs);
+    EXPECT_TRUE(section.ok());
+    std::string bytes = section.ok() ? std::string(section.value()) : "";
+    std::remove(path.c_str());
+    return bytes;
+  };
+  const std::string cold_bytes =
+      blocked_section(&cold_session, cold.candidates, cold.blocked,
+                      ScratchPath("incremental_empty_cold.mssnap"));
+  const std::string inc_bytes =
+      blocked_section(&session, a.candidates, a.blocked,
+                      ScratchPath("incremental_empty_inc.mssnap"));
+  EXPECT_FALSE(cold_bytes.empty());
+  EXPECT_EQ(cold_bytes, inc_bytes);
+}
+
+TEST(IncrementalPartitionTest, ResurrectedPairRepartitionsItsEndpoints) {
+  // Three tables share the pair (k1, v1); with max_posting = 2 its posting
+  // lists keep tables 0 and 1 and drop table 2 (each table yields a
+  // candidate per direction, and both directions behave alike). Tables 1
+  // and 2 also share (s1, t1), so with θ_overlap = 2 they sit one
+  // co-occurrence short of a blocked pair, and no pair reaches two: the
+  // base graph has no edge. Removing table 0 frees a slot, table 2 comes
+  // back under the cap, and tables 1 and 2 are blocked and scored. Their
+  // candidates share no edge with anything retired, so only the delta
+  // edges themselves mark the merged components dirty; a cold rebuild
+  // merges the two tables' mappings.
+  SynthesisOptions o = BaseOptions();
+  o.extraction.coherence_threshold = -1.0;
+  o.blocking.max_posting = 2;
+  o.blocking.theta_overlap = 2;
+  const std::vector<std::vector<std::vector<std::string>>> tables = {
+      {{"k1", "a1", "a2"}, {"v1", "x1", "x2"}},
+      {{"k1", "s1", "b1"}, {"v1", "t1", "y1"}},
+      {{"k1", "s1", "c1"}, {"v1", "t1", "z1"}},
+  };
+  const auto add = [&](TableCorpus* corpus, size_t t) {
+    corpus->AddFromStrings("site" + std::to_string(t) + ".example",
+                           TableSource::kWeb, {"name", "code"}, tables[t]);
+  };
+  TableCorpus corpus;
+  for (size_t t = 0; t < tables.size(); ++t) add(&corpus, t);
+  SynthesisSession session(o);
+  Family base = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(base.candidates.tables().size(), 6u);
+  ASSERT_GT(base.blocked.blocking.dropped_postings, 0u);
+  ASSERT_EQ(base.scored.graph.num_edges(), 0u);
+
+  auto removed = session.RemoveTables(&corpus, {0}, base.candidates,
+                                      base.blocked, base.scored,
+                                      base.partitions, base.result);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  const AppendedArtifacts& a = removed.value();
+  ASSERT_EQ(a.append.delta_edges, 2u);
+
+  TableCorpus cold_corpus;
+  add(&cold_corpus, 1);
+  add(&cold_corpus, 2);
+  SynthesisSession cold_session(o);
+  Family cold = ColdChain(&cold_session, cold_corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(cold.result.mappings.size(), 2u);
+  EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
+            Canonical(a.result, corpus.pool()));
+}
+
+TEST(IncrementalPartitionTest, GlobalScopeWithFlippedTableMatchesColdRebuild) {
+  // Without divide-and-conquer, Algorithm 3 runs over one scope holding
+  // every vertex, and the mutation path hands it over in (source table, id)
+  // order. An append that flips a minority of old coherence verdicts parks
+  // the re-extractions at tail ids; the family must still equal its cold
+  // rebuild, with and without truncated posting lists. The search runs
+  // until some flipped family's graph partitions differently in ascending
+  // id order (what a cold Partition() of that graph does), so member order
+  // really is under test.
+  Rng rng(20261018);
+  size_t flips = 0, truncated_flips = 0, order_sensitive = 0;
+  for (size_t iter = 0;
+       iter < 400 && (truncated_flips == 0 || order_sensitive == 0); ++iter) {
+    const size_t n_tables = 30 + rng.Uniform(40);
+    auto specs = RandomCorpusSpec(rng, n_tables);
+    SynthesisOptions o = BaseOptions();
+    o.divide_and_conquer = false;
+    o.extraction.coherence_threshold = rng.Bernoulli(0.5) ? 0.05 : 0.15;
+    o.blocking.max_posting = rng.Bernoulli(0.5) ? 4 : 256;
+    const size_t split = n_tables / 2 + rng.Uniform(n_tables / 2);
+
+    TableCorpus inc_corpus;
+    AddSpecs(&inc_corpus, specs, 0, split);
+    SynthesisSession session(o);
+    Family inc = ColdChain(&session, inc_corpus);
+    ASSERT_FALSE(HasFailure());
+    AddSpecs(&inc_corpus, specs, split, n_tables);
+    auto grown = session.AppendTables(inc_corpus, split, inc.candidates,
+                                      inc.blocked, inc.scored,
+                                      inc.partitions, inc.result);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    AppendedArtifacts a = std::move(grown).value();
+    if (a.append.extraction_stable || a.append.full_rebuild) continue;
+    ++flips;
+    truncated_flips += a.blocked.blocking.dropped_postings != 0;
+    SCOPED_TRACE("iter " + std::to_string(iter) + " tables " +
+                 std::to_string(n_tables) + " split " + std::to_string(split) +
+                 " max_posting " + std::to_string(o.blocking.max_posting));
+    EXPECT_EQ(a.append.dirty_components, 1u);
+
+    TableCorpus cold_corpus;
+    AddSpecs(&cold_corpus, specs, 0, n_tables);
+    SynthesisSession cold_session(o);
+    Family cold = ColdChain(&cold_session, cold_corpus);
+    ASSERT_FALSE(HasFailure());
+    const auto want = Canonical(cold.result, cold_corpus.pool());
+
+    auto by_id = session.Partition(a.scored);
+    ASSERT_TRUE(by_id.ok());
+    auto by_id_result = session.Resolve(a.candidates, a.scored, by_id.value());
+    ASSERT_TRUE(by_id_result.ok());
+    order_sensitive +=
+        Canonical(by_id_result.value(), inc_corpus.pool()) != want;
+
+    inc.candidates = std::move(a.candidates);
+    inc.blocked = std::move(a.blocked);
+    inc.scored = std::move(a.scored);
+    inc.result = std::move(a.result);
+    ExpectIdenticalUnderColdIds(cold, inc);
+    EXPECT_EQ(cold.result.stats.partitions, inc.result.stats.partitions);
+    EXPECT_EQ(want, Canonical(inc.result, inc_corpus.pool()));
+    ASSERT_FALSE(HasFailure());
+  }
+  EXPECT_GT(truncated_flips, 0u)
+      << "no append flipped a minority of verdicts under truncation";
+  EXPECT_GT(order_sensitive, 0u)
+      << "no flipped family was sensitive to partition member order";
+  std::printf("global scope: %zu flips, %zu with truncation, %zu order-"
+              "sensitive\n",
+              flips, truncated_flips, order_sensitive);
 }
 
 // --------------------------------------------- snapshot round trips (PR 4)
