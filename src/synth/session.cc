@@ -92,29 +92,42 @@ uint64_t OptionsFingerprint(const SynthesisOptions& o) {
 
 namespace {
 
-/// The vertex groups Algorithm 3 runs on, members in ascending id: the
-/// positive components (Appendix F divide-and-conquer) or, without it, one
-/// group holding every vertex. `comp` receives each vertex's group index.
+/// Sorts `members` by (order[v], v), the cold order (see ScoredGraph::order
+/// and ColdOrder); an empty `order` is id order, which ascending member
+/// lists already follow.
+void SortColdOrder(const std::vector<uint32_t>& order,
+                   std::vector<VertexId>* members) {
+  if (order.empty()) return;
+  std::sort(members->begin(), members->end(), [&](VertexId x, VertexId y) {
+    return std::tie(order[x], x) < std::tie(order[y], y);
+  });
+}
+
+/// The vertex groups Algorithm 3 runs on, members in cold order (`order`,
+/// see SortColdOrder): the positive components (Appendix F
+/// divide-and-conquer) or, without it, one group holding every vertex.
+/// `comp` receives each vertex's group index.
 std::vector<std::vector<VertexId>> PartitionScopes(
     const CompatibilityGraph& graph, const SynthesisOptions& options,
-    std::vector<uint32_t>* comp) {
+    const std::vector<uint32_t>& order, std::vector<uint32_t>* comp) {
+  std::vector<std::vector<VertexId>> groups;
   if (options.divide_and_conquer) {
     *comp = ConnectedComponentsBfs(graph, options.partitioner.theta_edge);
-    return GroupByComponent(*comp);
+    groups = GroupByComponent(*comp);
+  } else {
+    comp->assign(graph.num_vertices(), 0);
+    if (graph.num_vertices() == 0) return {};
+    groups.emplace_back(graph.num_vertices());
+    std::iota(groups[0].begin(), groups[0].end(), VertexId{0});
   }
-  comp->assign(graph.num_vertices(), 0);
-  if (graph.num_vertices() == 0) return {};
-  std::vector<VertexId> all(graph.num_vertices());
-  std::iota(all.begin(), all.end(), VertexId{0});
-  return {std::move(all)};
+  for (auto& members : groups) SortColdOrder(order, &members);
+  return groups;
 }
 
 /// Algorithm 3 per scope (see PartitionScopes): each of `components` is
 /// partitioned on its component-local subgraph, with members in the order
 /// given — the greedy tie-breaks on local index, so that order is part of
-/// the result. Partition() passes every scope with members in ascending id;
-/// the mutation path passes its dirty scopes with members in cold order,
-/// (source table, id). `comp` maps every vertex to its scope, which filters
+/// the result. `comp` maps every vertex to its scope, which filters
 /// out cross-component edges (positive weight below θ_edge). New partition
 /// ids are drawn from `partition->num_partitions` upward; vertices outside
 /// `components` keep whatever `partition->partition_of` already holds. When
@@ -232,14 +245,15 @@ obs::Histogram* StageHistogram(const char* stage) {
                                                      {{"stage", stage}});
 }
 
-/// Posting-list truncation order for a candidate family (see blocking.h):
-/// each candidate's source table, so lists truncate in (source table, id)
-/// order, the order in which a cold extraction over the same corpus assigns
-/// dense ids. Empty (id order) when the live ids already follow it, which
-/// every cold extraction's do, and for adopted sets, whose ids are their
-/// order by definition. Dead candidates hold no postings, so they are
-/// ignored.
-std::vector<uint32_t> TruncationOrder(const CandidateSet& c) {
+/// The cold order of a candidate family: each candidate's source table, so
+/// that (order[id], id) is the order in which a cold extraction over the
+/// same corpus assigns dense ids. Posting lists truncate in it (see
+/// blocking.h), and partitioning and conflict resolution take members in it
+/// (ScoredGraph::order). Empty (id order) when the live ids already follow
+/// it, which every cold extraction's do, and for adopted sets, whose ids
+/// are their order by definition. Dead candidates hold no postings and no
+/// edges, so they are ignored.
+std::vector<uint32_t> ColdOrder(const CandidateSet& c) {
   if (c.kept_offsets.empty()) return {};
   const std::vector<BinaryTable>& tables = c.tables();
   std::vector<uint32_t> order(tables.size());
@@ -448,7 +462,7 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
   Timer timer;
   out.pairs = GenerateCandidatePairs(candidates.tables(), options_.blocking,
                                      threads_.get(), &out.blocking,
-                                     TruncationOrder(candidates));
+                                     ColdOrder(candidates));
   out.stats = candidates.stats;
   FillBlockingStats(out.blocking, out.pairs.size(), timer.ElapsedSeconds(),
                     &out.stats);
@@ -575,6 +589,7 @@ Result<ScoredGraph> SynthesisSession::ScorePairs(
   out.graph = ScoreThroughSessionMatchers(candidates.tables(),
                                           *candidates.pool, blocked.pairs,
                                           &scoring);
+  out.order = ColdOrder(candidates);
   out.stats = blocked.stats;  // blocking never fills scoring, so this run's
   out.stats.scoring.Add(scoring);  // counters land on a clean slate
   out.stats.scoring_seconds = timer.ElapsedSeconds();
@@ -601,7 +616,7 @@ Result<Partitions> SynthesisSession::Partition(const ScoredGraph& sg) {
   Timer step;
   PartitionResult partition;
   std::vector<uint32_t> comp;
-  const auto groups = PartitionScopes(graph, options_, &comp);
+  const auto groups = PartitionScopes(graph, options_, sg.order, &comp);
   if (options_.divide_and_conquer) out.stats.components = groups.size();
   PartitionComponents(graph, comp, groups, options_.partitioner,
                       threads_.get(), &partition, nullptr);
@@ -646,9 +661,10 @@ Result<SynthesisResult> SynthesisSession::Resolve(
   SynthesisResult result;
   result.stats = partitions.stats;
 
-  // Conflict resolution + mapping assembly.
+  // Conflict resolution + mapping assembly, members in cold order.
   Timer step;
   auto groups = partitions.partition.Groups();
+  for (auto& members : groups) SortColdOrder(graph.order, &members);
   std::vector<SynthesizedMapping> mappings =
       ResolveGroups(cands, groups, options_, conflict, threads_.get());
   result.stats.resolve_seconds = step.ElapsedSeconds();
@@ -1042,7 +1058,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
 
   // --- Blocking. Posting lists truncate in (source table, id) order, the
   // order in which a cold rebuild over the mutated corpus assigns its dense
-  // ids (TruncationOrder). Appends and removals keep live ids in table
+  // ids (ColdOrder). Appends and removals keep live ids in table
   // order, but a flipped table's re-extraction takes tail ids where a cold
   // run would slot it in table order; ranking by source table keeps every
   // kept set, count and taint bit identical to the cold run's all the same.
@@ -1056,7 +1072,8 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // mutated set is re-blocked from scratch; scoring below still reuses
   // every base edge whose pair survived.
   step.Restart();
-  const std::vector<uint32_t> order = TruncationOrder(out.candidates);
+  out.scored.order = ColdOrder(out.candidates);
+  const std::vector<uint32_t>& order = out.scored.order;
   const bool reextracted = !delta.flipped_tables.empty();
   const size_t base_dropped = blocked.blocking.dropped_postings;
   std::vector<CandidateTablePair> delta_pairs;
@@ -1127,7 +1144,12 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // loses every pair; a displaced posting can cost an old pair its overlap)
   // and is then reused verbatim: weights depend only on the two candidates'
   // contents, which are unchanged. Both endpoints of every dropped base
-  // edge and of every delta edge are marked dirty for the partition step.
+  // edge are marked dirty for the partition step, and so are those of every
+  // delta edge when blocking re-ran from scratch: a resurrected old-old
+  // pair can link two scopes that hold no new candidate. A merged delta
+  // pass needs no marking, since each of its edges touches a new candidate
+  // (dirty below), and an edge into another scope lies below θ_edge, so it
+  // leaves that scope's subgraph as it was.
   step.Restart();
   ScoringStats scoring;
   CompatibilityGraph delta_graph = ScoreThroughSessionMatchers(
@@ -1162,7 +1184,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
           (bi < be.size() &&
            std::tie(be[bi].u, be[bi].v) < std::tie(de[di].u, de[di].v));
       const CompatEdge& e = take_base ? be[bi++] : de[di++];
-      if (!take_base) mark_endpoints(e);
+      if (!take_base && !merge) mark_endpoints(e);
       merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
     }
   }
@@ -1179,8 +1201,8 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // components, or the whole graph without divide-and-conquer). A scope is
   // re-partitioned only when its induced subgraph could differ from the
   // base run's: it holds a dirty vertex — a new candidate, a candidate this
-  // mutation retired, or an endpoint of a dropped base edge or a delta
-  // edge. Every other scope's subgraph — and therefore its greedy
+  // mutation retired, or an endpoint of a dropped base edge or a re-blocked
+  // delta edge. Every other scope's subgraph — and therefore its greedy
   // partition — is provably identical to the base run's; carry it. (If a
   // dropped edge split a base component, every resulting piece holds one
   // of its endpoints, so all pieces are re-partitioned — membership of
@@ -1196,7 +1218,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   };
   std::vector<uint32_t> comp;
   std::vector<std::vector<VertexId>> groups =
-      PartitionScopes(out.scored.graph, options_, &comp);
+      PartitionScopes(out.scored.graph, options_, order, &comp);
   const size_t num_components = groups.size();
   std::vector<char> comp_dirty(groups.size(), 0);
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -1228,22 +1250,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
 
   std::vector<std::vector<VertexId>> dirty;
   for (size_t g = 0; g < groups.size(); ++g) {
-    if (!comp_dirty[g]) continue;
-    // The greedy partitioner tie-breaks on vertex ids, so hand each dirty
-    // scope its members in the relative order a cold run's dense ids would
-    // impose: by source table, then by id (within one table, id order is
-    // extraction order for base candidates and re-extractions alike). For
-    // append/removal-only families this is a no-op — live ids are already
-    // table-ordered — but it makes the local subgraph bit-identical to the
-    // cold run's even when a flipped table's re-extraction sits at tail
-    // ids, and it feeds conflict resolution its members in cold order too.
-    // Retired candidates are isolated, so where they sort cannot matter.
-    std::sort(groups[g].begin(), groups[g].end(),
-              [&](VertexId x, VertexId y) {
-                return std::tie(out.candidates.owned[x].source_table, x) <
-                       std::tie(out.candidates.owned[y].source_table, y);
-              });
-    dirty.push_back(std::move(groups[g]));
+    if (comp_dirty[g]) dirty.push_back(std::move(groups[g]));
   }
   // merges_performed covers only re-partitioned scopes: the base artifact
   // stores a whole-run total that cannot be decomposed per clean scope, so
@@ -1553,6 +1560,7 @@ Result<SessionSnapshot> SynthesisSession::RestoreSnapshot(
     snap.scored->session = this;
     snap.scored->artifact_id += shift;
     snap.scored->candidates_id += shift;
+    snap.scored->order = ColdOrder(*snap.candidates);
   }
   next_artifact_id_ = std::max(next_artifact_id_, max_id + shift + 1);
   ++session_stats_.snapshot_restores;

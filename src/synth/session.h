@@ -198,6 +198,14 @@ struct BlockedPairs {
 struct ScoredGraph {
   CompatibilityGraph graph;
   PipelineStats stats;  ///< cumulative through scoring
+  /// The candidate set's cold order, one key per vertex: each candidate's
+  /// source table when its live ids have left table order (a minority
+  /// coherence flip re-extracts tables at tail ids), empty otherwise (id
+  /// order). Partition() and Resolve() take every scope's and every
+  /// group's members by (order[v], v), the order a cold rebuild's dense
+  /// ids impose, since the greedy partitioner and conflict resolution break
+  /// ties on member position. Derived from the candidates, never persisted.
+  std::vector<uint32_t> order;
 
   uint64_t artifact_id = 0;
   uint64_t candidates_id = 0;
@@ -249,9 +257,9 @@ struct AppendStats {
   size_t carried_mappings = 0;
   /// False iff some pre-existing table's coherence verdict flipped under
   /// the mutated corpus statistics. A flip stays on the delta path: the
-  /// flipped tables are re-extracted at tail ids, and truncation and
-  /// partitioning follow (source table, id) order, so where those ids
-  /// landed does not matter.
+  /// flipped tables are re-extracted at tail ids, and truncation,
+  /// partitioning and conflict resolution follow (source table, id) order,
+  /// so where those ids landed does not matter (ScoredGraph::order).
   bool extraction_stable = false;
   /// How many old tables flipped (0 when extraction_stable). Flipped
   /// tables are re-extracted in place (their old candidates tombstoned,
@@ -365,11 +373,14 @@ class SynthesisSession {
                                  const BlockedPairs& blocked);
 
   /// Stage 4: greedy partitioning (Algorithm 3), divide-and-conquer per
-  /// positive component when options().divide_and_conquer.
+  /// positive component when options().divide_and_conquer. Members are
+  /// taken in `graph.order` (see ScoredGraph), so a mutated family
+  /// re-partitions exactly as its cold rebuild would.
   Result<Partitions> Partition(const ScoredGraph& graph);
 
   /// Stage 5: conflict resolution (Algorithm 4) + mapping assembly +
-  /// curation filter. `graph` is only consulted for stats lineage.
+  /// curation filter. `graph` supplies the member order (ScoredGraph::order)
+  /// and stats lineage.
   Result<SynthesisResult> Resolve(const CandidateSet& candidates,
                                   const ScoredGraph& graph,
                                   const Partitions& partitions);

@@ -18,8 +18,10 @@
 // graph edge are identical under that map, plus identical canonical
 // mappings. This holds with truncation in play: posting lists truncate in
 // (source table, id) order, so which postings a hot key keeps does not
-// depend on where a re-extraction's ids landed. Only a majority flip falls
-// back to the internal cold rebuild.
+// depend on where a re-extraction's ids landed, and Partition() and
+// Resolve() take members in that order (ScoredGraph::order), so a later
+// re-partition of such a family equals its cold rebuild too. Only a
+// majority flip falls back to the internal cold rebuild.
 // The randomized differential runs under the ASan+UBSan CI leg like every
 // other suite; MS_FUZZ_ITERS deepens it in CI (see .github/workflows/ci.yml).
 #include <cstdio>
@@ -33,6 +35,7 @@
 
 #include "apps/serving.h"
 #include "common/random.h"
+#include "graph/connected_components.h"
 #include "persist/corpus_store.h"
 #include "persist/snapshot.h"
 #include "synth/blocking.h"
@@ -306,6 +309,55 @@ Family ColdChain(SynthesisSession* session, const TableCorpus& corpus) {
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   f.result = std::move(r).value();
   return f;
+}
+
+/// Test-local member-order oracle: Algorithm 3 over the scopes Partition()
+/// uses (each positive component, or the whole graph without
+/// divide-and-conquer), members in ascending id rather than in the family's
+/// cold order. Where this differs from a cold rebuild, member order matters.
+PartitionResult AscendingIdPartition(const CompatibilityGraph& graph,
+                                     const SynthesisOptions& o) {
+  if (!o.divide_and_conquer) return GreedyPartition(graph, o.partitioner);
+  const auto comp = ConnectedComponentsBfs(graph, o.partitioner.theta_edge);
+  const auto groups = GroupByComponent(comp);
+  std::vector<uint32_t> local_of(graph.num_vertices(), 0);
+  for (const auto& members : groups) {
+    for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
+  }
+  PartitionResult out;
+  out.partition_of.assign(graph.num_vertices(), 0);
+  for (const auto& members : groups) {
+    CompatibilityGraph sub(members.size());
+    for (const CompatEdge& e : graph.edges()) {
+      if (comp[e.u] != comp[members[0]] || comp[e.v] != comp[e.u]) continue;
+      sub.AddEdge(local_of[e.u], local_of[e.v], e.w_pos, e.w_neg);
+    }
+    sub.Finalize();
+    const PartitionResult local = GreedyPartition(sub, o.partitioner);
+    for (uint32_t i = 0; i < members.size(); ++i) {
+      out.partition_of[members[i]] =
+          static_cast<uint32_t>(out.num_partitions) + local.partition_of[i];
+    }
+    out.num_partitions += local.num_partitions;
+  }
+  return out;
+}
+
+/// Resolves `scored` under `partition` instead of the session's own
+/// partitioning (lineage taken from a real Partition() of the same graph).
+SynthesisResult ResolveUnder(SynthesisSession* session,
+                             const CandidateSet& candidates,
+                             const ScoredGraph& scored,
+                             PartitionResult partition) {
+  auto parts = session->Partition(scored);
+  EXPECT_TRUE(parts.ok()) << parts.status().ToString();
+  if (!parts.ok()) return {};
+  Partitions p = std::move(parts).value();
+  p.partition = std::move(partition);
+  auto r = session->Resolve(candidates, scored, p);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return {};
+  return std::move(r).value();
 }
 
 SynthesisOptions BaseOptions() {
@@ -1145,13 +1197,14 @@ TEST(IncrementalPartitionTest, ResurrectedPairRepartitionsItsEndpoints) {
 
 TEST(IncrementalPartitionTest, GlobalScopeWithFlippedTableMatchesColdRebuild) {
   // Without divide-and-conquer, Algorithm 3 runs over one scope holding
-  // every vertex, and the mutation path hands it over in (source table, id)
-  // order. An append that flips a minority of old coherence verdicts parks
-  // the re-extractions at tail ids; the family must still equal its cold
-  // rebuild, with and without truncated posting lists. The search runs
-  // until some flipped family's graph partitions differently in ascending
-  // id order (what a cold Partition() of that graph does), so member order
-  // really is under test.
+  // every vertex, taken in (source table, id) order. An append that flips a
+  // minority of old coherence verdicts parks the re-extractions at tail
+  // ids; the family must still equal its cold rebuild, with and without
+  // truncated posting lists, and so must a Partition() + Resolve() of its
+  // graph, as scored by the mutation or re-scored by ScorePairs. The search
+  // runs until some flipped family's graph partitions differently in
+  // ascending id order (AscendingIdPartition), so member order really is
+  // under test.
   Rng rng(20261018);
   size_t flips = 0, truncated_flips = 0, order_sensitive = 0;
   for (size_t iter = 0;
@@ -1190,12 +1243,20 @@ TEST(IncrementalPartitionTest, GlobalScopeWithFlippedTableMatchesColdRebuild) {
     ASSERT_FALSE(HasFailure());
     const auto want = Canonical(cold.result, cold_corpus.pool());
 
-    auto by_id = session.Partition(a.scored);
-    ASSERT_TRUE(by_id.ok());
-    auto by_id_result = session.Resolve(a.candidates, a.scored, by_id.value());
-    ASSERT_TRUE(by_id_result.ok());
     order_sensitive +=
-        Canonical(by_id_result.value(), inc_corpus.pool()) != want;
+        Canonical(ResolveUnder(&session, a.candidates, a.scored,
+                               AscendingIdPartition(a.scored.graph, o)),
+                  inc_corpus.pool()) != want;
+    auto rescored = session.ScorePairs(a.candidates, a.blocked);
+    ASSERT_TRUE(rescored.ok());
+    EXPECT_EQ(rescored.value().order, a.scored.order);
+    for (const ScoredGraph* g : {&a.scored, &rescored.value()}) {
+      auto parts = session.Partition(*g);
+      ASSERT_TRUE(parts.ok());
+      auto again = session.Resolve(a.candidates, *g, parts.value());
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(want, Canonical(again.value(), inc_corpus.pool()));
+    }
 
     inc.candidates = std::move(a.candidates);
     inc.blocked = std::move(a.blocked);
@@ -1379,6 +1440,104 @@ TEST(IncrementalServiceTest, AppendAndResynthesizeServesWithoutColdRebuild) {
   EXPECT_EQ(ext_service.num_mappings(), cold.num_mappings());
 
   std::remove(tsv.c_str());
+}
+
+TEST(IncrementalServiceTest, RetuneAfterTruncatedFlipMatchesColdRebuild) {
+  // An append that flips a minority of old coherence verdicts while posting
+  // lists truncate leaves the family's re-extractions at tail ids.
+  // Resynthesize with new partitioner options keeps that family's graph and
+  // re-runs Partition() and Resolve() on it, and so does a service
+  // restarted from the family's snapshot. Both must serve what a cold build
+  // over the grown corpus under the new options serves, in both
+  // partitioning modes. The search runs until, in each mode, some case
+  // partitions differently in ascending id order (AscendingIdPartition),
+  // so member order really is under test. Every case checks the session's
+  // own Partition() + Resolve(); the slower service replay runs on the
+  // first cases of each mode and on every order-sensitive one.
+  Rng rng(20261019);
+  const std::string snap = ScratchPath("incremental_retune.mssnap");
+  size_t cases[2] = {0, 0}, order_sensitive[2] = {0, 0}, replays = 0;
+  for (size_t iter = 0;
+       iter < 800 && (order_sensitive[0] == 0 || order_sensitive[1] == 0);
+       ++iter) {
+    const bool dnc = iter % 2 == 1;
+    const size_t n_tables = 30 + rng.Uniform(40);
+    auto specs = RandomCorpusSpec(rng, n_tables);
+    SynthesisOptions o = BaseOptions();
+    o.divide_and_conquer = dnc;
+    o.extraction.coherence_threshold = rng.Bernoulli(0.5) ? 0.05 : 0.15;
+    o.blocking.max_posting = 2 + rng.Uniform(3);
+    const size_t split = n_tables / 2 + rng.Uniform(n_tables / 2);
+    SynthesisOptions retuned = o;
+    retuned.partitioner.tau = -0.4;
+
+    TableCorpus corpus;
+    AddSpecs(&corpus, specs, 0, split);
+    SynthesisSession session(o);
+    Family base = ColdChain(&session, corpus);
+    ASSERT_FALSE(HasFailure());
+    AddSpecs(&corpus, specs, split, n_tables);
+    auto grown = session.AppendTables(corpus, split, base.candidates,
+                                      base.blocked, base.scored,
+                                      base.partitions, base.result);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    const AppendedArtifacts& a = grown.value();
+    if (a.append.extraction_stable || a.append.full_rebuild ||
+        a.blocked.blocking.dropped_postings == 0) {
+      continue;
+    }
+    ++cases[dnc];
+    SCOPED_TRACE("iter " + std::to_string(iter) + " dnc " +
+                 std::to_string(dnc) + " max_posting " +
+                 std::to_string(o.blocking.max_posting));
+
+    TableCorpus cold_corpus;
+    AddSpecs(&cold_corpus, specs, 0, n_tables);
+    SynthesisSession cold_session(retuned);
+    Family cold = ColdChain(&cold_session, cold_corpus);
+    ASSERT_FALSE(HasFailure());
+    const auto want = Canonical(cold.result, cold_corpus.pool());
+    ASSERT_TRUE(session.UpdateOptions(retuned).ok());
+    auto parts = session.Partition(a.scored);
+    ASSERT_TRUE(parts.ok());
+    auto again = session.Resolve(a.candidates, a.scored, parts.value());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(want, Canonical(again.value(), corpus.pool()));
+    const bool sensitive =
+        Canonical(ResolveUnder(&session, a.candidates, a.scored,
+                               AscendingIdPartition(a.scored.graph, retuned)),
+                  corpus.pool()) != want;
+    order_sensitive[dnc] += sensitive;
+    if (!sensitive && cases[dnc] > 2) continue;
+
+    ++replays;
+    TableCorpus external;
+    AddSpecs(&external, specs, 0, split);
+    MappingService service(o);
+    ASSERT_TRUE(service.Synthesize(external).ok());
+    AddSpecs(&external, specs, split, n_tables);
+    ASSERT_TRUE(service.ResynthesizeAppended().ok());
+    ASSERT_TRUE(service.SaveSnapshot(snap).ok());
+    ASSERT_TRUE(service.Resynthesize(retuned).ok());
+    EXPECT_EQ(want, Canonical(service.last_result(), *service.shared_pool()));
+
+    MappingService restarted(o);
+    ASSERT_TRUE(restarted.OpenFromSnapshot(snap).ok());
+    ASSERT_TRUE(restarted.Resynthesize(retuned).ok());
+    EXPECT_EQ(want,
+              Canonical(restarted.last_result(), *restarted.shared_pool()));
+    ASSERT_FALSE(HasFailure());
+  }
+  std::remove(snap.c_str());
+  for (int dnc = 0; dnc < 2; ++dnc) {
+    EXPECT_GT(order_sensitive[dnc], 0u)
+        << "no truncated flip was sensitive to member order, dnc " << dnc;
+  }
+  std::printf("retune after truncated flips: %zu/%zu cases, %zu/%zu "
+              "order-sensitive (global/divide-and-conquer), %zu service "
+              "replays\n",
+              cases[0], cases[1], order_sensitive[0], order_sensitive[1],
+              replays);
 }
 
 TEST(IncrementalServiceTest, AppendRequiresACorpus) {
