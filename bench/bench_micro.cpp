@@ -1,15 +1,14 @@
 // Google-benchmark micro-benchmarks for the performance-critical kernels:
 // banded vs full vs bit-parallel Myers edit distance (short / long /
 // mismatched lengths, one-shot and prebuilt-pattern), NPMI lookups,
-// blocking, pair scoring, greedy partitioning, conflict resolution, bloom
-// probes, and mapping-store lookups.
+// blocking, pair scoring, greedy partitioning, conflict resolution, and
+// mapping-store lookups.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <memory>
 
 #include "apps/mapping_store.h"
-#include "common/bloom_filter.h"
 #include "common/random.h"
 #include "persist/corpus_store.h"
 #include "stats/npmi.h"
@@ -314,22 +313,6 @@ void BM_ConflictResolution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConflictResolution);
-
-void BM_BloomProbe(benchmark::State& state) {
-  BloomFilter bf(10000, 0.01);
-  Rng rng(5);
-  std::vector<std::string> keys;
-  for (int i = 0; i < 10000; ++i) {
-    keys.push_back("entry" + std::to_string(i));
-    bf.Add(keys.back());
-  }
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bf.MayContain(keys[i % keys.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_BloomProbe);
 
 void BM_MappingStoreLookup(benchmark::State& state) {
   auto pool = std::make_shared<StringPool>();

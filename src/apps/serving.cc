@@ -41,11 +41,6 @@ void MappingService::set_env(Env* env) {
   session_.set_env(env_);
 }
 
-void MappingService::set_containment_index_shards(size_t shards) {
-  const std::lock_guard<std::mutex> lock(writer_mu_);
-  containment_index_shards_ = shards;
-}
-
 void MappingService::InjectFaultForTests(ServingFault point) {
   const std::lock_guard<std::mutex> lock(writer_mu_);
   injected_fault_ = point;
@@ -646,8 +641,7 @@ Status MappingService::CommitAndPublish(BuildState&& s) {
   // "California[1]") miss values the pipeline matched.
   Timer rebuild_timer;
   auto store = std::make_shared<MappingStore>(
-      s.pool, session_.options().extraction.normalize,
-      containment_index_shards_);
+      s.pool, session_.options().extraction.normalize);
   for (const auto& m : s.result->mappings) {
     store->Add(m, m.left_label + "->" + m.right_label);
   }

@@ -377,11 +377,6 @@ class MappingService {
     return session_.session_stats();
   }
 
-  /// Shards for the store's containment index, applied at the next
-  /// successful transition's store build (0 = bloom-screened scan; see
-  /// MappingStore). Writer-serialized.
-  void set_containment_index_shards(size_t shards);
-
   // ------------------------------------------------- serving entry points
   // Thin forwards to the paper's three applications, each bound to one
   // acquired snapshot for its whole run. Wait-free readers.
@@ -493,7 +488,6 @@ class MappingService {
 
   std::shared_ptr<const SynthesisResult> last_result_;
   std::shared_ptr<const MappingStore> store_;
-  size_t containment_index_shards_ = 0;
   uint64_t versions_published_ = 0;
   ServingFault injected_fault_ = ServingFault::kNone;
 

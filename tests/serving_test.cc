@@ -3,8 +3,8 @@
 // the fail-closed transition contract (a failed transition leaves store,
 // pool, artifacts, corpus, options, and health() bit-identical), the
 // ServiceHealth reset semantics, the recoverable append protocol
-// (merge rollback on failure), and the batched/sharded lookup paths'
-// equivalence with the scalar/scan oracles.
+// (merge rollback on failure), and the batched lookups' equivalence with
+// the scalar calls.
 //
 // Chain failures are injected with MappingService::InjectFaultForTests —
 // the CPU-side analog of the persistence FaultInjectionEnv sweep
@@ -804,79 +804,6 @@ TEST(BatchLookupTest, BatchedLookupsMatchScalarOracle) {
   const auto out_of_range = svc.LookupBatch(store.size() + 5, {"x", "y"});
   ASSERT_EQ(out_of_range.size(), 2u);
   EXPECT_FALSE(out_of_range[0].has_value());
-}
-
-// ==================================================== ShardedStoreTest
-
-TEST(ShardedStoreTest, ShardedContainmentMatchesScanOracle) {
-  Rng rng(601);
-  auto specs = SmallCorpusSpec(rng, 12);
-  TableCorpus corpus;
-  AddSpecs(&corpus, specs, 0, specs.size());
-  MappingService svc(ServingOptions());
-  ASSERT_TRUE(svc.Synthesize(corpus).ok());
-  const auto snap = svc.AcquireSnapshot();
-  ASSERT_GT(snap->store->size(), 0u);
-
-  // Same mappings, one scan store and several sharded ones.
-  auto build = [&](size_t shards) {
-    auto store = std::make_unique<MappingStore>(
-        snap->pool, SynthesisOptions{}.extraction.normalize, shards);
-    for (const auto& m : snap->result->mappings) {
-      store->Add(m, m.left_label + "->" + m.right_label);
-    }
-    return store;
-  };
-  const auto scan = build(0);
-  for (const size_t shards : {1u, 4u, 13u}) {
-    const auto sharded = build(shards);
-    EXPECT_EQ(sharded->containment_index_shards(), shards);
-    for (size_t round = 0; round < 30; ++round) {
-      const auto probes = ProbeMix(rng, *snap, 1 + rng.Uniform(30));
-      const size_t min_hits = rng.Uniform(4);
-      const auto a = scan->FindByContainment(probes, min_hits);
-      const auto b = sharded->FindByContainment(probes, min_hits);
-      ASSERT_EQ(a.size(), b.size())
-          << "shards=" << shards << " min_hits=" << min_hits;
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].index, b[i].index) << "match " << i;
-        EXPECT_EQ(a[i].left_hits, b[i].left_hits) << "match " << i;
-        EXPECT_EQ(a[i].right_hits, b[i].right_hits) << "match " << i;
-      }
-    }
-  }
-}
-
-TEST(ShardedStoreTest, ServiceLevelShardingKeepsAppResultsIdentical) {
-  Rng rng(602);
-  auto specs = SmallCorpusSpec(rng, 12);
-  TableCorpus corpus_a, corpus_b;
-  AddSpecs(&corpus_a, specs, 0, specs.size());
-  AddSpecs(&corpus_b, specs, 0, specs.size());
-
-  MappingService plain(ServingOptions());
-  ASSERT_TRUE(plain.Synthesize(corpus_a).ok());
-  MappingService sharded(ServingOptions());
-  sharded.set_containment_index_shards(8);
-  ASSERT_TRUE(sharded.Synthesize(corpus_b).ok());
-  ASSERT_EQ(sharded.store().containment_index_shards(), 8u);
-  ASSERT_EQ(plain.num_mappings(), sharded.num_mappings());
-
-  const auto snap = plain.AcquireSnapshot();
-  for (size_t round = 0; round < 10; ++round) {
-    const auto column = ProbeMix(rng, *snap, 12);
-    const auto ca = plain.SuggestCorrections(column);
-    const auto cb = sharded.SuggestCorrections(column);
-    EXPECT_EQ(ca.mapping_index, cb.mapping_index);
-    EXPECT_EQ(ca.suggestions.size(), cb.suggestions.size());
-
-    const auto keys = ProbeMix(rng, *snap, 10);
-    const auto rights = ProbeMix(rng, *snap, 10);
-    const auto ja = plain.AutoJoin(keys, rights);
-    const auto jb = sharded.AutoJoin(keys, rights);
-    EXPECT_EQ(ja.mapping_index, jb.mapping_index);
-    EXPECT_EQ(ja.pairs.size(), jb.pairs.size());
-  }
 }
 
 }  // namespace
