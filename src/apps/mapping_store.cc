@@ -85,12 +85,15 @@ uint32_t MappingStore::SlotFor(ValueId id) {
 }
 
 void MappingStore::IndexKeys(uint32_t entry, uint8_t side, Keys* keys) {
-  // The records arrive in pair order; a stable sort keeps each key's first
-  // partner in that order in front, and unique drops the rest.
-  std::stable_sort(keys->begin(), keys->end(),
-                   [](const Key& a, const Key& b) {
-                     return a.hash != b.hash ? a.hash < b.hash : a.key < b.key;
-                   });
+  // A key with several partners keeps the one whose string is smallest:
+  // pair order follows ValueIds, which follow the order the pool happened
+  // to intern values in, so only the strings give an answer every build
+  // of the same mappings agrees on.
+  std::sort(keys->begin(), keys->end(), [&](const Key& a, const Key& b) {
+    if (a.hash != b.hash) return a.hash < b.hash;
+    if (a.key != b.key) return a.key < b.key;
+    return Text(a.partner) < Text(b.partner);
+  });
   keys->erase(std::unique(keys->begin(), keys->end(),
                           [](const Key& a, const Key& b) {
                             return a.key == b.key;

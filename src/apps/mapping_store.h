@@ -12,7 +12,8 @@
 //     each pair side costs one array read, and each distinct value is
 //     copied and hashed once.
 //   - Per entry and per direction, an array of (key hash, key slot, partner
-//     slot) records sorted by hash, one per distinct key. It alone answers
+//     slot) records sorted by hash, one per distinct key; a key with several
+//     partners keeps the one whose string is smallest. It alone answers
 //     Probe, LookupRight, LookupLeft and their batches: a probe hashes its
 //     normalized value, binary-searches the entry's own array, and reads a
 //     key's bytes only to confirm a hash match.
@@ -86,13 +87,15 @@ class MappingStore {
       const std::vector<std::string>& values, size_t min_hits = 2) const;
 
   /// Functional lookup left -> right within mapping `i` (normalized). A
-  /// left value paired with several rights answers the first right in the
-  /// mapping's pair order.
+  /// left value paired with several rights answers the right whose
+  /// normalized string is smallest (bytewise), so the answer depends only
+  /// on the mapping's contents, never on the order the pool interned its
+  /// values in.
   std::optional<std::string> LookupRight(size_t i,
                                          const std::string& raw_left) const;
 
-  /// Reverse lookup right -> left: the first left paired with the value in
-  /// the mapping's pair order.
+  /// Reverse lookup right -> left, with the same rule: of the lefts paired
+  /// with the value, the one whose normalized string is smallest.
   std::optional<std::string> LookupLeft(size_t i,
                                         const std::string& raw_right) const;
 

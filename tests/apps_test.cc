@@ -73,6 +73,9 @@ TEST_F(AppsFixture, ProbeNormalizesInput) {
 TEST_F(AppsFixture, LookupBothDirections) {
   EXPECT_EQ(store_.LookupRight(states_, "Washington").value(), "wa");
   EXPECT_EQ(store_.LookupLeft(states_, "WA").value(), "washington");
+  // Two cities map to california: the smaller string answers, whatever
+  // order the pool interned them in.
+  EXPECT_EQ(store_.LookupLeft(cities_, "California").value(), "los angeles");
   EXPECT_FALSE(store_.LookupRight(states_, "narnia").has_value());
 }
 

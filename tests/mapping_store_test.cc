@@ -33,16 +33,19 @@ ValueSide RefProbe(const Pairs& pairs, const std::string& raw) {
                        : ValueSide::kNone;
 }
 
-/// The partner of the first pair in pair order whose key side equals the
+/// The smallest partner string of the pairs whose key side equals the
 /// normalized value.
 std::optional<std::string> RefLookup(const Pairs& pairs,
                                      const std::string& raw,
                                      bool left_to_right) {
   const std::string v = NormalizeCell(raw);
+  std::optional<std::string> best;
   for (const auto& [l, r] : pairs) {
-    if ((left_to_right ? l : r) == v) return left_to_right ? r : l;
+    if ((left_to_right ? l : r) != v) continue;
+    const std::string& partner = left_to_right ? r : l;
+    if (!best || partner < *best) best = partner;
   }
-  return std::nullopt;
+  return best;
 }
 
 std::vector<MappingStore::ContainmentMatch> RefContainment(
@@ -225,6 +228,49 @@ TEST(MappingStoreOracleTest, LookupsMatchBruteForce) {
     }
   }
   EXPECT_GT(multi, 0u) << "no key had several partners";
+}
+
+TEST(MappingStoreOracleTest, AnswersDoNotDependOnInterningOrder) {
+  // The same string pairs in two pools that interned the vocabulary in
+  // opposite orders: pair (id) order reverses, the answers must not.
+  Rng rng(704);
+  std::vector<std::string> vocab;
+  for (int k = 0; k < 12; ++k) vocab.push_back("item " + std::to_string(k));
+  std::vector<std::vector<std::pair<std::string, std::string>>> mappings(6);
+  for (auto& m : mappings) {
+    for (int p = 0; p < 10; ++p) {
+      m.emplace_back(rng.Pick(vocab), rng.Pick(vocab));
+    }
+  }
+  auto build = [&](bool reversed) {
+    auto pool = std::make_shared<StringPool>();
+    for (size_t k = 0; k < vocab.size(); ++k) {
+      pool->Intern(vocab[reversed ? vocab.size() - 1 - k : k]);
+    }
+    auto store = std::make_unique<MappingStore>(pool);
+    for (const auto& m : mappings) {
+      std::vector<ValuePair> pairs;
+      for (const auto& [l, r] : m) {
+        pairs.push_back({pool->Intern(l), pool->Intern(r)});
+      }
+      SynthesizedMapping sm;
+      sm.merged = BinaryTable::FromPairs(std::move(pairs));
+      store->Add(std::move(sm), "m");
+    }
+    return std::make_pair(pool, std::move(store));
+  };
+  const auto [pool_a, a] = build(false);
+  const auto [pool_b, b] = build(true);
+  std::vector<std::string> probes = vocab;
+  probes.push_back("absent");
+  for (size_t i = 0; i < mappings.size(); ++i) {
+    EXPECT_EQ(a->LookupRightBatch(i, probes), b->LookupRightBatch(i, probes));
+    EXPECT_EQ(a->LookupLeftBatch(i, probes), b->LookupLeftBatch(i, probes));
+    for (const std::string& v : probes) {
+      EXPECT_EQ(a->LookupRight(i, v), b->LookupRight(i, v)) << v;
+      EXPECT_EQ(a->LookupLeft(i, v), b->LookupLeft(i, v)) << v;
+    }
+  }
 }
 
 }  // namespace
