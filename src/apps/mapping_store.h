@@ -144,7 +144,7 @@ class MappingStore {
   /// newest entry back to its oldest.
   struct Posting {
     uint32_t entry = 0;
-    uint32_t next = 0;  ///< older posting of the same value, or kNone
+    uint32_t next = 0;  ///< older posting of the value, or UINT32_MAX
     uint8_t sides = 0;  ///< bit 0 = left, bit 1 = right
   };
 
@@ -164,7 +164,7 @@ class MappingStore {
   const Key* FindKey(const Keys& keys, std::string_view v, uint64_t h) const;
   /// Which sides of entry `e` hold normalized value `v` (hash `h`).
   ValueSide SideOf(const Entry& e, std::string_view v, uint64_t h) const;
-  /// The value-table slot holding `v` (hash `h`), or kNone.
+  /// The value-table slot holding `v` (hash `h`), or UINT32_MAX.
   uint32_t FindSlot(std::string_view v, uint64_t h) const;
   /// Shared batch plumbing: fills scratch->distinct/hashes with one element
   /// per distinct normalized value and scratch->slot_of with each input's
@@ -183,7 +183,7 @@ class MappingStore {
   std::string bytes_;                ///< every value's bytes, back to back
   std::vector<size_t> offsets_{0};   ///< slot -> start; one end mark more
   std::vector<uint64_t> hashes_;     ///< slot -> hash of its bytes
-  std::vector<uint32_t> head_;       ///< slot -> newest posting
+  std::vector<uint32_t> head_;       ///< slot -> newest posting or UINT32_MAX
   std::vector<uint32_t> cells_;      ///< hash index over slots (slot + 1)
   std::vector<Posting> postings_;
   /// Build-time ValueId -> slot + 1 (0 = not in the store yet).

@@ -26,7 +26,7 @@ ValueId ShardedNormalizationCache::MissLocked(Shard& shard, ValueId raw) {
 }
 
 ValueId ShardedNormalizationCache::Normalized(ValueId raw) {
-  Shard& shard = *shards_[ShardOf(raw)];
+  Shard& shard = *shards_[ShardFor(raw)];
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(raw);
   if (it != shard.map.end()) {
@@ -51,7 +51,7 @@ void ShardedNormalizationCache::NormalizeBatch(const std::vector<ValueId>& raw,
 
   std::vector<std::vector<size_t>> buckets(shards_.size());
   for (size_t di = 0; di < distinct.size(); ++di) {
-    buckets[ShardOf(distinct[di])].push_back(di);
+    buckets[ShardFor(distinct[di])].push_back(di);
   }
 
   // Duplicates collapsed by the distinct step never touch the cache, but

@@ -61,7 +61,7 @@ class ShardedNormalizationCache {
     std::unordered_map<ValueId, ValueId> map;
   };
 
-  size_t ShardOf(ValueId raw) const {
+  size_t ShardFor(ValueId raw) const {
     return static_cast<size_t>(Mix64(raw)) & shard_mask_;
   }
 
