@@ -165,8 +165,9 @@ int main(int argc, char** argv) {
   });
 
   // ------------------------------------------------------------- fast path
-  // The pipeline's chunked loop: one BatchApproxMatcher per chunk so mask
-  // builds amortize, blocking hints threaded through.
+  // The pipeline's chunked loop: one BatchApproxMatcher and PairScorer per
+  // chunk so mask builds and table resolutions amortize, blocking hints
+  // threaded through.
   std::vector<PairScores> fast_scores(pairs.size());
   ScoringStats sstats;
   const double fast_s = BestOf([&] {
@@ -176,13 +177,12 @@ int main(int argc, char** argv) {
       const size_t end = std::min(begin + kChunk, pairs.size());
       BatchApproxMatcher matcher(pool, opts.edit, opts.approximate_matching,
                                  opts.synonyms);
+      PairScorer scorer(opts, &matcher);
       for (size_t i = begin; i < end; ++i) {
         const BlockingHint hint{pairs[i].shared_pairs, pairs[i].shared_lefts,
                                 bstats.exact_counts};
-        fast_scores[i] = ComputeCompatibility(candidates[pairs[i].a],
-                                              candidates[pairs[i].b], pool,
-                                              opts, &matcher, &hint,
-                                              &sstats);
+        fast_scores[i] = scorer.Score(candidates[pairs[i].a],
+                                      candidates[pairs[i].b], &hint, &sstats);
       }
       sstats.matcher.Add(matcher.stats());
     }

@@ -39,13 +39,14 @@ MappingStore::MappingStore(std::shared_ptr<StringPool> pool,
                            NormalizeOptions normalize)
     : pool_(std::move(pool)), normalize_(normalize) {}
 
-size_t MappingStore::Add(SynthesizedMapping mapping, std::string name) {
+size_t MappingStore::Add(const SynthesizedMapping& mapping,
+                         std::string name) {
   const uint32_t index = static_cast<uint32_t>(entries_.size());
-  Entry e{std::move(name), std::move(mapping), {}, {}};
+  Entry e{std::move(name), {}, {}};
   // Ids of a mapping over this pool are below its size; growing the dense
   // map once per Add keeps the per-pair path an array read.
   slot_of_id_.resize(std::max(slot_of_id_.size(), pool_->size()), 0);
-  const auto& pairs = e.mapping.merged.pairs();
+  const auto& pairs = mapping.merged.pairs();
   e.by_left.reserve(pairs.size());
   e.by_right.reserve(pairs.size());
   for (const ValuePair& p : pairs) {

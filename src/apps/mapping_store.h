@@ -52,14 +52,13 @@ class MappingStore {
                         NormalizeOptions normalize = {});
 
   /// Registers a curated mapping under a human-readable name. Returns its
-  /// index. Not thread-safe against any concurrent method — build first,
-  /// serve after.
-  size_t Add(SynthesizedMapping mapping, std::string name);
+  /// index. The store indexes the mapping's value pairs and keeps no copy
+  /// of it: callers that need the mapping itself read it where it lives
+  /// (a ServingSnapshot's result). Not thread-safe against any concurrent
+  /// method — build first, serve after.
+  size_t Add(const SynthesizedMapping& mapping, std::string name);
 
   size_t size() const { return entries_.size(); }
-  const SynthesizedMapping& mapping(size_t i) const {
-    return entries_[i].mapping;
-  }
   const std::string& name(size_t i) const { return entries_[i].name; }
 
   /// Which side(s) of mapping `i` contain the (raw) value.
@@ -135,7 +134,6 @@ class MappingStore {
 
   struct Entry {
     std::string name;
-    SynthesizedMapping mapping;
     Keys by_left;   ///< left -> right, sorted by hash
     Keys by_right;  ///< right -> left, sorted by hash
   };

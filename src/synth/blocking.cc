@@ -23,17 +23,30 @@ size_t NextPow2(size_t v) {
   return p;
 }
 
-// Blocking key spaces shared by both implementations: full value pairs get
+// Blocking key spaces shared by every implementation: full value pairs get
 // tag bit 0 (feeds shared_pairs / w+), left values get tag bit 1 (feeds
 // shared_lefts / w-).
+uint64_t PairKey(const ValuePair& p) {
+  return HashIdPair(p.left, p.right) << 1;
+}
+uint64_t LeftKey(ValueId left) { return (Mix64(left) << 1) | 1; }
+
+/// Calls `fn` with each pair key of `b`, then each distinct left's key.
+template <typename Fn>
+void ForEachBlockingKey(const BinaryTable& b, Fn&& fn) {
+  const auto& pairs = b.pairs();
+  for (const auto& p : pairs) fn(PairKey(p));
+  // Pairs are sorted by left, so each left-run start is a distinct left.
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    if (i == 0 || pairs[i].left != pairs[i - 1].left) {
+      fn(LeftKey(pairs[i].left));
+    }
+  }
+}
+
 void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
                       Emitter<uint64_t, uint32_t>& em) {
-  for (const auto& p : b.pairs()) {
-    em.Emit(HashIdPair(p.left, p.right) << 1, id);
-  }
-  for (ValueId l : b.LeftValues()) {
-    em.Emit((Mix64(l) << 1) | 1, id);
-  }
+  ForEachBlockingKey(b, [&](uint64_t key) { em.Emit(key, id); });
 }
 
 // A candidate's position in the truncation order: (order[id], id), packed.
@@ -129,6 +142,56 @@ bool DeltaMergeIsExact(bool retired, bool reranked,
   const bool resurrection = retired && base_dropped_postings != 0;
   const bool displacement = reranked && delta_dropped_postings != 0;
   return !resurrection && !displacement;
+}
+
+size_t CountRetiredOnlyKeys(const std::vector<BinaryTable>& before,
+                            const std::vector<uint8_t>& retired,
+                            const std::vector<BinaryTable>& after,
+                            uint32_t first_new) {
+  // Every key a retired candidate holds, flagged once a survivor is seen
+  // holding it. Keys are stored shifted by one: FlatMap64 reserves key 0.
+  FlatMap64<uint8_t> orphans;
+  // Which sides the retired candidates hold each value on. A survivor can
+  // hold a retired left key only under a retired left, and a retired pair
+  // key only on a pair whose two values are a retired left and a retired
+  // right (64-bit key hashes are taken as collision-free, as blocking
+  // itself takes them), so every other key is skipped without hashing.
+  constexpr uint8_t kLeft = 1, kRight = 2;
+  std::vector<uint8_t> sides;
+  const auto flag = [&sides](ValueId v, uint8_t side) {
+    if (v >= sides.size()) sides.resize(static_cast<size_t>(v) + 1, 0);
+    sides[v] |= side;
+  };
+  const auto has = [&sides](ValueId v, uint8_t side) {
+    return v < sides.size() && (sides[v] & side) != 0;
+  };
+  for (size_t i = 0; i < retired.size(); ++i) {
+    if (!retired[i]) continue;
+    ForEachBlockingKey(before[i],
+                       [&](uint64_t key) { orphans[key + 1] = 0; });
+    for (const ValuePair& p : before[i].pairs()) {
+      flag(p.left, kLeft);
+      flag(p.right, kRight);
+    }
+  }
+  size_t unseen = orphans.size();
+  const auto seen_held = [&](uint64_t key) {
+    const uint8_t* held = orphans.Find(key + 1);
+    if (held != nullptr && *held == 0) {
+      orphans[key + 1] = 1;
+      --unseen;
+    }
+  };
+  for (uint32_t id = 0; id < first_new && unseen != 0; ++id) {
+    const auto& pairs = after[id].pairs();
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const ValuePair& p = pairs[i];
+      if (!has(p.left, kLeft)) continue;
+      if (i == 0 || p.left != pairs[i - 1].left) seen_held(LeftKey(p.left));
+      if (has(p.right, kRight)) seen_held(PairKey(p));
+    }
+  }
+  return unseen;
 }
 
 std::vector<CandidateTablePair> GenerateCandidatePairs(

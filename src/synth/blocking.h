@@ -159,6 +159,19 @@ std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
     DeltaBlockingStats* stats = nullptr,
     const std::vector<uint32_t>& order = {});
 
+/// The blocking keys a retirement takes out of a merged run's count: the
+/// distinct keys the candidates flagged in `retired` hold in `before` that
+/// no candidate of `after` below `first_new` holds. `after` is the mutated
+/// candidate set, where retired candidates are empty shells, so a delta
+/// pass over it counts a key only the retired held as new again when a new
+/// candidate brings it back. One pass collects the retired candidates'
+/// keys; one pass over the survivors' keys, filtered by that set and cut
+/// short once every retired key is seen held, keeps the rest.
+size_t CountRetiredOnlyKeys(const std::vector<BinaryTable>& before,
+                            const std::vector<uint8_t>& retired,
+                            const std::vector<BinaryTable>& after,
+                            uint32_t first_new);
+
 /// The session's branch rule: whether merging a delta pass into its base
 /// run reproduces re-blocking the whole mutated candidate set. Two things
 /// break the merge:

@@ -6,14 +6,18 @@
 // edit distance with a fractional threshold, then synonym-dictionary
 // assisted.
 //
-// The production entry point is the extended ComputeCompatibility overload:
-// it scores through a caller-owned BatchApproxMatcher (pattern bitmasks
-// cached across the whole candidate loop) and can reuse the shared_pairs /
+// The production entry point is PairScorer: it scores through a caller-
+// owned BatchApproxMatcher (pattern bitmasks cached across the whole
+// candidate loop), resolves each table's values once, decides each pair of
+// left values once per scored pair, and can reuse the shared_pairs /
 // shared_lefts counts the blocking stage already computed instead of
-// re-intersecting the sorted pair lists. ComputeCompatibilityReference
-// keeps the seed scalar implementation (banded DP, no caching, no hints) as
-// the equivalence oracle.
+// re-intersecting the sorted pair lists. The extended ComputeCompatibility
+// overload is a one-pair PairScorer. ComputeCompatibilityReference keeps
+// the seed scalar implementation (banded DP, no caching, no hints) as the
+// equivalence oracle.
 #pragma once
+
+#include <memory>
 
 #include "common/status.h"
 #include "table/binary_table.h"
@@ -93,12 +97,57 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
                                 const StringPool& pool,
                                 const CompatibilityOptions& opts = {});
 
-/// Hot-path form: scores through a caller-owned matcher (whose cached
-/// pattern masks survive across calls). A hint marked exact (the pair's
-/// counts were not affected by posting truncation) replaces the exact
-/// pair-list merge under exact-only matching. `matcher` must have been
-/// constructed from the same pool and the same matching configuration as
-/// `opts`. Matcher kernel counters accumulate inside `matcher`; only the
+/// Scores many pairs through one caller-owned matcher. Each value of a
+/// table is resolved once into a flat record (BatchApproxMatcher::Record),
+/// and each table once per scorer rather than once per pair: a candidate
+/// meets dozens of neighbours. Per pair, one lazily filled grid of left-
+/// value verdicts serves both the overlap and the conflict pass, so every
+/// (left of a, left of b) is decided at most once, and only a comparison
+/// that survives the matcher's cheap tests runs a kernel. Scores are
+/// exactly ComputeCompatibilityReference's.
+///
+/// Tables are cached by address: every table scored must outlive the
+/// scorer and stay unchanged while it lives, and so must the matcher's
+/// configuration (the session keeps one scorer per worker and scoring
+/// run). The cache holds at most kMaxTables tables and is flushed whole on
+/// overflow; its contents never affect scores. Not thread-safe: one scorer
+/// per thread, like its matcher.
+class PairScorer {
+ public:
+  static constexpr size_t kMaxTables = 1024;
+
+  /// `matcher` must have been constructed from the same pool and the same
+  /// matching configuration as `opts`.
+  PairScorer(const CompatibilityOptions& opts, BatchApproxMatcher* matcher);
+  ~PairScorer();
+  PairScorer(const PairScorer&) = delete;
+  PairScorer& operator=(const PairScorer&) = delete;
+
+  /// Scores (a, b) in that orientation; see the extended
+  /// ComputeCompatibility for `hint` and `stats`.
+  PairScores Score(const BinaryTable& a, const BinaryTable& b,
+                   const BlockingHint* hint = nullptr,
+                   ScoringStats* stats = nullptr);
+
+ private:
+  // Defined in compatibility.cc.
+  struct ResolvedTable;
+  struct Tables;
+  class LeftVerdicts;
+
+  ResolvedTable& Resolved(const BinaryTable& t);
+
+  CompatibilityOptions opts_;
+  BatchApproxMatcher* matcher_;
+  std::unique_ptr<Tables> tables_;
+};
+
+/// Scores through a caller-owned matcher (whose cached pattern masks
+/// survive across calls), as a one-pair PairScorer. A hint marked exact
+/// (the pair's counts were not affected by posting truncation) replaces
+/// the exact pair-list merge under exact-only matching. `matcher` must have
+/// been constructed from the same pool and the same matching configuration
+/// as `opts`. Matcher kernel counters accumulate inside `matcher`; only the
 /// fast-path skip counters are added to `stats` here (callers merge
 /// matcher->stats() once at the end of their loop).
 PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,

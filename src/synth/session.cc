@@ -511,19 +511,27 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
   }
   for (auto& slot : matchers_->slots) slot->ResetStats();
 
-  auto worker_matcher = [this, num_slots]() -> BatchApproxMatcher* {
+  // One scorer per slot for this run: it caches each candidate's resolved
+  // values across the pairs its worker scores, and `tables` outlives it.
+  std::vector<std::unique_ptr<PairScorer>> scorers(num_slots);
+  for (size_t i = 0; i < num_slots; ++i) {
+    scorers[i] =
+        std::make_unique<PairScorer>(eff, matchers_->slots[i].get());
+  }
+  auto worker_scorer = [&scorers, num_slots]() -> PairScorer& {
     size_t wi = ThreadPool::CurrentWorkerIndex();
     if (wi == ThreadPool::kNotAWorker || wi + 1 >= num_slots) {
       wi = num_slots - 1;
     }
-    return matchers_->slots[wi].get();
+    return *scorers[wi];
   };
 
   // Pairs arrive sorted by (a, b), so consecutive pairs share table a and —
   // more importantly — value strings. Scoring in chunks through a worker's
-  // matcher lets every pattern bitmask build amortize across the chunk, the
-  // whole run and every later run, and the per-pair blocking hints let
-  // exactly-counted pairs skip the pair-list merge entirely.
+  // scorer lets every table resolution and pattern bitmask build amortize
+  // across the chunk, the whole run and (masks) every later run, and the
+  // per-pair blocking hints let exactly-counted pairs skip the pair-list
+  // merge entirely.
   std::vector<PairScores> scores(pairs.size());
   constexpr size_t kScoringChunk = 256;
   const size_t num_chunks = (pairs.size() + kScoringChunk - 1) / kScoringChunk;
@@ -531,12 +539,12 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
   threads_->ParallelFor(num_chunks, [&](size_t c) {
     const size_t begin = c * kScoringChunk;
     const size_t end = std::min(begin + kScoringChunk, pairs.size());
-    BatchApproxMatcher* matcher = worker_matcher();
+    PairScorer& scorer = worker_scorer();
     ScoringStats& st = chunk_stats[c];
     for (size_t i = begin; i < end; ++i) {
       const BlockingHint hint{pairs[i].shared_pairs, pairs[i].shared_lefts,
                               pairs[i].counts_exact};
-      // ComputeCompatibility is orientation-sensitive: conflicts count the
+      // Scoring is orientation-sensitive: conflicts count the
       // FIRST table's conflicting left-runs, and the approximate-overlap
       // greedy matches the first table's residue against the second's. A
       // cold run orders operands by candidate id, which equals table order
@@ -549,17 +557,28 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
       const bool cold_swapped =
           std::tie(tb.source_table, pairs[i].b) <
           std::tie(ta.source_table, pairs[i].a);
-      scores[i] = cold_swapped
-                      ? ComputeCompatibility(tb, ta, pool, eff, matcher,
-                                             &hint, &st)
-                      : ComputeCompatibility(ta, tb, pool, eff, matcher,
-                                             &hint, &st);
+      scores[i] = cold_swapped ? scorer.Score(tb, ta, &hint, &st)
+                               : scorer.Score(ta, tb, &hint, &st);
     }
   });
-  for (const auto& st : chunk_stats) scoring->Add(st);
-  for (const auto& slot : matchers_->slots) {
-    scoring->matcher.Add(slot->stats());
-  }
+  ScoringStats run;
+  for (const auto& st : chunk_stats) run.Add(st);
+  for (const auto& slot : matchers_->slots) run.matcher.Add(slot->stats());
+  // Live score-stage counters, fed by cold and delta scoring alike; they
+  // advance by exactly what this run adds to PipelineStats::scoring.
+  static obs::Counter* const pairs_total =
+      obs::MetricsRegistry::Global().GetCounter("ms_synth_score_pairs_total");
+  static obs::Counter* const kernel_runs_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_score_kernel_runs_total");
+  static obs::Counter* const charmask_rejects_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_score_charmask_rejects_total");
+  pairs_total->Add(pairs.size());
+  kernel_runs_total->Add(run.matcher.myers64_calls +
+                         run.matcher.myers_blocked_calls);
+  charmask_rejects_total->Add(run.matcher.charmask_rejects);
+  scoring->Add(run);
   CompatibilityGraph graph(tables.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (scores[i].w_pos > 0.0 || scores[i].w_neg < 0.0) {
@@ -1108,6 +1127,12 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
                delta_pairs.end(), std::back_inserter(out.blocked.pairs),
                less_ab);
     out.blocked.blocking = blocked.blocking;
+    // The delta pass counts keys new to the survivors; keys that only
+    // retired candidates held leave the count.
+    if (have_dead) {
+      out.blocked.blocking.keys -= CountRetiredOnlyKeys(
+          base_tables, newly_dead, out.candidates.owned, first_new_id);
+    }
     out.blocked.blocking.keys += dstats.new_keys;
     out.blocked.blocking.dropped_postings += dstats.dropped_postings;
     size_t num_tainted = 0;

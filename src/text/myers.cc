@@ -184,55 +184,43 @@ bool BatchApproxMatcher::Match(ValueId a, ValueId b) {
   ++stats_.match_calls;
   if (a == b) return true;
   if (AreSynonymsVia(snapshot_, synonyms_, a, b)) return true;
-  if (!approximate_) return false;
-  // Capacity check up front so a flush can never invalidate a ValueInfo
-  // reference mid-pair (InfoFor itself never flushes).
-  if (max_cached_values_ != 0 && infos_.size() + 2 > max_cached_values_) {
-    FlushCache();
+  return approximate_ && Approx(Resolve(a), Resolve(b));
+}
+
+BatchApproxMatcher::Record BatchApproxMatcher::Resolve(ValueId id) {
+  Record r;
+  r.id = id;
+  if (snapshot_ != nullptr) r.syn_class = snapshot_->ClassOf(id);
+  if (approximate_) {
+    const ValueInfo& vi = CachedInfo(id);
+    r.length = static_cast<uint32_t>(vi.text.size());
+    r.frac_floor = static_cast<uint32_t>(vi.frac_floor);
+    r.char_mask = vi.char_mask;
+    r.mask_bits = vi.mask_bits;
+    r.text = vi.text.data();
   }
-  // Pattern side first so the MRU entry survives the text-side lookup.
-  ValueInfo* ia;
-  if (a == mru_pattern_id_) {
-    ia = mru_pattern_;
-  } else {
-    ia = &InfoFor(a);
-    mru_pattern_id_ = a;
-    mru_pattern_ = ia;
+  return r;
+}
+
+bool BatchApproxMatcher::Kernel(const Record& a, const Record& b,
+                                size_t band) {
+  // One-entry MRU for the pattern side: the scoring loops hold one value
+  // of `a` against many of `b`, so this usually skips the hash probe.
+  if (a.id != mru_pattern_id_) {
+    mru_pattern_ = &CachedInfo(a.id);
+    mru_pattern_id_ = a.id;
   }
-  ValueInfo& ib = InfoFor(b);
-  // FractionalThreshold with the ⌊len · f_ed⌋ components precomputed.
-  const size_t band = std::min({ia->frac_floor, ib.frac_floor, edit_.cap});
-  if (band == 0) return false;  // interning: a != b implies texts differ
-  const std::string_view sa = ia->text;
-  const std::string_view sb = ib.text;
-  const size_t gap =
-      sa.size() > sb.size() ? sa.size() - sb.size() : sb.size() - sa.size();
-  if (gap > band) return false;  // length gap alone exceeds the threshold
-  // Byte-class presence lower bound (see ValueInfo::char_mask): cheap
-  // popcounts reject most non-matches before touching a kernel.
-  const uint64_t only_a = ia->char_mask & ~ib.char_mask;
-  const uint64_t only_b = ib.char_mask & ~ia->char_mask;
-  const size_t lb = std::max(
-      static_cast<size_t>(__builtin_popcountll(only_a)),
-      static_cast<size_t>(__builtin_popcountll(only_b)));
-  if (lb > band) {
-    ++stats_.charmask_rejects;
-    return false;
-  }
-  const MyersPattern& p = PatternFor(*ia);
+  const MyersPattern& p = PatternFor(*mru_pattern_);
   if (p.single_word()) {
     ++stats_.myers64_calls;
   } else {
     ++stats_.myers_blocked_calls;
   }
-  return MyersDistanceBounded(p, sb, band) <= band;
+  return MyersDistanceBounded(p, b.view(), band) <= band;
 }
 
 std::string_view BatchApproxMatcher::Text(ValueId id) {
-  if (max_cached_values_ != 0 && infos_.size() + 1 > max_cached_values_) {
-    FlushCache();
-  }
-  return InfoFor(id).text;
+  return CachedInfo(id).text;
 }
 
 void BatchApproxMatcher::Reconfigure(const EditDistanceOptions& edit,
@@ -258,6 +246,14 @@ void BatchApproxMatcher::FlushCache() {
   ++stats_.cache_flushes;
 }
 
+BatchApproxMatcher::ValueInfo& BatchApproxMatcher::CachedInfo(ValueId id) {
+  if (max_cached_values_ != 0 && infos_.size() + 1 > max_cached_values_ &&
+      index_.Find(static_cast<uint64_t>(id) + 1) == nullptr) {
+    FlushCache();
+  }
+  return InfoFor(id);
+}
+
 BatchApproxMatcher::ValueInfo& BatchApproxMatcher::InfoFor(ValueId id) {
   uint32_t& slot = index_[static_cast<uint64_t>(id) + 1];
   if (slot != 0) return infos_[slot - 1];
@@ -269,6 +265,7 @@ BatchApproxMatcher::ValueInfo& BatchApproxMatcher::InfoFor(ValueId id) {
   for (const char c : vi.text) {
     vi.char_mask |= 1ull << (static_cast<uint8_t>(c) & 63);
   }
+  vi.mask_bits = static_cast<uint32_t>(__builtin_popcountll(vi.char_mask));
   cache_bytes_ += sizeof(ValueInfo);
   slot = static_cast<uint32_t>(infos_.size());
   return vi;

@@ -32,6 +32,7 @@
 // The scalar banded DP stays off the hot path, as the oracle.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -98,7 +99,12 @@ size_t MyersBlocked(std::string_view pattern, std::string_view text);
 /// Counters for the batch matcher; aggregated per scoring chunk into
 /// PipelineStats so the fast-path mix is observable.
 struct MatcherStats {
-  size_t match_calls = 0;          ///< Match() invocations
+  /// Value verdicts computed: one per Match() call, either overload. The
+  /// pair scorer (PairScorer, synth/compatibility.h) computes each
+  /// left-value verdict of a pair at most once and re-reads it from its
+  /// verdict grid, so a re-read is not counted; right values are compared,
+  /// and counted, per comparison.
+  size_t match_calls = 0;
   size_t myers64_calls = 0;        ///< single-word kernel runs
   size_t myers_blocked_calls = 0;  ///< multi-word kernel runs
   /// Scalar banded-DP runs. Always 0 since the Myers kernels became the
@@ -128,6 +134,11 @@ struct MatcherStats {
 /// returns for the configuration it was built from. One matcher serves one
 /// scoring run; value strings repeat heavily across neighbouring tables, so
 /// the per-id cache amortizes mask builds across the whole candidate loop.
+///
+/// The pair scorer resolves each value of a pair once into a `Record` and
+/// runs the same predicate over records, so its quadratic loops read flat
+/// arrays instead of probing the cache per comparison; only a comparison
+/// that survives every cheap test reaches the cache again, for its pattern.
 ///
 /// Beyond the pattern masks, the matcher interns per-value state once per
 /// first sight: the pool string_view (stable — StringPool stores strings in
@@ -162,6 +173,46 @@ class BatchApproxMatcher {
   /// then the fractional-threshold approximate match with `a` as the
   /// pattern side.
   bool Match(ValueId a, ValueId b);
+
+  /// One value resolved for a scored pair: the inputs of the predicate's
+  /// cheap tests, copied out of the value cache. A record is a plain copy,
+  /// so a cache flush never invalidates it (`text` points into the pool).
+  struct Record {
+    ValueId id = kInvalidValueId;
+    /// Class root through the synonym snapshot; kInvalidValueId when the
+    /// value has no synonym or no snapshot is set.
+    ValueId syn_class = kInvalidValueId;
+    uint32_t length = 0;
+    uint32_t frac_floor = 0;  ///< ⌊length · f_ed⌋
+    uint64_t char_mask = 0;   ///< see ValueInfo::char_mask
+    uint32_t mask_bits = 0;   ///< popcount(char_mask)
+    const char* text = nullptr;
+
+    std::string_view view() const { return {text, length}; }
+  };
+
+  /// Resolves `id` into a record. Under approximate matching the value is
+  /// read through the cache (honouring `max_cached_values`); otherwise the
+  /// predicate reads only the id and the synonym class, and the cache is
+  /// not touched.
+  Record Resolve(ValueId id);
+
+  /// Match over resolved values: the same verdict, in the same predicate
+  /// order, as Match(a.id, b.id), with `a` the pattern side. The cheap
+  /// tests run inline; only a survivor fetches `a`'s cached pattern and
+  /// runs a kernel.
+  bool Match(const Record& a, const Record& b) {
+    ++stats_.match_calls;
+    if (a.id == b.id) return true;
+    if (snapshot_ != nullptr) {
+      if (a.syn_class != kInvalidValueId && a.syn_class == b.syn_class) {
+        return true;
+      }
+    } else if (synonyms_ != nullptr && synonyms_->AreSynonyms(a.id, b.id)) {
+      return true;
+    }
+    return approximate_ && Approx(a, b);
+  }
 
   /// The pool string of `id`, read through the value cache: only the first
   /// sight of an id calls StringPool::Get (and takes its lock). The view
@@ -200,13 +251,42 @@ class BatchApproxMatcher {
     /// Presence bitmap of the text's bytes folded to 64 bits. For any two
     /// values, max over both directions of popcount(mine & ~theirs) lower-
     /// bounds the edit distance (every occurrence of a byte class present
-    /// on one side only must be touched by an edit), so a popcount pair
+    /// on one side only must be touched by an edit), so a popcount
     /// rejects most non-matching candidates before any kernel runs.
     /// Folding collisions only weaken the bound, never break it.
     uint64_t char_mask = 0;
+    uint32_t mask_bits = 0;  ///< popcount(char_mask)
     std::unique_ptr<MyersPattern> pattern;  ///< built on first pattern use
   };
 
+  /// The approximate tail of the predicate over two distinct, non-synonym
+  /// values: FractionalThreshold with the ⌊len · f_ed⌋ components
+  /// precomputed, then the length gap and the char-mask lower bound, and
+  /// the kernel only for what survives.
+  bool Approx(const Record& a, const Record& b) {
+    const size_t band = std::min(
+        {size_t{a.frac_floor}, size_t{b.frac_floor}, edit_.cap});
+    if (band == 0) return false;  // interning: a != b implies texts differ
+    const size_t gap =
+        a.length > b.length ? a.length - b.length : b.length - a.length;
+    if (gap > band) return false;  // length gap alone exceeds the threshold
+    // max(popcount(a & ~b), popcount(b & ~a)) with one popcount per
+    // comparison: popcount(x & ~y) = popcount(x) - popcount(x & y).
+    const size_t shared =
+        static_cast<size_t>(__builtin_popcountll(a.char_mask & b.char_mask));
+    const size_t lb = std::max(a.mask_bits, b.mask_bits) - shared;
+    if (lb > band) {
+      ++stats_.charmask_rejects;
+      return false;
+    }
+    return Kernel(a, b, band);
+  }
+
+  /// Runs the bounded kernel with `a`'s cached pattern against `b`.
+  bool Kernel(const Record& a, const Record& b, size_t band);
+  /// InfoFor behind the `max_cached_values` check: flushes first when
+  /// inserting `id` would exceed the cap.
+  ValueInfo& CachedInfo(ValueId id);
   ValueInfo& InfoFor(ValueId id);
   const MyersPattern& PatternFor(ValueInfo& info);
   void FlushCache();

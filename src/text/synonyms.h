@@ -39,10 +39,16 @@ class SynonymSnapshot {
   /// True if the two values were known synonyms (or are equal).
   bool AreSynonyms(ValueId a, ValueId b) const {
     if (a == b) return true;
-    const ValueId* ra = class_of_.Find(static_cast<uint64_t>(a) + 1);
-    if (ra == nullptr) return false;  // a is its own class, b != a
-    const ValueId* rb = class_of_.Find(static_cast<uint64_t>(b) + 1);
-    return rb != nullptr && *ra == *rb;
+    const ValueId ra = ClassOf(a);
+    if (ra == kInvalidValueId) return false;  // a is its own class, b != a
+    return ra == ClassOf(b);
+  }
+
+  /// The class root of `v`, or kInvalidValueId when v has no synonym. Two
+  /// distinct values are synonyms iff their roots are equal and valid.
+  ValueId ClassOf(ValueId v) const {
+    const ValueId* r = class_of_.Find(static_cast<uint64_t>(v) + 1);
+    return r == nullptr ? kInvalidValueId : *r;
   }
 
   /// Number of values with at least one synonym.

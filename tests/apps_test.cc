@@ -2,6 +2,9 @@
 // scenarios from the paper's introduction — auto-correct (Table 3),
 // auto-fill (Table 4), auto-join (Table 5).
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,7 +99,13 @@ TEST_F(AppsFixture, ContainmentMinHitsFilters) {
 TEST_F(AppsFixture, StoreMetadataAccessors) {
   EXPECT_EQ(store_.size(), 3u);
   EXPECT_EQ(store_.name(states_), "state_abbrev");
-  EXPECT_EQ(store_.mapping(states_).size(), 5u);
+  // All five of the mapping's pairs answer.
+  for (const auto& [left, right] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"California", "ca"}, {"Washington", "wa"}, {"Oregon", "or"},
+           {"Texas", "tx"}, {"Colorado", "co"}}) {
+    EXPECT_EQ(store_.LookupRight(states_, left), right) << left;
+  }
 }
 
 // ------------------------------------------------------------- AutoCorrect

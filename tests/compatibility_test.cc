@@ -3,8 +3,12 @@
 // w- (Equation 4, Example 9), with approximate matching and synonyms — and
 // differential coverage holding the batched Myers fast path byte-identical
 // to the seed scalar implementation (ComputeCompatibilityReference).
+#include <algorithm>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -500,6 +504,206 @@ TEST_F(FastPathFixture, ResidueKeysRespectTheMatcherCacheCap) {
     EXPECT_GT(capped.stats().cache_flushes, 0u);
     EXPECT_GT(uncapped.cached_values(), 4u);
   }
+}
+
+// ------------------------------------------------ shared verdict grid
+
+size_t KernelRuns(const BatchApproxMatcher& m) {
+  return m.stats().myers64_calls + m.stats().myers_blocked_calls;
+}
+
+/// What a replay of the per-comparison loops the pair scorer replaced
+/// costs: every left comparison and every right comparison calls Match
+/// again, in the order the old loops made them.
+struct OldLoopReplay {
+  size_t overlap = 0;
+  size_t conflicts = 0;
+  size_t left_kernels = 0;   ///< kernel runs of left comparisons
+  size_t right_kernels = 0;  ///< kernel runs of right comparisons
+  /// Distinct (left of a, left of b) whose comparison reached a kernel.
+  size_t left_kernel_cells = 0;
+};
+
+/// Replays the old CountPairOverlap/CountConflicts loops: residues sorted
+/// by content, a greedy pass calling Match(left) then Match(right) per
+/// comparison, and a left-run scan calling Match per run pair and per
+/// right pair. Left and right comparisons go through separate matchers so
+/// their kernel runs can be told apart.
+OldLoopReplay ReplayOldLoops(const BinaryTable& a, const BinaryTable& b,
+                             const StringPool& pool,
+                             const CompatibilityOptions& opts,
+                             BatchApproxMatcher& left,
+                             BatchApproxMatcher& right) {
+  OldLoopReplay out;
+  if (a.empty() || b.empty()) return out;
+  const size_t left0 = KernelRuns(left);
+  const size_t right0 = KernelRuns(right);
+  std::set<std::pair<ValueId, ValueId>> cells;
+  const auto match_left = [&](ValueId x, ValueId y) {
+    const size_t k0 = KernelRuns(left);
+    const bool m = left.Match(x, y);
+    if (KernelRuns(left) > k0) cells.insert({x, y});
+    return m;
+  };
+  const auto& pa = a.pairs();
+  const auto& pb = b.pairs();
+  std::vector<ValuePair> rest_a, rest_b;
+  std::set_difference(pa.begin(), pa.end(), pb.begin(), pb.end(),
+                      std::back_inserter(rest_a));
+  std::set_difference(pb.begin(), pb.end(), pa.begin(), pa.end(),
+                      std::back_inserter(rest_b));
+  out.overlap = pa.size() - rest_a.size();
+  if ((opts.approximate_matching || opts.synonyms) && !rest_a.empty() &&
+      !rest_b.empty()) {
+    const auto by_content = [&](const ValuePair& x, const ValuePair& y) {
+      return std::make_pair(pool.Get(x.left), pool.Get(x.right)) <
+             std::make_pair(pool.Get(y.left), pool.Get(y.right));
+    };
+    std::sort(rest_a.begin(), rest_a.end(), by_content);
+    std::sort(rest_b.begin(), rest_b.end(), by_content);
+    std::vector<bool> used(rest_b.size(), false);
+    for (const ValuePair& qa : rest_a) {
+      for (size_t k = 0; k < rest_b.size(); ++k) {
+        if (used[k]) continue;
+        if (match_left(qa.left, rest_b[k].left) &&
+            right.Match(qa.right, rest_b[k].right)) {
+          used[k] = true;
+          ++out.overlap;
+          break;
+        }
+      }
+    }
+  }
+  for (size_t i = 0; i < pa.size();) {
+    size_t ie = i;
+    while (ie < pa.size() && pa[ie].left == pa[i].left) ++ie;
+    bool any_left_match = false;
+    bool any_right_conflict = false;
+    for (size_t j = 0; j < pb.size() && !any_right_conflict;) {
+      size_t je = j;
+      while (je < pb.size() && pb[je].left == pb[j].left) ++je;
+      if (match_left(pa[i].left, pb[j].left)) {
+        any_left_match = true;
+        for (size_t x = i; x < ie && !any_right_conflict; ++x) {
+          for (size_t y = j; y < je; ++y) {
+            if (!right.Match(pa[x].right, pb[y].right)) {
+              any_right_conflict = true;
+              break;
+            }
+          }
+        }
+      }
+      j = je;
+    }
+    if (any_left_match && any_right_conflict) ++out.conflicts;
+    i = ie;
+  }
+  out.left_kernels = KernelRuns(left) - left0;
+  out.right_kernels = KernelRuns(right) - right0;
+  out.left_kernel_cells = cells.size();
+  return out;
+}
+
+TEST_F(FastPathFixture, PairScorerDecidesEachLeftPairOnce) {
+  // 1,100 tables and as many random pairs, scored through one long-lived
+  // PairScorer per configuration and matcher cap, so the table cache both
+  // hits and overflows. Tables mix multi-row left runs, typo variants,
+  // short codes and values longer than 64 bytes.
+  Rng rng(77);
+  const auto lefts = MakeUniverse(rng, 120);
+  const auto rights = MakeUniverse(rng, 60);
+  std::vector<BinaryTable> tables;
+  for (int t = 0; t < 1100; ++t) {
+    std::vector<ValueId> local;
+    for (size_t k = 1 + rng.Uniform(8); k > 0; --k) {
+      local.push_back(rng.Pick(lefts));
+    }
+    std::vector<ValuePair> pairs;
+    for (size_t r = 1 + rng.Uniform(14); r > 0; --r) {
+      pairs.push_back({rng.Pick(local), rng.Pick(rights)});
+    }
+    tables.push_back(BinaryTable::FromPairs(std::move(pairs)));
+  }
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    pairs.push_back({t, rng.Uniform(tables.size())});
+  }
+  SynonymDictionary dict(pool_);
+  for (int k = 0; k < 12; ++k) {
+    dict.AddSynonym(pool_->Get(rng.Pick(lefts)), pool_->Get(rng.Pick(lefts)));
+    dict.AddSynonym(pool_->Get(rng.Pick(rights)),
+                    pool_->Get(rng.Pick(rights)));
+  }
+  const SynonymSnapshot snapshot = dict.Snapshot();
+
+  struct Config {
+    const char* name;
+    bool approximate;
+    bool synonyms;
+    bool snapshot;
+  };
+  const Config configs[] = {
+      {"approximate", true, false, false},
+      {"dictionary", true, true, false},
+      {"snapshot", true, true, true},
+      {"dictionary-only", false, true, false},
+      {"snapshot-only", false, true, true},
+      {"exact-only", false, false, false},
+  };
+  size_t kernel_runs = 0, replay_kernel_runs = 0;
+  for (const Config& config : configs) {
+    CompatibilityOptions opts;
+    opts.approximate_matching = config.approximate;
+    if (config.synonyms) opts.synonyms = &dict;
+    if (config.snapshot) opts.synonym_snapshot = &snapshot;
+    ASSERT_TRUE(opts.Validate().ok());
+    for (const size_t cap : {size_t{0}, size_t{2}, size_t{4}}) {
+      const std::string ctx =
+          std::string(config.name) + " cap " + std::to_string(cap);
+      BatchApproxMatcher matcher(*pool_, opts.edit, opts.approximate_matching,
+                                 opts.synonyms, opts.synonym_snapshot, cap);
+      PairScorer scorer(opts, &matcher);
+      BatchApproxMatcher replay_left(*pool_, opts.edit,
+                                     opts.approximate_matching, opts.synonyms,
+                                     opts.synonym_snapshot);
+      BatchApproxMatcher replay_right(*pool_, opts.edit,
+                                      opts.approximate_matching,
+                                      opts.synonyms, opts.synonym_snapshot);
+      for (const auto& [i, j] : pairs) {
+        const BinaryTable& a = tables[i];
+        const BinaryTable& b = tables[j];
+        const std::string pctx =
+            ctx + " pair " + std::to_string(i) + "," + std::to_string(j);
+        const PairScores ref =
+            ComputeCompatibilityReference(a, b, *pool_, opts);
+        const size_t k0 = KernelRuns(matcher);
+        ExpectSameScores(scorer.Score(a, b), ref, pctx);
+        const size_t runs = KernelRuns(matcher) - k0;
+        if (cap != 0) {
+          ASSERT_LE(matcher.cached_values(), cap) << pctx;
+        }
+        ExpectSameScores(ComputeCompatibility(a, b, *pool_, opts), ref, pctx);
+
+        const OldLoopReplay old =
+            ReplayOldLoops(a, b, *pool_, opts, replay_left, replay_right);
+        ASSERT_EQ(old.overlap, ref.overlap) << pctx;
+        ASSERT_EQ(old.conflicts, ref.conflicts) << pctx;
+        // Rights are compared exactly where the old loops compared them,
+        // and each left pair that reached a kernel there reaches one here
+        // exactly once.
+        ASSERT_EQ(runs, old.right_kernels + old.left_kernel_cells) << pctx;
+        ASSERT_LE(runs, old.left_kernels + old.right_kernels) << pctx;
+        kernel_runs += runs;
+        replay_kernel_runs += old.left_kernels + old.right_kernels;
+      }
+      if (cap != 0 && config.approximate) {
+        EXPECT_GT(matcher.stats().cache_flushes, 0u) << ctx;
+      }
+    }
+  }
+  // The replay repeats left verdicts, so the grid saved kernel runs.
+  EXPECT_GT(kernel_runs, 0u);
+  EXPECT_LT(kernel_runs, replay_kernel_runs);
 }
 
 TEST_F(FastPathFixture, TextReadsThePoolThroughTheCache) {

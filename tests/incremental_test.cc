@@ -813,6 +813,9 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
       ASSERT_FALSE(HasFailure());
 
       truncated_steps += cold.blocked.blocking.dropped_postings != 0;
+      EXPECT_EQ(cold.blocked.blocking.keys, inc.blocked.blocking.keys);
+      EXPECT_EQ(cold.result.stats.blocking_keys,
+                inc.result.stats.blocking_keys);
       EXPECT_EQ(cold.blocked.blocking.dropped_postings,
                 inc.blocked.blocking.dropped_postings);
       EXPECT_EQ(cold.blocked.blocking.tainted_candidates,
@@ -837,6 +840,56 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
       "mutation schedules: %zu appends, %zu removes, %zu replaces, "
       "%zu wipes, %zu truncated steps, %zu flip steps\n",
       appends, removes, replaces, wipes, truncated_steps, flip_steps);
+}
+
+TEST(IncrementalDifferentialTest, RemovalsKeepTheColdBlockingKeyCount) {
+  // A removal whose blocking merges the delta pass (no posting list
+  // truncated) must drop the keys only the retired candidates held: the
+  // persisted key count equals a cold rebuild's over the survivors.
+  Rng rng(20261019);
+  const size_t iters = FuzzIters(40);
+  size_t merged_removals = 0;
+  for (size_t iter = 0; iter < iters; ++iter) {
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    const auto specs = RandomCorpusSpec(rng, 40);
+    SynthesisOptions o = BaseOptions();
+    TableCorpus inc_corpus;
+    AddSpecs(&inc_corpus, specs, 0, specs.size());
+    SynthesisSession session(o);
+    ASSERT_TRUE(session.status().ok());
+    Family base = ColdChain(&session, inc_corpus);
+    ASSERT_FALSE(HasFailure());
+
+    std::vector<uint32_t> removed;
+    std::vector<uint8_t> live(specs.size(), 1);
+    for (uint32_t slot = 0; slot < specs.size(); ++slot) {
+      if (rng.Bernoulli(0.3)) {
+        removed.push_back(slot);
+        live[slot] = 0;
+      }
+    }
+    auto shrunk = session.RemoveTables(&inc_corpus, removed, base.candidates,
+                                       base.blocked, base.scored,
+                                       base.partitions, base.result);
+    ASSERT_TRUE(shrunk.ok()) << shrunk.status().ToString();
+    const AppendedArtifacts& inc = shrunk.value();
+    merged_removals += base.blocked.blocking.dropped_postings == 0 &&
+                       !inc.append.full_rebuild;
+
+    TableCorpus cold_corpus;
+    for (size_t slot = 0; slot < specs.size(); ++slot) {
+      if (live[slot]) AddSpecs(&cold_corpus, specs, slot, slot + 1);
+    }
+    SynthesisSession cold_session(o);
+    Family cold = ColdChain(&cold_session, cold_corpus);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_EQ(cold.blocked.blocking.keys, inc.blocked.blocking.keys);
+    EXPECT_EQ(cold.result.stats.blocking_keys,
+              inc.result.stats.blocking_keys);
+  }
+  if (AtDefaultDepth(40)) {
+    EXPECT_GT(merged_removals, 0u);
+  }
 }
 
 // ------------------------------------------------------------- edge cases

@@ -485,6 +485,89 @@ TEST(ObsSynthCountersTest, AppendMaintenanceCountersReconcileWithStats) {
             std::string::npos);
 }
 
+TEST(ObsSynthCountersTest, ScoreCountersReconcileWithScoringStats) {
+  auto& reg = MetricsRegistry::Global();
+  Counter* pairs = reg.GetCounter("ms_synth_score_pairs_total");
+  Counter* kernels = reg.GetCounter("ms_synth_score_kernel_runs_total");
+  Counter* rejects = reg.GetCounter("ms_synth_score_charmask_rejects_total");
+
+  // Left values of similar length: near duplicates ("north zone 1" vs
+  // "north zone 11") run kernels, different words ("north" vs "quiet")
+  // fail the char-mask bound.
+  const std::vector<std::string> words = {"north", "south", "quiet", "bravo",
+                                          "lemon"};
+  TableCorpus corpus;
+  auto add_table = [&](size_t t) {
+    std::vector<std::string> lcol, rcol;
+    for (size_t r = 0; r < 6; ++r) {
+      const size_t i = (t * 5 + r * 3) % 14;
+      lcol.push_back(words[i % words.size()] + " zone " + std::to_string(i));
+      rcol.push_back("code" + std::to_string(i % 4));
+    }
+    corpus.AddFromStrings("domain" + std::to_string(t % 3) + ".example",
+                          TableSource::kWeb, {"name", "code"}, {lcol, rcol});
+  };
+  for (size_t t = 0; t < 10; ++t) add_table(t);
+
+  SynthesisOptions o;
+  o.num_threads = 2;
+  o.min_domains = 1;
+  o.min_pairs = 1;
+  o.extraction.coherence_threshold = -1.0;  // every column is a candidate
+  o.blocking.theta_overlap = 1;
+  SynthesisSession session(o);
+  ASSERT_TRUE(session.status().ok());
+  auto c = session.ExtractCandidates(corpus);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  auto b = session.BlockPairs(c.value());
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+  // Cold scoring: one run over every blocked pair.
+  uint64_t pairs0 = pairs->Value();
+  uint64_t kernels0 = kernels->Value();
+  uint64_t rejects0 = rejects->Value();
+  auto g = session.ScorePairs(c.value(), b.value());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  const MatcherStats& cold = g.value().stats.scoring.matcher;
+  EXPECT_EQ(pairs->Value() - pairs0, b.value().pairs.size());
+  EXPECT_EQ(kernels->Value() - kernels0,
+            cold.myers64_calls + cold.myers_blocked_calls);
+  EXPECT_EQ(rejects->Value() - rejects0, cold.charmask_rejects);
+  EXPECT_GT(cold.myers64_calls, 0u);
+  EXPECT_GT(cold.charmask_rejects, 0u);
+
+  // Delta scoring: an append adds its delta pairs' counts to the family's
+  // scoring stats, and the counters advance by exactly the same.
+  auto p = session.Partition(g.value());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  auto r = session.Resolve(c.value(), g.value(), p.value());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const size_t first_new = corpus.size();
+  for (size_t t = 10; t < 13; ++t) add_table(t);
+  pairs0 = pairs->Value();
+  kernels0 = kernels->Value();
+  rejects0 = rejects->Value();
+  auto grown = session.AppendTables(corpus, first_new, c.value(), b.value(),
+                                    g.value(), p.value(), r.value());
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  const AppendedArtifacts& family = grown.value();
+  ASSERT_FALSE(family.append.full_rebuild);
+  const MatcherStats& both = family.scored.stats.scoring.matcher;
+  EXPECT_GT(family.append.delta_pairs, 0u);
+  EXPECT_EQ(pairs->Value() - pairs0, family.append.delta_pairs);
+  EXPECT_EQ(kernels->Value() - kernels0,
+            both.myers64_calls + both.myers_blocked_calls -
+                cold.myers64_calls - cold.myers_blocked_calls);
+  EXPECT_EQ(rejects->Value() - rejects0,
+            both.charmask_rejects - cold.charmask_rejects);
+
+  const std::string text = reg.ExpositionText();
+  EXPECT_NE(text.find("ms_synth_score_pairs_total"), std::string::npos);
+  EXPECT_NE(text.find("ms_synth_score_kernel_runs_total"), std::string::npos);
+  EXPECT_NE(text.find("ms_synth_score_charmask_rejects_total"),
+            std::string::npos);
+}
+
 // ---------------------------------------------- concurrency (TSan leg)
 
 TEST(ObsConcurrencyTest, RegistryMutationUnderScrapes) {

@@ -793,9 +793,10 @@ TEST(ServiceSnapshotTest, OpenFromSnapshotServesImmediately) {
   EXPECT_EQ(restarted.session_stats().scoring_runs, 0u);
   EXPECT_EQ(restarted.session_stats().partition_runs, 0u);
 
-  // Same lookups out of both stores.
+  // Same lookups out of both stores, which index the result's mappings in
+  // order.
   for (size_t i = 0; i < num_mappings; ++i) {
-    const auto& mapping = service.store().mapping(i);
+    const auto& mapping = service.last_result().mappings[i];
     if (mapping.size() == 0) continue;
     const std::string probe(
         world.corpus.pool().Get(mapping.merged.pairs()[0].left));
