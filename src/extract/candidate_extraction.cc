@@ -173,6 +173,7 @@ DeltaExtractionResult ExtractCandidatesDelta(
   std::vector<std::vector<uint32_t>> per_kept(tables.size());
   std::vector<std::vector<CoherenceProfile>> per_margin(tables.size());
   std::vector<ExtractionStats> per_stats(tables.size());
+  std::vector<CoherenceWork> per_work(tables.size());
   std::vector<uint8_t> flipped(first_new_table, 0);
   std::atomic<size_t> skips{0};
   std::atomic<size_t> rechecks{0};
@@ -261,7 +262,7 @@ DeltaExtractionResult ExtractCandidatesDelta(
     }
   };
 
-  auto process = [&](size_t ti) {
+  auto process_table = [&](size_t ti) {
     if (ti < first_new_table) {
       if (std::binary_search(request.removed_tables.begin(),
                              request.removed_tables.end(),
@@ -279,6 +280,11 @@ DeltaExtractionResult ExtractCandidatesDelta(
                        margins_on ? &per_margin[ti] : nullptr);
     ExtractFromKept(t, per_kept[ti], corpus.pool(), &norm, options, &st,
                     &per_table[ti]);
+  };
+  auto process = [&](size_t ti) {
+    const CoherenceWork before = ThreadCoherenceWork();
+    process_table(ti);
+    per_work[ti] = ThreadCoherenceWork() - before;
   };
 
   if (pool) {
@@ -303,6 +309,7 @@ DeltaExtractionResult ExtractCandidatesDelta(
     result.stats.pairs_considered += per_stats[i].pairs_considered;
     result.stats.pairs_kept += per_stats[i].pairs_kept;
   }
+  for (const CoherenceWork& w : per_work) result.coherence += w;
   for (size_t i = 0; i < tables.size(); ++i) {
     for (auto& cand : per_table[i]) {
       cand.id = static_cast<BinaryTableId>(request.first_new_id +

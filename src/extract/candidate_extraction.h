@@ -90,6 +90,10 @@ struct ExtractionResult {
   /// (coherence_threshold <= -1), where verdicts are index-independent.
   std::vector<uint32_t> margin_offsets;  ///< size tables + 1, or empty
   std::vector<CoherenceProfile> margins;
+  /// Coherence work this pass did (columns scored, posting entries walked),
+  /// cold columns and re-checks alike; margin skips cost none. Not part of
+  /// `stats`, which incremental passes keep equal to a cold rebuild's.
+  CoherenceWork coherence;
 };
 
 /// Runs Algorithm 1 over the whole corpus: ExtractCandidatesDelta with no

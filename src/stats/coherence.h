@@ -53,10 +53,41 @@ struct CoherenceProfile {
 /// When `profile` is non-null it is filled with the margin cache for this
 /// evaluation (score/n_eval always set; pair aggregates zero for the
 /// trivial empty/single-value cases, which are index-independent anyway).
+///
+/// Every c_uv the score needs comes from one pass over the supported
+/// sampled values' posting lists: a per-thread slot per ColumnId records
+/// which of those values the column held so far, so each list is walked
+/// once per column (once per 32-value block it trails when the sample holds
+/// more than 32 supported values), never once per partner.
 double ColumnCoherence(const ColumnInvertedIndex& index,
                        const std::vector<ValueId>& cells,
                        const CoherenceOptions& opts = {},
                        CoherenceProfile* profile = nullptr);
+
+/// Running totals of the coherence work the calling thread has done since
+/// it started: ColumnCoherence evaluations, and the posting entries their
+/// counting passes walked. Callers difference two reads to attribute a
+/// stretch of work (one extraction task, say) without a shared counter.
+struct CoherenceWork {
+  uint64_t columns = 0;
+  uint64_t postings = 0;
+
+  CoherenceWork& operator+=(const CoherenceWork& o) {
+    columns += o.columns;
+    postings += o.postings;
+    return *this;
+  }
+  CoherenceWork operator-(const CoherenceWork& o) const {
+    return {columns - o.columns, postings - o.postings};
+  }
+};
+CoherenceWork ThreadCoherenceWork();
+
+/// Test seam for the per-thread scratch's 32-bit pass epoch, which clears
+/// the slot array when it wraps. Only tests call these, and only to move
+/// the epoch forward: slots written at a later epoch would read as live.
+uint32_t ThreadCoherenceEpochForTesting();
+void SetThreadCoherenceEpochForTesting(uint32_t epoch);
 
 /// True when the verdict `score >= threshold` recorded in `profile` provably
 /// cannot flip at corpus size `n_now`, assuming the column's value counts

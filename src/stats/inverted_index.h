@@ -5,9 +5,10 @@
 // Layout: CSR (compressed sparse row). One offsets array indexed by ValueId
 // and one flat postings array of ColumnIds. Versus the per-value
 // vector<vector> build this removes one heap allocation per distinct value,
-// keeps all posting lists contiguous (sequential scans during coherence
-// scoring stay in cache), and makes the build a two-pass counting sort that
-// parallelizes over table ranges without locks.
+// keeps each posting list contiguous (coherence scoring walks each sampled
+// value's list front to back once, scattering into a per-thread array
+// indexed by ColumnId — see column_id_bound), and makes the build a
+// two-pass counting sort that parallelizes over table ranges without locks.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +68,11 @@ class ColumnInvertedIndex {
 
   /// Number of columns indexed (the N in p(u) = |C(u)| / N).
   size_t num_columns() const { return num_columns_; }
+
+  /// One past the largest ColumnId ever assigned. Ids are never reused, so
+  /// after a removal this exceeds num_columns(); arrays indexed by the ids
+  /// in posting lists are sized by it.
+  size_t column_id_bound() const { return next_column_id_; }
 
   /// |C(u)|: how many columns contain value u. 0 for unseen values.
   size_t ColumnFrequency(ValueId u) const {

@@ -1,7 +1,9 @@
 #include "synth/mapping.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
+#include <utility>
 
 namespace ms {
 
@@ -40,17 +42,27 @@ SynthesizedMapping BuildMapping(const std::vector<const BinaryTable*>& tables,
   return m;
 }
 
-bool PopularityGreater(const SynthesizedMapping& a,
-                       const SynthesizedMapping& b) {
+bool PopularityGreater::operator()(const SynthesizedMapping& a,
+                                   const SynthesizedMapping& b) const {
   if (a.num_domains != b.num_domains) {
     return a.num_domains > b.num_domains;
   }
-  return a.size() > b.size();
+  if (a.size() != b.size()) return a.size() > b.size();
+  // Memberless mappings (none come out of a partition) rank last.
+  const auto cold_key = [&](const SynthesizedMapping& m) {
+    if (m.member_tables.empty()) {
+      return std::pair<uint32_t, BinaryTableId>(UINT32_MAX, UINT32_MAX);
+    }
+    const BinaryTableId first = m.member_tables[0];
+    return std::pair<uint32_t, BinaryTableId>(
+        order_.empty() ? 0 : order_[first], first);
+  };
+  return cold_key(a) < cold_key(b);
 }
 
 std::vector<SynthesizedMapping> FilterByPopularity(
     std::vector<SynthesizedMapping> mappings, size_t min_domains,
-    size_t min_pairs) {
+    size_t min_pairs, const std::vector<uint32_t>& order) {
   std::vector<SynthesizedMapping> out;
   out.reserve(mappings.size());
   for (auto& m : mappings) {
@@ -58,8 +70,7 @@ std::vector<SynthesizedMapping> FilterByPopularity(
       out.push_back(std::move(m));
     }
   }
-  // Rank by popularity: domains desc, then size desc.
-  std::sort(out.begin(), out.end(), PopularityGreater);
+  std::sort(out.begin(), out.end(), PopularityGreater(order));
   return out;
 }
 

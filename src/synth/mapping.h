@@ -50,19 +50,30 @@ struct SynthesizedMapping {
 SynthesizedMapping BuildMapping(const std::vector<const BinaryTable*>& tables,
                                 const std::vector<size_t>& kept);
 
-/// The curation ranking FilterByPopularity sorts by (domains desc, then
-/// size desc). Exposed as the single definition of the output order:
-/// incremental appends merge carried and freshly resolved mappings and
-/// must re-rank with exactly this comparator to stay equivalent to a cold
-/// rebuild.
-bool PopularityGreater(const SynthesizedMapping& a,
-                       const SynthesizedMapping& b);
+/// The output order of a family's mappings, the one comparator both
+/// FilterByPopularity and the incremental merge sort by: domains desc, size
+/// desc, then the cold order of each mapping's first member, (order[id],
+/// id) with `order` the family's ScoredGraph::order (empty: id order).
+/// Members are listed in cold order and no candidate belongs to two
+/// mappings, so the order is total: it does not depend on the threads that
+/// built the family, and a maintained family ranks like its cold rebuild.
+class PopularityGreater {
+ public:
+  explicit PopularityGreater(const std::vector<uint32_t>& order)
+      : order_(order) {}
+  bool operator()(const SynthesizedMapping& a,
+                  const SynthesizedMapping& b) const;
+
+ private:
+  const std::vector<uint32_t>& order_;
+};
 
 /// Curation-oriented filtering: keep mappings contributed by at least
 /// `min_domains` distinct domains and at least `min_pairs` value pairs
-/// (Section 4.3 uses >= 8 independent web domains).
+/// (Section 4.3 uses >= 8 independent web domains), ranked by
+/// PopularityGreater over the family's cold `order`.
 std::vector<SynthesizedMapping> FilterByPopularity(
     std::vector<SynthesizedMapping> mappings, size_t min_domains,
-    size_t min_pairs);
+    size_t min_pairs, const std::vector<uint32_t>& order = {});
 
 }  // namespace ms

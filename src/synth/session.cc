@@ -245,6 +245,19 @@ obs::Histogram* StageHistogram(const char* stage) {
                                                      {{"stage", stage}});
 }
 
+/// Feeds the live coherence counters once per extraction pass, cold or
+/// delta, from the pass's own totals.
+void RecordCoherenceWork(const CoherenceWork& work) {
+  static obs::Counter* const columns_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_coherence_columns_total");
+  static obs::Counter* const postings_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_coherence_postings_total");
+  columns_total->Add(work.columns);
+  postings_total->Add(work.postings);
+}
+
 /// The cold order of a candidate family: each candidate's source table, so
 /// that (order[id], id) is the order in which a cold extraction over the
 /// same corpus assigns dense ids. Posting lists truncate in it (see
@@ -404,6 +417,7 @@ Result<CandidateSet> SynthesisSession::ExtractCandidates(
   ExtractionResult extracted = ::ms::ExtractCandidates(
       corpus, index, options_.extraction, threads_.get());
   out.stats.extract_seconds = step.ElapsedSeconds();
+  RecordCoherenceWork(extracted.coherence);
   out.stats.extraction = extracted.stats;
   out.owned = std::move(extracted.candidates);
   out.stats.candidates = out.owned.size();
@@ -690,7 +704,7 @@ Result<SynthesisResult> SynthesisSession::Resolve(
 
   result.mappings = FilterByPopularity(std::move(mappings),
                                        options_.min_domains,
-                                       options_.min_pairs);
+                                       options_.min_pairs, graph.order);
   result.stats.mappings = result.mappings.size();
   result.stats.total_seconds =
       result.stats.index_seconds + result.stats.extract_seconds +
@@ -953,6 +967,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   unstable_total->Add(delta.unstable_tables);
   margin_skips_total->Add(delta.margin_skips);
   margin_rechecks_total->Add(delta.margin_rechecks);
+  RecordCoherenceWork(delta.coherence);
 
   const size_t live_old_tables = first_new_table -
                                  candidates.tombstoned_tables.size() -
@@ -1315,7 +1330,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   std::vector<SynthesizedMapping> resolved = ResolveGroups(
       out.candidates.owned, dirty_groups, options_, conflict, threads_.get());
   std::vector<SynthesizedMapping> merged_mappings = FilterByPopularity(
-      std::move(resolved), options_.min_domains, options_.min_pairs);
+      std::move(resolved), options_.min_domains, options_.min_pairs, order);
   size_t carried = 0;
   for (const auto& m : result.mappings) {
     if (m.member_tables.empty()) continue;
@@ -1325,7 +1340,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     }
   }
   std::sort(merged_mappings.begin(), merged_mappings.end(),
-            PopularityGreater);
+            PopularityGreater(order));
   out.append.carried_mappings = carried;
   out.result.mappings = std::move(merged_mappings);
   out.result.stats = out.partitions.stats;

@@ -137,26 +137,39 @@ void AddSpecs(TableCorpus* corpus, const std::vector<TableSpec>& specs,
 
 // -------------------------------------------------------------- comparison
 
-/// Pool-independent, order-independent view of a mapping set. Normalized
-/// values are interned concurrently, so two pools built by different runs
-/// may order ids differently: pair strings are sorted within each mapping
-/// and mappings compared as a multiset.
+/// Pool-independent view of one mapping's content. Normalized values are
+/// interned concurrently, so two pools built by different runs may order
+/// ids differently: pair strings are sorted within the mapping.
+std::string MappingKey(const SynthesizedMapping& m, const StringPool& pool) {
+  std::multiset<std::string> pairs;
+  for (const auto& p : m.merged.pairs()) {
+    pairs.insert(std::string(pool.Get(p.left)) + "\x1e" +
+                 std::string(pool.Get(p.right)));
+  }
+  std::string key = m.left_label + "\x1f" + m.right_label + "\x1f" +
+                    std::to_string(m.member_tables.size()) + "\x1f" +
+                    std::to_string(m.kept_tables.size()) + "\x1f" +
+                    std::to_string(m.num_domains) + "\x1f";
+  for (const auto& p : pairs) key += p + "\x1f";
+  return key;
+}
+
+/// Order-independent view of a mapping set: mappings compared as a
+/// multiset of their keys.
 std::multiset<std::string> Canonical(const SynthesisResult& r,
                                      const StringPool& pool) {
   std::multiset<std::string> out;
-  for (const auto& m : r.mappings) {
-    std::multiset<std::string> pairs;
-    for (const auto& p : m.merged.pairs()) {
-      pairs.insert(std::string(pool.Get(p.left)) + "\x1e" +
-                   std::string(pool.Get(p.right)));
-    }
-    std::string key = m.left_label + "\x1f" + m.right_label + "\x1f" +
-                      std::to_string(m.member_tables.size()) + "\x1f" +
-                      std::to_string(m.kept_tables.size()) + "\x1f" +
-                      std::to_string(m.num_domains) + "\x1f";
-    for (const auto& p : pairs) key += p + "\x1f";
-    out.insert(std::move(key));
-  }
+  for (const auto& m : r.mappings) out.insert(MappingKey(m, pool));
+  return out;
+}
+
+/// The same per-mapping content in result order: the mapping index is
+/// served (apps return it, LookupBatch addresses mappings by it), so a
+/// maintained family must rank its mappings exactly as its cold rebuild.
+std::vector<std::string> InOrder(const SynthesisResult& r,
+                                 const StringPool& pool) {
+  std::vector<std::string> out;
+  for (const auto& m : r.mappings) out.push_back(MappingKey(m, pool));
   return out;
 }
 
@@ -827,6 +840,8 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
       EXPECT_EQ(cold.result.stats.mappings, inc.result.stats.mappings);
       EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
                 Canonical(inc.result, inc_corpus.pool()));
+      EXPECT_EQ(InOrder(cold.result, cold_corpus.pool()),
+                InOrder(inc.result, inc_corpus.pool()));
       ASSERT_FALSE(HasFailure());
     }
   }

@@ -9,6 +9,7 @@
 // The registry is process-global, so every assertion on counter values here
 // is a delta, never an absolute: other suites in the same binary bump the
 // same series.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -482,6 +483,121 @@ TEST(ObsSynthCountersTest, AppendMaintenanceCountersReconcileWithStats) {
   EXPECT_NE(text.find("ms_synth_coherence_margin_skips_total"),
             std::string::npos);
   EXPECT_NE(text.find("ms_synth_coherence_margin_rechecks_total"),
+            std::string::npos);
+}
+
+TEST(ObsSynthCountersTest, CoherenceCountersReconcileWithColumnsAndPostings) {
+  auto& reg = MetricsRegistry::Global();
+  Counter* columns = reg.GetCounter("ms_synth_coherence_columns_total");
+  Counter* postings = reg.GetCounter("ms_synth_coherence_postings_total");
+
+  // Every two-column table also holds the row ("shared name", "shared
+  // code"), so an append touches every old column and each pays the exact
+  // re-check. One-column tables fail the width gate and score nothing.
+  TableCorpus corpus;
+  auto add_tables = [&](size_t t) {
+    std::vector<std::string> lcol = {"shared name"}, rcol = {"shared code"};
+    for (size_t r = 0; r < 5; ++r) {
+      const size_t i = (t * 3 + r) % 12;
+      lcol.push_back("entity name " + std::to_string(i));
+      rcol.push_back("code" + std::to_string(i % 4));
+    }
+    corpus.AddFromStrings("domain" + std::to_string(t % 3) + ".example",
+                          TableSource::kWeb, {"name", "code"}, {lcol, rcol});
+    corpus.AddFromStrings("lone" + std::to_string(t) + ".example",
+                          TableSource::kWeb, {"name"}, {lcol});
+  };
+  for (size_t t = 0; t < 8; ++t) add_tables(t);
+
+  SynthesisOptions o;
+  o.num_threads = 2;
+  o.min_domains = 1;
+  o.min_pairs = 1;
+  ASSERT_GT(o.extraction.coherence_threshold, -1.0);
+  // Test-side count over the width-passed columns of tables [first, end):
+  // each column's distinct values (no column reaches the sampling cap)
+  // whose corpus frequency meets the support floor have their posting
+  // lists walked once, when at least two of them do.
+  const auto expected = [&](size_t first, size_t* width_passed) {
+    ColumnInvertedIndex index;
+    index.Build(corpus);
+    uint64_t walked = 0;
+    *width_passed = 0;
+    for (size_t t = first; t < corpus.size(); ++t) {
+      const Table& table = corpus.table(t);
+      if (table.num_columns() < 2 ||
+          table.num_columns() > o.extraction.max_columns) {
+        continue;
+      }
+      for (const Column& c : table.columns) {
+        ++*width_passed;
+        std::vector<ValueId> distinct = c.cells;
+        std::sort(distinct.begin(), distinct.end());
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        EXPECT_LE(distinct.size(),
+                  o.extraction.coherence.max_sampled_values);
+        uint64_t lists = 0;
+        size_t supported = 0;
+        for (ValueId v : distinct) {
+          const size_t f = index.ColumnFrequency(v);
+          if (f < o.extraction.coherence.min_value_support) continue;
+          lists += f;
+          ++supported;
+        }
+        if (supported >= 2) walked += lists;
+      }
+    }
+    return walked;
+  };
+
+  SynthesisSession session(o);
+  ASSERT_TRUE(session.status().ok());
+  uint64_t columns0 = columns->Value();
+  uint64_t postings0 = postings->Value();
+  auto c = session.ExtractCandidates(corpus);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  size_t cold_columns = 0;
+  const uint64_t cold_walked = expected(0, &cold_columns);
+  EXPECT_EQ(cold_columns, 16u);
+  EXPECT_EQ(columns->Value() - columns0, cold_columns);
+  EXPECT_EQ(postings->Value() - postings0, cold_walked);
+  EXPECT_GT(cold_walked, 0u);
+  auto b = session.BlockPairs(c.value());
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  auto g = session.ScorePairs(c.value(), b.value());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  auto p = session.Partition(g.value());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  auto r = session.Resolve(c.value(), g.value(), p.value());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  // An append: every old column re-checks under the grown index and the
+  // appended columns score cold, so together they cover every
+  // width-passed column of the grown corpus.
+  const size_t first_new = corpus.size();
+  for (size_t t = 8; t < 10; ++t) add_tables(t);
+  columns0 = columns->Value();
+  postings0 = postings->Value();
+  auto grown = session.AppendTables(corpus, first_new, c.value(), b.value(),
+                                    g.value(), p.value(), r.value());
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  const AppendStats& stats = grown.value().append;
+  ASSERT_FALSE(stats.full_rebuild);
+  size_t appended_columns = 0;
+  expected(first_new, &appended_columns);
+  size_t all_columns = 0;
+  const uint64_t grown_walked = expected(0, &all_columns);
+  EXPECT_EQ(appended_columns, 4u);
+  EXPECT_EQ(stats.margin_skips, 0u);
+  EXPECT_EQ(stats.margin_rechecks, cold_columns);
+  EXPECT_EQ(columns->Value() - columns0,
+            appended_columns + stats.margin_rechecks);
+  EXPECT_EQ(postings->Value() - postings0, grown_walked);
+
+  const std::string text = reg.ExpositionText();
+  EXPECT_NE(text.find("ms_synth_coherence_columns_total"), std::string::npos);
+  EXPECT_NE(text.find("ms_synth_coherence_postings_total"),
             std::string::npos);
 }
 

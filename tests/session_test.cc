@@ -202,6 +202,59 @@ TEST(ScoringConcurrencyTest, EdgesAreBitwiseEqualAcrossThreadCounts) {
   }
 }
 
+TEST(SessionOrderTest, TwoThreadColdRunsRankMappingsIdentically) {
+  // Mappings tied on (domains, size) used to keep the order in which the
+  // partition workers finished. They now rank by their first member's cold
+  // order, so three two-thread cold runs agree index by index, and within
+  // each run tied neighbours ascend by first member (id order, for a cold
+  // family).
+  std::vector<std::vector<std::string>> runs;
+  size_t ties = 0;
+  for (int run = 0; run < 3; ++run) {
+    GeneratedWorld world = SmallWorld(61, /*popularity=*/30);
+    SynthesisOptions o = FastOptions();
+    o.num_threads = 2;
+    o.min_domains = 1;
+    SynthesisSession session(o);
+    auto r = session.Run(world.corpus);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const auto& mappings = r.value().mappings;
+    std::vector<std::string> keys;
+    for (size_t i = 0; i < mappings.size(); ++i) {
+      const SynthesizedMapping& m = mappings[i];
+      ASSERT_FALSE(m.member_tables.empty());
+      std::string key = m.left_label + "\x1f" + m.right_label + "\x1f";
+      for (BinaryTableId id : m.member_tables) {
+        key += std::to_string(id) + ",";
+      }
+      // Normalized values are interned concurrently, so pair order (by
+      // ValueId) differs between runs; compare the pairs as strings.
+      std::multiset<std::string> pairs;
+      for (const auto& p : m.merged.pairs()) {
+        pairs.insert(std::string(world.corpus.pool().Get(p.left)) + "\x1e" +
+                     std::string(world.corpus.pool().Get(p.right)));
+      }
+      for (const auto& p : pairs) key += "\x1f" + p;
+      keys.push_back(std::move(key));
+      if (i == 0) continue;
+      const SynthesizedMapping& prev = mappings[i - 1];
+      if (prev.num_domains == m.num_domains && prev.size() == m.size()) {
+        ++ties;
+        EXPECT_LT(prev.member_tables[0], m.member_tables[0]) << "mapping " << i;
+      }
+    }
+    runs.push_back(std::move(keys));
+  }
+  EXPECT_GT(ties, 0u) << "the fixture has no tied mappings to order";
+  ASSERT_FALSE(runs[0].empty());
+  for (int run = 1; run < 3; ++run) {
+    ASSERT_EQ(runs[run].size(), runs[0].size());
+    for (size_t i = 0; i < runs[0].size(); ++i) {
+      EXPECT_EQ(runs[run][i], runs[0][i]) << "run " << run << " mapping " << i;
+    }
+  }
+}
+
 // ----------------------------------------------------------- Validate()
 
 TEST(SessionValidateTest, RejectsMalformedOptions) {

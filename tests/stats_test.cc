@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -412,74 +414,155 @@ double TwoCallColumnCoherence(const ColumnInvertedIndex& index,
   return score;
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+/// Asserts that ColumnCoherence, with and without a profile, reproduces
+/// the two-call oracle bit for bit and field by field; returns the
+/// oracle's profile.
+CoherenceProfile ExpectMatchesOracle(const ColumnInvertedIndex& index,
+                                     const std::vector<ValueId>& cells,
+                                     const CoherenceOptions& opts,
+                                     const std::string& ctx) {
+  CoherenceProfile fused, oracle;
+  const double fs = ColumnCoherence(index, cells, opts, &fused);
+  const double os = TwoCallColumnCoherence(index, cells, opts, &oracle);
+  EXPECT_EQ(Bits(fs), Bits(os)) << ctx;
+  EXPECT_EQ(Bits(ColumnCoherence(index, cells, opts)), Bits(os)) << ctx;
+  EXPECT_EQ(Bits(fused.score), Bits(oracle.score)) << ctx;
+  EXPECT_EQ(Bits(fused.sum_pos), Bits(oracle.sum_pos)) << ctx;
+  EXPECT_EQ(fused.pairs, oracle.pairs) << ctx;
+  EXPECT_EQ(fused.sup_pos, oracle.sup_pos) << ctx;
+  EXPECT_EQ(fused.sup_zero, oracle.sup_zero) << ctx;
+  EXPECT_EQ(fused.b_max, oracle.b_max) << ctx;
+  EXPECT_EQ(fused.n_eval, oracle.n_eval) << ctx;
+  return oracle;
+}
+
+/// A random skewed corpus and three indexes over it whose ColumnId bounds
+/// differ: `base` covers the tables before the very wide ones; `patched`
+/// is base grown by AppendTables over the rest and shrunk by RemoveTables,
+/// so its bound exceeds its column count; `full` is a cold build of every
+/// table.
+struct OracleCorpus {
+  TableCorpus corpus;
+  std::vector<std::vector<std::string>> columns;  ///< one per table
+  ColumnInvertedIndex base, patched, full;
+  /// Interned after every build: column frequency 0 in all three indexes,
+  /// which only min_value_support 0 lets into the pair loop.
+  std::vector<ValueId> unseen;
+
+  std::vector<ValueId> Cells(size_t c) const {
+    std::vector<ValueId> cells;
+    for (const auto& v : columns[c]) cells.push_back(corpus.pool().Find(v));
+    if (c % 4 == 0) cells.push_back(unseen[c % unseen.size()]);
+    return cells;
+  }
+};
+
+void BuildOracleCorpus(uint64_t seed, OracleCorpus* oc) {
+  Rng rng(seed);
+  auto add = [&](std::vector<std::string> cells) {
+    oc->corpus.AddFromStrings("d" + std::to_string(oc->columns.size()),
+                              TableSource::kWeb, {"c"}, {cells});
+    oc->columns.push_back(std::move(cells));
+  };
+  const size_t n_tables = 30 + rng.Uniform(30);
+  for (size_t t = 0; t < n_tables; ++t) {
+    std::vector<std::string> cells;
+    // One column in five is wide, mixing hot values with a long tail
+    // so it holds more distinct values than the 32-value sample.
+    const bool wide = rng.Uniform(5) == 0;
+    const size_t n_rows = wide ? 50 + rng.Uniform(30) : 1 + rng.Uniform(20);
+    for (size_t r = 0; r < n_rows; ++r) {
+      cells.push_back("w" + std::to_string(wide && r % 2 == 1
+                                               ? 120 + rng.Uniform(400)
+                                               : rng.Zipf(120)));
+    }
+    add(std::move(cells));
+  }
+  oc->base.Build(oc->corpus);
+  // Appended: very wide columns (over 100 distinct values), so that caps
+  // of 33, 64 and 100 sampled values run two to four 32-value blocks.
+  for (size_t t = 0; t < 8; ++t) {
+    std::vector<std::string> cells;
+    const size_t n_rows = 170 + rng.Uniform(60);
+    for (size_t r = 0; r < n_rows; ++r) {
+      cells.push_back("w" + std::to_string(r % 3 == 0 ? rng.Zipf(120)
+                                                      : 120 + rng.Uniform(400)));
+    }
+    add(std::move(cells));
+  }
+  oc->full.Build(oc->corpus);
+  oc->patched = oc->base;
+  oc->patched.AppendTables(oc->corpus, n_tables);
+  oc->patched.RemoveTables({1, 4, static_cast<TableId>(n_tables + 2)});
+  for (int k = 0; k < 3; ++k) {
+    oc->unseen.push_back(
+        oc->corpus.pool().Intern("unseen " + std::to_string(k)));
+  }
+}
+
+/// Supported values of a profile's sample: its supported pairs are m(m-1)/2.
+size_t SupportedValues(const CoherenceProfile& p) {
+  const size_t pairs = size_t{p.sup_pos} + p.sup_zero;
+  size_t m = 0;
+  while (m * (m + 1) / 2 < pairs) ++m;
+  return pairs == 0 ? 0 : m + 1;
+}
+
 TEST(CoherenceFusionTest, ProfilesMatchTheTwoCallOracleBitwise) {
   // Profiles are persisted in snapshots and drive the margin cache, so the
-  // fused evaluation must reproduce every field bit for bit: on random
+  // counting kernel must reproduce every field bit for bit: on random
   // skewed corpora, at every support threshold, for columns below and
-  // above the sampling cap, and with values the index has never seen.
-  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  // above the sampling cap (one block, a lone value past it, two and four
+  // blocks), with values the index has never seen, on an index patched by
+  // appends and removals, and alternating on one thread between indexes
+  // whose id bounds differ, which reuses the thread's scratch.
   size_t sampled_columns = 0;
   size_t positive_pairs = 0;
   size_t zero_pairs = 0;
+  size_t wide_columns = 0;
+  size_t multi_block = 0;   // more than 32 supported values sampled
+  size_t four_blocks = 0;   // more than 96
+  size_t lone_block = 0;    // a last block of one value (33, 65, 97)
   for (uint64_t seed : {5u, 29u, 64u}) {
-    Rng rng(seed);
-    TableCorpus corpus;
-    std::vector<std::vector<std::string>> columns;
-    const size_t n_tables = 30 + rng.Uniform(30);
-    for (size_t t = 0; t < n_tables; ++t) {
-      std::vector<std::string> cells;
-      // One column in five is wide, mixing hot values with a long tail
-      // so it holds more distinct values than the 32-value sample.
-      const bool wide = rng.Uniform(5) == 0;
-      const size_t n_rows = wide ? 50 + rng.Uniform(30) : 1 + rng.Uniform(20);
-      for (size_t r = 0; r < n_rows; ++r) {
-        cells.push_back("w" + std::to_string(wide && r % 2 == 1
-                                                 ? 120 + rng.Uniform(400)
-                                                 : rng.Zipf(120)));
-      }
-      corpus.AddFromStrings("d" + std::to_string(t), TableSource::kWeb, {"c"},
-                            {cells});
-      columns.push_back(std::move(cells));
-    }
-    ColumnInvertedIndex index;
-    index.Build(corpus);
-    // Interned after the build: column frequency 0, which only
-    // min_value_support 0 lets into the pair loop.
-    std::vector<ValueId> unseen;
-    for (int k = 0; k < 3; ++k) {
-      unseen.push_back(
-          corpus.pool().Intern("unseen " + std::to_string(k)));
-    }
+    OracleCorpus oc;
+    BuildOracleCorpus(seed, &oc);
+    ASSERT_GT(oc.patched.column_id_bound(), oc.patched.num_columns());
+    ASSERT_EQ(oc.patched.column_id_bound(), oc.full.column_id_bound());
+    ASSERT_LT(oc.base.column_id_bound(), oc.full.column_id_bound());
+    const std::pair<const char*, const ColumnInvertedIndex*> indexes[] = {
+        {"base", &oc.base}, {"patched", &oc.patched}, {"full", &oc.full}};
 
     for (const size_t support : {0u, 1u, 2u}) {
-      CoherenceOptions opts;
-      opts.min_value_support = support;
-      for (size_t c = 0; c < columns.size(); ++c) {
-        std::vector<ValueId> cells;
-        for (const auto& v : columns[c]) cells.push_back(corpus.pool().Find(v));
-        if (c % 4 == 0) cells.push_back(unseen[c % unseen.size()]);
-        const std::string ctx = "seed " + std::to_string(seed) + " support " +
-                                std::to_string(support) + " column " +
-                                std::to_string(c);
-        CoherenceProfile fused, oracle;
-        const double fs = ColumnCoherence(index, cells, opts, &fused);
-        const double os = TwoCallColumnCoherence(index, cells, opts, &oracle);
-        ASSERT_EQ(bits(fs), bits(os)) << ctx;
-        ASSERT_EQ(bits(ColumnCoherence(index, cells, opts)), bits(os)) << ctx;
-        ASSERT_EQ(bits(fused.score), bits(oracle.score)) << ctx;
-        ASSERT_EQ(bits(fused.sum_pos), bits(oracle.sum_pos)) << ctx;
-        ASSERT_EQ(fused.pairs, oracle.pairs) << ctx;
-        ASSERT_EQ(fused.sup_pos, oracle.sup_pos) << ctx;
-        ASSERT_EQ(fused.sup_zero, oracle.sup_zero) << ctx;
-        ASSERT_EQ(fused.b_max, oracle.b_max) << ctx;
-        ASSERT_EQ(fused.n_eval, oracle.n_eval) << ctx;
-        std::vector<ValueId> distinct = cells;
-        std::sort(distinct.begin(), distinct.end());
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        if (distinct.size() > opts.max_sampled_values) ++sampled_columns;
-        positive_pairs += oracle.sup_pos;
-        zero_pairs += oracle.sup_zero;
+      for (const size_t cap : {32u, 33u, 64u, 100u}) {
+        CoherenceOptions opts;
+        opts.min_value_support = support;
+        opts.max_sampled_values = cap;
+        for (size_t c = 0; c < oc.columns.size(); ++c) {
+          const std::vector<ValueId> cells = oc.Cells(c);
+          std::vector<ValueId> distinct = cells;
+          std::sort(distinct.begin(), distinct.end());
+          distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                         distinct.end());
+          if (distinct.size() > 100) ++wide_columns;
+          for (const auto& [name, index] : indexes) {
+            const std::string ctx =
+                "seed " + std::to_string(seed) + " support " +
+                std::to_string(support) + " cap " + std::to_string(cap) +
+                " column " + std::to_string(c) + " index " + name;
+            const CoherenceProfile oracle =
+                ExpectMatchesOracle(*index, cells, opts, ctx);
+            ASSERT_FALSE(::testing::Test::HasFailure()) << ctx;
+            if (distinct.size() > opts.max_sampled_values) ++sampled_columns;
+            positive_pairs += oracle.sup_pos;
+            zero_pairs += oracle.sup_zero;
+            const size_t m = SupportedValues(oracle);
+            multi_block += m > 32;
+            four_blocks += m > 96;
+            lone_block += m > 32 && m % 32 == 1;
+          }
+        }
       }
     }
   }
@@ -487,6 +570,37 @@ TEST(CoherenceFusionTest, ProfilesMatchTheTwoCallOracleBitwise) {
   EXPECT_GT(sampled_columns, 0u);
   EXPECT_GT(positive_pairs, 0u);
   EXPECT_GT(zero_pairs, 0u);
+  EXPECT_GT(wide_columns, 0u);
+  EXPECT_GT(multi_block, 0u);
+  EXPECT_GT(four_blocks, 0u);
+  EXPECT_GT(lone_block, 0u);
+}
+
+TEST(CoherenceFusionTest, EpochWrapClearsTheSlotArray) {
+  // A fresh thread's passes take epochs 1, 2, ... Score column x there,
+  // then move the epoch to 2^32 - 1 and score column y across the wrap:
+  // y's passes take epochs 1, 2, ... again, and x's slots would read as
+  // live unless the wrap clears the array. Neighbouring columns share hot
+  // values, so their posting lists overlap.
+  OracleCorpus oc;
+  BuildOracleCorpus(29, &oc);
+  CoherenceOptions opts;
+  opts.max_sampled_values = 64;
+  size_t wraps = 0;
+  for (size_t x = 0; x + 1 < oc.columns.size(); x += 2) {
+    const size_t y = x + 1;
+    std::thread([&] {
+      ASSERT_EQ(ThreadCoherenceEpochForTesting(), 0u);
+      ColumnCoherence(oc.full, oc.Cells(x), opts);
+      const uint32_t used = ThreadCoherenceEpochForTesting();
+      SetThreadCoherenceEpochForTesting(UINT32_MAX);
+      ExpectMatchesOracle(oc.full, oc.Cells(y), opts,
+                          "x " + std::to_string(x) + " y " + std::to_string(y));
+      const uint32_t now = ThreadCoherenceEpochForTesting();
+      wraps += used > 0 && now != UINT32_MAX && now <= 2 * used;
+    }).join();
+  }
+  EXPECT_GT(wraps, 10u);
 }
 
 TEST(CoherenceFusionTest, NpmiFromCountsKeepsTheOrderOfChecks) {
@@ -498,6 +612,63 @@ TEST(CoherenceFusionTest, NpmiFromCountsKeepsTheOrderOfChecks) {
   EXPECT_EQ(NpmiFromCounts(10, 10, 10, 10), 1.0);
   EXPECT_GT(NpmiFromCounts(10, 4, 3, 2), 0.0);
   EXPECT_LT(NpmiFromCounts(10, 4, 3, 2), 1.0);
+}
+
+// ------------------------------------------ concurrency (TSan leg)
+
+TEST(CoherenceConcurrencyTest, FourThreadsMatchOneThreadBitwise) {
+  // Each thread counts in its own scratch. Four threads score the same
+  // columns at once, on indexes whose id bounds differ and with one- and
+  // multi-block samples, and every profile must equal the one-thread
+  // profile bit for bit.
+  OracleCorpus oc;
+  BuildOracleCorpus(64, &oc);
+  struct Job {
+    const ColumnInvertedIndex* index;
+    CoherenceOptions opts;
+    std::vector<ValueId> cells;
+  };
+  std::vector<Job> jobs;
+  for (const ColumnInvertedIndex* index : {&oc.base, &oc.patched, &oc.full}) {
+    for (const size_t cap : {32u, 100u}) {
+      CoherenceOptions opts;
+      opts.max_sampled_values = cap;
+      for (size_t c = 0; c < oc.columns.size(); ++c) {
+        jobs.push_back({index, opts, oc.Cells(c)});
+      }
+    }
+  }
+  std::vector<CoherenceProfile> want(jobs.size());
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    ColumnCoherence(*jobs[i].index, jobs[i].cells, jobs[i].opts, &want[i]);
+  }
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<CoherenceProfile>> got(
+      kThreads, std::vector<CoherenceProfile>(jobs.size()));
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread starts at its own offset, so different columns and
+      // indexes are in flight at once.
+      for (size_t k = 0; k < jobs.size(); ++k) {
+        const size_t i = (k + t * jobs.size() / kThreads) % jobs.size();
+        ColumnCoherence(*jobs[i].index, jobs[i].cells, jobs[i].opts,
+                        &got[t][i]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      const std::string ctx =
+          "thread " + std::to_string(t) + " job " + std::to_string(i);
+      ASSERT_EQ(Bits(got[t][i].score), Bits(want[i].score)) << ctx;
+      ASSERT_EQ(Bits(got[t][i].sum_pos), Bits(want[i].sum_pos)) << ctx;
+      ASSERT_EQ(got[t][i], want[i]) << ctx;
+    }
+  }
 }
 
 }  // namespace
