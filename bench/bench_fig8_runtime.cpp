@@ -31,11 +31,11 @@ int main() {
   steps.AddRow({"index build", bench::F(r.stats.index_seconds, 3)});
   steps.AddRow({"candidate extraction", bench::F(r.stats.extract_seconds, 3)});
   steps.AddRow({"blocking", bench::F(r.stats.blocking_seconds, 3)});
-  steps.AddRow({"  blocking: map+shuffle",
+  steps.AddRow({"  blocking: key index build",
                 bench::F(r.stats.blocking_map_shuffle_seconds, 3)});
-  steps.AddRow({"  blocking: shard count",
+  steps.AddRow({"  blocking: row count",
                 bench::F(r.stats.blocking_count_seconds, 3)});
-  steps.AddRow({"  blocking: reduce",
+  steps.AddRow({"  blocking: splice",
                 bench::F(r.stats.blocking_reduce_seconds, 3)});
   steps.AddRow({"pair scoring", bench::F(r.stats.scoring_seconds, 3)});
   const auto& sm = r.stats.scoring.matcher;

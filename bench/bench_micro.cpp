@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "persist/corpus_store.h"
 #include "stats/npmi.h"
+#include "oracles/blocking_reference.h"
 #include "synth/blocking.h"
 #include "synth/compatibility.h"
 #include "synth/conflict_resolution.h"

@@ -1,6 +1,7 @@
-// Minimal open-addressing hash map for 64-bit keys. The blocking hot path
-// increments millions of per-id-pair counters; libstdc++'s node-based
-// unordered_map spends most of its time in malloc and pointer chasing there.
+// Minimal open-addressing hash map for 64-bit keys. Hot paths (blocking's
+// key slots, the scorer's and matchers' id lookups) probe it millions of
+// times; libstdc++'s node-based unordered_map spends most of its time in
+// malloc and pointer chasing there.
 // This map stores slots contiguously (one cache line covers several slots),
 // grows by doubling, and never allocates per entry.
 #pragma once
@@ -58,6 +59,8 @@ class FlatMap64 {
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Heap bytes of the slot array.
+  size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
 
   /// Removes every entry, keeping the slot array capacity.
   void Clear() {

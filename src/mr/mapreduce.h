@@ -4,8 +4,8 @@
 //   map: Input -> (K, V) pairs
 //   shuffle: hash-partition by K
 //   reduce: (K, all V's) -> Outputs
-// This keeps the blocking/regrouping logic written exactly as the paper
-// describes it while staying single-machine.
+// Hash-to-Min components and the blocking test oracle run on it, written
+// as the paper describes them while staying single-machine.
 #pragma once
 
 #include <functional>
@@ -38,21 +38,23 @@ class Emitter {
   std::hash<K> hasher_;
 };
 
-/// Runs just the map + shuffle phases: maps every input, hash-partitions the
-/// emitted (K, V) pairs by key, and returns one buffer per partition. All
-/// pairs for a given key land in the same partition, so callers can stream-
-/// aggregate each partition independently (in parallel) without ever
-/// materializing per-key groups or reduce outputs. Concatenation order
-/// within a partition is deterministic (worker index, then emission order).
-template <typename Input, typename K, typename V>
-std::vector<std::vector<std::pair<K, V>>> RunMapShuffle(
+/// Runs a full map-shuffle-reduce round.
+///  - `inputs`: the records to map over.
+///  - `map_fn(input, emitter)`: emits intermediate (K, V) pairs.
+///  - `reduce_fn(key, values, out)`: appends outputs for one key group.
+/// Returns all reduce outputs (order unspecified across keys).
+template <typename Input, typename K, typename V, typename Output>
+std::vector<Output> RunMapReduce(
     const std::vector<Input>& inputs,
     const std::function<void(const Input&, Emitter<K, V>&)>& map_fn,
+    const std::function<void(const K&, std::vector<V>&, std::vector<Output>*)>&
+        reduce_fn,
     ThreadPool* pool) {
   const size_t workers = pool ? pool->num_threads() : 1;
   const size_t partitions = DefaultPartitionCount(inputs.size(), workers);
 
-  // --- Map phase: each worker owns an Emitter; merge per partition after.
+  // --- Map phase: each worker owns an Emitter, which hash-partitions what
+  // it emits by key, so every pair for one key lands in one partition.
   std::vector<Emitter<K, V>> emitters;
   emitters.reserve(workers);
   for (size_t w = 0; w < workers; ++w) emitters.emplace_back(partitions);
@@ -72,47 +74,14 @@ std::vector<std::vector<std::pair<K, V>>> RunMapShuffle(
     for (const auto& in : inputs) map_fn(in, emitters[0]);
   }
 
-  // --- Shuffle: concatenate all workers' buffers per partition.
-  std::vector<std::vector<std::pair<K, V>>> parts(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    size_t total = 0;
-    for (auto& em : emitters) total += em.buffers()[p].size();
-    parts[p].reserve(total);
-  }
-  for (auto& em : emitters) {
-    for (size_t p = 0; p < partitions; ++p) {
-      auto& src = em.buffers()[p];
-      auto& dst = parts[p];
-      dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                 std::make_move_iterator(src.end()));
-      src.clear();
-      src.shrink_to_fit();
-    }
-  }
-  return parts;
-}
-
-/// Runs a full map-shuffle-reduce round.
-///  - `inputs`: the records to map over.
-///  - `map_fn(input, emitter)`: emits intermediate (K, V) pairs.
-///  - `reduce_fn(key, values, out)`: appends outputs for one key group.
-/// Returns all reduce outputs (order unspecified across keys).
-template <typename Input, typename K, typename V, typename Output>
-std::vector<Output> RunMapReduce(
-    const std::vector<Input>& inputs,
-    const std::function<void(const Input&, Emitter<K, V>&)>& map_fn,
-    const std::function<void(const K&, std::vector<V>&, std::vector<Output>*)>&
-        reduce_fn,
-    ThreadPool* pool) {
-  const size_t workers = pool ? pool->num_threads() : 1;
-  auto parts = RunMapShuffle<Input, K, V>(inputs, map_fn, pool);
-  const size_t partitions = parts.size();
-
-  // --- Reduce phase: group by key within each partition.
+  // --- Shuffle + reduce: group each partition's pairs by key (worker
+  // order, then emission order) and reduce every group.
   std::vector<std::vector<Output>> partial(partitions);
   auto reduce_partition = [&](size_t p) {
     std::unordered_map<K, std::vector<V>> groups;
-    for (auto& [k, v] : parts[p]) groups[k].push_back(std::move(v));
+    for (auto& em : emitters) {
+      for (auto& [k, v] : em.buffers()[p]) groups[k].push_back(std::move(v));
+    }
     for (auto& [k, vs] : groups) reduce_fn(k, vs, &partial[p]);
   };
   if (pool && workers > 1) {

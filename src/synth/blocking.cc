@@ -1,123 +1,51 @@
 #include "synth/blocking.h"
 
 #include <algorithm>
-#include <mutex>
-#include <unordered_map>
+#include <numeric>
 
-#include "common/flat_hash.h"
-#include "common/hashing.h"
 #include "common/timer.h"
-#include "mr/mapreduce.h"
 
 namespace ms {
 namespace {
 
-struct OverlapCounts {
+// A candidate's position in the truncation order: (order[id], id), packed.
+uint64_t TruncationRank(const std::vector<uint32_t>& order, uint32_t id) {
+  return order.empty() ? id : (uint64_t{order[id]} << 32) | id;
+}
+
+size_t Excess(size_t len, size_t cap) { return len > cap ? len - cap : 0; }
+
+/// Per-thread state of the row counter. `slots[b]` holds the epoch of the
+/// row that last wrote it and that row's counts with candidate b. Each row
+/// takes a fresh epoch, so a slot from any earlier row or index reads as
+/// zero and no row clears the array; only a wrap of the epoch does.
+struct RowSlot {
+  uint32_t epoch = 0;
   uint32_t pairs = 0;
   uint32_t lefts = 0;
 };
 
-size_t NextPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
+struct RowScratch {
+  std::vector<RowSlot> slots;
+  uint32_t epoch = 0;
+  std::vector<uint32_t> touched;  ///< partners of the current row
+};
+
+RowScratch& ThreadRowScratch() {
+  static thread_local RowScratch scratch;
+  return scratch;
 }
 
-// Blocking key spaces shared by every implementation: full value pairs get
-// tag bit 0 (feeds shared_pairs / w+), left values get tag bit 1 (feeds
-// shared_lefts / w-).
-uint64_t PairKey(const ValuePair& p) {
-  return HashIdPair(p.left, p.right) << 1;
-}
-uint64_t LeftKey(ValueId left) { return (Mix64(left) << 1) | 1; }
-
-/// Calls `fn` with each pair key of `b`, then each distinct left's key.
-template <typename Fn>
-void ForEachBlockingKey(const BinaryTable& b, Fn&& fn) {
-  const auto& pairs = b.pairs();
-  for (const auto& p : pairs) fn(PairKey(p));
-  // Pairs are sorted by left, so each left-run start is a distinct left.
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    if (i == 0 || pairs[i].left != pairs[i - 1].left) {
-      fn(LeftKey(pairs[i].left));
-    }
+uint32_t NextEpoch(RowScratch& s) {
+  if (++s.epoch == 0) {
+    std::fill(s.slots.begin(), s.slots.end(), RowSlot{});
+    s.epoch = 1;
   }
+  return s.epoch;
 }
 
-void EmitBlockingKeys(const BinaryTable& b, uint32_t id,
-                      Emitter<uint64_t, uint32_t>& em) {
-  ForEachBlockingKey(b, [&](uint64_t key) { em.Emit(key, id); });
-}
-
-// A candidate's position in the truncation order: (order[id], id), packed.
-uint64_t TruncationRank(const std::vector<uint32_t>& order, uint32_t id) {
-  return (uint64_t{order[id]} << 32) | id;
-}
-
-// Appends all co-occurring (i < j) id pairs from one posting list
-// (reference implementation only). Dropped ids go to `tainted` under
-// `tainted_mu` so the reference matches the production per-pair exactness.
-void EmitIdPairs(std::vector<uint32_t>& ids, size_t max_posting,
-                 const std::vector<uint32_t>& order,
-                 std::vector<std::pair<uint64_t, bool>>* out, bool is_pair,
-                 std::mutex& tainted_mu, std::vector<uint32_t>* tainted) {
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  if (ids.size() > max_posting) {
-    if (!order.empty()) {
-      std::sort(ids.begin(), ids.end(), [&](uint32_t x, uint32_t y) {
-        return TruncationRank(order, x) < TruncationRank(order, y);
-      });
-    }
-    {
-      std::lock_guard<std::mutex> lock(tainted_mu);
-      tainted->insert(tainted->end(), ids.begin() + max_posting, ids.end());
-    }
-    ids.resize(max_posting);
-    std::sort(ids.begin(), ids.end());
-  }
-  for (size_t x = 0; x < ids.size(); ++x) {
-    for (size_t y = x + 1; y < ids.size(); ++y) {
-      out->push_back({(static_cast<uint64_t>(ids[x]) << 32) | ids[y], is_pair});
-    }
-  }
-}
-
-// Truncates one posting list (sorted by id, de-duplicated) to the
-// max_posting candidates that come first in the truncation order, appending
-// the dropped ids to `dropped`; the kept ids stay sorted by id. In id order
-// the kept ids are the prefix already; any other order partitions the list
-// by rank, so only lists that actually truncate pay for it.
-void TruncatePosting(std::vector<uint32_t>& ids, size_t max_posting,
-                     const std::vector<uint32_t>& order,
-                     std::vector<uint32_t>* dropped) {
-  if (ids.size() <= max_posting) return;
-  if (!order.empty()) {
-    std::nth_element(ids.begin(), ids.begin() + max_posting, ids.end(),
-                     [&](uint32_t x, uint32_t y) {
-                       return TruncationRank(order, x) <
-                              TruncationRank(order, y);
-                     });
-    std::sort(ids.begin(), ids.begin() + max_posting);
-  }
-  dropped->insert(dropped->end(), ids.begin() + max_posting, ids.end());
-  ids.resize(max_posting);
-}
-
-std::vector<CandidateTablePair> CollectAndSort(
-    std::vector<std::vector<CandidateTablePair>>& per_shard) {
-  std::vector<CandidateTablePair> out;
-  size_t total = 0;
-  for (const auto& s : per_shard) total += s.size();
-  out.reserve(total);
-  for (auto& s : per_shard) {
-    out.insert(out.end(), s.begin(), s.end());
-  }
-  // Deterministic order for reproducibility.
-  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  });
-  return out;
+bool LessAB(const CandidateTablePair& x, const CandidateTablePair& y) {
+  return x.a < y.a || (x.a == y.a && x.b < y.b);
 }
 
 }  // namespace
@@ -136,364 +64,380 @@ Status BlockingOptions::Validate() const {
   return Status::OK();
 }
 
-bool DeltaMergeIsExact(bool retired, bool reranked,
-                       size_t base_dropped_postings,
-                       size_t delta_dropped_postings) {
-  const bool resurrection = retired && base_dropped_postings != 0;
-  const bool displacement = reranked && delta_dropped_postings != 0;
-  return !resurrection && !displacement;
+// ------------------------------------------------------------ the key index
+
+uint32_t BlockingKeyIndex::SlotOf(uint64_t key) {
+  // Keys are stored shifted by one: FlatMap64 reserves key 0 (a key of
+  // 2^64-1 would alias it, a collision blocking already takes as absent).
+  uint32_t& slot = slot_of_[key + 1];
+  if (slot == 0) {
+    spans_.emplace_back();
+    slot = static_cast<uint32_t>(spans_.size());
+  }
+  return slot - 1;
 }
 
-size_t CountRetiredOnlyKeys(const std::vector<BinaryTable>& before,
-                            const std::vector<uint8_t>& retired,
-                            const std::vector<BinaryTable>& after,
-                            uint32_t first_new) {
-  // Every key a retired candidate holds, flagged once a survivor is seen
-  // holding it. Keys are stored shifted by one: FlatMap64 reserves key 0.
-  FlatMap64<uint8_t> orphans;
-  // Which sides the retired candidates hold each value on. A survivor can
-  // hold a retired left key only under a retired left, and a retired pair
-  // key only on a pair whose two values are a retired left and a retired
-  // right (64-bit key hashes are taken as collision-free, as blocking
-  // itself takes them), so every other key is skipped without hashing.
-  constexpr uint8_t kLeft = 1, kRight = 2;
-  std::vector<uint8_t> sides;
-  const auto flag = [&sides](ValueId v, uint8_t side) {
-    if (v >= sides.size()) sides.resize(static_cast<size_t>(v) + 1, 0);
-    sides[v] |= side;
-  };
-  const auto has = [&sides](ValueId v, uint8_t side) {
-    return v < sides.size() && (sides[v] & side) != 0;
-  };
-  for (size_t i = 0; i < retired.size(); ++i) {
-    if (!retired[i]) continue;
-    ForEachBlockingKey(before[i],
-                       [&](uint64_t key) { orphans[key + 1] = 0; });
-    for (const ValuePair& p : before[i].pairs()) {
-      flag(p.left, kLeft);
-      flag(p.right, kRight);
+void BlockingKeyIndex::Build(const std::vector<BinaryTable>& candidates,
+                             size_t max_posting,
+                             const std::vector<uint32_t>& order) {
+  *this = BlockingKeyIndex();
+  max_posting_ = max_posting;
+  const uint32_t n = static_cast<uint32_t>(candidates.size());
+  cand_keys_.resize(n);
+  dropped_count_.assign(n, 0);
+  // Candidates in truncation order: appending each one to its keys' lists
+  // in this order leaves every list ranked, and a holder's position (its
+  // list's length when it arrives) says whether it is kept.
+  std::vector<uint32_t> by_rank(n);
+  std::iota(by_rank.begin(), by_rank.end(), 0u);
+  if (!order.empty()) {
+    std::sort(by_rank.begin(), by_rank.end(), [&](uint32_t x, uint32_t y) {
+      return TruncationRank(order, x) < TruncationRank(order, y);
+    });
+  }
+  std::vector<uint32_t> last;  // per slot: the candidate that took it last
+  for (uint32_t id : by_rank) {
+    std::vector<uint32_t>& keys = cand_keys_[id];
+    keys.reserve(2 * candidates[id].pairs().size());
+    ForEachBlockingKey(candidates[id], [&](uint64_t key) {
+      const uint32_t slot = SlotOf(key);
+      if (slot == last.size()) last.push_back(UINT32_MAX);
+      if (last[slot] == id) return;  // one table hashing to a key twice
+      last[slot] = id;
+      uint32_t entry = slot | ((key & 1) != 0 ? kLeft : 0);
+      if (spans_[slot].size++ >= max_posting_) {
+        entry |= kDropped;
+        ++dropped_count_[id];
+      }
+      keys.push_back(entry);
+    });
+  }
+  uint32_t offset = 0;
+  for (Span& s : spans_) {
+    dropped_postings_ += Excess(s.size, max_posting_);
+    s.begin = offset;
+    s.capacity = s.size;
+    offset += s.size;
+    s.size = 0;
+  }
+  num_keys_ = spans_.size();
+  holders_.resize(offset);
+  for (uint32_t id : by_rank) {
+    for (uint32_t entry : cand_keys_[id]) {
+      Span& s = spans_[entry & kSlotMask];
+      holders_[s.begin + s.size++] = id;
     }
   }
-  size_t unseen = orphans.size();
-  const auto seen_held = [&](uint64_t key) {
-    const uint8_t* held = orphans.Find(key + 1);
-    if (held != nullptr && *held == 0) {
-      orphans[key + 1] = 1;
-      --unseen;
+}
+
+void BlockingKeyIndex::SetDropped(uint32_t id, uint32_t slot, bool dropped) {
+  for (uint32_t& entry : cand_keys_[id]) {
+    if ((entry & kSlotMask) != slot) continue;
+    if (dropped) {
+      entry |= kDropped;
+      ++dropped_count_[id];
+    } else {
+      entry &= ~kDropped;
+      --dropped_count_[id];
     }
+    return;
+  }
+}
+
+void BlockingKeyIndex::StoreHolders(uint32_t slot,
+                                    const std::vector<uint32_t>& list) {
+  Span& s = spans_[slot];
+  if (list.size() > s.capacity) {
+    // Outgrown: move to the arena's end with a quarter's slack, so a hot
+    // key that gains a few holders per mutation is not moved every time.
+    garbage_ += s.capacity;
+    s.begin = static_cast<uint32_t>(holders_.size());
+    s.capacity = static_cast<uint32_t>(list.size() + list.size() / 4);
+    holders_.resize(holders_.size() + s.capacity);
+  }
+  std::copy(list.begin(), list.end(), holders_.begin() + s.begin);
+  s.size = static_cast<uint32_t>(list.size());
+}
+
+void BlockingKeyIndex::CompactHolders() {
+  std::vector<uint32_t> packed;
+  packed.reserve(holders_.size() - garbage_);
+  for (Span& s : spans_) {
+    const auto first = holders_.begin() + s.begin;
+    s.begin = static_cast<uint32_t>(packed.size());
+    packed.insert(packed.end(), first, first + s.size);
+    s.capacity = s.size;
+  }
+  holders_ = std::move(packed);
+  garbage_ = 0;
+}
+
+BlockingKeyIndex::Change BlockingKeyIndex::Patch(
+    const std::vector<BinaryTable>& candidates,
+    const std::vector<uint8_t>& retired, const std::vector<uint32_t>& order) {
+  const uint32_t first_new = static_cast<uint32_t>(cand_keys_.size());
+  const uint32_t n = static_cast<uint32_t>(candidates.size());
+  Change change;
+  // One op per posting the mutation takes away or adds, grouped by key
+  // below. An insert remembers its entry in the new candidate's key list,
+  // where the dropped flag goes.
+  struct Op {
+    uint32_t slot;
+    uint32_t id;
+    uint32_t entry;
+    bool insert;
   };
-  for (uint32_t id = 0; id < first_new && unseen != 0; ++id) {
-    const auto& pairs = after[id].pairs();
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const ValuePair& p = pairs[i];
-      if (!has(p.left, kLeft)) continue;
-      if (i == 0 || p.left != pairs[i - 1].left) seen_held(LeftKey(p.left));
-      if (has(p.right, kRight)) seen_held(PairKey(p));
+  std::vector<Op> ops;
+  for (uint32_t id = 0; id < retired.size(); ++id) {
+    if (retired[id] == 0) continue;
+    for (uint32_t entry : cand_keys_[id]) {
+      ops.push_back({entry & kSlotMask, id, 0, false});
+    }
+    std::vector<uint32_t>().swap(cand_keys_[id]);
+    dropped_count_[id] = 0;
+    change.changed.push_back(id);
+  }
+  cand_keys_.resize(n);
+  dropped_count_.resize(n, 0);
+  for (uint32_t id = first_new; id < n; ++id) {
+    change.changed.push_back(id);
+    std::vector<uint32_t>& keys = cand_keys_[id];
+    ForEachBlockingKey(candidates[id], [&](uint64_t key) {
+      keys.push_back(SlotOf(key) | ((key & 1) != 0 ? kLeft : 0));
+    });
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (uint32_t i = 0; i < keys.size(); ++i) {
+      ops.push_back({keys[i] & kSlotMask, id, i, true});
     }
   }
-  return unseen;
+  // Per key: removals, then inserts in truncation order.
+  std::sort(ops.begin(), ops.end(), [&](const Op& x, const Op& y) {
+    if (x.slot != y.slot) return x.slot < y.slot;
+    if (x.insert != y.insert) return y.insert;
+    return TruncationRank(order, x.id) < TruncationRank(order, y.id);
+  });
+
+  std::vector<uint32_t> list;
+  for (size_t g = 0; g < ops.size();) {
+    const uint32_t slot = ops[g].slot;
+    size_t j = g;
+    while (j < ops.size() && ops[j].slot == slot && !ops[j].insert) ++j;
+    size_t end = j;
+    while (end < ops.size() && ops[end].slot == slot) ++end;
+    // Merge the surviving holders with the inserts by rank. A survivor's
+    // kept status can change only by its position crossing max_posting:
+    // inserts ranked before it push it back (displacement), removals
+    // before it pull it forward (resurrection).
+    const Span old = spans_[slot];
+    list.clear();
+    for (uint32_t i = 0; i < old.size || j < end;) {
+      const uint32_t* held = holders_.data() + old.begin;
+      const bool take_old =
+          i < old.size &&
+          (j == end || TruncationRank(order, held[i]) <
+                           TruncationRank(order, ops[j].id));
+      if (!take_old) {
+        const Op& op = ops[j++];
+        if (list.size() >= max_posting_) {
+          cand_keys_[op.id][op.entry] |= kDropped;
+          ++dropped_count_[op.id];
+        }
+        list.push_back(op.id);
+        continue;
+      }
+      const uint32_t x = held[i];
+      const bool was_kept = i++ < max_posting_;
+      if (x < retired.size() && retired[x] != 0) continue;
+      const bool now_kept = list.size() < max_posting_;
+      if (was_kept != now_kept) {
+        SetDropped(x, slot, !now_kept);
+        change.changed.push_back(x);
+        ++(now_kept ? change.resurrected : change.displaced);
+      }
+      list.push_back(x);
+    }
+    num_keys_ = num_keys_ + (list.empty() ? 0 : 1) - (old.size == 0 ? 0 : 1);
+    dropped_postings_ = dropped_postings_ + Excess(list.size(), max_posting_) -
+                        Excess(old.size, max_posting_);
+    StoreHolders(slot, list);
+    g = end;
+  }
+  if (garbage_ * 2 > holders_.size()) CompactHolders();
+  std::sort(change.changed.begin(), change.changed.end());
+  change.changed.erase(
+      std::unique(change.changed.begin(), change.changed.end()),
+      change.changed.end());
+  return change;
+}
+
+namespace {
+
+/// Counts one row against the calling thread's slots: every partner b of
+/// candidate `a` over the kept lists of a's kept keys. Without `in_rows`
+/// (every row is counted) only partners b > a are, so each pair is counted
+/// once, in its smaller endpoint's row; with it, a partner b < a is skipped
+/// only when b's own row is counted too. Appends the pairs that reach
+/// `theta`, sorted by (a, b).
+void CountRow(const BlockingKeyIndex& index, uint32_t a, size_t theta,
+              const std::vector<uint8_t>& in_rows, RowScratch& s,
+              std::vector<CandidateTablePair>* out) {
+  const uint32_t epoch = NextEpoch(s);
+  s.touched.clear();
+  index.ForEachKeptList(a, [&](const uint32_t* held, uint32_t kept,
+                               bool left) {
+    for (uint32_t i = 0; i < kept; ++i) {
+      const uint32_t b = held[i];
+      if (b <= a && (b == a || in_rows.empty() || in_rows[b] != 0)) continue;
+      RowSlot& c = s.slots[b];
+      if (c.epoch != epoch) {
+        c = RowSlot{epoch, 0, 0};
+        s.touched.push_back(b);
+      }
+      ++(left ? c.lefts : c.pairs);
+    }
+  });
+  const size_t first = out->size();
+  const bool a_exact = !index.tainted(a);
+  for (uint32_t b : s.touched) {
+    const RowSlot& c = s.slots[b];
+    if (c.pairs < theta && c.lefts < theta) continue;
+    CandidateTablePair p;
+    p.a = std::min(a, b);
+    p.b = std::max(a, b);
+    p.shared_pairs = c.pairs;
+    p.shared_lefts = c.lefts;
+    p.counts_exact = a_exact && !index.tainted(b);
+    out->push_back(p);
+  }
+  // Only the pairs that reached θ are sorted, not every partner.
+  std::sort(out->begin() + first, out->end(), LessAB);
+}
+
+}  // namespace
+
+std::vector<CandidateTablePair> BlockingKeyIndex::CountRows(
+    size_t theta_overlap, ThreadPool* pool,
+    const std::vector<uint32_t>* rows) const {
+  const uint32_t n = static_cast<uint32_t>(size());
+  const size_t num_rows = rows != nullptr ? rows->size() : n;
+  std::vector<uint8_t> in_rows;
+  if (rows != nullptr) {
+    in_rows.assign(n, 0);
+    for (uint32_t id : *rows) in_rows[id] = 1;
+  }
+  // Several row ranges per worker so uneven rows balance; concatenated in
+  // range order, a full count stays sorted.
+  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
+  const size_t num_ranges = std::min(num_rows, workers > 1 ? workers * 16 : 1);
+  std::vector<std::vector<CandidateTablePair>> parts(num_ranges);
+  const auto count_range = [&](size_t r) {
+    RowScratch& s = ThreadRowScratch();
+    if (s.slots.size() < n) s.slots.resize(n);
+    const size_t end = (r + 1) * num_rows / num_ranges;
+    for (size_t k = r * num_rows / num_ranges; k < end; ++k) {
+      const uint32_t a =
+          rows != nullptr ? (*rows)[k] : static_cast<uint32_t>(k);
+      CountRow(*this, a, theta_overlap, in_rows, s, &parts[r]);
+    }
+  };
+  if (num_ranges > 1) {
+    pool->ParallelFor(num_ranges, count_range);
+  } else if (num_ranges == 1) {
+    count_range(0);
+  }
+  size_t total = 0;
+  for (const auto& p : parts) total += p.size();
+  std::vector<CandidateTablePair> out;
+  out.reserve(total);
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  // A changed row's pairs with smaller partners land out of order.
+  if (rows != nullptr) std::sort(out.begin(), out.end(), LessAB);
+  return out;
+}
+
+void BlockingKeyIndex::FillStats(BlockingStats* stats) const {
+  stats->keys = num_keys_;
+  stats->dropped_postings = dropped_postings_;
+  stats->exact_counts = dropped_postings_ == 0;
+  stats->tainted.clear();
+  stats->tainted_candidates = 0;
+  if (dropped_postings_ == 0) return;
+  stats->tainted.assign(size(), 0);
+  for (size_t id = 0; id < size(); ++id) {
+    if (dropped_count_[id] == 0) continue;
+    stats->tainted[id] = 1;
+    ++stats->tainted_candidates;
+  }
+}
+
+size_t BlockingKeyIndex::bytes() const {
+  size_t total = slot_of_.bytes() + spans_.capacity() * sizeof(Span) +
+                 holders_.capacity() * sizeof(uint32_t) +
+                 cand_keys_.capacity() * sizeof(cand_keys_[0]) +
+                 dropped_count_.capacity() * sizeof(uint32_t);
+  for (const auto& keys : cand_keys_) {
+    total += keys.capacity() * sizeof(uint32_t);
+  }
+  return total;
+}
+
+// ------------------------------------------------------------ entry points
+
+std::vector<CandidateTablePair> BlockingKeyIndex::BuildAndCount(
+    const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
+    const std::vector<uint32_t>& order, ThreadPool* pool,
+    BlockingStats* stats) {
+  Timer timer;
+  Build(candidates, options.max_posting, order);
+  stats->map_shuffle_seconds = timer.ElapsedSeconds();
+  timer.Restart();
+  std::vector<CandidateTablePair> out = CountRows(options.theta_overlap, pool);
+  stats->count_seconds = timer.ElapsedSeconds();
+  stats->reduce_seconds = 0.0;
+  FillStats(stats);
+  return out;
 }
 
 std::vector<CandidateTablePair> GenerateCandidatePairs(
     const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
     ThreadPool* pool, BlockingStats* stats,
     const std::vector<uint32_t>& order) {
-  // A cold run is the delta pass over an empty base: every id is appended,
-  // every key is new, and the union taint bitmap starts empty. An empty
-  // input still reports its (exact, empty) stats.
-  std::vector<uint8_t> tainted;
-  DeltaBlockingStats delta;
-  auto out = GenerateDeltaCandidatePairs(candidates, 0, options, pool,
-                                         &tainted, &delta, order);
-  if (stats) {
-    stats->map_shuffle_seconds = delta.map_shuffle_seconds;
-    stats->count_seconds = delta.count_seconds;
-    stats->reduce_seconds = delta.reduce_seconds;
-    stats->keys = delta.new_keys;
-    stats->dropped_postings = delta.dropped_postings;
-    stats->tainted_candidates = static_cast<size_t>(
-        std::count(tainted.begin(), tainted.end(), uint8_t{1}));
-    stats->exact_counts = stats->dropped_postings == 0;
-    stats->tainted = std::move(tainted);
-  }
-  return out;
+  BlockingStats unused;
+  return BlockingKeyIndex().BuildAndCount(candidates, options, order, pool,
+                                          stats != nullptr ? stats : &unused);
 }
 
-std::vector<CandidateTablePair> GenerateDeltaCandidatePairs(
-    const std::vector<BinaryTable>& candidates, uint32_t first_new,
-    const BlockingOptions& options, ThreadPool* pool,
-    std::vector<uint8_t>* tainted, DeltaBlockingStats* stats,
-    const std::vector<uint32_t>& order) {
-  if (first_new >= candidates.size()) return {};
-  Timer timer;
-  std::vector<uint8_t> local_tainted;
-  if (tainted == nullptr) tainted = &local_tainted;
-  if (!tainted->empty()) tainted->resize(candidates.size(), 0);
-
-  // --- Map + shuffle: hash-partition (blocking key -> candidate id), so
-  // every posting list lives wholly inside one partition. With existing
-  // candidates (first_new > 0) only the keys some appended candidate holds
-  // are emitted: existing candidates contribute their postings for exactly
-  // those keys, nothing else. That filter is the only full-corpus scan a
-  // delta pass pays, and it is linear.
-  std::vector<uint32_t> inputs(candidates.size());
-  for (uint32_t i = 0; i < candidates.size(); ++i) inputs[i] = i;
-  std::function<void(const uint32_t&, Emitter<uint64_t, uint32_t>&)> map_fn =
-      [&](const uint32_t& id, Emitter<uint64_t, uint32_t>& em) {
-        EmitBlockingKeys(candidates[id], id, em);
-      };
-  // FlatMap64 reserves key 0 as its empty sentinel, so delta keys are
-  // stored shifted by one (the pipeline already tolerates 64-bit key-hash
-  // collisions, which an unrepresentable key 2^64-1 would amount to).
-  FlatMap64<char> delta_keys;
-  if (first_new > 0) {
-    Emitter<uint64_t, uint32_t> collector(1);
-    for (uint32_t id = first_new; id < candidates.size(); ++id) {
-      EmitBlockingKeys(candidates[id], id, collector);
-    }
-    for (const auto& [key, unused] : collector.buffers()[0]) {
-      delta_keys[key + 1] = 1;
-    }
-    map_fn = [&](const uint32_t& id, Emitter<uint64_t, uint32_t>& em) {
-      Emitter<uint64_t, uint32_t> probe(1);
-      EmitBlockingKeys(candidates[id], id, probe);
-      for (const auto& [key, emitted_id] : probe.buffers()[0]) {
-        if (delta_keys.Find(key + 1) != nullptr) em.Emit(key, emitted_id);
-      }
-    };
-  }
-  auto parts = RunMapShuffle<uint32_t, uint64_t, uint32_t>(inputs, map_fn, pool);
-  if (stats) stats->map_shuffle_seconds = timer.ElapsedSeconds();
-
-  // --- Streaming count: sort each partition by key, walk posting-list runs,
-  // and stream the co-occurring id pairs that touch an appended id directly
-  // into per-partition flat count maps sharded by the packed id pair.
-  // Nothing quadratic is ever stored; each id pair costs one hash-map
-  // increment. Truncation follows union semantics: each list keeps the
-  // max_posting candidates first in truncation order. Old-old counts and
-  // old-candidate taint are not recomputed here — they equal the base run's
-  // unless a new candidate ranks before old ones and displaces one from a
-  // truncated list (see DeltaMergeIsExact).
-  timer.Restart();
-  const size_t workers = pool ? pool->num_threads() : 1;
-  const bool parallel = pool && workers > 1;
-  const size_t num_shards = NextPow2(workers);
-  const uint64_t shard_mask = num_shards - 1;
-  // One count-map group per partition when counting runs in parallel;
-  // serially, all partitions share one group so the merge below is a no-op.
-  const size_t num_groups = parallel ? parts.size() : 1;
-  std::vector<std::vector<FlatMap64<OverlapCounts>>> counts(num_groups);
-  for (auto& c : counts) c.resize(num_shards);
-  std::vector<size_t> part_new_keys(parts.size(), 0);
-  std::vector<size_t> part_scanned(parts.size(), 0);
-  std::vector<size_t> part_dropped_delta(parts.size(), 0);
-  // Candidate ids dropped from a truncated posting list, per partition.
-  // Only pairs touching one of these can have understated counts; everyone
-  // else keeps per-pair count exactness (counts_exact) even when some hot
-  // key somewhere truncated.
-  std::vector<std::vector<uint32_t>> part_tainted(parts.size());
-
-  auto count_partition = [&](size_t p) {
-    auto& part = parts[p];
-    if (part.empty()) return;
-    auto& shards = counts[parallel ? p : 0];
-    std::vector<uint32_t> ids;
-    size_t i = 0;
-    while (i < part.size()) {
-      const uint64_t key = part[i].first;
-      size_t j = i;
-      ids.clear();
-      for (; j < part.size() && part[j].first == key; ++j) {
-        // Runs are sorted by id, so de-dup is an adjacency check.
-        if (ids.empty() || ids.back() != part[j].second) {
-          ids.push_back(part[j].second);
-        }
-      }
-      i = j;
-      ++part_scanned[p];
-      // Ids are sorted, so the old ids are the prefix below first_new.
-      const size_t old_len = static_cast<size_t>(
-          std::lower_bound(ids.begin(), ids.end(), first_new) - ids.begin());
-      if (old_len == 0) ++part_new_keys[p];
-      const size_t base_dropped =
-          old_len > options.max_posting ? old_len - options.max_posting : 0;
-      const size_t union_dropped =
-          ids.size() > options.max_posting ? ids.size() - options.max_posting
-                                           : 0;
-      part_dropped_delta[p] += union_dropped - base_dropped;
-      // Deterministic truncation, accounted for. The dropped ids can include
-      // old ids (already tainted in the base run unless displaced —
-      // re-adding is idempotent) and appended ids (newly tainted).
-      TruncatePosting(ids, options.max_posting, order, &part_tainted[p]);
-      const bool is_pair = (key & 1) == 0;
-      // Only pairs touching an appended id: a < b and appended ids are the
-      // largest, so restricting b to the appended suffix of the kept list
-      // (still sorted by id) covers exactly (old x new) and (new x new).
-      const size_t first_new_pos = static_cast<size_t>(
-          std::lower_bound(ids.begin(), ids.end(), first_new) - ids.begin());
-      for (size_t x = 0; x < ids.size(); ++x) {
-        const uint64_t hi = static_cast<uint64_t>(ids[x]) << 32;
-        for (size_t y = std::max(x + 1, first_new_pos); y < ids.size(); ++y) {
-          const uint64_t packed = hi | ids[y];
-          // High mix bits pick the shard; FlatMap64 slots use the low bits.
-          auto& c = shards[(Mix64(packed) >> 32) & shard_mask][packed];
-          if (is_pair) {
-            ++c.pairs;
-          } else {
-            ++c.lefts;
-          }
-        }
-      }
-    }
-  };
-  if (parallel) {
-    // Each partition task sorts its own buffer; count maps are per group.
-    pool->ParallelFor(parts.size(), [&](size_t p) {
-      std::sort(parts[p].begin(), parts[p].end());
-      count_partition(p);
-    });
-  } else {
-    // Serial: all partitions share one map group. Growth-by-doubling beats
-    // an upfront reservation here — increment counts overestimate distinct
-    // id pairs several-fold, and an oversized map trades amortized rehash
-    // for a cache miss on every increment (measurably worse).
-    for (size_t p = 0; p < parts.size(); ++p) {
-      std::sort(parts[p].begin(), parts[p].end());
-      count_partition(p);
-    }
-  }
-  if (stats) stats->count_seconds = timer.ElapsedSeconds();
-
-  // --- Fold the per-partition taint lists into the caller's union bitmap:
-  // a pair's counts are exact iff neither endpoint was ever dropped from a
-  // truncated list (a pair only loses count from a list both appear in
-  // when one of them sits in the dropped tail).
-  for (const auto& t : part_tainted) {
-    for (uint32_t id : t) {
-      if (tainted->empty()) tainted->assign(candidates.size(), 0);
-      (*tainted)[id] = 1;
-    }
-  }
-
-  // --- Reduce: merge each shard across partition groups (parallel over
-  // shards), apply the θ_overlap threshold, and emit surviving pairs. With
-  // one group (serial counting) the "merge" reads the counts in place.
-  timer.Restart();
-  std::vector<std::vector<CandidateTablePair>> survivors(num_shards);
-  auto emit_survivor = [&](std::vector<CandidateTablePair>& out,
-                           uint64_t packed, const OverlapCounts& c) {
-    if (c.pairs >= options.theta_overlap || c.lefts >= options.theta_overlap) {
-      CandidateTablePair p;
-      p.a = static_cast<uint32_t>(packed >> 32);
-      p.b = static_cast<uint32_t>(packed & 0xffffffffu);
-      p.shared_pairs = c.pairs;
-      p.shared_lefts = c.lefts;
-      p.counts_exact =
-          tainted->empty() || (!(*tainted)[p.a] && !(*tainted)[p.b]);
-      out.push_back(p);
-    }
-  };
-  auto reduce_shard = [&](size_t s) {
-    auto& out = survivors[s];
-    if (num_groups == 1) {
-      counts[0][s].ForEach([&](uint64_t packed, const OverlapCounts& c) {
-        emit_survivor(out, packed, c);
-      });
-      return;
-    }
-    size_t expected = 0;
-    for (size_t g = 0; g < num_groups; ++g) expected += counts[g][s].size();
-    if (expected == 0) return;
-    FlatMap64<OverlapCounts> merged(expected);
-    for (size_t g = 0; g < num_groups; ++g) {
-      counts[g][s].ForEach([&](uint64_t packed, const OverlapCounts& c) {
-        auto& m = merged[packed];
-        m.pairs += c.pairs;
-        m.lefts += c.lefts;
-      });
-    }
-    merged.ForEach([&](uint64_t packed, const OverlapCounts& c) {
-      emit_survivor(out, packed, c);
-    });
-  };
-  if (parallel && num_shards > 1) {
-    pool->ParallelFor(num_shards, reduce_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) reduce_shard(s);
-  }
-
-  auto out = CollectAndSort(survivors);
-  if (stats) {
-    stats->reduce_seconds = timer.ElapsedSeconds();
-    for (size_t p = 0; p < parts.size(); ++p) {
-      stats->new_keys += part_new_keys[p];
-      stats->scanned_keys += part_scanned[p];
-      stats->dropped_postings += part_dropped_delta[p];
-    }
-  }
-  return out;
-}
-
-std::vector<CandidateTablePair> GenerateCandidatePairsReference(
-    const std::vector<BinaryTable>& candidates, const BlockingOptions& options,
-    ThreadPool* pool, const std::vector<uint32_t>& order) {
-  // --- MapReduce round: key = hashed value pair (or hashed left value with
-  // a tag bit), value = candidate id. Reduce emits co-occurring id pairs.
-  std::vector<uint32_t> inputs(candidates.size());
-  for (uint32_t i = 0; i < candidates.size(); ++i) inputs[i] = i;
-
-  using KV = std::pair<uint64_t, bool>;  // (packed id pair, is_pair_key)
-  std::mutex tainted_mu;
-  std::vector<uint32_t> tainted_ids;
-  std::function<void(const uint32_t&, Emitter<uint64_t, uint32_t>&)> map_fn =
-      [&](const uint32_t& id, Emitter<uint64_t, uint32_t>& em) {
-        EmitBlockingKeys(candidates[id], id, em);
-      };
-  std::function<void(const uint64_t&, std::vector<uint32_t>&,
-                     std::vector<KV>*)>
-      reduce_fn = [&](const uint64_t& key, std::vector<uint32_t>& ids,
-                      std::vector<KV>* out) {
-        EmitIdPairs(ids, options.max_posting, order, out, (key & 1) == 0,
-                    tainted_mu, &tainted_ids);
-      };
-
-  auto emitted = RunMapReduce<uint32_t, uint64_t, uint32_t, KV>(
-      inputs, map_fn, reduce_fn, pool);
-
-  // --- Count per id-pair.
-  std::unordered_map<uint64_t, OverlapCounts> counts;
-  counts.reserve(emitted.size());
-  for (const auto& [packed, is_pair] : emitted) {
-    auto& c = counts[packed];
-    if (is_pair) {
-      ++c.pairs;
-    } else {
-      ++c.lefts;
-    }
-  }
-
-  std::vector<uint8_t> tainted;
-  if (!tainted_ids.empty()) {
-    tainted.assign(candidates.size(), 0);
-    for (uint32_t id : tainted_ids) tainted[id] = 1;
-  }
-
+std::vector<CandidateTablePair> SpliceChangedRows(
+    const std::vector<CandidateTablePair>& base,
+    const std::vector<uint8_t>& changed,
+    const std::vector<CandidateTablePair>& rows,
+    std::vector<CandidateTablePair>* fresh) {
   std::vector<CandidateTablePair> out;
-  for (const auto& [packed, c] : counts) {
-    if (c.pairs >= options.theta_overlap || c.lefts >= options.theta_overlap) {
-      CandidateTablePair p;
-      p.a = static_cast<uint32_t>(packed >> 32);
-      p.b = static_cast<uint32_t>(packed & 0xffffffffu);
-      p.shared_pairs = c.pairs;
-      p.shared_lefts = c.lefts;
-      p.counts_exact = tainted.empty() || (!tainted[p.a] && !tainted[p.b]);
+  out.reserve(base.size() + rows.size());
+  size_t j = 0;
+  for (const CandidateTablePair& p : base) {
+    for (; j < rows.size() && LessAB(rows[j], p); ++j) {
+      out.push_back(rows[j]);
+      fresh->push_back(rows[j]);
+    }
+    if (j < rows.size() && rows[j].a == p.a && rows[j].b == p.b) {
+      out.push_back(rows[j++]);  // recounted
+    } else if (changed[p.a] == 0 && changed[p.b] == 0) {
       out.push_back(p);
     }
   }
-  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  });
+  for (; j < rows.size(); ++j) {
+    out.push_back(rows[j]);
+    fresh->push_back(rows[j]);
+  }
   return out;
+}
+
+uint32_t ThreadBlockingEpochForTesting() { return ThreadRowScratch().epoch; }
+
+void SetThreadBlockingEpochForTesting(uint32_t epoch) {
+  ThreadRowScratch().epoch = epoch;
 }
 
 }  // namespace ms

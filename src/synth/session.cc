@@ -282,6 +282,17 @@ std::vector<uint32_t> ColdOrder(const CandidateSet& c) {
   return order;
 }
 
+/// Feeds the live blocking series once per blocking pass: the rows it
+/// counted, and the size of the key index it leaves behind.
+void RecordBlockingWork(size_t rows, const BlockingKeyIndex& index) {
+  static obs::Counter* const rows_total =
+      obs::MetricsRegistry::Global().GetCounter("ms_synth_block_rows_total");
+  static obs::Gauge* const index_bytes =
+      obs::MetricsRegistry::Global().GetGauge("ms_synth_block_index_bytes");
+  rows_total->Add(rows);
+  index_bytes->Set(static_cast<int64_t>(index.bytes()));
+}
+
 void FillBlockingStats(const BlockingStats& bstats, size_t num_pairs,
                        double seconds, PipelineStats* stats) {
   stats->blocking_seconds = seconds;
@@ -474,15 +485,19 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
   obs::TraceSpan span("synth.block", stage_us);
   BlockedPairs out;
   Timer timer;
-  out.pairs = GenerateCandidatePairs(candidates.tables(), options_.blocking,
-                                     threads_.get(), &out.blocking,
-                                     ColdOrder(candidates));
+  // The pass leaves its key index behind, tagged with this family, for the
+  // family's next mutation to patch.
+  out.pairs = key_index_.BuildAndCount(candidates.tables(), options_.blocking,
+                                       ColdOrder(candidates), threads_.get(),
+                                       &out.blocking);
+  RecordBlockingWork(candidates.num_live(), key_index_);
   out.stats = candidates.stats;
   FillBlockingStats(out.blocking, out.pairs.size(), timer.ElapsedSeconds(),
                     &out.stats);
   out.artifact_id = NextArtifactId();
   out.candidates_id = candidates.artifact_id;
   out.session = this;
+  key_index_tag_ = KeyIndexTagOf(candidates, out);
   ++session_stats_.blocking_runs;
   return out;
 }
@@ -905,7 +920,9 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
     out.scored = scored;
     out.partitions = partitions;
     out.result = result;
+    const bool indexed = key_index_tag_ == KeyIndexTagOf(candidates, blocked);
     restamp(candidates.generation + 1);
+    if (indexed) key_index_tag_ = KeyIndexTagOf(out.candidates, out.blocked);
     out.append.extraction_stable = true;
     out.append.carried_mappings = result.mappings.size();
     out.append.append_seconds = append_timer.ElapsedSeconds();
@@ -1090,86 +1107,55 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   AddExtractionStats(&out.candidates.stats.extraction, delta.stats);
   out.candidates.stats.candidates = out.candidates.owned.size() - total_dead;
 
-  // --- Blocking. Posting lists truncate in (source table, id) order, the
-  // order in which a cold rebuild over the mutated corpus assigns its dense
-  // ids (ColdOrder). Appends and removals keep live ids in table
-  // order, but a flipped table's re-extraction takes tail ids where a cold
-  // run would slot it in table order; ranking by source table keeps every
-  // kept set, count and taint bit identical to the cold run's all the same.
-  //
-  // The delta pass counts only keys the new candidates touch and emits only
-  // (new x all) pairs; base pairs minus those touching a retired candidate
-  // merge verbatim. DeltaMergeIsExact says when that merge is exact: not
-  // when a retirement meets a truncated base (freed slots resurrect old
-  // pairs), and not when a re-extraction ranks among old candidates and a
-  // delta key truncates (it can displace an old posting). Otherwise the
-  // mutated set is re-blocked from scratch; scoring below still reuses
-  // every base edge whose pair survived.
+  // --- Blocking over the session's key index. Posting lists truncate in
+  // (source table, id) order, the order in which a cold rebuild over the
+  // mutated corpus assigns its dense ids (ColdOrder), so every kept set,
+  // count and taint bit matches the cold run's even where a flipped table's
+  // re-extraction took tail ids. A pair's counts, and a candidate's taint
+  // bit, change only if an endpoint joined or left some key's kept list:
+  // when the index describes the base family, the patch returns exactly
+  // those candidates (new, retired, displaced, resurrected), only their
+  // rows are recounted, and every other base pair is kept verbatim. Any
+  // other family rebuilds the index and recounts every row.
   step.Restart();
   out.scored.order = ColdOrder(out.candidates);
   const std::vector<uint32_t>& order = out.scored.order;
-  const bool reextracted = !delta.flipped_tables.empty();
-  const size_t base_dropped = blocked.blocking.dropped_postings;
-  std::vector<CandidateTablePair> delta_pairs;
-  std::vector<uint8_t> tainted = blocked.blocking.tainted;
-  if (!tainted.empty()) tainted.resize(out.candidates.owned.size(), 0);
-  DeltaBlockingStats dstats;
-  bool merge = DeltaMergeIsExact(have_dead, reextracted, base_dropped, 0);
-  if (merge && first_new_id < out.candidates.owned.size()) {
-    delta_pairs = GenerateDeltaCandidatePairs(
-        out.candidates.owned, first_new_id, options_.blocking,
-        threads_.get(), &tainted, &dstats, order);
-    merge = DeltaMergeIsExact(have_dead, reextracted, base_dropped,
-                              dstats.dropped_postings);
-  }
-  const auto less_ab = [](const CandidateTablePair& x,
-                          const CandidateTablePair& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-  };
-  if (merge) {
-    std::vector<CandidateTablePair> base_kept;
-    const std::vector<CandidateTablePair>* base_src = &blocked.pairs;
-    if (have_dead) {
-      base_kept.reserve(blocked.pairs.size());
-      for (const auto& p : blocked.pairs) {
-        if (newly_dead[p.a] || newly_dead[p.b]) continue;
-        base_kept.push_back(p);
-      }
-      base_src = &base_kept;
-    }
-    out.blocked.pairs.reserve(base_src->size() + delta_pairs.size());
-    std::merge(base_src->begin(), base_src->end(), delta_pairs.begin(),
-               delta_pairs.end(), std::back_inserter(out.blocked.pairs),
-               less_ab);
-    out.blocked.blocking = blocked.blocking;
-    // The delta pass counts keys new to the survivors; keys that only
-    // retired candidates held leave the count.
-    if (have_dead) {
-      out.blocked.blocking.keys -= CountRetiredOnlyKeys(
-          base_tables, newly_dead, out.candidates.owned, first_new_id);
-    }
-    out.blocked.blocking.keys += dstats.new_keys;
-    out.blocked.blocking.dropped_postings += dstats.dropped_postings;
-    size_t num_tainted = 0;
-    for (uint8_t t : tainted) num_tainted += t;
-    out.blocked.blocking.tainted_candidates = num_tainted;
-    out.blocked.blocking.exact_counts =
-        out.blocked.blocking.dropped_postings == 0;
-    out.blocked.blocking.tainted = std::move(tainted);
+  const size_t num_vertices = out.candidates.owned.size();
+  const bool patch = key_index_tag_ == KeyIndexTagOf(candidates, blocked);
+  key_index_tag_ = {};  // describes no family until this one is stamped
+  std::vector<uint8_t> changed(num_vertices, patch ? 0 : 1);
+  std::vector<CandidateTablePair> counted;
+  BlockingStats& bstats = out.blocked.blocking;
+  if (patch) {
+    Timer phase;
+    const std::vector<uint32_t> rows =
+        key_index_.Patch(out.candidates.owned, newly_dead, order).changed;
+    for (uint32_t id : rows) changed[id] = 1;
+    bstats.map_shuffle_seconds = phase.ElapsedSeconds();
+    phase.Restart();
+    counted = key_index_.CountRows(options_.blocking.theta_overlap,
+                                   threads_.get(), &rows);
+    bstats.count_seconds = phase.ElapsedSeconds();
+    key_index_.FillStats(&bstats);
+    out.append.block_rows = rows.size();
   } else {
-    BlockingStats bstats;
-    std::vector<CandidateTablePair> full_pairs = GenerateCandidatePairs(
-        out.candidates.owned, options_.blocking, threads_.get(), &bstats,
-        order);
-    // Pairs the base run never scored (new candidates' and resurrected
-    // old-old pairs) are the only ones that need scoring.
-    delta_pairs.clear();
-    std::set_difference(full_pairs.begin(), full_pairs.end(),
-                        blocked.pairs.begin(), blocked.pairs.end(),
-                        std::back_inserter(delta_pairs), less_ab);
-    out.blocked.pairs = std::move(full_pairs);
-    out.blocked.blocking = std::move(bstats);
+    counted = key_index_.BuildAndCount(out.candidates.owned,
+                                       options_.blocking, order,
+                                       threads_.get(), &bstats);
+    out.append.block_rows = num_vertices - total_dead;
   }
+  RecordBlockingWork(out.append.block_rows, key_index_);
+  // Pairs the base never had (new candidates' pairs and resurrected old
+  // ones) are the only ones scoring sees.
+  Timer splice;
+  std::vector<CandidateTablePair> delta_pairs;
+  out.blocked.pairs =
+      SpliceChangedRows(blocked.pairs, changed, counted, &delta_pairs);
+  bstats.reduce_seconds = splice.ElapsedSeconds();
+  // Phase timings accumulate over the family, like blocking_seconds.
+  bstats.map_shuffle_seconds += blocked.blocking.map_shuffle_seconds;
+  bstats.count_seconds += blocked.blocking.count_seconds;
+  bstats.reduce_seconds += blocked.blocking.reduce_seconds;
   out.append.delta_pairs = delta_pairs.size();
   out.blocked.stats = out.candidates.stats;
   FillBlockingStats(out.blocked.blocking, out.blocked.pairs.size(),
@@ -1185,17 +1171,16 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // and is then reused verbatim: weights depend only on the two candidates'
   // contents, which are unchanged. Both endpoints of every dropped base
   // edge are marked dirty for the partition step, and so are those of every
-  // delta edge when blocking re-ran from scratch: a resurrected old-old
-  // pair can link two scopes that hold no new candidate. A merged delta
-  // pass needs no marking, since each of its edges touches a new candidate
-  // (dirty below), and an edge into another scope lies below θ_edge, so it
-  // leaves that scope's subgraph as it was.
+  // delta edge between two base candidates: a resurrected old-old pair can
+  // link two scopes that hold no new candidate. A delta edge that touches
+  // a new candidate needs no marking (new candidates are dirty below), and
+  // an edge into another scope lies below θ_edge, so it leaves that
+  // scope's subgraph as it was.
   step.Restart();
   ScoringStats scoring;
   CompatibilityGraph delta_graph = ScoreThroughSessionMatchers(
       out.candidates.owned, *pool, delta_pairs, &scoring);
   out.append.delta_edges = delta_graph.num_edges();
-  const size_t num_vertices = out.candidates.owned.size();
   std::vector<uint8_t> dirty_vertex(num_vertices, 0);
   const auto mark_endpoints = [&](const CompatEdge& e) {
     dirty_vertex[e.u] = 1;
@@ -1224,7 +1209,9 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
           (bi < be.size() &&
            std::tie(be[bi].u, be[bi].v) < std::tie(de[di].u, de[di].v));
       const CompatEdge& e = take_base ? be[bi++] : de[di++];
-      if (!take_base && !merge) mark_endpoints(e);
+      if (!take_base && e.u < first_new_id && e.v < first_new_id) {
+        mark_endpoints(e);
+      }
       merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
     }
   }
@@ -1353,6 +1340,7 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
       out.result.stats.partition_seconds + out.result.stats.resolve_seconds;
 
   restamp(candidates.generation + 1);
+  key_index_tag_ = KeyIndexTagOf(out.candidates, out.blocked);
   out.append.append_seconds = append_timer.ElapsedSeconds();
   MS_LOG(Info) << "append: +" << out.append.appended_tables << "/-"
                << out.append.removed_tables << " tables, +"

@@ -92,11 +92,11 @@ struct PipelineStats {
   double resolve_seconds = 0.0;
   double total_seconds = 0.0;
 
-  /// Blocking-internal phase breakdown (sums to ~blocking_seconds); makes
-  /// the sharded-blocking speedup observable per phase.
-  double blocking_map_shuffle_seconds = 0.0;  ///< map + hash partition
-  double blocking_count_seconds = 0.0;        ///< sort-group + shard counting
-  double blocking_reduce_seconds = 0.0;       ///< shard merge + threshold
+  /// Blocking-internal phase breakdown (sums to ~blocking_seconds; names
+  /// kept from an earlier engine because snapshots persist them).
+  double blocking_map_shuffle_seconds = 0.0;  ///< key-index build or patch
+  double blocking_count_seconds = 0.0;        ///< row count
+  double blocking_reduce_seconds = 0.0;       ///< a mutation's pair splice
 
   /// Scoring-stage breakdown: bit-parallel kernel mix (Myers64 vs blocked),
   /// pattern-mask cache effectiveness, and how many pair merges the
@@ -244,6 +244,9 @@ struct AppendStats {
   size_t delta_pairs = 0;
   /// Graph edges spliced in from the delta pairs.
   size_t delta_edges = 0;
+  /// Blocking rows recounted: new, retired, displaced and resurrected
+  /// candidates, or every live one when the key index was rebuilt.
+  size_t block_rows = 0;
   /// Partition scopes (positive components; the whole graph without
   /// divide-and-conquer) holding a dirty vertex — a new or retired
   /// candidate, or an endpoint of a delta edge or of a base edge whose pair
@@ -420,11 +423,10 @@ class SynthesisSession {
   ///     signature re-checked (coherence is corpus-global; this is the
   ///     exactness tax), but extraction's normalize + FD work runs only
   ///     over the appended tables;
-  ///   - blocking counts only keys the new candidates touch and emits only
-  ///     (new x all) pairs whenever DeltaMergeIsExact holds (always for a
-  ///     plain append: appended tables rank last in the (source table, id)
-  ///     truncation order); otherwise the mutated set is re-blocked, and
-  ///     base pairs and edges that no longer survive are dropped;
+  ///   - blocking patches the session's key index and recounts only the
+  ///     rows of candidates whose kept posting-list membership changed
+  ///     (any other family rebuilds it and recounts every row); base pairs
+  ///     and edges that no longer survive are dropped;
   ///   - only pairs the base never scored are scored (through the warm
   ///     per-worker matchers) and spliced into the existing graph;
   ///   - only partition scopes holding a new candidate or touching a
@@ -631,6 +633,24 @@ class SynthesisSession {
   /// seeds the cache at the family's generation), so a recycled corpus
   /// address with coincidentally matching counts cannot alias.
   uint32_t index_generation_ = 0;
+
+  /// The blocking key index of the family this session blocked or mutated
+  /// last, patched by each mutation of that family. Its tag names the
+  /// family (artifact ids never 0) and the blocking options it describes; a
+  /// mutation of any other family (restored, branched, failed, or blocked
+  /// under other options) rebuilds the index from its candidates.
+  struct KeyIndexTag {
+    uint64_t candidates_id = 0;
+    uint64_t blocked_id = 0;
+    BlockingOptions options;
+    bool operator==(const KeyIndexTag&) const = default;
+  };
+  KeyIndexTag KeyIndexTagOf(const CandidateSet& candidates,
+                            const BlockedPairs& blocked) const {
+    return {candidates.artifact_id, blocked.artifact_id, options_.blocking};
+  }
+  BlockingKeyIndex key_index_;
+  KeyIndexTag key_index_tag_;
 };
 
 }  // namespace ms

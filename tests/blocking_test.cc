@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
+#include "oracles/blocking_reference.h"
 #include "synth/blocking.h"
 #include "table/string_pool.h"
 
@@ -170,7 +172,7 @@ TEST_F(BlockingFixture, EmptyCandidateSet) {
   EXPECT_EQ(stats.dropped_postings, 0u);
 }
 
-// ------------------------------------------------- sharded-vs-seed oracle
+// ------------------------------------------------------- reference oracle
 
 void ExpectSamePairs(const std::vector<CandidateTablePair>& got,
                      const std::vector<CandidateTablePair>& want) {
@@ -184,8 +186,8 @@ void ExpectSamePairs(const std::vector<CandidateTablePair>& got,
   }
 }
 
-TEST_F(BlockingFixture, ShardedMatchesReferenceOnRandomCorpora) {
-  // The sharded streaming implementation must emit the exact same
+TEST_F(BlockingFixture, RowCountMatchesReferenceOnRandomCorpora) {
+  // Counting one candidate's row at a time must emit the exact same
   // CandidateTablePair set (values and per-pair taint included) as the seed
   // emit-then-count algorithm, across seeds, overlap thresholds, truncation
   // caps and thread counts.
@@ -223,7 +225,7 @@ TEST_F(BlockingFixture, ShardedMatchesReferenceOnRandomCorpora) {
   EXPECT_GT(inexact_pairs, 0u);
 }
 
-TEST_F(BlockingFixture, ShardedMatchesReferenceUnderTruncationOrder) {
+TEST_F(BlockingFixture, RowCountMatchesReferenceUnderTruncationOrder) {
   // Truncation in a caller-given order — source tables that run against
   // id order, as a mutated family's re-extractions do — must agree with the
   // reference on every pair, count and taint bit, serially and on 1- and
@@ -254,10 +256,14 @@ TEST_F(BlockingFixture, ShardedMatchesReferenceUnderTruncationOrder) {
         opts.max_posting = cap;
         auto reference = GenerateCandidatePairsReference(cands, opts, nullptr,
                                                          order);
-        BlockingStats stats;
+        BlockingStats stats, want;
         ExpectSamePairs(
             GenerateCandidatePairs(cands, opts, nullptr, &stats, order),
-            reference);
+            GenerateCandidatePairsReference(cands, opts, nullptr, order,
+                                            &want));
+        EXPECT_EQ(stats.keys, want.keys);
+        EXPECT_EQ(stats.dropped_postings, want.dropped_postings);
+        EXPECT_EQ(stats.tainted, want.tainted);
         ExpectSamePairs(GenerateCandidatePairs(cands, opts, &one, nullptr,
                                                order),
                         reference);
@@ -333,6 +339,106 @@ TEST_F(BlockingFixture, TruncationIsDeterministicAcrossThreadCounts) {
   BlockingStats stats_ser;
   GenerateCandidatePairs(cands, opts, nullptr, &stats_ser);
   EXPECT_EQ(stats_ser.dropped_postings, stats_par.dropped_postings);
+}
+
+TEST_F(BlockingFixture, EpochWrapClearsTheSlotArray) {
+  // The row counter never clears its per-thread slots between rows: each
+  // row takes a fresh 32-bit epoch, and only a wrap clears the array. After
+  // a wrap, rows reuse the epochs the earlier pass stamped its slots with;
+  // without the clear those slots would read as live counts.
+  std::vector<BinaryTable> cands;
+  Rng rng(41);
+  for (int i = 0; i < 40; ++i) {
+    std::vector<std::pair<std::string, std::string>> rows;
+    for (int r = 0; r < 6; ++r) {
+      rows.push_back({"k" + std::to_string(rng.Uniform(20)),
+                      "v" + std::to_string(rng.Uniform(6))});
+    }
+    cands.push_back(Make(rows));
+  }
+  BlockingOptions opts;
+  opts.theta_overlap = 1;
+  BlockingKeyIndex index;
+  index.Build(cands, opts.max_posting);
+  const auto want = GenerateCandidatePairsReference(cands, opts);
+  ASSERT_FALSE(want.empty());
+  // Serial counts run on this thread's slots, one epoch per row. Each pass
+  // starts at the last epoch, so its first row wraps to 1; the second pass
+  // then meets the slots the first stamped with the same epochs.
+  for (int pass = 0; pass < 2; ++pass) {
+    SetThreadBlockingEpochForTesting(UINT32_MAX);
+    ExpectSamePairs(index.CountRows(opts.theta_overlap, nullptr), want);
+    EXPECT_EQ(ThreadBlockingEpochForTesting(), cands.size());
+  }
+}
+
+// ------------------------------------------------------------ concurrency
+
+TEST(BlockingConcurrencyTest, ThreadCountsGiveBitwiseEqualPairsAndStats) {
+  // Rows counted on 1, 2 and 4 threads, each thread on its own slot array,
+  // over a truncated corpus in a non-id truncation order, cold and after a
+  // patch: pairs and stats must be bitwise equal. The concurrency label
+  // runs this under ThreadSanitizer.
+  StringPool pool;
+  Rng rng(2026);
+  std::vector<BinaryTable> cands;
+  std::vector<uint32_t> order;
+  const auto add = [&] {
+    std::vector<ValuePair> pairs;
+    const size_t n_rows = 3 + rng.Uniform(10);
+    for (size_t r = 0; r < n_rows; ++r) {
+      pairs.push_back(
+          {pool.Intern("k" + std::to_string(rng.Uniform(40))),
+           pool.Intern("v" + std::to_string(rng.Uniform(8)))});
+    }
+    BinaryTable b = BinaryTable::FromPairs(std::move(pairs));
+    b.id = static_cast<BinaryTableId>(cands.size());
+    cands.push_back(std::move(b));
+    order.push_back(static_cast<uint32_t>(rng.Uniform(100)));
+  };
+  for (int i = 0; i < 300; ++i) add();
+  BlockingOptions opts;
+  opts.theta_overlap = 1;
+  opts.max_posting = 8;
+  ThreadPool one(1), two(2), four(4);
+  ThreadPool* pools[] = {&one, &two, &four};
+
+  std::vector<CandidateTablePair> want;
+  BlockingStats want_stats;
+  for (ThreadPool* p : pools) {
+    BlockingStats stats;
+    auto got = GenerateCandidatePairs(cands, opts, p, &stats, order);
+    if (p == &one) {
+      want = got;
+      want_stats = stats;
+      continue;
+    }
+    ExpectSamePairs(got, want);
+    EXPECT_EQ(stats.keys, want_stats.keys);
+    EXPECT_EQ(stats.dropped_postings, want_stats.dropped_postings);
+    EXPECT_EQ(stats.tainted, want_stats.tainted);
+  }
+  EXPECT_GT(want_stats.dropped_postings, 0u);
+  EXPECT_GT(want.size(), 1000u);
+
+  // The same after a patch: retire every fifth candidate, append 30.
+  BlockingKeyIndex index;
+  index.Build(cands, opts.max_posting, order);
+  std::vector<uint8_t> retired(cands.size(), 0);
+  for (uint32_t id = 0; id < cands.size(); id += 5) {
+    retired[id] = 1;
+    BinaryTable shell = BinaryTable::FromPairs({});
+    shell.id = id;
+    cands[id] = std::move(shell);
+  }
+  for (int i = 0; i < 30; ++i) add();
+  const auto change = index.Patch(cands, retired, order);
+  const auto rows = index.CountRows(opts.theta_overlap, &one, &change.changed);
+  ExpectSamePairs(index.CountRows(opts.theta_overlap, &two, &change.changed),
+                  rows);
+  ExpectSamePairs(index.CountRows(opts.theta_overlap, &four, &change.changed),
+                  rows);
+  EXPECT_FALSE(rows.empty());
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include "apps/serving.h"
 #include "common/random.h"
 #include "graph/connected_components.h"
+#include "oracles/blocking_reference.h"
 #include "persist/corpus_store.h"
 #include "persist/snapshot.h"
 #include "synth/blocking.h"
@@ -553,123 +554,135 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
       flip_truncation_schedules);
 }
 
-TEST(IncrementalDifferentialTest, DeltaBlockingMatchesFullReblocking) {
-  // Sharp blocking-level differential: whenever the session's branch rule
-  // (DeltaMergeIsExact) merges, merging a base run's pairs with the delta
-  // pass must reproduce full re-blocking exactly — counts, per-pair
-  // exactness, taint bitmap, key and truncation accounting. Three input
-  // shapes: id order; appended tables (new candidates rank after every
-  // old one); and re-extractions, whose truncation rank lands among the
-  // old candidates'. A re-extraction can displace an old posting from a
-  // truncated list, which the delta pass cannot see; the rule must never
-  // merge such a pass, and the fixture must really produce some.
+TEST(IncrementalDifferentialTest, ChainedKeyIndexPatchesMatchReference) {
+  // Blocking-level differential for the session's key index: a chain of
+  // patches (retirements, appended candidates, and re-extractions whose
+  // truncation rank lands among the old candidates') must leave, after
+  // every patch, exactly what the reference computes over the mutated set:
+  // the base pairs spliced with the changed rows (counts and per-pair
+  // exactness included), the taint bitmap, the key count and the dropped
+  // postings. The fixture must really displace old postings from kept
+  // prefixes and resurrect dropped ones.
   const size_t iters = FuzzIters(8) * 4;
   Rng rng(77);
   ThreadPool pool(4);
-  size_t reranked_merges = 0, displacements = 0;
-  const auto less_ab = [](const CandidateTablePair& x,
-                          const CandidateTablePair& y) {
-    return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+  size_t displaced = 0, resurrected = 0, patches = 0;
+  const auto make_candidate = [&](uint32_t id) {
+    std::vector<ValuePair> pairs;
+    const size_t rows = 2 + rng.Uniform(8);
+    for (size_t r = 0; r < rows; ++r) {
+      pairs.push_back({static_cast<ValueId>(rng.Uniform(24)),
+                       static_cast<ValueId>(24 + rng.Uniform(12))});
+    }
+    BinaryTable t = BinaryTable::FromPairs(std::move(pairs));
+    t.id = id;
+    return t;
   };
   for (size_t iter = 0; iter < iters; ++iter) {
-    const size_t n = 20 + rng.Uniform(60);
-    std::vector<BinaryTable> candidates;
-    for (size_t i = 0; i < n; ++i) {
-      std::vector<ValuePair> pairs;
-      const size_t rows = 2 + rng.Uniform(8);
-      for (size_t r = 0; r < rows; ++r) {
-        pairs.push_back({static_cast<ValueId>(rng.Uniform(24)),
-                         static_cast<ValueId>(24 + rng.Uniform(12))});
-      }
-      BinaryTable t = BinaryTable::FromPairs(std::move(pairs));
-      t.id = static_cast<BinaryTableId>(i);
-      candidates.push_back(std::move(t));
-    }
     BlockingOptions options;
     options.theta_overlap = 1 + rng.Uniform(2);
     const size_t postings[] = {2, 3, 5, 256};
     options.max_posting = postings[rng.Uniform(4)];
-    const uint32_t first_new = static_cast<uint32_t>(rng.Uniform(n + 1));
-    // Truncation order: source tables, two candidates per old table. New
-    // candidates either follow every old table (appended) or, in the
-    // re-extraction shape, may take an old table's slot.
-    const uint64_t shape = rng.Uniform(3);  // 0 id, 1 appended, 2 re-extracted
-    std::vector<uint32_t> order;
-    if (shape != 0) {
-      for (uint32_t i = 0; i < n; ++i) {
-        const bool early = shape == 2 && i >= first_new && first_new > 0 &&
-                           rng.Bernoulli(0.5);
-        order.push_back(i < first_new ? i / 2
-                        : early       ? static_cast<uint32_t>(
-                                      rng.Uniform((first_new + 1) / 2))
-                                      : static_cast<uint32_t>(n + i));
+    // Truncation order: 0 id order (new candidates rank last); 1 source
+    // tables, two candidates per table, new ones on new tables; 2 as 1, but
+    // a new candidate may re-extract an old table and rank among old ones.
+    const uint64_t shape = rng.Uniform(3);
+    ThreadPool* threads = rng.Bernoulli(0.5) ? &pool : nullptr;
+    std::vector<BinaryTable> candidates;
+    std::vector<uint32_t> source;
+    const size_t n0 = rng.Uniform(60);
+    for (uint32_t i = 0; i < n0; ++i) {
+      candidates.push_back(make_candidate(i));
+      source.push_back(i / 2);
+    }
+    uint32_t next_table = static_cast<uint32_t>(n0 / 2 + 1);
+    std::vector<uint32_t> order = shape == 0 ? std::vector<uint32_t>{} : source;
+    BlockingKeyIndex index;
+    index.Build(candidates, options.max_posting, order);
+    std::vector<CandidateTablePair> pairs =
+        GenerateCandidatePairsReference(candidates, options, nullptr, order);
+    ExpectPairsIdentical(pairs,
+                         index.CountRows(options.theta_overlap, threads));
+
+    const size_t steps = 1 + rng.Uniform(5);
+    for (size_t step = 0; step < steps; ++step) {
+      std::vector<uint8_t> retired(candidates.size(), 0);
+      for (uint32_t i = 0; i < candidates.size(); ++i) {
+        if (!candidates[i].pairs().empty() && rng.Bernoulli(0.2)) {
+          retired[i] = 1;
+          BinaryTable shell = BinaryTable::FromPairs({});
+          shell.id = i;
+          candidates[i] = std::move(shell);
+        }
       }
-    }
-    bool reranked = false;
-    for (uint32_t j = first_new; !order.empty() && j < n; ++j) {
-      reranked = reranked || (first_new > 0 && order[j] < order[first_new - 1]);
-    }
-    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n) +
-                 " first_new " + std::to_string(first_new) + " max_posting " +
-                 std::to_string(options.max_posting) + " shape " +
-                 std::to_string(shape));
+      const size_t added = rng.Uniform(9);
+      for (size_t k = 0; k < added; ++k) {
+        candidates.push_back(
+            make_candidate(static_cast<uint32_t>(candidates.size())));
+        source.push_back(shape == 2 && rng.Bernoulli(0.5)
+                             ? static_cast<uint32_t>(rng.Uniform(next_table))
+                             : next_table++);
+      }
+      if (shape != 0) order = source;
+      SCOPED_TRACE("iter " + std::to_string(iter) + " step " +
+                   std::to_string(step) + " shape " + std::to_string(shape) +
+                   " max_posting " + std::to_string(options.max_posting) +
+                   " theta " + std::to_string(options.theta_overlap));
 
-    BlockingStats full_stats;
-    auto full = GenerateCandidatePairs(candidates, options, &pool,
-                                       &full_stats, order);
+      const BlockingKeyIndex::Change change =
+          index.Patch(candidates, retired, order);
+      ++patches;
+      displaced += change.displaced;
+      resurrected += change.resurrected;
+      std::vector<uint8_t> changed(candidates.size(), 0);
+      for (uint32_t id : change.changed) changed[id] = 1;
+      for (uint32_t id = 0; id < retired.size(); ++id) {
+        EXPECT_TRUE(!retired[id] || changed[id]) << id;
+      }
+      for (size_t id = candidates.size() - added; id < candidates.size();
+           ++id) {
+        EXPECT_TRUE(changed[id]) << id;
+      }
+      const std::vector<CandidateTablePair> rows = index.CountRows(
+          options.theta_overlap, threads, &change.changed);
+      std::vector<CandidateTablePair> fresh;
+      const std::vector<CandidateTablePair> spliced =
+          SpliceChangedRows(pairs, changed, rows, &fresh);
 
-    std::vector<BinaryTable> base(candidates.begin(),
-                                  candidates.begin() + first_new);
-    BlockingStats base_stats;
-    auto base_pairs = GenerateCandidatePairs(base, options, &pool,
-                                             &base_stats, order);
-    std::vector<uint8_t> tainted = base_stats.tainted;
-    if (!tainted.empty()) tainted.resize(n, 0);
-    DeltaBlockingStats dstats;
-    auto delta = GenerateDeltaCandidatePairs(candidates, first_new, options,
-                                             &pool, &tainted, &dstats, order);
-    std::vector<CandidateTablePair> merged;
-    merged.reserve(base_pairs.size() + delta.size());
-    std::merge(base_pairs.begin(), base_pairs.end(), delta.begin(),
-               delta.end(), std::back_inserter(merged), less_ab);
-    std::vector<uint8_t> full_bitmap = full_stats.tainted;
-    full_bitmap.resize(n, 0);
-    tainted.resize(n, 0);
-
-    if (!DeltaMergeIsExact(/*retired=*/false, reranked,
-                           base_stats.dropped_postings,
-                           dstats.dropped_postings)) {
-      // The rule re-blocks; count the passes that really were wrong.
-      const bool same =
-          full_bitmap == tainted && full.size() == merged.size() &&
-          std::equal(full.begin(), full.end(), merged.begin(),
-                     [](const auto& x, const auto& y) {
-                       return x.a == y.a && x.b == y.b &&
-                              x.shared_pairs == y.shared_pairs &&
-                              x.shared_lefts == y.shared_lefts &&
-                              x.counts_exact == y.counts_exact;
-                     });
-      displacements += !same;
-      continue;
+      BlockingStats want;
+      const std::vector<CandidateTablePair> reference =
+          GenerateCandidatePairsReference(candidates, options, nullptr, order,
+                                          &want);
+      ExpectPairsIdentical(reference, spliced);
+      std::vector<CandidateTablePair> want_fresh;
+      std::set_difference(
+          reference.begin(), reference.end(), pairs.begin(), pairs.end(),
+          std::back_inserter(want_fresh), [](const auto& x, const auto& y) {
+            return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+          });
+      ExpectPairsIdentical(want_fresh, fresh);
+      BlockingStats got;
+      index.FillStats(&got);
+      EXPECT_EQ(want.keys, got.keys);
+      EXPECT_EQ(want.dropped_postings, got.dropped_postings);
+      EXPECT_EQ(want.tainted_candidates, got.tainted_candidates);
+      EXPECT_EQ(want.exact_counts, got.exact_counts);
+      EXPECT_EQ(want.tainted, got.tainted);
+      // The patched index as a whole, not just the recounted rows.
+      ExpectPairsIdentical(reference,
+                           index.CountRows(options.theta_overlap, threads));
+      ASSERT_FALSE(HasFailure());
+      pairs = spliced;
     }
-    reranked_merges += reranked;
-    ExpectPairsIdentical(full, merged);
-    EXPECT_EQ(full_bitmap, tainted);
-    EXPECT_EQ(full_stats.keys, base_stats.keys + dstats.new_keys);
-    EXPECT_EQ(full_stats.dropped_postings,
-              base_stats.dropped_postings + dstats.dropped_postings);
-    ASSERT_FALSE(HasFailure());
   }
-  // Re-extractions that rank early both merge (no delta key truncated)
-  // and displace old postings (the rule had to re-block).
   if (AtDefaultDepth(8)) {
-    EXPECT_GT(reranked_merges, 0u);
-    EXPECT_GT(displacements, 0u);
+    EXPECT_GT(displaced, 0u) << "no patch displaced a kept posting";
+    EXPECT_GT(resurrected, 0u) << "no patch resurrected a dropped posting";
   }
   std::printf(
-      "delta blocking: %zu merges with re-extractions, %zu displacements "
-      "re-blocked\n",
-      reranked_merges, displacements);
+      "key index patches: %zu patches, %zu displaced and %zu resurrected "
+      "postings\n",
+      patches, displaced, resurrected);
 }
 
 // ------------------------------------------- randomized mutation schedules
@@ -858,9 +871,9 @@ TEST(IncrementalDifferentialTest, RandomMutationSchedulesMatchColdRebuild) {
 }
 
 TEST(IncrementalDifferentialTest, RemovalsKeepTheColdBlockingKeyCount) {
-  // A removal whose blocking merges the delta pass (no posting list
-  // truncated) must drop the keys only the retired candidates held: the
-  // persisted key count equals a cold rebuild's over the survivors.
+  // A removal must drop the keys only the retired candidates held, also
+  // when no posting list truncated: the persisted key count equals a cold
+  // rebuild's over the survivors.
   Rng rng(20261019);
   const size_t iters = FuzzIters(40);
   size_t merged_removals = 0;
@@ -1210,6 +1223,207 @@ TEST(IncrementalApiTest, EmptyFamilyAppendMatchesColdBlockedSection) {
                       ScratchPath("incremental_empty_inc.mssnap"));
   EXPECT_FALSE(cold_bytes.empty());
   EXPECT_EQ(cold_bytes, inc_bytes);
+}
+
+// ----------------------------------------------- key index lifecycle
+
+/// A mutation's artifacts as the next base family.
+Family NextFamily(AppendedArtifacts a) {
+  Family f;
+  f.candidates = std::move(a.candidates);
+  f.blocked = std::move(a.blocked);
+  f.scored = std::move(a.scored);
+  f.partitions = std::move(a.partitions);
+  f.result = std::move(a.result);
+  return f;
+}
+
+/// The cold oracle for a family over `specs`' tables at `live` slots, in
+/// slot order: blocked pairs, taint and edges under ColdIds, the blocking
+/// counters, and canonical mappings.
+void ExpectMatchesColdRebuild(const SynthesisOptions& o,
+                              const std::vector<TableSpec>& specs,
+                              const std::vector<size_t>& live,
+                              const Family& inc, const StringPool& inc_pool) {
+  TableCorpus cold_corpus;
+  for (size_t i : live) AddSpecs(&cold_corpus, specs, i, i + 1);
+  SynthesisSession cold_session(o);
+  Family cold = ColdChain(&cold_session, cold_corpus);
+  if (::testing::Test::HasFailure()) return;
+  EXPECT_EQ(cold.blocked.blocking.keys, inc.blocked.blocking.keys);
+  EXPECT_EQ(cold.blocked.blocking.dropped_postings,
+            inc.blocked.blocking.dropped_postings);
+  EXPECT_EQ(cold.blocked.blocking.tainted_candidates,
+            inc.blocked.blocking.tainted_candidates);
+  ExpectIdenticalUnderColdIds(cold, inc);
+  EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
+            Canonical(inc.result, inc_pool));
+}
+
+/// Slots [0, n) minus `removed`.
+std::vector<size_t> LiveSlots(size_t n, const std::vector<uint32_t>& removed) {
+  std::vector<size_t> live;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::find(removed.begin(), removed.end(), i) == removed.end()) {
+      live.push_back(i);
+    }
+  }
+  return live;
+}
+
+// The session keeps the key index of the family it blocked or mutated
+// last. Each test below leaves it describing a family other than the one
+// the next mutation starts from, and each would fail if the mutation
+// patched it anyway instead of rebuilding it.
+
+TEST(IncrementalKeyIndexTest, MaxPostingChangeBetweenMutationsMatchesCold) {
+  // The index is truncated at the max_posting it was built under. After
+  // UpdateOptions moves the cap, the next mutation rebuilds it under the
+  // new cap and recounts every row.
+  Rng rng(31);
+  const auto specs = RandomCorpusSpec(rng, 40);
+  SynthesisOptions o = BaseOptions();
+  o.blocking.theta_overlap = 1;
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 34);
+  SynthesisSession session(o);
+  Family f0 = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(f0.blocked.blocking.dropped_postings, 0u);
+  AddSpecs(&corpus, specs, 34, 40);
+  auto m1 = session.AppendTables(corpus, 34, f0.candidates, f0.blocked,
+                                 f0.scored, f0.partitions, f0.result);
+  ASSERT_TRUE(m1.ok()) << m1.status().ToString();
+  Family f1 = NextFamily(std::move(m1).value());
+
+  SynthesisOptions tight = o;
+  tight.blocking.max_posting = 3;
+  ASSERT_TRUE(session.UpdateOptions(tight).ok());
+  const std::vector<uint32_t> removed = {2, 7};
+  auto m2 = session.RemoveTables(&corpus, removed, f1.candidates, f1.blocked,
+                                 f1.scored, f1.partitions, f1.result);
+  ASSERT_TRUE(m2.ok()) << m2.status().ToString();
+  Family f2 = NextFamily(std::move(m2).value());
+  EXPECT_GT(f2.blocked.blocking.dropped_postings, 0u);
+  ExpectMatchesColdRebuild(tight, specs, LiveSlots(40, removed), f2,
+                           corpus.pool());
+}
+
+TEST(IncrementalKeyIndexTest, DiscardedMutationThenAnotherMatchesCold) {
+  // A caller drops a mutation's family (undoing its corpus change, as a
+  // failed publish does) and mutates the base again: the index describes
+  // the dropped family and must be rebuilt from the base's candidates.
+  Rng rng(32);
+  const auto specs = RandomCorpusSpec(rng, 40);
+  SynthesisOptions o = BaseOptions();
+  o.blocking.max_posting = 4;
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 40);
+  SynthesisSession session(o);
+  Family f0 = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+
+  const std::vector<uint32_t> dropped = {1, 4, 9};
+  std::vector<std::vector<Column>> saved;
+  for (uint32_t id : dropped) saved.push_back(corpus.table(id).columns);
+  auto discarded = session.RemoveTables(&corpus, dropped, f0.candidates,
+                                        f0.blocked, f0.scored, f0.partitions,
+                                        f0.result);
+  ASSERT_TRUE(discarded.ok()) << discarded.status().ToString();
+  for (size_t i = 0; i < dropped.size(); ++i) {
+    corpus.RestoreColumns(dropped[i], std::move(saved[i]));
+  }
+
+  const std::vector<uint32_t> removed = {2, 5};
+  auto m = session.RemoveTables(&corpus, removed, f0.candidates, f0.blocked,
+                                f0.scored, f0.partitions, f0.result);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  ExpectMatchesColdRebuild(o, specs, LiveSlots(40, removed),
+                           NextFamily(std::move(m).value()), corpus.pool());
+}
+
+TEST(IncrementalKeyIndexTest, MutationAfterAnInjectedCommitFaultMatchesCold) {
+  // A service mutation that fails after the session mutated (an injected
+  // commit fault) leaves the index describing a family nobody serves; the
+  // next mutation of the served family rebuilds it.
+  Rng rng(33);
+  const auto specs = RandomCorpusSpec(rng, 40);
+  SynthesisOptions o = BaseOptions();
+  o.blocking.max_posting = 4;
+  const std::string tsv = ScratchPath("incremental_key_index_fault.tsv");
+  {
+    TableCorpus base;
+    AddSpecs(&base, specs, 0, 40);
+    ASSERT_TRUE(SaveCorpus(base, tsv).ok());
+  }
+  MappingService service(o);
+  ASSERT_TRUE(service.SynthesizeFromFile(tsv).ok());
+  service.InjectFaultForTests(MappingService::ServingFault::kAppendCommit);
+  EXPECT_FALSE(service.RemoveAndResynthesize({1, 4, 9}).ok());
+  const std::vector<uint32_t> removed = {2, 5};
+  ASSERT_TRUE(service.RemoveAndResynthesize(removed).ok());
+  std::remove(tsv.c_str());
+
+  TableCorpus cold_corpus;
+  for (size_t i : LiveSlots(40, removed)) {
+    AddSpecs(&cold_corpus, specs, i, i + 1);
+  }
+  SynthesisSession cold_session(o);
+  Family cold = ColdChain(&cold_session, cold_corpus);
+  ASSERT_FALSE(HasFailure());
+  const PipelineStats& got = service.last_result().stats;
+  const PipelineStats& want = cold.result.stats;
+  EXPECT_EQ(want.candidate_pairs, got.candidate_pairs);
+  EXPECT_EQ(want.blocking_keys, got.blocking_keys);
+  EXPECT_EQ(want.blocking_dropped_postings, got.blocking_dropped_postings);
+  EXPECT_EQ(want.blocking_tainted_candidates,
+            got.blocking_tainted_candidates);
+  EXPECT_EQ(want.graph_edges, got.graph_edges);
+  EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
+            Canonical(service.last_result(), *service.shared_pool()));
+}
+
+TEST(IncrementalKeyIndexTest, MutationOfARestoredFamilyMatchesCold) {
+  // A family restored into a session that has mutated since: the index
+  // describes the later family, and the restored one rebuilds it.
+  Rng rng(34);
+  const auto specs = RandomCorpusSpec(rng, 40);
+  SynthesisOptions o = BaseOptions();
+  o.blocking.max_posting = 4;
+  const std::string snap = ScratchPath("incremental_key_index.mssnap");
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 40);
+  SynthesisSession session(o);
+  Family f0 = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_TRUE(session
+                  .SaveSnapshot(snap, f0.candidates, &f0.blocked, &f0.scored,
+                                &f0.result)
+                  .ok());
+
+  const std::vector<uint32_t> earlier = {1, 4, 9};
+  std::vector<std::vector<Column>> saved;
+  for (uint32_t id : earlier) saved.push_back(corpus.table(id).columns);
+  auto m1 = session.RemoveTables(&corpus, earlier, f0.candidates, f0.blocked,
+                                 f0.scored, f0.partitions, f0.result);
+  ASSERT_TRUE(m1.ok()) << m1.status().ToString();
+  for (size_t i = 0; i < earlier.size(); ++i) {
+    corpus.RestoreColumns(earlier[i], std::move(saved[i]));
+  }
+
+  auto restored = session.RestoreSnapshot(snap);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  std::remove(snap.c_str());
+  SessionSnapshot r = std::move(restored).value();
+  ASSERT_TRUE(r.blocked && r.scored && r.has_result);
+  auto parts = session.Partition(*r.scored);
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  const std::vector<uint32_t> removed = {2, 5};
+  auto m2 = session.RemoveTables(&corpus, removed, *r.candidates, *r.blocked,
+                                 *r.scored, parts.value(), r.result);
+  ASSERT_TRUE(m2.ok()) << m2.status().ToString();
+  ExpectMatchesColdRebuild(o, specs, LiveSlots(40, removed),
+                           NextFamily(std::move(m2).value()), corpus.pool());
 }
 
 TEST(IncrementalPartitionTest, ResurrectedPairRepartitionsItsEndpoints) {

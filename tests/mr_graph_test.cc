@@ -77,34 +77,6 @@ TEST(MapReduceTest, EmptyInput) {
   EXPECT_TRUE(out.empty());
 }
 
-TEST(MapShuffleTest, KeysArePartitionConsistentAndComplete) {
-  // RunMapShuffle must deliver every emitted pair, with all pairs for one
-  // key inside one partition, deterministically across thread counts.
-  std::vector<int> inputs(300);
-  std::iota(inputs.begin(), inputs.end(), 0);
-  std::function<void(const int&, Emitter<int, int>&)> map_fn =
-      [](const int& x, Emitter<int, int>& em) { em.Emit(x % 13, x); };
-  auto check = [&](ThreadPool* pool) {
-    auto parts = RunMapShuffle<int, int, int>(inputs, map_fn, pool);
-    std::map<int, size_t> key_partition;
-    size_t total = 0;
-    long sum = 0;
-    for (size_t p = 0; p < parts.size(); ++p) {
-      for (const auto& [k, v] : parts[p]) {
-        auto [it, inserted] = key_partition.emplace(k, p);
-        EXPECT_EQ(it->second, p) << "key " << k << " split across partitions";
-        ++total;
-        sum += v;
-      }
-    }
-    EXPECT_EQ(total, inputs.size());
-    EXPECT_EQ(sum, 300L * 299 / 2);
-  };
-  check(nullptr);
-  ThreadPool pool(4);
-  check(&pool);
-}
-
 TEST(MapReduceTest, DefaultPartitionCount) {
   EXPECT_EQ(DefaultPartitionCount(0, 8), 1u);
   EXPECT_EQ(DefaultPartitionCount(2, 8), 2u);

@@ -601,6 +601,88 @@ TEST(ObsSynthCountersTest, CoherenceCountersReconcileWithColumnsAndPostings) {
             std::string::npos);
 }
 
+TEST(ObsSynthCountersTest, BlockingRowsAndIndexBytesReconcile) {
+  // ms_synth_block_rows_total advances by every live row on a cold pass
+  // and by the recounted rows (AppendStats::block_rows) on a mutation;
+  // ms_synth_block_index_bytes reads the key index the pass left behind,
+  // which an index built and patched the same way outside the session
+  // reproduces byte for byte.
+  auto& reg = MetricsRegistry::Global();
+  Counter* rows = reg.GetCounter("ms_synth_block_rows_total");
+  Gauge* bytes = reg.GetGauge("ms_synth_block_index_bytes");
+
+  // Every table holds the hot row ("shared name", "shared code"), so with
+  // max_posting 3 its keys truncate and an append reaches old rows.
+  TableCorpus corpus;
+  auto add_table = [&](size_t t) {
+    std::vector<std::string> lcol = {"shared name"}, rcol = {"shared code"};
+    for (size_t r = 0; r < 5; ++r) {
+      const size_t i = (t * 3 + r) % 12;
+      lcol.push_back("entity name " + std::to_string(i));
+      rcol.push_back("code" + std::to_string(i % 4));
+    }
+    corpus.AddFromStrings("domain" + std::to_string(t % 3) + ".example",
+                          TableSource::kWeb, {"name", "code"}, {lcol, rcol});
+  };
+  for (size_t t = 0; t < 8; ++t) add_table(t);
+
+  SynthesisOptions o;
+  o.num_threads = 2;
+  o.min_domains = 1;
+  o.min_pairs = 1;
+  o.blocking.max_posting = 3;
+  SynthesisSession session(o);
+  ASSERT_TRUE(session.status().ok());
+  auto c = session.ExtractCandidates(corpus);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  const uint64_t rows0 = rows->Value();
+  auto b = session.BlockPairs(c.value());
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_EQ(rows->Value(), rows0 + c.value().num_live());
+  EXPECT_GT(b.value().blocking.dropped_postings, 0u);
+  BlockingKeyIndex index;
+  index.Build(c.value().tables(), o.blocking.max_posting);
+  EXPECT_EQ(bytes->Value(), static_cast<int64_t>(index.bytes()));
+  EXPECT_GT(bytes->Value(), 0);
+
+  auto g = session.ScorePairs(c.value(), b.value());
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  auto p = session.Partition(g.value());
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  auto r = session.Resolve(c.value(), g.value(), p.value());
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const size_t first_new = corpus.size();
+  for (size_t t = 8; t < 10; ++t) add_table(t);
+  const uint64_t rows1 = rows->Value();
+  auto grown = session.AppendTables(corpus, first_new, c.value(), b.value(),
+                                    g.value(), p.value(), r.value());
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  const AppendedArtifacts& a = grown.value();
+  ASSERT_FALSE(a.append.full_rebuild);
+  EXPECT_EQ(rows->Value(), rows1 + a.append.block_rows);
+  EXPECT_GE(a.append.block_rows,
+            a.append.new_candidates + a.append.removed_candidates);
+
+  // The same patch outside the session: candidates this append retired,
+  // truncation in (source table, id) order.
+  std::vector<uint8_t> retired(c.value().tables().size(), 0);
+  std::vector<uint32_t> order;
+  for (uint32_t id = 0; id < a.candidates.tables().size(); ++id) {
+    if (id < retired.size()) {
+      retired[id] = a.candidates.is_dead(id) && !c.value().is_dead(id);
+    }
+    order.push_back(a.candidates.tables()[id].source_table);
+  }
+  const auto change = index.Patch(a.candidates.tables(), retired, order);
+  EXPECT_EQ(change.changed.size(), a.append.block_rows);
+  EXPECT_EQ(bytes->Value(), static_cast<int64_t>(index.bytes()));
+
+  const std::string text = reg.ExpositionText();
+  EXPECT_NE(text.find("ms_synth_block_rows_total"), std::string::npos);
+  EXPECT_NE(text.find("ms_synth_block_index_bytes"), std::string::npos);
+}
+
 TEST(ObsSynthCountersTest, ScoreCountersReconcileWithScoringStats) {
   auto& reg = MetricsRegistry::Global();
   Counter* pairs = reg.GetCounter("ms_synth_score_pairs_total");

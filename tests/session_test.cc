@@ -17,6 +17,7 @@
 #include "corpusgen/builtin_domains.h"
 #include "corpusgen/generator.h"
 #include "graph/connected_components.h"
+#include "oracles/blocking_reference.h"
 #include "synth/session.h"
 #include "table/tsv.h"
 
