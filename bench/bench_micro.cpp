@@ -13,6 +13,8 @@
 #include "persist/corpus_store.h"
 #include "stats/npmi.h"
 #include "oracles/blocking_reference.h"
+#include "oracles/edit_distance_reference.h"
+#include "oracles/inverted_index_reference.h"
 #include "synth/blocking.h"
 #include "synth/compatibility.h"
 #include "synth/conflict_resolution.h"

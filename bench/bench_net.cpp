@@ -18,7 +18,7 @@
 //
 //   ./bench/bench_net [num_tables] [output.json]
 //
-// The corpus is the same web-shaped workload as bench_serving.
+// The corpus is bench_serving's web-shaped world (bench_util.h).
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -29,13 +29,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/serving.h"
+#include "bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "net/client.h"
@@ -44,128 +44,13 @@
 #include "synth/session.h"
 #include "table/corpus.h"
 
-namespace ms {
+namespace ms::bench {
 namespace {
 
-constexpr size_t kBatchSize = 32;
 constexpr double kPhaseSeconds = 1.0;
 constexpr size_t kManyConnections = 8;
 constexpr size_t kAcceptanceScale = 8000;
 constexpr int kFuzzFrames = 80;
-
-/// Web-shaped vocabulary (same shape as bench_serving/bench_pr2..pr5).
-struct Vocab {
-  std::vector<std::string> lefts;
-  std::vector<std::string> rights;
-
-  Vocab(size_t n_lefts, size_t n_rights, Rng& rng) {
-    const char* first[] = {"united", "republic", "southern", "new", "grand",
-                           "upper", "saint", "north", "royal", "east"};
-    const char* second[] = {"province", "island", "territory", "state",
-                            "district", "region", "county", "kingdom",
-                            "federation", "commonwealth"};
-    for (size_t i = 0; i < n_lefts; ++i) {
-      std::string s = std::string(first[rng.Uniform(10)]) + " " +
-                      second[rng.Uniform(10)] + " " + std::to_string(i / 7);
-      switch (rng.Uniform(8)) {
-        case 0:
-          s[rng.Uniform(s.size())] = static_cast<char>('a' + rng.Uniform(26));
-          break;
-        case 1:
-          s += static_cast<char>('a' + rng.Uniform(26));
-          break;
-        default:
-          break;
-      }
-      lefts.push_back(std::move(s));
-    }
-    for (size_t i = 0; i < n_rights; ++i) {
-      rights.push_back("c" + std::to_string(i));
-    }
-  }
-};
-
-void GrowCorpus(TableCorpus* corpus, size_t count, const Vocab& vocab,
-                Rng& rng) {
-  const uint32_t nl = static_cast<uint32_t>(vocab.lefts.size());
-  const uint32_t nr = static_cast<uint32_t>(vocab.rights.size());
-  auto skewed = [&](uint32_t space) -> uint32_t {
-    const double r = rng.UniformDouble();
-    if (r < 0.10) return static_cast<uint32_t>(rng.Uniform(8));
-    const uint32_t warm = space / 100 + 1;
-    if (r < 0.40) return 8 + static_cast<uint32_t>(rng.Uniform(warm));
-    return 8 + warm + static_cast<uint32_t>(rng.Uniform(space - 8 - warm));
-  };
-  std::vector<std::string> left_col, right_col;
-  std::vector<uint32_t> seen;
-  for (size_t t = 0; t < count; ++t) {
-    left_col.clear();
-    right_col.clear();
-    seen.clear();
-    const size_t rows = 6 + rng.Uniform(8);
-    while (left_col.size() < rows) {
-      const uint32_t li = skewed(nl);
-      if (std::find(seen.begin(), seen.end(), li) != seen.end()) continue;
-      seen.push_back(li);
-      left_col.push_back(vocab.lefts[li]);
-      right_col.push_back(vocab.rights[skewed(nr)]);
-    }
-    right_col[1] = right_col[0];
-    corpus->AddFromStrings(
-        "domain" + std::to_string(corpus->size() % 64) + ".example",
-        TableSource::kWeb, {"name", "code"}, {left_col, right_col});
-  }
-}
-
-SynthesisOptions BenchOptions() {
-  SynthesisOptions o;
-  o.min_domains = 1;
-  o.min_pairs = 1;
-  o.extraction.coherence_threshold = -1.0;
-  return o;
-}
-
-/// Pre-generated request batches (hits, misses, typos, duplicates) so the
-/// timed loops measure the serving path, not string construction.
-struct RequestPool {
-  std::vector<std::vector<std::string>> batches;
-  std::vector<std::vector<std::string>> columns;
-};
-
-RequestPool BuildRequests(const ServingSnapshot& snap, Rng& rng,
-                          size_t n_batches) {
-  std::vector<std::string> lefts;
-  for (const auto& m : snap.result->mappings) {
-    for (const auto& p : m.merged.pairs()) {
-      lefts.emplace_back(snap.pool->Get(p.left));
-    }
-    if (lefts.size() > 50000) break;
-  }
-  RequestPool pool;
-  pool.batches.reserve(n_batches);
-  pool.columns.reserve(n_batches);
-  for (size_t b = 0; b < n_batches; ++b) {
-    std::vector<std::string> batch;
-    batch.reserve(kBatchSize);
-    for (size_t k = 0; k < kBatchSize; ++k) {
-      const double roll = rng.UniformDouble();
-      if (lefts.empty() || roll < 0.15) {
-        batch.push_back("miss value " + std::to_string(rng.Uniform(10000)));
-      } else {
-        std::string v = lefts[rng.Uniform(lefts.size())];
-        if (roll < 0.3 && !v.empty()) v[rng.Uniform(v.size())] = 'z';
-        batch.push_back(std::move(v));
-      }
-    }
-    for (size_t k = kBatchSize / 2; k + 1 < kBatchSize; k += 3) {
-      batch[k] = batch[k / 2];
-    }
-    std::vector<std::string> column(batch.begin(), batch.begin() + 12);
-    pool.batches.push_back(std::move(batch));
-    pool.columns.push_back(std::move(column));
-  }
-  return pool;
-}
 
 struct PhaseResult {
   double seconds = 0;
@@ -266,10 +151,11 @@ void SendRawBytes(uint16_t port, std::string_view bytes) {
 }
 
 }  // namespace
-}  // namespace ms
+}  // namespace ms::bench
 
 int main(int argc, char** argv) {
   using namespace ms;
+  using namespace ms::bench;
   const size_t n_tables =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : kAcceptanceScale;
   const std::string out_path = argc > 2 ? argv[2] : "BENCH_NET.json";
@@ -277,13 +163,14 @@ int main(int argc, char** argv) {
   Rng vocab_rng(4321);
   std::cout << "building corpus of " << n_tables << " tables...\n"
             << std::flush;
-  Vocab vocab(std::max<size_t>(n_tables / 4, 500),
-              std::max<size_t>(n_tables / 30, 100), vocab_rng);
+  const Vocab vocab(std::max<size_t>(n_tables / 4, 500),
+                    std::max<size_t>(n_tables / 30, 100), vocab_rng,
+                    /*long_forms=*/false);
   Rng grow_rng = vocab_rng;
   TableCorpus corpus;
   GrowCorpus(&corpus, n_tables, vocab, grow_rng);
 
-  MappingService svc(BenchOptions());
+  MappingService svc(WorldOptions(-1.0));
   {
     Timer t;
     const Status st = svc.Synthesize(corpus);
@@ -465,34 +352,30 @@ int main(int argc, char** argv) {
   server.Stop();
 
   // ----------------------------------------------------------------- JSON
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"bench\": \"bench_net (remote serving: wire protocol + epoll "
-         "server over loopback TCP)\",\n"
-      << "  \"corpus_tables\": " << n_tables << ",\n"
-      << "  \"mappings\": " << svc.num_mappings() << ",\n"
-      << "  \"batch_size\": " << kBatchSize << ",\n"
-      << "  \"phase_seconds\": " << kPhaseSeconds << ",\n"
-      << "  \"requests_per_sec_1c\": " << one.requests_per_sec() << ",\n"
-      << "  \"p50_us_1c\": " << one.p50_us << ",\n"
-      << "  \"p99_us_1c\": " << one.p99_us << ",\n"
-      << "  \"connections_scaled\": " << kManyConnections << ",\n"
-      << "  \"requests_per_sec_8c\": " << many.requests_per_sec() << ",\n"
-      << "  \"p50_us_8c\": " << many.p50_us << ",\n"
-      << "  \"p99_us_8c\": " << many.p99_us << ",\n"
-      << "  \"server_lookup_p50_us\": " << server_p50_us << ",\n"
-      << "  \"server_lookup_p99_us\": " << server_p99_us << ",\n"
-      << "  \"fuzz_frames\": " << kFuzzFrames << ",\n"
-      << "  \"malformed_frames_counted\": " << malformed_frames << ",\n"
-      << "  \"post_fuzz_serviceable\": " << (post_fuzz_ok ? "true" : "false")
-      << ",\n"
-      << "  \"divergence\": " << divergence << "\n"
-      << "}\n";
-  std::cout << "wrote " << out_path << "\n";
+  const bool written =
+      JsonObject()
+          .Add("bench",
+               "bench_net (remote serving: wire protocol + epoll server over "
+               "loopback TCP)")
+          .Add("corpus_tables", n_tables)
+          .Add("mappings", svc.num_mappings())
+          .Add("batch_size", kRequestBatch)
+          .Add("phase_seconds", kPhaseSeconds)
+          .Add("requests_per_sec_1c", one.requests_per_sec())
+          .Add("p50_us_1c", one.p50_us)
+          .Add("p99_us_1c", one.p99_us)
+          .Add("connections_scaled", kManyConnections)
+          .Add("requests_per_sec_8c", many.requests_per_sec())
+          .Add("p50_us_8c", many.p50_us)
+          .Add("p99_us_8c", many.p99_us)
+          .Add("server_lookup_p50_us", server_p50_us)
+          .Add("server_lookup_p99_us", server_p99_us)
+          .Add("fuzz_frames", kFuzzFrames)
+          .Add("malformed_frames_counted", malformed_frames)
+          .Add("post_fuzz_serviceable", post_fuzz_ok)
+          .Add("divergence", divergence)
+          .Write(out_path);
+  if (!written) return 1;
 
   // Correctness gates hold at every scale.
   if (phase_failed) {

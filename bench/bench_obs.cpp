@@ -19,18 +19,17 @@
 //
 //   ./bench/bench_obs [num_tables] [output.json]
 //
-// The corpus is the same web-shaped workload as bench_serving.
+// The corpus and request stream are bench_serving's (bench_util.h).
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "apps/serving.h"
+#include "bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "net/client.h"
@@ -40,10 +39,9 @@
 #include "synth/session.h"
 #include "table/corpus.h"
 
-namespace ms {
+namespace ms::bench {
 namespace {
 
-constexpr size_t kBatchSize = 32;
 constexpr size_t kReps = 7;
 /// Sized so an idle rep at CI's 2000 tables lasts about a second: the
 /// store answers the AutoFill/SuggestCorrections containment searches from
@@ -54,118 +52,6 @@ constexpr double kOverheadGate = 0.02;
 /// Below this idle-phase duration the quantization noise of a single rep is
 /// comparable to the overhead being measured; record, don't enforce.
 constexpr double kEnforceMinSeconds = 0.05;
-
-/// Web-shaped vocabulary (same shape as bench_serving/bench_pr2..pr5).
-struct Vocab {
-  std::vector<std::string> lefts;
-  std::vector<std::string> rights;
-
-  Vocab(size_t n_lefts, size_t n_rights, Rng& rng) {
-    const char* first[] = {"united", "republic", "southern", "new", "grand",
-                           "upper", "saint", "north", "royal", "east"};
-    const char* second[] = {"province", "island", "territory", "state",
-                            "district", "region", "county", "kingdom",
-                            "federation", "commonwealth"};
-    for (size_t i = 0; i < n_lefts; ++i) {
-      std::string s = std::string(first[rng.Uniform(10)]) + " " +
-                      second[rng.Uniform(10)] + " " + std::to_string(i / 7);
-      switch (rng.Uniform(8)) {
-        case 0:
-          s[rng.Uniform(s.size())] = static_cast<char>('a' + rng.Uniform(26));
-          break;
-        case 1:
-          s += static_cast<char>('a' + rng.Uniform(26));
-          break;
-        default:
-          break;
-      }
-      lefts.push_back(std::move(s));
-    }
-    for (size_t i = 0; i < n_rights; ++i) {
-      rights.push_back("c" + std::to_string(i));
-    }
-  }
-};
-
-void GrowCorpus(TableCorpus* corpus, size_t count, const Vocab& vocab,
-                Rng& rng) {
-  const uint32_t nl = static_cast<uint32_t>(vocab.lefts.size());
-  const uint32_t nr = static_cast<uint32_t>(vocab.rights.size());
-  auto skewed = [&](uint32_t space) -> uint32_t {
-    const double r = rng.UniformDouble();
-    if (r < 0.10) return static_cast<uint32_t>(rng.Uniform(8));
-    const uint32_t warm = space / 100 + 1;
-    if (r < 0.40) return 8 + static_cast<uint32_t>(rng.Uniform(warm));
-    return 8 + warm + static_cast<uint32_t>(rng.Uniform(space - 8 - warm));
-  };
-  std::vector<std::string> left_col, right_col;
-  std::set<uint32_t> seen;
-  for (size_t t = 0; t < count; ++t) {
-    left_col.clear();
-    right_col.clear();
-    seen.clear();
-    const size_t rows = 6 + rng.Uniform(8);
-    while (left_col.size() < rows) {
-      const uint32_t li = skewed(nl);
-      if (!seen.insert(li).second) continue;
-      left_col.push_back(vocab.lefts[li]);
-      right_col.push_back(vocab.rights[skewed(nr)]);
-    }
-    right_col[1] = right_col[0];
-    corpus->AddFromStrings(
-        "domain" + std::to_string(corpus->size() % 64) + ".example",
-        TableSource::kWeb, {"name", "code"}, {left_col, right_col});
-  }
-}
-
-SynthesisOptions BenchOptions() {
-  SynthesisOptions o;
-  o.min_domains = 1;
-  o.min_pairs = 1;
-  o.extraction.coherence_threshold = -1.0;
-  return o;
-}
-
-/// Pre-generated request stream, identical in shape to bench_serving's.
-struct RequestPool {
-  std::vector<std::vector<std::string>> batches;
-  std::vector<std::vector<std::string>> columns;
-};
-
-RequestPool BuildRequests(const ServingSnapshot& snap, Rng& rng,
-                          size_t n_batches) {
-  std::vector<std::string> lefts;
-  for (const auto& m : snap.result->mappings) {
-    for (const auto& p : m.merged.pairs()) {
-      lefts.emplace_back(snap.pool->Get(p.left));
-    }
-    if (lefts.size() > 50000) break;
-  }
-  RequestPool pool;
-  pool.batches.reserve(n_batches);
-  pool.columns.reserve(n_batches);
-  for (size_t b = 0; b < n_batches; ++b) {
-    std::vector<std::string> batch;
-    batch.reserve(kBatchSize);
-    for (size_t k = 0; k < kBatchSize; ++k) {
-      const double roll = rng.UniformDouble();
-      if (lefts.empty() || roll < 0.15) {
-        batch.push_back("miss value " + std::to_string(rng.Uniform(10000)));
-      } else {
-        std::string v = lefts[rng.Uniform(lefts.size())];
-        if (roll < 0.3 && !v.empty()) v[rng.Uniform(v.size())] = 'z';
-        batch.push_back(std::move(v));
-      }
-    }
-    for (size_t k = kBatchSize / 2; k + 1 < kBatchSize; k += 3) {
-      batch[k] = batch[k / 2];
-    }
-    std::vector<std::string> column(batch.begin(), batch.begin() + 12);
-    pool.batches.push_back(std::move(batch));
-    pool.columns.push_back(std::move(column));
-  }
-  return pool;
-}
 
 /// One fixed-work rep of the mixed phase. The rng seed pins the request
 /// sequence, so the enabled and idle modes execute byte-identical work and
@@ -200,10 +86,11 @@ double MixedRep(const MappingService& svc, const RequestPool& pool,
 }
 
 }  // namespace
-}  // namespace ms
+}  // namespace ms::bench
 
 int main(int argc, char** argv) {
   using namespace ms;
+  using namespace ms::bench;
   const size_t n_tables =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 8000;
   const std::string out_path = argc > 2 ? argv[2] : "BENCH_OBS.json";
@@ -211,13 +98,14 @@ int main(int argc, char** argv) {
   Rng vocab_rng(4321);
   std::cout << "building corpus of " << n_tables << " tables...\n"
             << std::flush;
-  Vocab vocab(std::max<size_t>(n_tables / 4, 500),
-              std::max<size_t>(n_tables / 30, 100), vocab_rng);
+  const Vocab vocab(std::max<size_t>(n_tables / 4, 500),
+                    std::max<size_t>(n_tables / 30, 100), vocab_rng,
+                    /*long_forms=*/false);
   Rng grow_rng = vocab_rng;
   TableCorpus corpus;
   GrowCorpus(&corpus, n_tables, vocab, grow_rng);
 
-  MappingService svc(BenchOptions());
+  MappingService svc(WorldOptions(-1.0));
   {
     Timer t;
     const Status st = svc.Synthesize(corpus);
@@ -325,29 +213,26 @@ int main(int argc, char** argv) {
             << "\n";
 
   // ----------------------------------------------------------------- JSON
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"bench\": \"bench_obs (instrumentation overhead on the mixed "
-         "serving phase + live scrape smoke)\",\n"
-      << "  \"corpus_tables\": " << n_tables << ",\n"
-      << "  \"mappings\": " << svc.num_mappings() << ",\n"
-      << "  \"reps\": " << kReps << ",\n"
-      << "  \"iters_per_rep\": " << kItersPerRep << ",\n"
-      << "  \"batch_size\": " << kBatchSize << ",\n"
-      << "  \"min_idle_seconds\": " << min_idle << ",\n"
-      << "  \"min_enabled_seconds\": " << min_enabled << ",\n"
-      << "  \"overhead_fraction\": " << overhead << ",\n"
-      << "  \"overhead_gate\": " << kOverheadGate << ",\n"
-      << "  \"gate_enforced\": " << (gate_enforced ? "true" : "false") << ",\n"
-      << "  \"scrape_bytes\": " << scrape.size() << ",\n"
-      << "  \"scrape_ok\": " << (scrape_ok ? "true" : "false") << ",\n"
-      << "  \"work_sink\": " << sink << "\n"
-      << "}\n";
-  std::cout << "wrote " << out_path << "\n";
+  const bool written =
+      JsonObject()
+          .Add("bench",
+               "bench_obs (instrumentation overhead on the mixed serving "
+               "phase + live scrape smoke)")
+          .Add("corpus_tables", n_tables)
+          .Add("mappings", svc.num_mappings())
+          .Add("reps", kReps)
+          .Add("iters_per_rep", kItersPerRep)
+          .Add("batch_size", kRequestBatch)
+          .Add("min_idle_seconds", min_idle)
+          .Add("min_enabled_seconds", min_enabled)
+          .Add("overhead_fraction", overhead)
+          .Add("overhead_gate", kOverheadGate)
+          .Add("gate_enforced", gate_enforced)
+          .Add("scrape_bytes", scrape.size())
+          .Add("scrape_ok", scrape_ok)
+          .Add("work_sink", sink)
+          .Write(out_path);
+  if (!written) return 1;
 
   if (!scrape_ok) {
     std::cerr << "FAIL: live scrape missing required series or malformed\n";

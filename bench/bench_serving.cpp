@@ -17,168 +17,34 @@
 //
 //   ./bench/bench_serving [num_tables] [output.json]
 //
-// The corpus is the same web-shaped workload as bench_pr3/pr4/pr5.
+// The corpus is the acceptance gates' web-shaped world (bench_util.h)
+// without its long-form names.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/serving.h"
+#include "bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "synth/session.h"
 #include "table/corpus.h"
 #include "table/tsv.h"
 
-namespace ms {
+namespace ms::bench {
 namespace {
 
-constexpr size_t kBatchSize = 32;
 constexpr double kPhaseSeconds = 1.2;
 constexpr size_t kScaleThreads = 8;
 constexpr size_t kTortureReaders = 4;
 constexpr size_t kTortureBatches = 6;
 constexpr size_t kAcceptanceScale = 20000;
-
-/// Web-shaped vocabulary (same shape as bench_pr2..pr5).
-struct Vocab {
-  std::vector<std::string> lefts;
-  std::vector<std::string> rights;
-
-  Vocab(size_t n_lefts, size_t n_rights, Rng& rng) {
-    const char* first[] = {"united", "republic", "southern", "new", "grand",
-                           "upper", "saint", "north", "royal", "east"};
-    const char* second[] = {"province", "island", "territory", "state",
-                            "district", "region", "county", "kingdom",
-                            "federation", "commonwealth"};
-    for (size_t i = 0; i < n_lefts; ++i) {
-      std::string s = std::string(first[rng.Uniform(10)]) + " " +
-                      second[rng.Uniform(10)] + " " + std::to_string(i / 7);
-      switch (rng.Uniform(8)) {
-        case 0:
-          s[rng.Uniform(s.size())] = static_cast<char>('a' + rng.Uniform(26));
-          break;
-        case 1:
-          s += static_cast<char>('a' + rng.Uniform(26));
-          break;
-        default:
-          break;
-      }
-      lefts.push_back(std::move(s));
-    }
-    for (size_t i = 0; i < n_rights; ++i) {
-      rights.push_back("c" + std::to_string(i));
-    }
-  }
-};
-
-void GrowCorpus(TableCorpus* corpus, size_t count, const Vocab& vocab,
-                Rng& rng) {
-  const uint32_t nl = static_cast<uint32_t>(vocab.lefts.size());
-  const uint32_t nr = static_cast<uint32_t>(vocab.rights.size());
-  auto skewed = [&](uint32_t space) -> uint32_t {
-    const double r = rng.UniformDouble();
-    if (r < 0.10) return static_cast<uint32_t>(rng.Uniform(8));
-    const uint32_t warm = space / 100 + 1;
-    if (r < 0.40) return 8 + static_cast<uint32_t>(rng.Uniform(warm));
-    return 8 + warm + static_cast<uint32_t>(rng.Uniform(space - 8 - warm));
-  };
-  std::vector<std::string> left_col, right_col;
-  std::set<uint32_t> seen;
-  for (size_t t = 0; t < count; ++t) {
-    left_col.clear();
-    right_col.clear();
-    seen.clear();
-    const size_t rows = 6 + rng.Uniform(8);
-    while (left_col.size() < rows) {
-      const uint32_t li = skewed(nl);
-      if (!seen.insert(li).second) continue;
-      left_col.push_back(vocab.lefts[li]);
-      right_col.push_back(vocab.rights[skewed(nr)]);
-    }
-    right_col[1] = right_col[0];
-    corpus->AddFromStrings(
-        "domain" + std::to_string(corpus->size() % 64) + ".example",
-        TableSource::kWeb, {"name", "code"}, {left_col, right_col});
-  }
-}
-
-std::multiset<std::string> Canonical(const SynthesisResult& r,
-                                     const StringPool& pool) {
-  std::multiset<std::string> out;
-  for (const auto& m : r.mappings) {
-    std::multiset<std::string> pairs;
-    for (const auto& p : m.merged.pairs()) {
-      pairs.insert(std::string(pool.Get(p.left)) + ":" +
-                   std::string(pool.Get(p.right)));
-    }
-    std::string key = std::to_string(m.kept_tables.size()) + "|";
-    for (const auto& p : pairs) key += p + ",";
-    out.insert(std::move(key));
-  }
-  return out;
-}
-
-SynthesisOptions BenchOptions() {
-  SynthesisOptions o;
-  o.min_domains = 1;
-  o.min_pairs = 1;
-  o.extraction.coherence_threshold = -1.0;
-  return o;
-}
-
-/// Pre-generated request stream: batches of raw probe values (hits, misses,
-/// typos, duplicates) plus one small column per batch for the app entry
-/// points. Built once so the timed loops measure the serving path, not
-/// string construction.
-struct RequestPool {
-  std::vector<std::vector<std::string>> batches;
-  std::vector<std::vector<std::string>> columns;
-};
-
-RequestPool BuildRequests(const ServingSnapshot& snap, Rng& rng,
-                          size_t n_batches) {
-  std::vector<std::string> lefts;
-  for (const auto& m : snap.result->mappings) {
-    for (const auto& p : m.merged.pairs()) {
-      lefts.emplace_back(snap.pool->Get(p.left));
-    }
-    if (lefts.size() > 50000) break;
-  }
-  RequestPool pool;
-  pool.batches.reserve(n_batches);
-  pool.columns.reserve(n_batches);
-  for (size_t b = 0; b < n_batches; ++b) {
-    std::vector<std::string> batch;
-    batch.reserve(kBatchSize);
-    for (size_t k = 0; k < kBatchSize; ++k) {
-      const double roll = rng.UniformDouble();
-      if (lefts.empty() || roll < 0.15) {
-        batch.push_back("miss value " + std::to_string(rng.Uniform(10000)));
-      } else {
-        std::string v = lefts[rng.Uniform(lefts.size())];
-        if (roll < 0.3 && !v.empty()) v[rng.Uniform(v.size())] = 'z';
-        batch.push_back(std::move(v));
-      }
-    }
-    // Duplicate a slice: serving columns repeat values, and the batch
-    // dedup path should see its real shape.
-    for (size_t k = kBatchSize / 2; k + 1 < kBatchSize; k += 3) {
-      batch[k] = batch[k / 2];
-    }
-    std::vector<std::string> column(batch.begin(), batch.begin() + 12);
-    pool.batches.push_back(std::move(batch));
-    pool.columns.push_back(std::move(column));
-  }
-  return pool;
-}
 
 struct PhaseResult {
   double seconds = 0;
@@ -253,10 +119,11 @@ PhaseResult RunReadPhase(const MappingService& svc, const RequestPool& pool,
 }
 
 }  // namespace
-}  // namespace ms
+}  // namespace ms::bench
 
 int main(int argc, char** argv) {
   using namespace ms;
+  using namespace ms::bench;
   const size_t n_tables =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : kAcceptanceScale;
   const std::string out_path = argc > 2 ? argv[2] : "BENCH_SERVING.json";
@@ -267,8 +134,9 @@ int main(int argc, char** argv) {
   std::cout << "building corpus of " << n_tables << " tables (" << n_base
             << " base + " << n_delta << " appended under read load)...\n"
             << std::flush;
-  Vocab vocab(std::max<size_t>(n_tables / 4, 500),
-              std::max<size_t>(n_tables / 30, 100), vocab_rng);
+  const Vocab vocab(std::max<size_t>(n_tables / 4, 500),
+                    std::max<size_t>(n_tables / 30, 100), vocab_rng,
+                    /*long_forms=*/false);
 
   Rng grow_rng = vocab_rng;
   TableCorpus base;
@@ -281,7 +149,7 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: cannot write " << tsv << "\n";
     return 1;
   }
-  MappingService svc(BenchOptions());
+  MappingService svc(WorldOptions(-1.0));
   {
     Timer t;
     const Status st = svc.SynthesizeFromFile(tsv);
@@ -389,7 +257,7 @@ int main(int argc, char** argv) {
   Rng cold_rng = vocab_rng;
   TableCorpus cold_corpus;
   GrowCorpus(&cold_corpus, n_tables, vocab, cold_rng);
-  MappingService cold(BenchOptions());
+  MappingService cold(WorldOptions(-1.0));
   if (!cold.Synthesize(cold_corpus).ok()) {
     std::cerr << "FAIL: cold rebuild error\n";
     return 1;
@@ -404,35 +272,32 @@ int main(int argc, char** argv) {
   const bool gate_enforced = hw >= kScaleThreads && n_tables >= kAcceptanceScale;
 
   // ----------------------------------------------------------------- JSON
-  std::ofstream out(out_path);
-  if (!out) {
-    std::cerr << "error: cannot open " << out_path << " for writing\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"bench\": \"bench_serving (RCU snapshot readers: mixed-traffic "
-         "scaling + torture appends)\",\n"
-      << "  \"corpus_tables\": " << n_tables << ",\n"
-      << "  \"mappings\": " << svc.num_mappings() << ",\n"
-      << "  \"batch_size\": " << kBatchSize << ",\n"
-      << "  \"phase_seconds\": " << kPhaseSeconds << ",\n"
-      << "  \"threads_scaled\": " << kScaleThreads << ",\n"
-      << "  \"lookups_per_sec_1t\": " << one.lookups_per_sec() << ",\n"
-      << "  \"p50_us_1t\": " << one.p50_us << ",\n"
-      << "  \"p99_us_1t\": " << one.p99_us << ",\n"
-      << "  \"lookups_per_sec_nt\": " << many.lookups_per_sec() << ",\n"
-      << "  \"p50_us_nt\": " << many.p50_us << ",\n"
-      << "  \"p99_us_nt\": " << many.p99_us << ",\n"
-      << "  \"scaling\": " << scaling << ",\n"
-      << "  \"torture_appended_tables\": " << appended << ",\n"
-      << "  \"torture_seconds\": " << torture_s << ",\n"
-      << "  \"torture_reads\": " << torture_reads.load() << ",\n"
-      << "  \"torn_reads\": " << torn.load() << ",\n"
-      << "  \"mapping_divergence\": " << divergence << ",\n"
-      << "  \"hardware_concurrency\": " << hw << ",\n"
-      << "  \"gate_enforced\": " << (gate_enforced ? "true" : "false") << "\n"
-      << "}\n";
-  std::cout << "wrote " << out_path << "\n";
+  const bool written =
+      JsonObject()
+          .Add("bench",
+               "bench_serving (RCU snapshot readers: mixed-traffic scaling + "
+               "torture appends)")
+          .Add("corpus_tables", n_tables)
+          .Add("mappings", svc.num_mappings())
+          .Add("batch_size", kRequestBatch)
+          .Add("phase_seconds", kPhaseSeconds)
+          .Add("threads_scaled", kScaleThreads)
+          .Add("lookups_per_sec_1t", one.lookups_per_sec())
+          .Add("p50_us_1t", one.p50_us)
+          .Add("p99_us_1t", one.p99_us)
+          .Add("lookups_per_sec_nt", many.lookups_per_sec())
+          .Add("p50_us_nt", many.p50_us)
+          .Add("p99_us_nt", many.p99_us)
+          .Add("scaling", scaling)
+          .Add("torture_appended_tables", appended)
+          .Add("torture_seconds", torture_s)
+          .Add("torture_reads", torture_reads.load())
+          .Add("torn_reads", torn.load())
+          .Add("mapping_divergence", divergence)
+          .Add("hardware_concurrency", hw)
+          .Add("gate_enforced", gate_enforced)
+          .Write(out_path);
+  if (!written) return 1;
   std::remove(tsv.c_str());
 
   // Correctness gates hold at every scale.

@@ -106,21 +106,4 @@ class ColumnInvertedIndex {
   ColumnId next_column_id_ = 0;      // ids handed out so far (never reused)
 };
 
-/// The seed vector<vector> implementation, kept as the equivalence oracle
-/// for randomized tests and as the baseline for bench_micro/bench_pr1.
-class ReferenceInvertedIndex {
- public:
-  void Build(const TableCorpus& corpus);
-
-  size_t num_columns() const { return num_columns_; }
-  size_t ColumnFrequency(ValueId u) const;
-  size_t CoOccurrence(ValueId u, ValueId v) const;
-  const std::vector<ColumnId>& Postings(ValueId u) const;
-
- private:
-  size_t num_columns_ = 0;
-  std::vector<std::vector<ColumnId>> postings_;  // indexed by ValueId
-  static const std::vector<ColumnId> kEmpty;
-};
-
 }  // namespace ms

@@ -12,9 +12,9 @@
 // left values once per scored pair, and can reuse the shared_pairs /
 // shared_lefts counts the blocking stage already computed instead of
 // re-intersecting the sorted pair lists. The extended ComputeCompatibility
-// overload is a one-pair PairScorer. ComputeCompatibilityReference keeps
-// the seed scalar implementation (banded DP, no caching, no hints) as the
-// equivalence oracle.
+// overload is a one-pair PairScorer. The seed scalar implementation (banded
+// DP, no caching, no hints) is the test oracle
+// ComputeCompatibilityReference in tests/oracles/compatibility_reference.h.
 #pragma once
 
 #include <memory>
@@ -156,14 +156,5 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
                                 BatchApproxMatcher* matcher,
                                 const BlockingHint* hint = nullptr,
                                 ScoringStats* stats = nullptr);
-
-/// The seed scalar implementation (per-call value matching through the
-/// banded DP, no mask caching, no blocking reuse). Kept as the
-/// differential-test oracle and the baseline for bench_pr2; identical
-/// results to the fast path by construction.
-PairScores ComputeCompatibilityReference(const BinaryTable& a,
-                                         const BinaryTable& b,
-                                         const StringPool& pool,
-                                         const CompatibilityOptions& opts = {});
 
 }  // namespace ms

@@ -5,9 +5,9 @@
 // so short codes ("USA" vs "RSA") require exact equality while longer names
 // tolerate small variations. The match predicate runs the bit-parallel
 // Myers kernel (text/myers.h). The paper's banded dynamic program
-// (Ukkonen-style, Algorithm 2), which only fills a diagonal band of width
-// θ_ed in O(θ_ed · min(|v1|,|v2|)) time, stays here as the scalar oracle
-// the kernels are tested against.
+// (Ukkonen-style, Algorithm 2) and the full-matrix distance are the scalar
+// oracles the kernels are tested against; they live with the other test
+// oracles in tests/oracles/edit_distance_reference.h.
 #pragma once
 
 #include <cstddef>
@@ -30,15 +30,6 @@ struct EditDistanceOptions {
 
   bool operator==(const EditDistanceOptions&) const = default;
 };
-
-/// Full-matrix Levenshtein distance. O(|a|·|b|); reference implementation
-/// used by tests to validate the banded version.
-size_t EditDistanceFull(std::string_view a, std::string_view b);
-
-/// Banded Levenshtein: returns the exact distance if it is <= band,
-/// otherwise any value > band (early-exits). band may be 0 (exact match).
-/// The scalar oracle for the Myers kernels and ComputeCompatibilityReference.
-size_t EditDistanceBanded(std::string_view a, std::string_view b, size_t band);
 
 /// The dynamic threshold θ_ed(v1, v2).
 size_t FractionalThreshold(std::string_view a, std::string_view b,

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracles/compatibility_reference.h"
 #include "synth/blocking.h"
 #include "synth/compatibility.h"
 #include "table/string_pool.h"

@@ -769,7 +769,10 @@ TEST(ObsSynthCountersTest, ScoreCountersReconcileWithScoringStats) {
 // ---------------------------------------------- concurrency (TSan leg)
 
 TEST(ObsConcurrencyTest, RegistryMutationUnderScrapes) {
-  auto& reg = MetricsRegistry::Global();
+  // A registry of its own: a scrape of the global one renders every series
+  // the other suites registered while holding the registry mutex, which
+  // under TSan stalls the writers' GetCounter calls for minutes.
+  MetricsRegistry reg;
   constexpr int kThreads = 4;
   constexpr int kIters = 5000;
   Counter* const counter = reg.GetCounter("obs_conc_counter_total");

@@ -9,6 +9,7 @@
 #include "corpusgen/builtin_domains.h"
 #include "corpusgen/generator.h"
 #include "eval/metrics.h"
+#include "oracles/compatibility_reference.h"
 #include "synth/session.h"
 
 namespace ms {

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "oracles/inverted_index_reference.h"
 #include "stats/coherence.h"
 #include "stats/inverted_index.h"
 #include "stats/npmi.h"

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "oracles/edit_distance_reference.h"
 #include "text/edit_distance.h"
 #include "text/myers.h"
 #include "text/normalize.h"
