@@ -354,9 +354,8 @@ class MappingService {
 
   /// Full result (stats included) of the last successful synthesis. Same
   /// writer-synchronization caveat as store(); concurrent readers use
-  /// AcquireSnapshot()->result. Note the store holds its own copy of every
-  /// mapping (it normalizes and indexes them independently), so the
-  /// service keeps two copies of the mapping set.
+  /// AcquireSnapshot()->result. The store indexes these mappings without
+  /// copying them, so the service keeps one copy of the mapping set.
   const SynthesisResult& last_result() const {
     static const SynthesisResult kEmpty;
     return last_result_ ? *last_result_ : kEmpty;

@@ -1,17 +1,13 @@
-// Connected components over the positive edges of a compatibility graph.
-// Two implementations:
-//  - BFS: the straightforward in-memory algorithm.
-//  - Hash-to-Min (Appendix F, [13]): the Map-Reduce formulation the paper
-//    uses at scale, implemented on the mini MapReduce engine. Both produce
-//    identical components; tests assert agreement.
-// The synthesis pipeline's divide-and-conquer runs one of these first, then
-// partitions each component independently.
+// Connected components over the positive edges of a compatibility graph,
+// by BFS. The synthesis pipeline's divide-and-conquer (Appendix F) runs it
+// first, then partitions each component independently. The paper's
+// Map-Reduce formulation, Hash-to-Min, is a test oracle
+// (tests/oracles/hash_to_min.h) that must produce the same components.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "graph/weighted_graph.h"
 
 namespace ms {
@@ -20,13 +16,6 @@ namespace ms {
 /// Returns component id per vertex (dense, starting at 0).
 std::vector<uint32_t> ConnectedComponentsBfs(const CompatibilityGraph& graph,
                                              double min_pos_weight = 0.0);
-
-/// Hash-to-Min components (iterative min-label propagation on MapReduce).
-/// Produces the same partition as BFS; exposed separately so tests and the
-/// scalability benchmark can exercise the MR path.
-std::vector<uint32_t> ConnectedComponentsHashToMin(
-    const CompatibilityGraph& graph, double min_pos_weight = 0.0,
-    ThreadPool* pool = nullptr);
 
 /// Groups vertex ids by component id.
 std::vector<std::vector<VertexId>> GroupByComponent(

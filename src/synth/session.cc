@@ -5,6 +5,8 @@
 #include <iterator>
 #include <mutex>
 #include <numeric>
+#include <optional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/hashing.h"
@@ -130,15 +132,12 @@ std::vector<std::vector<VertexId>> PartitionScopes(
 /// the result. `comp` maps every vertex to its scope, which filters
 /// out cross-component edges (positive weight below θ_edge). New partition
 /// ids are drawn from `partition->num_partitions` upward; vertices outside
-/// `components` keep whatever `partition->partition_of` already holds. When
-/// `groups` is given, every partition formed is appended to it (in
-/// scheduling order).
+/// `components` keep whatever `partition->partition_of` already holds.
 void PartitionComponents(const CompatibilityGraph& graph,
                          const std::vector<uint32_t>& comp,
                          const std::vector<std::vector<VertexId>>& components,
                          const PartitionerOptions& options,
-                         ThreadPool* threads, PartitionResult* partition,
-                         std::vector<std::vector<VertexId>>* groups) {
+                         ThreadPool* threads, PartitionResult* partition) {
   // One global vertex -> component-local-index table, filled in a single
   // O(V) pass: component member lists are disjoint, so per-component O(V)
   // scratch vectors would cost O(V·C) total.
@@ -154,9 +153,6 @@ void PartitionComponents(const CompatibilityGraph& graph,
     const auto& members = components[k];
     if (members.size() == 1) {
       partition->partition_of[members[0]] = next_partition.fetch_add(1);
-      if (groups == nullptr) return;
-      std::lock_guard<std::mutex> lock(mu);
-      groups->push_back({members[0]});
       return;
     }
     CompatibilityGraph sub(members.size());
@@ -173,24 +169,17 @@ void PartitionComponents(const CompatibilityGraph& graph,
     const PartitionResult local = GreedyPartition(sub, options);
     const uint32_t base = next_partition.fetch_add(
         static_cast<uint32_t>(local.num_partitions));
-    std::vector<std::vector<VertexId>> local_groups(
-        groups != nullptr ? local.num_partitions : 0);
     for (uint32_t i = 0; i < members.size(); ++i) {
       partition->partition_of[members[i]] = base + local.partition_of[i];
-      if (groups != nullptr) {
-        local_groups[local.partition_of[i]].push_back(members[i]);
-      }
     }
     std::lock_guard<std::mutex> lock(mu);
     partition->merges_performed += local.merges_performed;
-    for (auto& g : local_groups) groups->push_back(std::move(g));
   });
   partition->num_partitions = next_partition.load();
 }
 
 /// Conflict resolution + mapping assembly for a set of partition groups
-/// (pre-curation). Shared by Resolve() (all groups) and the append path
-/// (dirty groups only); both must build mappings identically.
+/// (pre-curation), members in cold order.
 std::vector<SynthesizedMapping> ResolveGroups(
     const std::vector<BinaryTable>& cands,
     const std::vector<std::vector<VertexId>>& groups,
@@ -243,6 +232,13 @@ void AddExtractionStats(ExtractionStats* dst, const ExtractionStats& s) {
 obs::Histogram* StageHistogram(const char* stage) {
   return obs::MetricsRegistry::Global().GetHistogram("ms_synth_stage_us",
                                                      {{"stage", stage}});
+}
+
+/// One histogram per step of a mutation, labelled
+/// `ms_synth_mutation_step_us{step=...}`; cached like StageHistogram's.
+obs::Histogram* MutationStepHistogram(const char* step) {
+  return obs::MetricsRegistry::Global().GetHistogram(
+      "ms_synth_mutation_step_us", {{"step", step}});
 }
 
 /// Feeds the live coherence counters once per extraction pass, cold or
@@ -303,6 +299,19 @@ void FillBlockingStats(const BlockingStats& bstats, size_t num_pairs,
   stats->blocking_keys = bstats.keys;
   stats->blocking_dropped_postings = bstats.dropped_postings;
   stats->blocking_tainted_candidates = bstats.tainted_candidates;
+}
+
+/// Gives a stage artifact its lineage: a session-unique `id`, the session,
+/// and, for every artifact but a candidate set, the candidate set it
+/// derives from.
+template <typename Artifact>
+void Stamp(Artifact* artifact, uint64_t id, const void* session,
+           uint64_t candidates_id = 0) {
+  artifact->artifact_id = id;
+  artifact->session = session;
+  if constexpr (!std::is_same_v<Artifact, CandidateSet>) {
+    artifact->candidates_id = candidates_id;
+  }
 }
 
 }  // namespace
@@ -407,49 +416,45 @@ ConflictResolutionOptions SynthesisSession::EffectiveConflict() {
   return eff;
 }
 
+
+/// What one generation's steps hand each other besides their artifacts. A
+/// cold stage runs its step over a default Delta: no base, every table and
+/// candidate new, nothing removed. A mutation's driver fills in the corpus
+/// change first.
+struct SynthesisSession::Delta {
+  size_t first_new_table = 0;            ///< tables from here on are new
+  std::vector<uint32_t> removed_tables;  ///< sorted, already tombstoned
+  std::vector<ValueId> removed_values;   ///< their distinct cell values
+  size_t removed_columns = 0;
+  std::vector<uint32_t> tombstoned;  ///< the new family's shells, sorted
+
+  double index_seconds = 0.0;
+  /// Set by the extract step when a majority of the live old tables flipped
+  /// their coherence verdict; it then merges nothing.
+  bool majority_flip = false;
+  BinaryTableId first_new_id = 0;  ///< candidates from here on are new
+  std::vector<uint8_t> retired;    ///< per base candidate: retired now
+  size_t dead = 0;                 ///< dead candidates of the new family
+  /// Blocked pairs the base lacks: the only pairs a step with a base scores.
+  std::vector<CandidateTablePair> fresh_pairs;
+  std::vector<uint8_t> dirty;    ///< per vertex: its scope is redone
+  std::vector<uint32_t> comp;    ///< per vertex: its scope
+  std::vector<char> comp_dirty;  ///< per scope
+  /// Partition ids from here on were formed by this generation's partition
+  /// step; the ones below carry the base's.
+  uint32_t fresh_partitions = 0;
+  AppendStats stats;
+};
+
 Result<CandidateSet> SynthesisSession::ExtractCandidates(
     const TableCorpus& corpus) {
   const std::lock_guard<std::recursive_mutex> lock(run_mu_);
   MS_RETURN_IF_ERROR(ReadyToRun());
   static obs::Histogram* const stage_us = StageHistogram("extract");
   obs::TraceSpan span("synth.extract", stage_us);
-  CandidateSet out;
-  Timer step;
-  // With the coherence filter disabled (threshold at/below the score
-  // floor), ColumnPassesCoherence short-circuits and nothing reads the
-  // index — skip the full-corpus build.
-  ColumnInvertedIndex index;
-  if (options_.extraction.coherence_threshold > -1.0) {
-    index.Build(corpus, threads_.get());
-  }
-  out.stats.index_seconds = step.ElapsedSeconds();
-
-  step.Restart();
-  ExtractionResult extracted = ::ms::ExtractCandidates(
-      corpus, index, options_.extraction, threads_.get());
-  out.stats.extract_seconds = step.ElapsedSeconds();
-  RecordCoherenceWork(extracted.coherence);
-  out.stats.extraction = extracted.stats;
-  out.owned = std::move(extracted.candidates);
-  out.stats.candidates = out.owned.size();
-  out.pool = &corpus.pool();
-  out.source_tables = corpus.size();
-  out.kept_offsets = std::move(extracted.kept_offsets);
-  out.kept_columns = std::move(extracted.kept_columns);
-  out.margin_offsets = std::move(extracted.margin_offsets);
-  out.margins = std::move(extracted.margins);
-  if (options_.extraction.coherence_threshold > -1.0) {
-    // Seed the maintained-index cache: the first incremental mutation on
-    // this corpus patches these postings in place instead of paying a
-    // full rebuild (cold extraction is generation 0 of the family).
-    index_cache_ = std::move(index);
-    index_corpus_ = &corpus;
-    index_tables_ = corpus.size();
-    index_columns_ = index_cache_.num_columns();
-    index_generation_ = 0;
-  }
-  out.artifact_id = NextArtifactId();
-  out.session = this;
+  Delta cold;
+  CandidateSet out = ExtractStep(
+      corpus, MaintainedIndexLocked(corpus, nullptr, &cold), nullptr, &cold);
   ++session_stats_.extract_runs;
   return out;
 }
@@ -470,8 +475,7 @@ Result<CandidateSet> SynthesisSession::AdoptCandidates(
   out.borrowed = &candidates;
   out.pool = &pool;
   out.stats.candidates = candidates.size();
-  out.artifact_id = NextArtifactId();
-  out.session = this;
+  Stamp(&out, NextArtifactId(), this);
   ++session_stats_.adopt_runs;
   return out;
 }
@@ -483,21 +487,8 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
   MS_RETURN_IF_ERROR(CheckSameSession("BlockPairs", candidates.session));
   static obs::Histogram* const stage_us = StageHistogram("block");
   obs::TraceSpan span("synth.block", stage_us);
-  BlockedPairs out;
-  Timer timer;
-  // The pass leaves its key index behind, tagged with this family, for the
-  // family's next mutation to patch.
-  out.pairs = key_index_.BuildAndCount(candidates.tables(), options_.blocking,
-                                       ColdOrder(candidates), threads_.get(),
-                                       &out.blocking);
-  RecordBlockingWork(candidates.num_live(), key_index_);
-  out.stats = candidates.stats;
-  FillBlockingStats(out.blocking, out.pairs.size(), timer.ElapsedSeconds(),
-                    &out.stats);
-  out.artifact_id = NextArtifactId();
-  out.candidates_id = candidates.artifact_id;
-  out.session = this;
-  key_index_tag_ = KeyIndexTagOf(candidates, out);
+  Delta cold;
+  BlockedPairs out = BlockStep(candidates, nullptr, &cold);
   ++session_stats_.blocking_runs;
   return out;
 }
@@ -631,20 +622,8 @@ Result<ScoredGraph> SynthesisSession::ScorePairs(
                                   candidates.artifact_id));
   static obs::Histogram* const stage_us = StageHistogram("score");
   obs::TraceSpan span("synth.score", stage_us);
-  ScoredGraph out;
-  Timer timer;
-  ScoringStats scoring;
-  out.graph = ScoreThroughSessionMatchers(candidates.tables(),
-                                          *candidates.pool, blocked.pairs,
-                                          &scoring);
-  out.order = ColdOrder(candidates);
-  out.stats = blocked.stats;  // blocking never fills scoring, so this run's
-  out.stats.scoring.Add(scoring);  // counters land on a clean slate
-  out.stats.scoring_seconds = timer.ElapsedSeconds();
-  out.stats.graph_edges = out.graph.num_edges();
-  out.artifact_id = NextArtifactId();
-  out.candidates_id = candidates.artifact_id;
-  out.session = this;
+  Delta cold;
+  ScoredGraph out = ScoreStep(candidates, blocked, nullptr, &cold);
   ++session_stats_.scoring_runs;
   return out;
 }
@@ -655,26 +634,8 @@ Result<Partitions> SynthesisSession::Partition(const ScoredGraph& sg) {
   MS_RETURN_IF_ERROR(CheckSameSession("Partition", sg.session));
   static obs::Histogram* const stage_us = StageHistogram("partition");
   obs::TraceSpan span("synth.partition", stage_us);
-  const CompatibilityGraph& graph = sg.graph;
-  Partitions out;
-  out.stats = sg.stats;
-
-  // Algorithm 3, optionally per positive component (Appendix F
-  // divide-and-conquer).
-  Timer step;
-  PartitionResult partition;
-  std::vector<uint32_t> comp;
-  const auto groups = PartitionScopes(graph, options_, sg.order, &comp);
-  if (options_.divide_and_conquer) out.stats.components = groups.size();
-  PartitionComponents(graph, comp, groups, options_.partitioner,
-                      threads_.get(), &partition, nullptr);
-  out.stats.partition_seconds = step.ElapsedSeconds();
-  out.stats.partitions = partition.num_partitions;
-  out.partition = std::move(partition);
-  out.artifact_id = NextArtifactId();
-  out.candidates_id = sg.candidates_id;
-  out.graph_id = sg.artifact_id;
-  out.session = this;
+  Delta cold;
+  Partitions out = PartitionStep(sg, nullptr, &cold);
   ++session_stats_.partition_runs;
   return out;
 }
@@ -703,28 +664,9 @@ Result<SynthesisResult> SynthesisSession::Resolve(
   }
   static obs::Histogram* const stage_us = StageHistogram("resolve");
   obs::TraceSpan span("synth.resolve", stage_us);
-  const std::vector<BinaryTable>& cands = candidates.tables();
-  const ConflictResolutionOptions conflict = EffectiveConflict();
-
-  SynthesisResult result;
-  result.stats = partitions.stats;
-
-  // Conflict resolution + mapping assembly, members in cold order.
-  Timer step;
-  auto groups = partitions.partition.Groups();
-  for (auto& members : groups) SortColdOrder(graph.order, &members);
-  std::vector<SynthesizedMapping> mappings =
-      ResolveGroups(cands, groups, options_, conflict, threads_.get());
-  result.stats.resolve_seconds = step.ElapsedSeconds();
-
-  result.mappings = FilterByPopularity(std::move(mappings),
-                                       options_.min_domains,
-                                       options_.min_pairs, graph.order);
-  result.stats.mappings = result.mappings.size();
-  result.stats.total_seconds =
-      result.stats.index_seconds + result.stats.extract_seconds +
-      result.stats.blocking_seconds + result.stats.scoring_seconds +
-      result.stats.partition_seconds + result.stats.resolve_seconds;
+  Delta cold;
+  SynthesisResult result =
+      ResolveStep(candidates, graph, partitions, nullptr, &cold);
   ++session_stats_.resolve_runs;
   MS_LOG(Info) << "synthesis: " << result.stats.candidates << " candidates, "
                << result.stats.graph_edges << " edges, "
@@ -733,33 +675,446 @@ Result<SynthesisResult> SynthesisSession::Resolve(
   return result;
 }
 
+// -------------------------------------------------------------------- steps
+
+const ColumnInvertedIndex& SynthesisSession::MaintainedIndexLocked(
+    const TableCorpus& corpus, const CandidateSet* base, Delta* d) {
+  // With the coherence filter disabled (threshold at/below the score
+  // floor), ColumnPassesCoherence short-circuits and nothing reads the
+  // index: neither build nor patch one.
+  static const ColumnInvertedIndex kNoIndex;
+  if (options_.extraction.coherence_threshold <= -1.0) return kNoIndex;
+  Timer timer;
+  // Reconstruct the pre-mutation fingerprint: the corpus is already
+  // mutated, so the pre-state is its current live columns minus the
+  // appended tables' plus what the tombstoning cleared.
+  size_t appended_columns = 0;
+  for (size_t t = d->first_new_table; t < corpus.size(); ++t) {
+    appended_columns += corpus.table(t).num_columns();
+  }
+  const size_t pre_columns =
+      corpus.TotalColumns() - appended_columns + d->removed_columns;
+  const bool patchable = base != nullptr && index_corpus_ == &corpus &&
+                         index_tables_ == d->first_new_table &&
+                         index_columns_ == pre_columns &&
+                         index_generation_ == base->generation;
+  if (patchable) {
+    if (!d->removed_tables.empty()) {
+      index_cache_.RemoveTables(d->removed_tables);
+    }
+    if (corpus.size() > d->first_new_table) {
+      index_cache_.AppendTables(corpus, d->first_new_table);
+    }
+  } else {
+    index_cache_.Build(corpus, threads_.get());
+  }
+  index_corpus_ = &corpus;
+  index_tables_ = corpus.size();
+  index_columns_ = index_cache_.num_columns();
+  index_generation_ = base != nullptr ? base->generation + 1 : 0;
+  d->index_seconds = timer.ElapsedSeconds();
+  return index_cache_;
+}
+
+CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
+                                           const ColumnInvertedIndex& index,
+                                           const CandidateSet* base,
+                                           Delta* d) {
+  static obs::Counter* const unstable_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_append_unstable_total");
+  static obs::Counter* const margin_skips_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_coherence_margin_skips_total");
+  static obs::Counter* const margin_rechecks_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_coherence_margin_rechecks_total");
+  const CandidateSet none;
+  const CandidateSet& b = base != nullptr ? *base : none;
+  const std::vector<BinaryTable>& base_tables = b.tables();
+  d->first_new_id = static_cast<BinaryTableId>(base_tables.size());
+  d->retired.assign(base_tables.size(), 0);
+  const auto retire = [&](const std::vector<TableId>& tables) {
+    for (size_t i = 0; !tables.empty() && i < base_tables.size(); ++i) {
+      if (d->retired[i] || b.is_dead(static_cast<BinaryTableId>(i))) continue;
+      if (std::binary_search(tables.begin(), tables.end(),
+                             base_tables[i].source_table)) {
+        d->retired[i] = 1;
+        ++d->stats.removed_candidates;
+      }
+    }
+  };
+  retire(d->removed_tables);
+
+  // Re-checking every live old table's coherence signature is the
+  // exactness tax: coherence is corpus-global (p(u) = |C(u)|/N moves for
+  // every value when the corpus changes), but the margin cache proves most
+  // verdicts stable without touching a posting list, and the expensive half
+  // of extraction (normalize + FD filter + candidate assembly) runs only
+  // over the new and flipped tables. Without a base every table is new.
+  Timer timer;
+  DeltaExtractionRequest request;
+  request.first_new_table = d->first_new_table;
+  request.first_new_id = d->first_new_id;
+  request.base_kept_offsets = &b.kept_offsets;
+  request.base_kept_columns = &b.kept_columns;
+  request.base_margin_offsets = &b.margin_offsets;
+  request.base_margins = &b.margins;
+  request.removed_tables = d->removed_tables;
+  request.removed_values = std::move(d->removed_values);
+  DeltaExtractionResult delta = ExtractCandidatesDelta(
+      corpus, index, request, options_.extraction, threads_.get());
+  const double extract_seconds = timer.ElapsedSeconds();
+  d->stats.extraction_stable = delta.stable;
+  d->stats.unstable_tables = delta.unstable_tables;
+  d->stats.margin_skips = delta.margin_skips;
+  d->stats.margin_rechecks = delta.margin_rechecks;
+  d->stats.new_candidates = delta.candidates.size();
+  unstable_total->Add(delta.unstable_tables);
+  margin_skips_total->Add(delta.margin_skips);
+  margin_rechecks_total->Add(delta.margin_rechecks);
+  RecordCoherenceWork(delta.coherence);
+  const size_t live_old_tables = d->first_new_table -
+                                 b.tombstoned_tables.size() -
+                                 d->removed_tables.size();
+  if (delta.unstable_tables * 2 > live_old_tables) {
+    MS_LOG(Info) << "append: " << delta.unstable_tables << "/"
+                 << live_old_tables << " coherence verdicts shifted; "
+                 << "rebuilding from an empty base";
+    d->majority_flip = true;
+    return {};
+  }
+  // Flipped tables: their base candidates are superseded by the
+  // re-extractions riding along in delta.candidates.
+  retire(delta.flipped_tables);
+
+  // Merge: base ids are untouched, new candidates (appended tables' and
+  // flipped tables' re-extractions) take the next dense ids in table order.
+  // Retired candidates keep their id and provenance but lose their pairs —
+  // downstream they have the footprint of a candidate that was never
+  // extracted.
+  CandidateSet out;
+  out.owned.reserve(base_tables.size() + delta.candidates.size());
+  out.owned.assign(base_tables.begin(), base_tables.end());
+  for (auto& c : delta.candidates) out.owned.push_back(std::move(c));
+  out.dead = b.dead;
+  if (d->stats.removed_candidates > 0 || !out.dead.empty()) {
+    out.dead.resize(out.owned.size(), 0);
+  }
+  for (size_t i = 0; i < d->retired.size(); ++i) {
+    if (!d->retired[i]) continue;
+    BinaryTable& t = out.owned[i];
+    BinaryTable cleared = BinaryTable::FromPairs({});
+    cleared.id = t.id;
+    cleared.source_table = t.source_table;
+    cleared.domain = std::move(t.domain);
+    cleared.source = t.source;
+    cleared.left_name = std::move(t.left_name);
+    cleared.right_name = std::move(t.right_name);
+    t = std::move(cleared);
+    out.dead[i] = 1;
+  }
+  d->dead = out.num_dead();
+  out.tombstoned_tables = d->tombstoned;
+  out.pool = &corpus.pool();
+  out.source_tables = corpus.size();
+  out.kept_offsets = std::move(delta.kept_offsets);
+  out.kept_columns = std::move(delta.kept_columns);
+  out.margin_offsets = std::move(delta.margin_offsets);
+  out.margins = std::move(delta.margins);
+  out.stats = b.stats;
+  out.stats.index_seconds += d->index_seconds;
+  out.stats.extract_seconds += extract_seconds;
+  AddExtractionStats(&out.stats.extraction, delta.stats);
+  out.stats.candidates = out.owned.size() - d->dead;
+  Stamp(&out, NextArtifactId(), this);
+  return out;
+}
+
+BlockedPairs SynthesisSession::BlockStep(const CandidateSet& candidates,
+                                         const BlockedPairs* base, Delta* d) {
+  // Posting lists truncate in (source table, id) order, the order in which
+  // a cold rebuild over the same corpus assigns its dense ids (ColdOrder),
+  // so every kept set, count and taint bit matches the cold run's even
+  // where a flipped table's re-extraction took tail ids. A pair's counts,
+  // and a candidate's taint bit, change only if an endpoint joined or left
+  // some key's kept list: when the session's key index describes the base,
+  // the patch returns exactly those candidates (new, retired, displaced,
+  // resurrected), only their rows are recounted, and every other base pair
+  // is kept verbatim. Otherwise the index is rebuilt and every row counted.
+  Timer timer;
+  BlockedPairs out;
+  BlockingStats& bstats = out.blocking;
+  const std::vector<BinaryTable>& tables = candidates.tables();
+  const std::vector<uint32_t> order = ColdOrder(candidates);
+  const bool patch = base != nullptr && key_index_tag_ == KeyIndexTagOf(*base);
+  key_index_tag_ = {};  // describes no family until this one is stamped
+  std::vector<uint32_t> rows;
+  std::vector<CandidateTablePair> counted;
+  if (patch) {
+    Timer phase;
+    rows = key_index_.Patch(tables, d->retired, order).changed;
+    bstats.map_shuffle_seconds = phase.ElapsedSeconds();
+    phase.Restart();
+    counted = key_index_.CountRows(options_.blocking.theta_overlap,
+                                   threads_.get(), &rows);
+    bstats.count_seconds = phase.ElapsedSeconds();
+    key_index_.FillStats(&bstats);
+    d->stats.block_rows = rows.size();
+  } else {
+    counted = key_index_.BuildAndCount(tables, options_.blocking, order,
+                                       threads_.get(), &bstats);
+    d->stats.block_rows = candidates.num_live();
+  }
+  RecordBlockingWork(d->stats.block_rows, key_index_);
+  if (base == nullptr) {
+    out.pairs = std::move(counted);  // every pair is fresh
+  } else {
+    std::vector<uint8_t> changed(tables.size(), patch ? 0 : 1);
+    for (uint32_t id : rows) changed[id] = 1;
+    Timer splice;
+    out.pairs =
+        SpliceChangedRows(base->pairs, changed, counted, &d->fresh_pairs);
+    bstats.reduce_seconds = splice.ElapsedSeconds();
+    // Phase timings accumulate over the family, like blocking_seconds.
+    bstats.map_shuffle_seconds += base->blocking.map_shuffle_seconds;
+    bstats.count_seconds += base->blocking.count_seconds;
+    bstats.reduce_seconds += base->blocking.reduce_seconds;
+    d->stats.delta_pairs = d->fresh_pairs.size();
+  }
+  out.stats = candidates.stats;
+  FillBlockingStats(bstats, out.pairs.size(),
+                    (base != nullptr ? base->stats.blocking_seconds : 0.0) +
+                        timer.ElapsedSeconds(),
+                    &out.stats);
+  Stamp(&out, NextArtifactId(), this, candidates.artifact_id);
+  // The key index now describes this family, for its next mutation.
+  key_index_tag_ = KeyIndexTagOf(out);
+  return out;
+}
+
+ScoredGraph SynthesisSession::ScoreStep(const CandidateSet& candidates,
+                                        const BlockedPairs& blocked,
+                                        const ScoredGraph* base, Delta* d) {
+  Timer timer;
+  ScoredGraph out;
+  ScoringStats scoring;
+  CompatibilityGraph fresh = ScoreThroughSessionMatchers(
+      candidates.tables(), *candidates.pool,
+      base != nullptr ? d->fresh_pairs : blocked.pairs, &scoring);
+  d->stats.delta_edges = fresh.num_edges();
+  if (base == nullptr) {
+    out.graph = std::move(fresh);
+  } else {
+    // Splice: both edge lists are sorted by (u, v) — blocking emits pairs
+    // sorted and scoring adds edges in pair order — so the merged list is
+    // exactly what one cold scoring pass over the merged pairs would have
+    // built. A base edge stays iff its pair still survives blocking (a
+    // retired candidate loses every pair; a displaced posting can cost an
+    // old pair its overlap) and is then reused verbatim: weights depend only
+    // on the two candidates' contents, which are unchanged. Both endpoints
+    // of every dropped base edge are marked dirty for the partition step,
+    // and so are those of every fresh edge between two base candidates: a
+    // resurrected old-old pair can link two scopes that hold no new
+    // candidate. A fresh edge that touches a new candidate needs no marking
+    // (new candidates are dirty anyway), and an edge into another scope
+    // lies below θ_edge, so it leaves that scope's subgraph as it was.
+    const size_t num_vertices = candidates.tables().size();
+    d->dirty.assign(num_vertices, 0);
+    const auto mark_endpoints = [&](const CompatEdge& e) {
+      d->dirty[e.u] = 1;
+      d->dirty[e.v] = 1;
+    };
+    CompatibilityGraph merged(num_vertices);
+    const auto& be = base->graph.edges();
+    const auto& fe = fresh.edges();
+    const auto& kept = blocked.pairs;
+    size_t bi = 0, fi = 0, ki = 0;
+    const auto base_survives = [&](const CompatEdge& e) {
+      while (ki < kept.size() &&
+             std::tie(kept[ki].a, kept[ki].b) < std::tie(e.u, e.v)) {
+        ++ki;
+      }
+      return ki < kept.size() && kept[ki].a == e.u && kept[ki].b == e.v;
+    };
+    while (bi < be.size() || fi < fe.size()) {
+      if (bi < be.size() && !base_survives(be[bi])) {
+        mark_endpoints(be[bi++]);
+        continue;
+      }
+      const bool take_base =
+          fi >= fe.size() ||
+          (bi < be.size() &&
+           std::tie(be[bi].u, be[bi].v) < std::tie(fe[fi].u, fe[fi].v));
+      const CompatEdge& e = take_base ? be[bi++] : fe[fi++];
+      if (!take_base && e.u < d->first_new_id && e.v < d->first_new_id) {
+        mark_endpoints(e);
+      }
+      merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
+    }
+    merged.Finalize();
+    out.graph = std::move(merged);
+  }
+  out.order = ColdOrder(candidates);
+  out.stats = blocked.stats;  // blocking never fills scoring
+  if (base != nullptr) out.stats.scoring = base->stats.scoring;
+  out.stats.scoring.Add(scoring);
+  out.stats.scoring_seconds =
+      (base != nullptr ? base->stats.scoring_seconds : 0.0) +
+      timer.ElapsedSeconds();
+  out.stats.graph_edges = out.graph.num_edges();
+  Stamp(&out, NextArtifactId(), this, candidates.artifact_id);
+  return out;
+}
+
+Partitions SynthesisSession::PartitionStep(const ScoredGraph& sg,
+                                           const Partitions* base, Delta* d) {
+  // Algorithm 3 per scope (see PartitionScopes: the positive components,
+  // or the whole graph without divide-and-conquer). A scope is
+  // re-partitioned only when its induced subgraph could differ from the
+  // base run's: it holds a dirty vertex — a new candidate, a candidate this
+  // mutation retired, or an endpoint the score step marked. Every other
+  // scope's subgraph, and therefore its greedy partition, is provably
+  // identical to the base run's; carry it. (If a dropped edge split a base
+  // component, every resulting piece holds one of its endpoints, so all
+  // pieces are re-partitioned.) Without a base every scope is new.
+  Timer timer;
+  const CompatibilityGraph& graph = sg.graph;
+  const size_t num_vertices = graph.num_vertices();
+  std::vector<uint8_t>& dirty = d->dirty;
+  dirty.resize(num_vertices, 0);
+  for (size_t v = d->first_new_id; v < num_vertices; ++v) dirty[v] = 1;
+  for (size_t v = 0; v < d->retired.size(); ++v) dirty[v] |= d->retired[v];
+  std::vector<std::vector<VertexId>> scopes =
+      PartitionScopes(graph, options_, sg.order, &d->comp);
+  const size_t num_scopes = scopes.size();
+  d->comp_dirty.assign(num_scopes, 0);
+  // Clean scopes carry the base partitioning, renumbered densely; the
+  // dirty ones draw fresh ids after them.
+  PartitionResult partition;
+  partition.partition_of.assign(num_vertices, 0);
+  std::unordered_map<uint32_t, uint32_t> remap;
+  std::vector<std::vector<VertexId>> redo;
+  for (size_t g = 0; g < num_scopes; ++g) {
+    std::vector<VertexId>& members = scopes[g];
+    d->comp_dirty[g] =
+        base == nullptr || std::any_of(members.begin(), members.end(),
+                                       [&](VertexId v) { return dirty[v]; });
+    if (d->comp_dirty[g]) {
+      redo.push_back(std::move(members));
+      continue;
+    }
+    for (VertexId v : members) {
+      const auto [it, inserted] = remap.emplace(
+          base->partition.partition_of[v], static_cast<uint32_t>(remap.size()));
+      partition.partition_of[v] = it->second;
+    }
+  }
+  d->fresh_partitions = static_cast<uint32_t>(remap.size());
+  // merges_performed covers only re-partitioned scopes: the base artifact
+  // stores a whole-run total that cannot be decomposed per clean scope, so
+  // after a mutation this informational counter reports its own work.
+  partition.num_partitions = remap.size();
+  PartitionComponents(graph, d->comp, redo, options_.partitioner,
+                      threads_.get(), &partition);
+  d->stats.dirty_components = redo.size();
+  d->stats.clean_components = num_scopes - redo.size();
+
+  Partitions out;
+  out.partition = std::move(partition);
+  out.stats = sg.stats;
+  // Retired candidates sit in singleton scopes holding a reserved
+  // partition slot each; the reported counts cover live structure only,
+  // matching what a cold rebuild over the surviving tables sees.
+  if (options_.divide_and_conquer) out.stats.components = num_scopes - d->dead;
+  out.stats.partition_seconds =
+      (base != nullptr ? base->stats.partition_seconds : 0.0) +
+      timer.ElapsedSeconds();
+  out.stats.partitions = out.partition.num_partitions - d->dead;
+  Stamp(&out, NextArtifactId(), this, sg.candidates_id);
+  out.graph_id = sg.artifact_id;
+  return out;
+}
+
+SynthesisResult SynthesisSession::ResolveStep(const CandidateSet& candidates,
+                                              const ScoredGraph& graph,
+                                              const Partitions& partitions,
+                                              const SynthesisResult* base,
+                                              Delta* d) {
+  // Conflict resolution and mapping assembly over the partitions this
+  // generation formed, members in cold order. Retired candidates are
+  // isolated singletons: they keep a partition slot (vertex ids stay
+  // stable) but resolve nothing.
+  Timer timer;
+  const PartitionResult& p = partitions.partition;
+  std::vector<std::vector<VertexId>> groups(p.num_partitions -
+                                            d->fresh_partitions);
+  for (VertexId v = 0; v < p.partition_of.size(); ++v) {
+    if (p.partition_of[v] >= d->fresh_partitions && !candidates.is_dead(v)) {
+      groups[p.partition_of[v] - d->fresh_partitions].push_back(v);
+    }
+  }
+  std::erase_if(groups, [](const auto& g) { return g.empty(); });
+  for (auto& members : groups) SortColdOrder(graph.order, &members);
+  std::vector<SynthesizedMapping> mappings =
+      ResolveGroups(candidates.tables(), groups, options_,
+                    EffectiveConflict(), threads_.get());
+  // Mappings of clean scopes carry over verbatim: their partitions,
+  // members and conflict sets are untouched.
+  if (base != nullptr) {
+    for (const SynthesizedMapping& m : base->mappings) {
+      if (m.member_tables.empty() ||
+          d->comp_dirty[d->comp[m.member_tables[0]]]) {
+        continue;
+      }
+      mappings.push_back(m);
+      ++d->stats.carried_mappings;
+    }
+  }
+  SynthesisResult out;
+  out.mappings = FilterByPopularity(std::move(mappings), options_.min_domains,
+                                    options_.min_pairs, graph.order);
+  out.stats = partitions.stats;
+  out.stats.resolve_seconds =
+      (base != nullptr ? base->stats.resolve_seconds : 0.0) +
+      timer.ElapsedSeconds();
+  out.stats.mappings = out.mappings.size();
+  out.stats.total_seconds =
+      out.stats.index_seconds + out.stats.extract_seconds +
+      out.stats.blocking_seconds + out.stats.scoring_seconds +
+      out.stats.partition_seconds + out.stats.resolve_seconds;
+  return out;
+}
+
 // --------------------------------------------------------- incremental growth
 
 Status SynthesisSession::ValidateAppendFamily(
-    const CandidateSet& candidates, const BlockedPairs& blocked,
-    const ScoredGraph& scored, const Partitions& partitions,
-    const SynthesisResult& result) const {
+    const char* caller, const CandidateSet& candidates,
+    const BlockedPairs& blocked, const ScoredGraph& scored,
+    const Partitions& partitions, const SynthesisResult& result) const {
   MS_RETURN_IF_ERROR(ReadyToRun());
-  MS_RETURN_IF_ERROR(CheckSameSession("AppendTables", candidates.session));
-  MS_RETURN_IF_ERROR(CheckLineage("AppendTables", blocked.session,
+  MS_RETURN_IF_ERROR(CheckSameSession(caller, candidates.session));
+  MS_RETURN_IF_ERROR(CheckLineage(caller, blocked.session,
                                   blocked.candidates_id,
                                   candidates.artifact_id));
-  MS_RETURN_IF_ERROR(CheckLineage("AppendTables", scored.session,
+  MS_RETURN_IF_ERROR(CheckLineage(caller, scored.session,
                                   scored.candidates_id,
                                   candidates.artifact_id));
-  MS_RETURN_IF_ERROR(CheckLineage("AppendTables", partitions.session,
+  MS_RETURN_IF_ERROR(CheckLineage(caller, partitions.session,
                                   partitions.candidates_id,
                                   candidates.artifact_id));
   if (partitions.graph_id != scored.artifact_id) {
     return Status::FailedPrecondition(
-        "AppendTables: partitions were computed from a different ScoredGraph "
-        "(ids " + std::to_string(partitions.graph_id) + " vs " +
+        std::string(caller) +
+        ": partitions were computed from a different ScoredGraph (ids " +
+        std::to_string(partitions.graph_id) + " vs " +
         std::to_string(scored.artifact_id) + ")");
   }
   if (candidates.kept_offsets.size() != candidates.source_tables + 1) {
     return Status::FailedPrecondition(
-        "AppendTables: the candidate set carries no extraction signatures "
-        "(adopted candidates or a pre-append-format snapshot) — incremental "
+        std::string(caller) +
+        ": the candidate set carries no extraction signatures (adopted "
+        "candidates or a pre-append-format snapshot) — incremental "
         "growth needs the per-table kept-column provenance ExtractCandidates "
         "records to re-check coherence under the grown corpus");
   }
@@ -770,7 +1125,7 @@ Status SynthesisSession::ValidateAppendFamily(
     for (BinaryTableId id : m.member_tables) {
       if (id >= candidates.tables().size()) {
         return Status::FailedPrecondition(
-            "AppendTables: result references candidate " +
+            std::string(caller) + ": result references candidate " +
             std::to_string(id) + " outside the candidate set (" +
             std::to_string(candidates.tables().size()) +
             " candidates) — it is not this artifact family's result");
@@ -786,8 +1141,8 @@ Result<AppendedArtifacts> SynthesisSession::AppendTables(
     const ScoredGraph& scored, const Partitions& partitions,
     const SynthesisResult& result) {
   const std::lock_guard<std::recursive_mutex> lock(run_mu_);
-  MS_RETURN_IF_ERROR(
-      ValidateAppendFamily(candidates, blocked, scored, partitions, result));
+  MS_RETURN_IF_ERROR(ValidateAppendFamily("AppendTables", candidates, blocked,
+                                          scored, partitions, result));
   if (first_new_table != candidates.source_tables) {
     return Status::InvalidArgument(
         "AppendTables: first_new_table (" + std::to_string(first_new_table) +
@@ -801,50 +1156,20 @@ Result<AppendedArtifacts> SynthesisSession::AppendTables(
         " tables but the artifacts were synthesized from " +
         std::to_string(first_new_table) + " — corpora only grow");
   }
-  ++session_stats_.append_runs;
-  return ApplyCorpusDeltaLocked(corpus, first_new_table, {}, {},
-                                /*removed_columns=*/0, candidates, blocked,
-                                scored, partitions, result);
-}
-
-const ColumnInvertedIndex& SynthesisSession::MaintainedIndexLocked(
-    const TableCorpus& corpus, size_t first_new_table,
-    const std::vector<uint32_t>& removed_tables, size_t removed_columns,
-    uint32_t base_generation) {
-  // Reconstruct the pre-mutation fingerprint: the corpus is already
-  // mutated, so the pre-state is its current live columns minus the
-  // appended tables' plus what the tombstoning cleared.
-  size_t appended_columns = 0;
-  for (size_t t = first_new_table; t < corpus.size(); ++t) {
-    appended_columns += corpus.table(t).num_columns();
-  }
-  const size_t pre_columns =
-      corpus.TotalColumns() - appended_columns + removed_columns;
-  const bool patchable = index_corpus_ == &corpus &&
-                         index_tables_ == first_new_table &&
-                         index_columns_ == pre_columns &&
-                         index_generation_ == base_generation;
-  if (patchable) {
-    if (!removed_tables.empty()) index_cache_.RemoveTables(removed_tables);
-    if (corpus.size() > first_new_table) {
-      index_cache_.AppendTables(corpus, first_new_table);
-    }
-  } else {
-    index_cache_.Build(corpus, threads_.get());
-  }
-  index_corpus_ = &corpus;
-  index_tables_ = corpus.size();
-  index_columns_ = index_cache_.num_columns();
-  index_generation_ = base_generation + 1;
-  return index_cache_;
+  Delta d;
+  d.first_new_table = first_new_table;
+  Result<AppendedArtifacts> out = ApplyCorpusDeltaLocked(
+      "AppendTables", corpus, &d, candidates, blocked, scored, partitions,
+      result);
+  if (out.ok()) ++session_stats_.append_runs;
+  return out;
 }
 
 Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
-    const TableCorpus& corpus, size_t first_new_table,
-    std::vector<uint32_t> removed_tables, std::vector<ValueId> removed_values,
-    size_t removed_columns, const CandidateSet& candidates,
-    const BlockedPairs& blocked, const ScoredGraph& scored,
-    const Partitions& partitions, const SynthesisResult& result) {
+    const char* caller, const TableCorpus& corpus, Delta* d,
+    const CandidateSet& candidates, const BlockedPairs& blocked,
+    const ScoredGraph& scored, const Partitions& partitions,
+    const SynthesisResult& result) {
   // The corpus pool may be a different object than the artifacts' pool
   // (restore-then-append: artifacts resolve against the mmap'd snapshot
   // pool, the corpus against a reopened store). Ids must agree wherever
@@ -852,14 +1177,14 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   // meaning; verify the shared prefix outright.
   const StringPool* pool = &corpus.pool();
   if (candidates.pool == nullptr) {
-    return Status::FailedPrecondition(
-        "AppendTables: candidate set has no string pool");
+    return Status::FailedPrecondition(std::string(caller) +
+                                      ": candidate set has no string pool");
   }
   if (candidates.pool != pool) {
     const size_t n = candidates.pool->size();
     if (pool->size() < n) {
       return Status::FailedPrecondition(
-          "AppendTables: the corpus pool holds " +
+          std::string(caller) + ": the corpus pool holds " +
           std::to_string(pool->size()) + " strings but the artifacts "
           "reference " + std::to_string(n) +
           " — persist the corpus store from the same pool state as the "
@@ -869,8 +1194,9 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
       if (pool->Get(static_cast<ValueId>(i)) !=
           candidates.pool->Get(static_cast<ValueId>(i))) {
         return Status::FailedPrecondition(
-            "AppendTables: the corpus pool diverges from the artifacts' "
-            "pool at id " + std::to_string(i) +
+            std::string(caller) +
+            ": the corpus pool diverges from the artifacts' pool at id " +
+            std::to_string(i) +
             " — these artifacts were not synthesized from this corpus");
       }
     }
@@ -878,479 +1204,101 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
 
   static obs::Histogram* const stage_us = StageHistogram("append");
   obs::TraceSpan span("synth.append", stage_us);
-  static obs::Counter* const unstable_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "ms_synth_append_unstable_total");
   static obs::Counter* const full_rebuilds_total =
       obs::MetricsRegistry::Global().GetCounter(
           "ms_synth_append_full_rebuilds_total");
-  static obs::Counter* const margin_skips_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "ms_synth_coherence_margin_skips_total");
-  static obs::Counter* const margin_rechecks_total =
-      obs::MetricsRegistry::Global().GetCounter(
-          "ms_synth_coherence_margin_rechecks_total");
+  static obs::Histogram* const index_us = MutationStepHistogram("index");
+  static obs::Histogram* const extract_us = MutationStepHistogram("extract");
+  static obs::Histogram* const block_us = MutationStepHistogram("block");
+  static obs::Histogram* const score_us = MutationStepHistogram("score");
+  static obs::Histogram* const partition_us =
+      MutationStepHistogram("partition");
+  static obs::Histogram* const resolve_us = MutationStepHistogram("resolve");
   Timer append_timer;
   AppendedArtifacts out;
-  out.append.appended_tables = corpus.size() - first_new_table;
-  out.append.removed_tables = removed_tables.size();
-
-  const std::vector<BinaryTable>& base_tables = candidates.tables();
-  const auto restamp = [&](uint32_t generation) {
-    out.candidates.artifact_id = NextArtifactId();
-    out.candidates.session = this;
-    out.candidates.generation = generation;
-    out.blocked.artifact_id = NextArtifactId();
-    out.blocked.candidates_id = out.candidates.artifact_id;
-    out.blocked.session = this;
-    out.scored.artifact_id = NextArtifactId();
-    out.scored.candidates_id = out.candidates.artifact_id;
-    out.scored.session = this;
-    out.partitions.artifact_id = NextArtifactId();
-    out.partitions.candidates_id = out.candidates.artifact_id;
-    out.partitions.graph_id = out.scored.artifact_id;
-    out.partitions.session = this;
-  };
+  d->stats.appended_tables = corpus.size() - d->first_new_table;
+  d->stats.removed_tables = d->removed_tables.size();
 
   // Empty mutation: nothing can change — hand back copies of the inputs
   // under a fresh lineage generation.
-  if (corpus.size() == first_new_table && removed_tables.empty()) {
+  if (corpus.size() == d->first_new_table && d->removed_tables.empty()) {
+    const bool indexed = key_index_tag_ == KeyIndexTagOf(blocked);
     out.candidates = candidates;
     out.blocked = blocked;
     out.scored = scored;
     out.partitions = partitions;
     out.result = result;
-    const bool indexed = key_index_tag_ == KeyIndexTagOf(candidates, blocked);
-    restamp(candidates.generation + 1);
-    if (indexed) key_index_tag_ = KeyIndexTagOf(out.candidates, out.blocked);
+    Stamp(&out.candidates, NextArtifactId(), this);
+    out.candidates.generation = candidates.generation + 1;
+    const uint64_t id = out.candidates.artifact_id;
+    Stamp(&out.blocked, NextArtifactId(), this, id);
+    Stamp(&out.scored, NextArtifactId(), this, id);
+    Stamp(&out.partitions, NextArtifactId(), this, id);
+    out.partitions.graph_id = out.scored.artifact_id;
+    if (indexed) key_index_tag_ = KeyIndexTagOf(out.blocked);
+    out.append = d->stats;
     out.append.extraction_stable = true;
     out.append.carried_mappings = result.mappings.size();
     out.append.append_seconds = append_timer.ElapsedSeconds();
     return out;
   }
 
-  // Candidates retired by the removal itself (flipped tables add theirs
-  // after extraction below).
-  std::vector<uint8_t> newly_dead(base_tables.size(), 0);
-  size_t newly_dead_count = 0;
-  for (size_t i = 0; !removed_tables.empty() && i < base_tables.size(); ++i) {
-    if (candidates.is_dead(static_cast<BinaryTableId>(i))) continue;
-    if (std::binary_search(removed_tables.begin(), removed_tables.end(),
-                           base_tables[i].source_table)) {
-      newly_dead[i] = 1;
-      ++newly_dead_count;
-    }
-  }
-
-  // --- Maintained index + incremental extraction. Re-checking every live
-  // old table's coherence signature is the exactness tax: coherence is
-  // corpus-global (p(u) = |C(u)|/N moves for every value when the corpus
-  // changes) — but the maintained index patches postings in place instead
-  // of rebuilding, the margin cache proves most verdicts stable without
-  // touching a posting list, and the expensive half of extraction
-  // (normalize + FD filter + candidate assembly) runs only over the
-  // appended and flipped tables.
-  Timer step;
-  ColumnInvertedIndex no_index;
+  d->tombstoned = candidates.tombstoned_tables;
+  d->tombstoned.insert(d->tombstoned.end(), d->removed_tables.begin(),
+                       d->removed_tables.end());
+  std::sort(d->tombstoned.begin(), d->tombstoned.end());
+  // Each step runs over its base artifact from the input family, under its
+  // own span; each emplace closes the previous step's span.
+  std::optional<obs::TraceSpan> step;
+  step.emplace("synth.mutation.index", index_us);
   const ColumnInvertedIndex& index =
-      options_.extraction.coherence_threshold > -1.0
-          ? MaintainedIndexLocked(corpus, first_new_table, removed_tables,
-                                  removed_columns, candidates.generation)
-          : no_index;
-  const double index_s = step.ElapsedSeconds();
-
-  step.Restart();
-  const BinaryTableId first_new_id =
-      static_cast<BinaryTableId>(base_tables.size());
-  DeltaExtractionRequest request;
-  request.first_new_table = first_new_table;
-  request.first_new_id = first_new_id;
-  request.base_kept_offsets = &candidates.kept_offsets;
-  request.base_kept_columns = &candidates.kept_columns;
-  if (candidates.margin_offsets.size() == first_new_table + 1) {
-    request.base_margin_offsets = &candidates.margin_offsets;
-    request.base_margins = &candidates.margins;
-  }
-  request.removed_tables = removed_tables;
-  request.removed_values = std::move(removed_values);
-  DeltaExtractionResult delta = ExtractCandidatesDelta(
-      corpus, index, request, options_.extraction, threads_.get());
-  const double extract_s = step.ElapsedSeconds();
-  out.append.extraction_stable = delta.stable;
-  out.append.unstable_tables = delta.unstable_tables;
-  out.append.margin_skips = delta.margin_skips;
-  out.append.margin_rechecks = delta.margin_rechecks;
-  out.append.new_candidates = delta.candidates.size();
-  unstable_total->Add(delta.unstable_tables);
-  margin_skips_total->Add(delta.margin_skips);
-  margin_rechecks_total->Add(delta.margin_rechecks);
-  RecordCoherenceWork(delta.coherence);
-
-  const size_t live_old_tables = first_new_table -
-                                 candidates.tombstoned_tables.size() -
-                                 removed_tables.size();
-  if (!delta.stable && delta.unstable_tables * 2 > live_old_tables) {
+      MaintainedIndexLocked(corpus, &candidates, d);
+  step.emplace("synth.mutation.extract", extract_us);
+  out.candidates = ExtractStep(corpus, index, &candidates, d);
+  const bool rebuild = d->majority_flip;
+  if (rebuild) {
     // A majority of the surviving tables flipped their coherence verdict:
-    // partial re-extraction would churn most candidate ids anyway, so an
-    // internal cold re-run is both cheaper and re-densifies ids (results
-    // are still exact — exactness is never traded for speed). This is the
-    // delta path's only fallback.
+    // partial re-extraction would churn most candidate ids anyway, so the
+    // steps run again from an empty base over the patched index. Results
+    // are still exact and ids re-densify; the corpus slots stay shells.
+    // This is the delta path's only fallback. It reports the first pass's
+    // verdicts and retirements, and no delta counters.
     ++session_stats_.append_full_rebuilds;
     full_rebuilds_total->Increment();
+    out.append = d->stats;
     out.append.full_rebuild = true;
-    Result<CandidateSet> c = ExtractCandidates(corpus);
-    if (!c.ok()) return c.status();
-    Result<BlockedPairs> b = BlockPairs(c.value());
-    if (!b.ok()) return b.status();
-    Result<ScoredGraph> g = ScorePairs(c.value(), b.value());
-    if (!g.ok()) return g.status();
-    Result<Partitions> p = Partition(g.value());
-    if (!p.ok()) return p.status();
-    Result<SynthesisResult> r = Resolve(c.value(), g.value(), p.value());
-    if (!r.ok()) return r.status();
-    out.candidates = std::move(c).value();
-    out.candidates.generation = candidates.generation + 1;
-    // The internal cold extraction reseeded the index cache at generation
-    // 0; the family continues at the next generation.
-    index_generation_ = candidates.generation + 1;
-    // The corpus slots stay shells; record them so observers (and the
-    // snapshot) keep the provenance even though the fresh extraction has
-    // no dead candidates to carry.
-    out.candidates.tombstoned_tables = candidates.tombstoned_tables;
-    out.candidates.tombstoned_tables.insert(
-        out.candidates.tombstoned_tables.end(), removed_tables.begin(),
-        removed_tables.end());
-    std::sort(out.candidates.tombstoned_tables.begin(),
-              out.candidates.tombstoned_tables.end());
-    out.blocked = std::move(b).value();
-    out.scored = std::move(g).value();
-    out.partitions = std::move(p).value();
-    out.result = std::move(r).value();
-    out.append.removed_candidates = newly_dead_count;
+    Delta cold;
+    cold.tombstoned = std::move(d->tombstoned);
+    cold.index_seconds = d->index_seconds;
+    *d = std::move(cold);
+    out.candidates = ExtractStep(corpus, index, nullptr, d);
     out.append.new_candidates =
         out.candidates.owned.size() -
-        std::min(out.candidates.owned.size(), base_tables.size());
-    out.append.append_seconds = append_timer.ElapsedSeconds();
-    MS_LOG(Info) << "append: " << delta.unstable_tables << "/"
-                 << live_old_tables << " coherence verdicts shifted; fell "
-                 << "back to a full rebuild (" << out.candidates.owned.size()
-                 << " candidates)";
-    return out;
+        std::min(out.candidates.owned.size(), candidates.tables().size());
   }
-  // Flipped tables: their base candidates are superseded by the
-  // re-extractions riding along in delta.candidates.
-  for (size_t i = 0;
-       !delta.flipped_tables.empty() && i < base_tables.size(); ++i) {
-    if (newly_dead[i] || candidates.is_dead(static_cast<BinaryTableId>(i))) {
-      continue;
-    }
-    if (std::binary_search(delta.flipped_tables.begin(),
-                           delta.flipped_tables.end(),
-                           base_tables[i].source_table)) {
-      newly_dead[i] = 1;
-      ++newly_dead_count;
-    }
-  }
-  out.append.removed_candidates = newly_dead_count;
-  const bool have_dead = newly_dead_count > 0;
-
-  // --- Merge candidates: base ids are untouched, new candidates (appended
-  // tables' and flipped tables' re-extractions) take the next dense ids in
-  // table order. Retired candidates keep their id and provenance but lose
-  // their pairs — downstream they have the footprint of a candidate that
-  // was never extracted.
-  out.candidates.owned = base_tables;
-  out.candidates.owned.reserve(base_tables.size() +
-                               delta.candidates.size());
-  for (auto& c : delta.candidates) {
-    out.candidates.owned.push_back(std::move(c));
-  }
-  if (have_dead) {
-    for (size_t i = 0; i < newly_dead.size(); ++i) {
-      if (!newly_dead[i]) continue;
-      BinaryTable& t = out.candidates.owned[i];
-      BinaryTable cleared = BinaryTable::FromPairs({});
-      cleared.id = t.id;
-      cleared.source_table = t.source_table;
-      cleared.domain = std::move(t.domain);
-      cleared.source = t.source;
-      cleared.left_name = std::move(t.left_name);
-      cleared.right_name = std::move(t.right_name);
-      t = std::move(cleared);
-    }
-  }
-  out.candidates.dead = candidates.dead;
-  if (have_dead || !out.candidates.dead.empty()) {
-    out.candidates.dead.resize(out.candidates.owned.size(), 0);
-    for (size_t i = 0; i < newly_dead.size(); ++i) {
-      if (newly_dead[i]) out.candidates.dead[i] = 1;
-    }
-  }
-  out.candidates.tombstoned_tables = candidates.tombstoned_tables;
-  if (!removed_tables.empty()) {
-    out.candidates.tombstoned_tables.insert(
-        out.candidates.tombstoned_tables.end(), removed_tables.begin(),
-        removed_tables.end());
-    std::sort(out.candidates.tombstoned_tables.begin(),
-              out.candidates.tombstoned_tables.end());
-  }
-  const size_t total_dead = out.candidates.num_dead();
-  out.candidates.pool = pool;
-  out.candidates.source_tables = corpus.size();
-  out.candidates.kept_offsets = std::move(delta.kept_offsets);
-  out.candidates.kept_columns = std::move(delta.kept_columns);
-  out.candidates.margin_offsets = std::move(delta.margin_offsets);
-  out.candidates.margins = std::move(delta.margins);
-  out.candidates.stats = candidates.stats;
-  out.candidates.stats.index_seconds += index_s;
-  out.candidates.stats.extract_seconds += extract_s;
-  AddExtractionStats(&out.candidates.stats.extraction, delta.stats);
-  out.candidates.stats.candidates = out.candidates.owned.size() - total_dead;
-
-  // --- Blocking over the session's key index. Posting lists truncate in
-  // (source table, id) order, the order in which a cold rebuild over the
-  // mutated corpus assigns its dense ids (ColdOrder), so every kept set,
-  // count and taint bit matches the cold run's even where a flipped table's
-  // re-extraction took tail ids. A pair's counts, and a candidate's taint
-  // bit, change only if an endpoint joined or left some key's kept list:
-  // when the index describes the base family, the patch returns exactly
-  // those candidates (new, retired, displaced, resurrected), only their
-  // rows are recounted, and every other base pair is kept verbatim. Any
-  // other family rebuilds the index and recounts every row.
-  step.Restart();
-  out.scored.order = ColdOrder(out.candidates);
-  const std::vector<uint32_t>& order = out.scored.order;
-  const size_t num_vertices = out.candidates.owned.size();
-  const bool patch = key_index_tag_ == KeyIndexTagOf(candidates, blocked);
-  key_index_tag_ = {};  // describes no family until this one is stamped
-  std::vector<uint8_t> changed(num_vertices, patch ? 0 : 1);
-  std::vector<CandidateTablePair> counted;
-  BlockingStats& bstats = out.blocked.blocking;
-  if (patch) {
-    Timer phase;
-    const std::vector<uint32_t> rows =
-        key_index_.Patch(out.candidates.owned, newly_dead, order).changed;
-    for (uint32_t id : rows) changed[id] = 1;
-    bstats.map_shuffle_seconds = phase.ElapsedSeconds();
-    phase.Restart();
-    counted = key_index_.CountRows(options_.blocking.theta_overlap,
-                                   threads_.get(), &rows);
-    bstats.count_seconds = phase.ElapsedSeconds();
-    key_index_.FillStats(&bstats);
-    out.append.block_rows = rows.size();
-  } else {
-    counted = key_index_.BuildAndCount(out.candidates.owned,
-                                       options_.blocking, order,
-                                       threads_.get(), &bstats);
-    out.append.block_rows = num_vertices - total_dead;
-  }
-  RecordBlockingWork(out.append.block_rows, key_index_);
-  // Pairs the base never had (new candidates' pairs and resurrected old
-  // ones) are the only ones scoring sees.
-  Timer splice;
-  std::vector<CandidateTablePair> delta_pairs;
-  out.blocked.pairs =
-      SpliceChangedRows(blocked.pairs, changed, counted, &delta_pairs);
-  bstats.reduce_seconds = splice.ElapsedSeconds();
-  // Phase timings accumulate over the family, like blocking_seconds.
-  bstats.map_shuffle_seconds += blocked.blocking.map_shuffle_seconds;
-  bstats.count_seconds += blocked.blocking.count_seconds;
-  bstats.reduce_seconds += blocked.blocking.reduce_seconds;
-  out.append.delta_pairs = delta_pairs.size();
-  out.blocked.stats = out.candidates.stats;
-  FillBlockingStats(out.blocked.blocking, out.blocked.pairs.size(),
-                    blocked.stats.blocking_seconds + step.ElapsedSeconds(),
-                    &out.blocked.stats);
-
-  // --- Delta scoring through the warm per-worker matchers, then splice:
-  // both edge lists are sorted by (u, v) — blocking emits pairs sorted and
-  // scoring adds edges in pair order — so the merged list is exactly what
-  // one cold scoring pass over the merged pairs would have built. A base
-  // edge stays iff its pair still survives blocking (a retired candidate
-  // loses every pair; a displaced posting can cost an old pair its overlap)
-  // and is then reused verbatim: weights depend only on the two candidates'
-  // contents, which are unchanged. Both endpoints of every dropped base
-  // edge are marked dirty for the partition step, and so are those of every
-  // delta edge between two base candidates: a resurrected old-old pair can
-  // link two scopes that hold no new candidate. A delta edge that touches
-  // a new candidate needs no marking (new candidates are dirty below), and
-  // an edge into another scope lies below θ_edge, so it leaves that
-  // scope's subgraph as it was.
-  step.Restart();
-  ScoringStats scoring;
-  CompatibilityGraph delta_graph = ScoreThroughSessionMatchers(
-      out.candidates.owned, *pool, delta_pairs, &scoring);
-  out.append.delta_edges = delta_graph.num_edges();
-  std::vector<uint8_t> dirty_vertex(num_vertices, 0);
-  const auto mark_endpoints = [&](const CompatEdge& e) {
-    dirty_vertex[e.u] = 1;
-    dirty_vertex[e.v] = 1;
-  };
-  CompatibilityGraph merged(num_vertices);
-  {
-    const auto& be = scored.graph.edges();
-    const auto& de = delta_graph.edges();
-    const auto& kept = out.blocked.pairs;
-    size_t bi = 0, di = 0, ki = 0;
-    const auto base_survives = [&](const CompatEdge& e) {
-      while (ki < kept.size() &&
-             std::tie(kept[ki].a, kept[ki].b) < std::tie(e.u, e.v)) {
-        ++ki;
-      }
-      return ki < kept.size() && kept[ki].a == e.u && kept[ki].b == e.v;
-    };
-    while (bi < be.size() || di < de.size()) {
-      if (bi < be.size() && !base_survives(be[bi])) {
-        mark_endpoints(be[bi++]);
-        continue;
-      }
-      const bool take_base =
-          di >= de.size() ||
-          (bi < be.size() &&
-           std::tie(be[bi].u, be[bi].v) < std::tie(de[di].u, de[di].v));
-      const CompatEdge& e = take_base ? be[bi++] : de[di++];
-      if (!take_base && e.u < first_new_id && e.v < first_new_id) {
-        mark_endpoints(e);
-      }
-      merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
-    }
-  }
-  merged.Finalize();
-  out.scored.graph = std::move(merged);
-  out.scored.stats = out.blocked.stats;
-  out.scored.stats.scoring = scored.stats.scoring;
-  out.scored.stats.scoring.Add(scoring);
-  out.scored.stats.scoring_seconds =
-      scored.stats.scoring_seconds + step.ElapsedSeconds();
-  out.scored.stats.graph_edges = out.scored.graph.num_edges();
-
-  // --- Scope-restricted partition (see PartitionScopes: the positive
-  // components, or the whole graph without divide-and-conquer). A scope is
-  // re-partitioned only when its induced subgraph could differ from the
-  // base run's: it holds a dirty vertex — a new candidate, a candidate this
-  // mutation retired, or an endpoint of a dropped base edge or a re-blocked
-  // delta edge. Every other scope's subgraph — and therefore its greedy
-  // partition — is provably identical to the base run's; carry it. (If a
-  // dropped edge split a base component, every resulting piece holds one
-  // of its endpoints, so all pieces are re-partitioned — membership of
-  // clean components is exactly their base membership.)
-  step.Restart();
-  for (size_t v = first_new_id; v < num_vertices; ++v) dirty_vertex[v] = 1;
-  for (size_t v = 0; v < newly_dead.size(); ++v) {
-    if (newly_dead[v]) dirty_vertex[v] = 1;
-  }
-  const std::vector<uint8_t>& dead_bitmap = out.candidates.dead;
-  const auto vertex_dead = [&](VertexId v) {
-    return v < dead_bitmap.size() && dead_bitmap[v] != 0;
-  };
-  std::vector<uint32_t> comp;
-  std::vector<std::vector<VertexId>> groups =
-      PartitionScopes(out.scored.graph, options_, order, &comp);
-  const size_t num_components = groups.size();
-  std::vector<char> comp_dirty(groups.size(), 0);
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (VertexId v : groups[g]) {
-      if (dirty_vertex[v]) {
-        comp_dirty[g] = 1;
-        break;
-      }
-    }
-  }
-
-  PartitionResult partition;
-  partition.partition_of.assign(num_vertices, 0);
-  // Clean scopes: carry the base partitioning, renumbered densely; the
-  // dirty ones draw fresh ids after them.
-  uint32_t next_pid = 0;
-  {
-    std::unordered_map<uint32_t, uint32_t> remap;
-    for (size_t g = 0; g < groups.size(); ++g) {
-      if (comp_dirty[g]) continue;
-      for (VertexId v : groups[g]) {
-        const uint32_t base_pid = partitions.partition.partition_of[v];
-        auto [it, inserted] = remap.emplace(base_pid, next_pid);
-        if (inserted) ++next_pid;
-        partition.partition_of[v] = it->second;
-      }
-    }
-  }
-
-  std::vector<std::vector<VertexId>> dirty;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (comp_dirty[g]) dirty.push_back(std::move(groups[g]));
-  }
-  // merges_performed covers only re-partitioned scopes: the base artifact
-  // stores a whole-run total that cannot be decomposed per clean scope, so
-  // this informational counter intentionally reports the mutation's own
-  // work, not the cold-equivalent total.
-  partition.num_partitions = next_pid;
-  std::vector<std::vector<VertexId>> dirty_groups;
-  PartitionComponents(out.scored.graph, comp, dirty, options_.partitioner,
-                      threads_.get(), &partition, &dirty_groups);
-  out.append.dirty_components = dirty.size();
-  out.append.clean_components = num_components - dirty.size();
-  // Retired candidates are isolated singletons: they keep a partition slot
-  // (vertex ids stay stable) but resolve nothing.
-  if (total_dead > 0) {
-    std::erase_if(dirty_groups, [&](const std::vector<VertexId>& g) {
-      return g.size() == 1 && vertex_dead(g[0]);
-    });
-  }
-  out.partitions.partition = std::move(partition);
-  out.partitions.stats = out.scored.stats;
-  if (options_.divide_and_conquer) {
-    // Retired candidates sit in singleton components holding a reserved
-    // partition slot each; the reported counts cover live structure only,
-    // matching what a cold rebuild over the surviving tables sees.
-    out.partitions.stats.components = num_components - total_dead;
-  }
-  out.partitions.stats.partition_seconds =
-      partitions.stats.partition_seconds + step.ElapsedSeconds();
-  out.partitions.stats.partitions =
-      out.partitions.partition.num_partitions - total_dead;
-
-  // --- Resolve only the dirty groups; mappings of clean scopes carry over
-  // verbatim (their partitions, members, and conflict sets are untouched,
-  // and the curation filter is per-mapping).
-  step.Restart();
-  const ConflictResolutionOptions conflict = EffectiveConflict();
-  std::vector<SynthesizedMapping> resolved = ResolveGroups(
-      out.candidates.owned, dirty_groups, options_, conflict, threads_.get());
-  std::vector<SynthesizedMapping> merged_mappings = FilterByPopularity(
-      std::move(resolved), options_.min_domains, options_.min_pairs, order);
-  size_t carried = 0;
-  for (const auto& m : result.mappings) {
-    if (m.member_tables.empty()) continue;
-    if (!comp_dirty[comp[m.member_tables[0]]]) {
-      merged_mappings.push_back(m);
-      ++carried;
-    }
-  }
-  std::sort(merged_mappings.begin(), merged_mappings.end(),
-            PopularityGreater(order));
-  out.append.carried_mappings = carried;
-  out.result.mappings = std::move(merged_mappings);
-  out.result.stats = out.partitions.stats;
-  out.result.stats.resolve_seconds =
-      result.stats.resolve_seconds + step.ElapsedSeconds();
-  out.result.stats.mappings = out.result.mappings.size();
-  out.result.stats.total_seconds =
-      out.result.stats.index_seconds + out.result.stats.extract_seconds +
-      out.result.stats.blocking_seconds + out.result.stats.scoring_seconds +
-      out.result.stats.partition_seconds + out.result.stats.resolve_seconds;
-
-  restamp(candidates.generation + 1);
-  key_index_tag_ = KeyIndexTagOf(out.candidates, out.blocked);
+  step.emplace("synth.mutation.block", block_us);
+  out.blocked = BlockStep(out.candidates, rebuild ? nullptr : &blocked, d);
+  step.emplace("synth.mutation.score", score_us);
+  out.scored =
+      ScoreStep(out.candidates, out.blocked, rebuild ? nullptr : &scored, d);
+  step.emplace("synth.mutation.partition", partition_us);
+  out.partitions =
+      PartitionStep(out.scored, rebuild ? nullptr : &partitions, d);
+  step.emplace("synth.mutation.resolve", resolve_us);
+  out.result = ResolveStep(out.candidates, out.scored, out.partitions,
+                           rebuild ? nullptr : &result, d);
+  step.reset();
+  out.candidates.generation = candidates.generation + 1;
+  if (!rebuild) out.append = d->stats;
   out.append.append_seconds = append_timer.ElapsedSeconds();
-  MS_LOG(Info) << "append: +" << out.append.appended_tables << "/-"
-               << out.append.removed_tables << " tables, +"
-               << out.append.new_candidates << "/-"
-               << out.append.removed_candidates << " candidates, "
-               << out.append.delta_pairs << " delta pairs, "
-               << out.append.margin_skips << " margin skips / "
-               << out.append.margin_rechecks << " rechecks, "
-               << out.append.dirty_components << "/" << num_components
-               << " dirty components, " << out.append.carried_mappings
+  const AppendStats& a = out.append;
+  MS_LOG(Info) << "append: +" << a.appended_tables << "/-" << a.removed_tables
+               << " tables, +" << a.new_candidates << "/-"
+               << a.removed_candidates << " candidates, " << a.delta_pairs
+               << " delta pairs, " << a.margin_skips << " margin skips / "
+               << a.margin_rechecks << " rechecks, " << a.dirty_components
+               << "/" << a.dirty_components + a.clean_components
+               << " dirty components, " << a.carried_mappings
                << " mappings carried";
   return out;
 }
@@ -1361,90 +1309,12 @@ Result<AppendedArtifacts> SynthesisSession::AppendCorpus(
     const ScoredGraph& scored, const Partitions& partitions,
     const SynthesisResult& result) {
   const std::lock_guard<std::recursive_mutex> lock(run_mu_);
-  if (corpus == nullptr) {
-    return Status::InvalidArgument("AppendCorpus: corpus is null");
-  }
-  // Validate BEFORE mutating: merging the delta and then failing a lineage
-  // check would leave the corpus permanently grown past the artifacts, a
-  // stuck state every retry would re-reject.
-  MS_RETURN_IF_ERROR(
-      ValidateAppendFamily(candidates, blocked, scored, partitions, result));
-  if (corpus->size() != candidates.source_tables) {
-    return Status::InvalidArgument(
-        "AppendCorpus: the corpus already has " +
-        std::to_string(corpus->size()) + " tables but the artifacts cover " +
-        std::to_string(candidates.source_tables) +
-        " — pass the un-grown corpus and let AppendCorpus merge the delta");
-  }
-  Result<size_t> first_new = corpus->AppendFrom(delta);
-  if (!first_new.ok()) return first_new.status();
-  return AppendTables(*corpus, first_new.value(), candidates, blocked,
-                      scored, partitions, result);
+  Result<AppendedArtifacts> out =
+      MutateCorpusLocked("AppendCorpus", corpus, {}, &delta, candidates,
+                         blocked, scored, partitions, result);
+  if (out.ok()) ++session_stats_.append_runs;
+  return out;
 }
-
-namespace {
-
-/// Shared removal-id validation for RemoveTables/ReplaceTables: sorts
-/// `removed` in place, rejects duplicates and out-of-range ids with
-/// InvalidArgument BEFORE any corpus mutation, then drops no-op entries
-/// (tables already tombstoned, or degenerate zero-column tables — their
-/// removal cannot change any artifact).
-Status PrepareRemovalIds(const char* stage, const TableCorpus& corpus,
-                         std::vector<uint32_t>* removed) {
-  std::sort(removed->begin(), removed->end());
-  for (size_t i = 0; i < removed->size(); ++i) {
-    if ((*removed)[i] >= corpus.size()) {
-      return Status::InvalidArgument(
-          std::string(stage) + ": table id " +
-          std::to_string((*removed)[i]) + " is out of range (corpus has " +
-          std::to_string(corpus.size()) + " tables)");
-    }
-    if (i > 0 && (*removed)[i] == (*removed)[i - 1]) {
-      return Status::InvalidArgument(
-          std::string(stage) + ": duplicate table id " +
-          std::to_string((*removed)[i]) + " in the removal set");
-    }
-  }
-  std::erase_if(*removed, [&](uint32_t id) {
-    return corpus.table(id).num_columns() == 0;
-  });
-  return Status::OK();
-}
-
-/// Captures the removal footprint (distinct cell values + column count)
-/// and tombstones each table, returning the moved-out columns so a failed
-/// mutation can restore them.
-struct RemovalCapture {
-  std::vector<ValueId> values;
-  size_t columns = 0;
-  std::vector<std::pair<uint32_t, std::vector<Column>>> saved;
-};
-
-RemovalCapture TombstoneAll(TableCorpus* corpus,
-                            const std::vector<uint32_t>& removed) {
-  RemovalCapture cap;
-  cap.saved.reserve(removed.size());
-  for (uint32_t id : removed) {
-    const Table& t = corpus->table(id);
-    cap.columns += t.num_columns();
-    for (const Column& c : t.columns) {
-      cap.values.insert(cap.values.end(), c.cells.begin(), c.cells.end());
-    }
-    cap.saved.emplace_back(id, corpus->Tombstone(id));
-  }
-  std::sort(cap.values.begin(), cap.values.end());
-  cap.values.erase(std::unique(cap.values.begin(), cap.values.end()),
-                   cap.values.end());
-  return cap;
-}
-
-void RestoreAll(TableCorpus* corpus, RemovalCapture* cap) {
-  for (auto& [id, cols] : cap->saved) {
-    corpus->RestoreColumns(id, std::move(cols));
-  }
-}
-
-}  // namespace
 
 Result<AppendedArtifacts> SynthesisSession::RemoveTables(
     TableCorpus* corpus, std::vector<uint32_t> removed,
@@ -1452,29 +1322,10 @@ Result<AppendedArtifacts> SynthesisSession::RemoveTables(
     const ScoredGraph& scored, const Partitions& partitions,
     const SynthesisResult& result) {
   const std::lock_guard<std::recursive_mutex> lock(run_mu_);
-  if (corpus == nullptr) {
-    return Status::InvalidArgument("RemoveTables: corpus is null");
-  }
-  // Validate BEFORE mutating — same discipline as AppendCorpus.
-  MS_RETURN_IF_ERROR(
-      ValidateAppendFamily(candidates, blocked, scored, partitions, result));
-  if (corpus->size() != candidates.source_tables) {
-    return Status::InvalidArgument(
-        "RemoveTables: the corpus has " + std::to_string(corpus->size()) +
-        " tables but the artifacts cover " +
-        std::to_string(candidates.source_tables) +
-        " — removals operate on the exact synthesized corpus");
-  }
-  MS_RETURN_IF_ERROR(PrepareRemovalIds("RemoveTables", *corpus, &removed));
-  RemovalCapture cap = TombstoneAll(corpus, removed);
-  Result<AppendedArtifacts> out = ApplyCorpusDeltaLocked(
-      *corpus, corpus->size(), std::move(removed), std::move(cap.values),
-      cap.columns, candidates, blocked, scored, partitions, result);
-  if (!out.ok()) {
-    RestoreAll(corpus, &cap);
-    return out.status();
-  }
-  ++session_stats_.remove_runs;
+  Result<AppendedArtifacts> out =
+      MutateCorpusLocked("RemoveTables", corpus, std::move(removed), nullptr,
+                         candidates, blocked, scored, partitions, result);
+  if (out.ok()) ++session_stats_.remove_runs;
   return out;
 }
 
@@ -1484,39 +1335,91 @@ Result<AppendedArtifacts> SynthesisSession::ReplaceTables(
     const BlockedPairs& blocked, const ScoredGraph& scored,
     const Partitions& partitions, const SynthesisResult& result) {
   const std::lock_guard<std::recursive_mutex> lock(run_mu_);
+  Result<AppendedArtifacts> out =
+      MutateCorpusLocked("ReplaceTables", corpus, std::move(removed), &delta,
+                         candidates, blocked, scored, partitions, result);
+  if (out.ok()) ++session_stats_.replace_runs;
+  return out;
+}
+
+Result<AppendedArtifacts> SynthesisSession::MutateCorpusLocked(
+    const char* caller, TableCorpus* corpus, std::vector<uint32_t> removed,
+    const TableCorpus* delta, const CandidateSet& candidates,
+    const BlockedPairs& blocked, const ScoredGraph& scored,
+    const Partitions& partitions, const SynthesisResult& result) {
   if (corpus == nullptr) {
-    return Status::InvalidArgument("ReplaceTables: corpus is null");
+    return Status::InvalidArgument(std::string(caller) + ": corpus is null");
   }
-  MS_RETURN_IF_ERROR(
-      ValidateAppendFamily(candidates, blocked, scored, partitions, result));
+  // Validate BEFORE mutating: a failed check after the corpus changed
+  // would leave it out of step with the artifacts, a stuck state every
+  // retry would re-reject.
+  MS_RETURN_IF_ERROR(ValidateAppendFamily(caller, candidates, blocked,
+                                          scored, partitions, result));
   if (corpus->size() != candidates.source_tables) {
     return Status::InvalidArgument(
-        "ReplaceTables: the corpus has " + std::to_string(corpus->size()) +
-        " tables but the artifacts cover " +
+        std::string(caller) + ": the corpus has " +
+        std::to_string(corpus->size()) + " tables but the artifacts cover " +
         std::to_string(candidates.source_tables) +
-        " — replacements operate on the exact synthesized corpus");
+        " — mutations apply to the exact synthesized corpus (AppendCorpus "
+        "merges its delta itself)");
   }
-  MS_RETURN_IF_ERROR(PrepareRemovalIds("ReplaceTables", *corpus, &removed));
-  // One atomic remove + append: tombstone, merge the delta at the tail,
-  // reconcile in a single maintenance pass. A failure at any point rolls
-  // the corpus back — tables, columns, and pool tail.
-  const size_t prev_pool_size = corpus->pool().size();
-  RemovalCapture cap = TombstoneAll(corpus, removed);
-  Result<size_t> first_new = corpus->AppendFrom(delta);
-  if (!first_new.ok()) {
-    RestoreAll(corpus, &cap);
-    return first_new.status();
+  // Sorted, free of duplicates and in range; tables that are already
+  // shells (or have no columns) are dropped, since removing them cannot
+  // change any artifact.
+  std::sort(removed.begin(), removed.end());
+  for (size_t i = 0; i < removed.size(); ++i) {
+    if (removed[i] >= corpus->size()) {
+      return Status::InvalidArgument(
+          std::string(caller) + ": table id " + std::to_string(removed[i]) +
+          " is out of range (corpus has " + std::to_string(corpus->size()) +
+          " tables)");
+    }
+    if (i > 0 && removed[i] == removed[i - 1]) {
+      return Status::InvalidArgument(
+          std::string(caller) + ": duplicate table id " +
+          std::to_string(removed[i]) + " in the removal set");
+    }
   }
-  Result<AppendedArtifacts> out = ApplyCorpusDeltaLocked(
-      *corpus, first_new.value(), std::move(removed), std::move(cap.values),
-      cap.columns, candidates, blocked, scored, partitions, result);
+  std::erase_if(removed, [&](uint32_t id) {
+    return corpus->table(id).num_columns() == 0;
+  });
+
+  // Tombstone the removed tables (capturing their footprint), merge the
+  // delta at the tail, and reconcile in one pass. Any failure rolls the
+  // corpus back: tables, columns and pool tail.
+  const size_t num_tables = corpus->size();
+  const size_t pool_size = corpus->pool().size();
+  Delta d;
+  d.first_new_table = num_tables;
+  std::vector<std::pair<uint32_t, std::vector<Column>>> saved;
+  for (uint32_t id : removed) {
+    const Table& t = corpus->table(id);
+    d.removed_columns += t.num_columns();
+    for (const Column& c : t.columns) {
+      d.removed_values.insert(d.removed_values.end(), c.cells.begin(),
+                              c.cells.end());
+    }
+    saved.emplace_back(id, corpus->Tombstone(id));
+  }
+  std::sort(d.removed_values.begin(), d.removed_values.end());
+  d.removed_values.erase(
+      std::unique(d.removed_values.begin(), d.removed_values.end()),
+      d.removed_values.end());
+  d.removed_tables = std::move(removed);
+  Result<AppendedArtifacts> out = [&]() -> Result<AppendedArtifacts> {
+    if (delta != nullptr) {
+      MS_RETURN_IF_ERROR(corpus->AppendFrom(*delta).status());
+    }
+    return ApplyCorpusDeltaLocked(caller, *corpus, &d, candidates, blocked,
+                                  scored, partitions, result);
+  }();
   if (!out.ok()) {
-    corpus->Truncate(first_new.value());
-    corpus->pool().TruncateTo(prev_pool_size);
-    RestoreAll(corpus, &cap);
-    return out.status();
+    corpus->Truncate(num_tables);
+    corpus->pool().TruncateTo(pool_size);
+    for (auto& [id, columns] : saved) {
+      corpus->RestoreColumns(id, std::move(columns));
+    }
   }
-  ++session_stats_.replace_runs;
   return out;
 }
 

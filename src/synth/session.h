@@ -419,10 +419,10 @@ class SynthesisSession {
   /// [0, first_new_table) plus the appended tables after them — and the
   /// returned artifact family is byte-equivalent to a cold full run over
   /// it, at delta cost:
-  ///   - the inverted index is rebuilt and every old table's kept-column
-  ///     signature re-checked (coherence is corpus-global; this is the
-  ///     exactness tax), but extraction's normalize + FD work runs only
-  ///     over the appended tables;
+  ///   - the session's inverted index is patched in place and every old
+  ///     table's kept-column signature re-checked (coherence is
+  ///     corpus-global; this is the exactness tax), but extraction's
+  ///     normalize + FD work runs only over the appended tables;
   ///   - blocking patches the session's key index and recounts only the
   ///     rows of candidates whose kept posting-list membership changed
   ///     (any other family rebuilds it and recounts every row); base pairs
@@ -433,8 +433,9 @@ class SynthesisSession {
   ///     changed edge are re-partitioned and re-resolved; the others'
   ///     mappings carry over verbatim.
   /// Tables whose coherence verdict flipped are re-extracted in place; only
-  /// a majority flip falls back to a full internal re-run
-  /// (AppendStats::full_rebuild) — exactness is never traded for speed.
+  /// a majority flip falls back to running the steps again from an empty
+  /// base (AppendStats::full_rebuild) — exactness is never traded for
+  /// speed.
   ///
   /// `first_new_table` must equal candidates.source_tables. All artifacts
   /// must share lineage. `candidates` must carry extraction signatures
@@ -451,7 +452,9 @@ class SynthesisSession {
 
   /// Convenience: merges `delta`'s tables into `*corpus` (re-interning into
   /// its pool) and appends them. The ingestion shape of a serving fleet:
-  /// batches arrive as independently-loaded corpora.
+  /// batches arrive as independently-loaded corpora. A failure after the
+  /// merge rolls the corpus (tables and pool tail) back, as the removing
+  /// entry points below do.
   Result<AppendedArtifacts> AppendCorpus(TableCorpus* corpus,
                                          const TableCorpus& delta,
                                          const CandidateSet& candidates,
@@ -537,12 +540,14 @@ class SynthesisSession {
     /// Persistence round trips through Save/RestoreSnapshot.
     size_t snapshot_saves = 0;
     size_t snapshot_restores = 0;
-    /// Incremental corpus growth: AppendTables calls, and how many
-    /// incremental mutations lost the delta fast path to a majority
-    /// coherence-verdict flip (the internal cold re-run).
+    /// Incremental corpus growth: successful AppendTables / AppendCorpus
+    /// calls, and how many incremental mutations lost the delta fast path
+    /// to a majority coherence-verdict flip (the steps re-run from an
+    /// empty base).
     size_t append_runs = 0;
     size_t append_full_rebuilds = 0;
-    /// Incremental shrink/churn: RemoveTables / ReplaceTables calls.
+    /// Incremental shrink/churn: successful RemoveTables / ReplaceTables
+    /// calls.
     size_t remove_runs = 0;
     size_t replace_runs = 0;
   };
@@ -560,8 +565,7 @@ class SynthesisSession {
   uint64_t NextArtifactId() { return next_artifact_id_++; }
   /// Scores `pairs` over `tables` through the session's persistent
   /// per-worker matchers (building/warming them as needed) into a finalized
-  /// graph; the only scoring path, shared by ScorePairs and the mutation
-  /// path's delta scoring.
+  /// graph; the score step's, so cold runs and mutations score alike.
   CompatibilityGraph ScoreThroughSessionMatchers(
       const std::vector<BinaryTable>& tables, const StringPool& pool,
       const std::vector<CandidateTablePair>& pairs, ScoringStats* scoring);
@@ -569,42 +573,71 @@ class SynthesisSession {
   Status CheckLineage(const char* stage, const void* session,
                       uint64_t got_candidates_id,
                       uint64_t want_candidates_id) const;
-  /// All artifact-side preconditions of an append (lineage, extraction
+  /// All artifact-side preconditions of a mutation (lineage, extraction
   /// signatures, result consistency) — everything that can be checked
-  /// before touching a corpus, so AppendCorpus validates BEFORE mutating.
-  Status ValidateAppendFamily(const CandidateSet& candidates,
+  /// before touching a corpus. `caller` names the entry point in errors.
+  Status ValidateAppendFamily(const char* caller,
+                              const CandidateSet& candidates,
                               const BlockedPairs& blocked,
                               const ScoredGraph& scored,
                               const Partitions& partitions,
                               const SynthesisResult& result) const;
-  /// The unified incremental-maintenance core behind AppendTables,
-  /// RemoveTables, and ReplaceTables: `corpus` is already mutated (removed
-  /// tables tombstoned, appended tables merged at the tail);
-  /// `removed_tables` (sorted), `removed_values`, and `removed_columns`
-  /// describe the tombstoned footprint. Caller holds run_mu_.
+
+  /// One generation's state between its steps (defined in session.cc).
+  struct Delta;
+  /// The steps every stage runs, one per stage. Each takes the previous
+  /// generation's artifact as `base` (null: a cold run, where everything is
+  /// new) and the state the earlier steps left in `d`. The public stages
+  /// run their step with no base; ApplyCorpusDeltaLocked runs all of them
+  /// over the input family. Caller holds run_mu_.
+  ///
+  /// The index step returns the maintained corpus index, patched in place
+  /// (posting deletes for the removed tables, appends for the new ones)
+  /// when the cache matches `base`'s pre-mutation corpus state — object
+  /// identity, table/column counts and generation — and rebuilt otherwise.
+  const ColumnInvertedIndex& MaintainedIndexLocked(const TableCorpus& corpus,
+                                                   const CandidateSet* base,
+                                                   Delta* d);
+  CandidateSet ExtractStep(const TableCorpus& corpus,
+                           const ColumnInvertedIndex& index,
+                           const CandidateSet* base, Delta* d);
+  BlockedPairs BlockStep(const CandidateSet& candidates,
+                         const BlockedPairs* base, Delta* d);
+  ScoredGraph ScoreStep(const CandidateSet& candidates,
+                        const BlockedPairs& blocked, const ScoredGraph* base,
+                        Delta* d);
+  Partitions PartitionStep(const ScoredGraph& graph, const Partitions* base,
+                           Delta* d);
+  SynthesisResult ResolveStep(const CandidateSet& candidates,
+                              const ScoredGraph& graph,
+                              const Partitions& partitions,
+                              const SynthesisResult* base, Delta* d);
+  /// The incremental-maintenance driver behind AppendTables, AppendCorpus,
+  /// RemoveTables and ReplaceTables: `corpus` is already mutated as `d`
+  /// describes (removed tables tombstoned, new tables from
+  /// d->first_new_table on). Runs the steps over the input family under one
+  /// span each. Caller holds run_mu_.
   Result<AppendedArtifacts> ApplyCorpusDeltaLocked(
-      const TableCorpus& corpus, size_t first_new_table,
-      std::vector<uint32_t> removed_tables,
-      std::vector<ValueId> removed_values, size_t removed_columns,
+      const char* caller, const TableCorpus& corpus, Delta* d,
       const CandidateSet& candidates, const BlockedPairs& blocked,
       const ScoredGraph& scored, const Partitions& partitions,
       const SynthesisResult& result);
-  /// Returns the maintained corpus index, patched in place (posting
-  /// deletes for `removed_tables`, appends for tables past
-  /// `first_new_table`) when the cache matches the pre-mutation corpus
-  /// state — object identity, table/column counts, and the input family's
-  /// generation — rebuilt from scratch otherwise. Caller holds run_mu_.
-  const ColumnInvertedIndex& MaintainedIndexLocked(
-      const TableCorpus& corpus, size_t first_new_table,
-      const std::vector<uint32_t>& removed_tables, size_t removed_columns,
-      uint32_t base_generation);
+  /// The corpus-mutating half of AppendCorpus, RemoveTables and
+  /// ReplaceTables: validates, tombstones `removed`, merges `delta` (when
+  /// given) at the tail, runs the driver, and rolls the corpus back on any
+  /// failure. Caller holds run_mu_.
+  Result<AppendedArtifacts> MutateCorpusLocked(
+      const char* caller, TableCorpus* corpus, std::vector<uint32_t> removed,
+      const TableCorpus* delta, const CandidateSet& candidates,
+      const BlockedPairs& blocked, const ScoredGraph& scored,
+      const Partitions& partitions, const SynthesisResult& result);
 
   /// Writer-side mutual exclusion: every public stage/composite/persistence
   /// entry point locks this, so two threads driving the same session
   /// serialize instead of corrupting the warm state (matcher caches,
   /// synonym snapshot, artifact-id counter, stage counters). Recursive
-  /// because composites (Run, AppendCorpus, …) re-enter the stage entry
-  /// points. This makes concurrent *writes* safe, not cheap — the serving
+  /// because composites (Run, FinishFromCandidates, …) re-enter the stage
+  /// entry points. This makes concurrent *writes* safe, not cheap — the serving
   /// tier (MappingService) keeps reads off the session entirely via
   /// immutable ServingSnapshots; see docs/serving.md.
   mutable std::recursive_mutex run_mu_;
@@ -645,9 +678,8 @@ class SynthesisSession {
     BlockingOptions options;
     bool operator==(const KeyIndexTag&) const = default;
   };
-  KeyIndexTag KeyIndexTagOf(const CandidateSet& candidates,
-                            const BlockedPairs& blocked) const {
-    return {candidates.artifact_id, blocked.artifact_id, options_.blocking};
+  KeyIndexTag KeyIndexTagOf(const BlockedPairs& blocked) const {
+    return {blocked.candidates_id, blocked.artifact_id, options_.blocking};
   }
   BlockingKeyIndex key_index_;
   KeyIndexTag key_index_tag_;

@@ -36,6 +36,8 @@
 #include "apps/serving.h"
 #include "common/random.h"
 #include "graph/connected_components.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "oracles/blocking_reference.h"
 #include "persist/corpus_store.h"
 #include "persist/snapshot.h"
@@ -243,6 +245,60 @@ void ExpectCountersIdentical(const PipelineStats& cold,
   EXPECT_EQ(cold.extraction.pairs_kept, inc.extraction.pairs_kept);
 }
 
+/// The session's span histograms at one moment: how often each cold stage
+/// (`ms_synth_stage_us`) and each mutation step
+/// (`ms_synth_mutation_step_us`) was recorded, the steps' summed time and
+/// the mutations' (`stage="append"`).
+struct SpanCounts {
+  static constexpr const char* kStages[] = {"extract", "block", "score",
+                                            "partition", "resolve"};
+  static constexpr const char* kSteps[] = {"index", "extract",   "block",
+                                           "score", "partition", "resolve"};
+  uint64_t stage[5] = {};
+  uint64_t step[6] = {};
+  uint64_t step_us = 0;
+  uint64_t append_us = 0;
+
+  static SpanCounts Take() {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    SpanCounts c;
+    for (size_t i = 0; i < 5; ++i) {
+      c.stage[i] = reg.GetHistogram("ms_synth_stage_us", {{"stage", kStages[i]}})
+                       ->Snapshot()
+                       .TotalCount();
+    }
+    for (size_t i = 0; i < 6; ++i) {
+      const obs::HistogramSnapshot s =
+          reg.GetHistogram("ms_synth_mutation_step_us", {{"step", kSteps[i]}})
+              ->Snapshot();
+      c.step[i] = s.TotalCount();
+      c.step_us += s.sum;
+    }
+    c.append_us =
+        reg.GetHistogram("ms_synth_stage_us", {{"stage", "append"}})
+            ->Snapshot()
+            .sum;
+    return c;
+  }
+};
+
+/// Exactly one mutation ran between `before` and `after`: it recorded every
+/// step once (none when it changed nothing), no cold stage, and no more
+/// step time than its own.
+void ExpectOneMutationOfSpans(const SpanCounts& before,
+                              const SpanCounts& after, bool empty) {
+  ASSERT_TRUE(obs::TracingEnabled());
+  for (size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(after.stage[i], before.stage[i])
+        << "ms_synth_stage_us{stage=" << SpanCounts::kStages[i] << "}";
+  }
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(after.step[i], before.step[i] + (empty ? 0 : 1))
+        << "ms_synth_mutation_step_us{step=" << SpanCounts::kSteps[i] << "}";
+  }
+  EXPECT_LE(after.step_us - before.step_us, after.append_us - before.append_us);
+}
+
 /// One fully materialized artifact family, chained cold.
 struct Family {
   CandidateSet candidates;
@@ -446,6 +502,7 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
     bool flip_with_truncation = false;
     for (size_t b = 1; b + 1 < bounds.size(); ++b) {
       const size_t base_dropped = inc.blocked.blocking.dropped_postings;
+      const SpanCounts spans = SpanCounts::Take();
       Result<AppendedArtifacts> grown = [&] {
         if (rng.Bernoulli(0.5)) {
           // Ingestion shape: the batch arrives as its own corpus.
@@ -461,6 +518,10 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
                                         inc.partitions, inc.result);
       }();
       ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+      // The steps run under their own spans, the fallback's included; the
+      // cold stages' series count public stage calls only.
+      ExpectOneMutationOfSpans(spans, SpanCounts::Take(),
+                               bounds[b] == bounds[b + 1]);
       AppendedArtifacts family = std::move(grown).value();
       ++appends;
       ++total_appends;
@@ -546,6 +607,11 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
   if (AtDefaultDepth(6)) {
     EXPECT_GT(flip_truncation_schedules, 0u)
         << "no schedule flipped a verdict while posting lists truncated";
+    // The majority-flip fallback re-runs the steps from an empty base; no
+    // other suite or benchmark workload reaches it.
+    EXPECT_GT(fallback_appends, 0u)
+        << "no append fell back to a full rebuild across " << total_appends
+        << " appends";
   }
   std::printf(
       "append schedules: %zu appends, %zu fast-path, %zu fallback, "
@@ -1125,6 +1191,103 @@ TEST(IncrementalApiTest, AppendCorpusValidatesBeforeMutating) {
                                  f.scored, f.partitions, f.result);
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_EQ(corpus.size(), 20u);
+}
+
+TEST(IncrementalApiTest, AppendCorpusRollsBackWhenThePoolDiverges) {
+  // The family is built over one corpus; AppendCorpus gets another whose
+  // pool interned the same strings in a different order. The pool check
+  // fails after the delta was merged, and the merge must be undone: the
+  // wrong corpus keeps its tables and pool, so a retry fails the same way
+  // instead of on a grown corpus, and the right corpus still appends.
+  Rng rng(23);
+  auto specs = RandomCorpusSpec(rng, 20);
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 16);
+  SynthesisSession session(BaseOptions());
+  Family f = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+
+  TableCorpus reordered;
+  for (size_t i = corpus.pool().size(); i-- > 0;) {
+    reordered.pool().Intern(corpus.pool().Get(static_cast<ValueId>(i)));
+  }
+  AddSpecs(&reordered, specs, 0, 16);
+  ASSERT_EQ(reordered.pool().size(), corpus.pool().size());
+  const size_t pool_before = reordered.pool().size();
+  TableCorpus delta;
+  AddSpecs(&delta, specs, 16, 20);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto failed = session.AppendCorpus(&reordered, delta, f.candidates,
+                                       f.blocked, f.scored, f.partitions,
+                                       f.result);
+    EXPECT_EQ(failed.status().code(), StatusCode::kFailedPrecondition)
+        << failed.status().ToString();
+    EXPECT_NE(failed.status().message().find("AppendCorpus: the corpus pool "
+                                             "diverges"),
+              std::string::npos)
+        << failed.status().ToString();
+    EXPECT_EQ(reordered.size(), 16u);
+    EXPECT_EQ(reordered.pool().size(), pool_before);
+  }
+
+  auto ok = session.AppendCorpus(&corpus, delta, f.candidates, f.blocked,
+                                 f.scored, f.partitions, f.result);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(corpus.size(), 20u);
+  EXPECT_EQ(session.session_stats().append_runs, 1u);
+}
+
+TEST(IncrementalApiTest, MutationStepsRecordOneSpanEach) {
+  // Each mutation records its index patch and its five steps once each
+  // under ms_synth_mutation_step_us, inside its own append span, and leaves
+  // the cold stages' ms_synth_stage_us series alone.
+  Rng rng(29);
+  auto specs = RandomCorpusSpec(rng, 28);
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 20);
+  SynthesisSession session(BaseOptions());
+  Family f = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  const auto adopt = [&f](AppendedArtifacts a) {
+    f = Family{std::move(a.candidates), std::move(a.blocked),
+               std::move(a.scored), std::move(a.partitions),
+               std::move(a.result)};
+  };
+
+  TableCorpus delta;
+  AddSpecs(&delta, specs, 20, 24);
+  SpanCounts before = SpanCounts::Take();
+  auto appended = session.AppendCorpus(&corpus, delta, f.candidates,
+                                       f.blocked, f.scored, f.partitions,
+                                       f.result);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  ExpectOneMutationOfSpans(before, SpanCounts::Take(), false);
+  adopt(std::move(appended).value());
+
+  before = SpanCounts::Take();
+  auto removed = session.RemoveTables(&corpus, {2, 7}, f.candidates,
+                                      f.blocked, f.scored, f.partitions,
+                                      f.result);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  ExpectOneMutationOfSpans(before, SpanCounts::Take(), false);
+  adopt(std::move(removed).value());
+
+  TableCorpus more;
+  AddSpecs(&more, specs, 24, 28);
+  before = SpanCounts::Take();
+  auto replaced = session.ReplaceTables(&corpus, {5}, more, f.candidates,
+                                        f.blocked, f.scored, f.partitions,
+                                        f.result);
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
+  ExpectOneMutationOfSpans(before, SpanCounts::Take(), false);
+  adopt(std::move(replaced).value());
+
+  // An empty mutation hands back the family without running a step.
+  before = SpanCounts::Take();
+  auto empty = session.RemoveTables(&corpus, {}, f.candidates, f.blocked,
+                                    f.scored, f.partitions, f.result);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ExpectOneMutationOfSpans(before, SpanCounts::Take(), true);
 }
 
 TEST(IncrementalApiTest, AppendFromGrowingCorpusStartsEmpty) {

@@ -10,7 +10,8 @@
 #include "graph/connected_components.h"
 #include "graph/union_find.h"
 #include "graph/weighted_graph.h"
-#include "mr/mapreduce.h"
+#include "oracles/hash_to_min.h"
+#include "oracles/mapreduce.h"
 
 namespace ms {
 namespace {

@@ -6,7 +6,7 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "mr/mapreduce.h"
+#include "oracles/mapreduce.h"
 
 namespace ms {
 namespace {

@@ -1,4 +1,4 @@
-#include "mr/mapreduce.h"
+#include "oracles/mapreduce.h"
 
 #include <algorithm>
 

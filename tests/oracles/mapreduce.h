@@ -4,8 +4,9 @@
 //   map: Input -> (K, V) pairs
 //   shuffle: hash-partition by K
 //   reduce: (K, all V's) -> Outputs
-// Hash-to-Min components and the blocking test oracle run on it, written
-// as the paper describes them while staying single-machine.
+// The blocking and Hash-to-Min oracles run on it, written as the paper
+// describes them while staying single-machine. Linked by the tests and
+// benches, never by the `ms` library.
 #pragma once
 
 #include <functional>

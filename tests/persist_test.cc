@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -341,7 +342,8 @@ TEST(SessionSnapshotTest, RoundTripRestoresArtifactsAndResolvesIdentically) {
   EXPECT_EQ(snap.scored->stats.scoring.matcher.match_calls,
             run.scored.stats.scoring.matcher.match_calls);
 
-  // Artifact payloads: blocked pairs bit-exact, graph edge-exact.
+  // Artifact payloads: blocked pairs bit-exact, graph edge-exact (every
+  // edge's endpoints, and its weights bitwise).
   ASSERT_EQ(snap.blocked->pairs.size(), run.blocked.pairs.size());
   for (size_t i = 0; i < run.blocked.pairs.size(); ++i) {
     EXPECT_EQ(snap.blocked->pairs[i].a, run.blocked.pairs[i].a);
@@ -349,7 +351,20 @@ TEST(SessionSnapshotTest, RoundTripRestoresArtifactsAndResolvesIdentically) {
     EXPECT_EQ(snap.blocked->pairs[i].counts_exact,
               run.blocked.pairs[i].counts_exact);
   }
-  ASSERT_EQ(snap.scored->graph.num_edges(), run.scored.graph.num_edges());
+  const std::vector<CompatEdge>& saved = run.scored.graph.edges();
+  const std::vector<CompatEdge>& loaded = snap.scored->graph.edges();
+  ASSERT_GT(saved.size(), 0u);
+  ASSERT_EQ(loaded.size(), saved.size());
+  for (size_t e = 0; e < saved.size(); ++e) {
+    EXPECT_EQ(loaded[e].u, saved[e].u) << "edge " << e;
+    EXPECT_EQ(loaded[e].v, saved[e].v) << "edge " << e;
+    EXPECT_EQ(std::bit_cast<uint64_t>(loaded[e].w_pos),
+              std::bit_cast<uint64_t>(saved[e].w_pos))
+        << "edge " << e;
+    EXPECT_EQ(std::bit_cast<uint64_t>(loaded[e].w_neg),
+              std::bit_cast<uint64_t>(saved[e].w_neg))
+        << "edge " << e;
+  }
 
   // The saved result round-trips...
   ASSERT_TRUE(snap.has_result);
