@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <unordered_set>
+#include <numeric>
+#include <optional>
 
 #include "extract/normalization_cache.h"
 
@@ -16,31 +17,6 @@ bool MostlyNumeric(const StringPool& pool, const BinaryTable& b) {
     if (LooksNumeric(pool.Get(p.left))) ++numeric;
   }
   return numeric * 2 > b.size();
-}
-
-/// The coherence half of Algorithm 1 for one table: width gate + per-column
-/// PMI filter. Fills `kept` with the surviving column indices (left empty
-/// for width-skipped tables) and the per-table counters. When `profiles`
-/// is non-null and the filter is enabled, records one margin-cache profile
-/// per column of a width-passed table.
-void ComputeKeptColumns(const Table& t, const ColumnInvertedIndex& index,
-                        const ExtractionOptions& options, ExtractionStats* st,
-                        std::vector<uint32_t>* kept,
-                        std::vector<CoherenceProfile>* profiles = nullptr) {
-  st->tables_seen += 1;
-  st->columns_seen += t.num_columns();
-  if (t.num_columns() < 2 || t.num_columns() > options.max_columns) return;
-  const bool record =
-      profiles != nullptr && options.coherence_threshold > -1.0;
-  for (size_t c = 0; c < t.columns.size(); ++c) {
-    CoherenceProfile profile;
-    if (ColumnPassesCoherence(index, t.columns[c], options,
-                              record ? &profile : nullptr)) {
-      kept->push_back(static_cast<uint32_t>(c));
-    }
-    if (record) profiles->push_back(profile);
-  }
-  st->columns_kept += kept->size();
 }
 
 /// The index-independent half of Algorithm 1 for one table: normalization
@@ -91,9 +67,8 @@ void ExtractFromKept(const Table& t, const std::vector<uint32_t>& kept,
   }
 }
 
-template <typename T>
-void BuildCsr(const std::vector<std::vector<T>>& per_table,
-              std::vector<uint32_t>* offsets, std::vector<T>* flat) {
+void BuildCsr(const std::vector<std::vector<uint32_t>>& per_table,
+              std::vector<uint32_t>* offsets, std::vector<uint32_t>* flat) {
   offsets->clear();
   flat->clear();
   offsets->reserve(per_table.size() + 1);
@@ -136,7 +111,8 @@ Status ExtractionOptions::Validate() const {
 bool ColumnPassesCoherence(const ColumnInvertedIndex& index,
                            const Column& column,
                            const ExtractionOptions& options,
-                           CoherenceProfile* profile) {
+                           CoherenceProfile* profile,
+                           std::span<uint32_t> counts) {
   // Pairwise NPMI lives in [-1, 1] (and the empty/single-value columns
   // score 0/1), so a threshold at or below the floor passes every column
   // by definition — skip the sampled co-occurrence scoring entirely. This
@@ -144,8 +120,8 @@ bool ColumnPassesCoherence(const ColumnInvertedIndex& index,
   // actually zero, which is what lets incremental appends skip the
   // corpus-global re-check tax (docs/performance.md).
   if (options.coherence_threshold <= -1.0) return true;
-  const double s =
-      ColumnCoherence(index, column.cells, options.coherence, profile);
+  const double s = ColumnCoherence(index, column.cells, options.coherence,
+                                   profile, counts);
   return s >= options.coherence_threshold;
 }
 
@@ -169,82 +145,177 @@ DeltaExtractionResult ExtractCandidatesDelta(
 
   const size_t first_new_table = request.first_new_table;
   const auto& tables = corpus.tables();
+  const CoherenceOptions& coherence = options.coherence;
+  const double threshold = options.coherence_threshold;
   std::vector<std::vector<BinaryTable>> per_table(tables.size());
   std::vector<std::vector<uint32_t>> per_kept(tables.size());
-  std::vector<std::vector<CoherenceProfile>> per_margin(tables.size());
   std::vector<ExtractionStats> per_stats(tables.size());
   std::vector<CoherenceWork> per_work(tables.size());
   std::vector<uint8_t> flipped(first_new_table, 0);
   std::atomic<size_t> skips{0};
-  std::atomic<size_t> rechecks{0};
-  const bool margins_on = options.coherence_threshold > -1.0;
-
-  // The touched-value set: values whose column frequency (and hence any
-  // co-occurrence involving them) may have moved under this mutation —
-  // everything the removed tables held plus everything the appended tables
-  // hold. A live old column containing none of them kept all its counts,
-  // so its cached margin bound applies. Only old columns consult it, so a
-  // pass without old tables (a cold run) never builds it.
-  std::unordered_set<ValueId> touched;
-  if (first_new_table > 0) {
-    touched.insert(request.removed_values.begin(),
-                   request.removed_values.end());
-    for (size_t ti = first_new_table; ti < tables.size(); ++ti) {
-      for (const Column& c : tables[ti].columns) {
-        touched.insert(c.cells.begin(), c.cells.end());
+  std::atomic<size_t> full_walks{0};
+  std::atomic<size_t> cached_rechecks{0};
+  const bool margins_on = threshold > -1.0;
+  const auto width_passed = [&](const Table& t) {
+    return t.num_columns() >= 2 && t.num_columns() <= options.max_columns;
+  };
+  // Old tables and new ones run as two parallel loops: a new table costs
+  // far more than an old one (a cold walk and the FD filter against a
+  // re-score), and the new ones sit together at the tail, where one loop
+  // would hand them all to one worker.
+  const auto for_each_table = [&](const auto& fn) {
+    for (const auto& [begin, end] :
+         {std::pair{size_t{0}, first_new_table},
+          std::pair{first_new_table, tables.size()}}) {
+      if (pool) {
+        pool->ParallelFor(end - begin, [&](size_t i) { fn(begin + i); });
+      } else {
+        for (size_t i = begin; i < end; ++i) fn(i);
       }
     }
-  }
-  auto column_touched = [&](const Column& c) {
-    if (touched.empty()) return false;
-    for (ValueId v : c.cells) {
-      if (touched.count(v) > 0) return true;
-    }
-    return false;
   };
 
-  // Base margin slices are usable only when the base run recorded them in
-  // the expected CSR shape (pre-v3 snapshots restore without any).
-  const bool have_margins =
+  // The base run's margins, CSR over its tables, and its counts, CSR over
+  // its margins. Margins serve only the coherence options they were scored
+  // under, and counts only the sampling they were taken under (they cover
+  // every sampled pair, so the support floor does not matter). A restored
+  // family has margins but no counts: snapshots never hold them.
+  const bool have_base =
       margins_on && request.base_margin_offsets != nullptr &&
       request.base_margins != nullptr &&
       request.base_margin_offsets->size() == first_new_table + 1;
+  const bool reuse_margins = have_base && request.base_coherence == coherence;
+  const bool reuse_counts =
+      have_base && request.base_count_offsets != nullptr &&
+      request.base_counts != nullptr &&
+      request.base_count_offsets->size() == request.base_margins->size() + 1 &&
+      request.base_coherence.max_sampled_values ==
+          coherence.max_sampled_values &&
+      request.base_coherence.sample_seed == coherence.sample_seed;
+  // First base margin of old table ti, when the base holds one per column.
+  const auto base_first = [&](size_t ti) -> std::optional<uint32_t> {
+    if (!have_base || ti >= first_new_table) return std::nullopt;
+    const uint32_t begin = (*request.base_margin_offsets)[ti];
+    if ((*request.base_margin_offsets)[ti + 1] - begin !=
+        tables[ti].num_columns()) {
+      return std::nullopt;
+    }
+    return begin;
+  };
+  const auto base_counts = [&](size_t k) -> std::span<const uint32_t> {
+    if (!reuse_counts) return {};
+    const std::vector<uint64_t>& o = *request.base_count_offsets;
+    return {request.base_counts->data() + o[k], o[k + 1] - o[k]};
+  };
+  const auto out_counts = [&](size_t k) {
+    const std::vector<uint64_t>& o = result.count_offsets;
+    return std::span<uint32_t>(result.counts.data() + o[k], o[k + 1] - o[k]);
+  };
+
+  // The columns this mutation appended and removed: the only ones that
+  // moved a count. A live old column holding none of their values kept all
+  // its counts, which is what lets its cached margin settle the verdict
+  // without a re-score. Only reused margins and counts consult it, so a
+  // pass without them (a cold run) never builds it.
+  CoOccurrenceDelta delta;
+  if (reuse_margins || reuse_counts) {
+    std::vector<const std::vector<ValueId>*> appended;
+    for (size_t ti = first_new_table; ti < tables.size(); ++ti) {
+      for (const Column& c : tables[ti].columns) appended.push_back(&c.cells);
+    }
+    delta.Build(appended, request.removed_columns);
+  }
+  // The margin skip: the column's counts provably did not move, and the
+  // bound says its verdict cannot have flipped at the new N.
+  const auto settled = [&](const Column& c, const CoherenceProfile& p) {
+    return reuse_margins &&
+           std::none_of(c.cells.begin(), c.cells.end(),
+                        [&](ValueId v) { return delta.Touches(v); }) &&
+           CoherenceVerdictStable(p, threshold, index.num_columns());
+  };
+
+  // Output layout, fixed before any table runs so that each table writes
+  // its own slices of one margin array and one count array: a margin per
+  // column of every width-passed table (freshly tombstoned shells have no
+  // columns), a count slice per margin. The layout pass also picks each
+  // old column's path: a margin skip carries its base slice over (empty
+  // when the base has no counts for it), a column with base counts
+  // re-scores from them, and any other column walks the index in full,
+  // which fills a slice sized to its sample.
+  enum Path : uint8_t { kFull, kSkip, kCached };
+  std::vector<uint8_t> path;  ///< per margin
+  if (margins_on) {
+    std::vector<uint32_t>& moffsets = result.margin_offsets;
+    moffsets.assign(1, 0);
+    for (const Table& t : tables) {
+      moffsets.push_back(moffsets.back() +
+                         (width_passed(t) ? t.num_columns() : 0));
+    }
+    result.margins.resize(moffsets.back());
+    path.assign(result.margins.size(), kFull);
+    std::vector<uint64_t>& coffsets = result.count_offsets;
+    coffsets.assign(result.margins.size() + 1, 0);
+    for_each_table([&](size_t ti) {
+      const Table& t = tables[ti];
+      if (!width_passed(t)) return;
+      const std::optional<uint32_t> base = base_first(ti);
+      for (size_t c = 0; c < t.columns.size(); ++c) {
+        const size_t k = moffsets[ti] + c;
+        const Column& col = t.columns[c];
+        size_t pairs = base ? base_counts(*base + c).size() : 0;
+        if (base && settled(col, (*request.base_margins)[*base + c])) {
+          path[k] = kSkip;
+        } else if (pairs > 0) {
+          path[k] = kCached;
+        } else {
+          // An empty base slice holds no counts (none were kept, or a skip
+          // carried none over) or has none to hold (at most one sampled
+          // value); the sample's size tells which.
+          pairs = SampledPairCount(col.cells, coherence);
+          if (base && reuse_counts && pairs == 0) path[k] = kCached;
+        }
+        coffsets[k + 1] = pairs;
+      }
+    });
+    std::partial_sum(coffsets.begin(), coffsets.end(), coffsets.begin());
+    result.counts.resize(coffsets.back());
+  }
 
   auto process_old = [&](size_t ti) {
     const Table& t = tables[ti];
     auto& kept = per_kept[ti];
-    auto& margin = per_margin[ti];
-    if (t.num_columns() < 2 || t.num_columns() > options.max_columns) {
+    if (!width_passed(t)) {
       // Width-skipped (including freshly tombstoned shells): the kept set
       // is empty by construction and index-independent.
       return;
     }
-    const uint32_t mbegin =
-        have_margins ? (*request.base_margin_offsets)[ti] : 0;
-    const uint32_t mend =
-        have_margins ? (*request.base_margin_offsets)[ti + 1] : 0;
-    const bool slice_ok =
-        have_margins && mend - mbegin == t.num_columns();
-    const size_t n_now = index.num_columns();
+    const std::optional<uint32_t> base = base_first(ti);
     for (size_t c = 0; c < t.columns.size(); ++c) {
-      bool pass;
-      if (!margins_on) {
-        pass = true;
-      } else if (slice_ok && !column_touched(t.columns[c]) &&
-                 CoherenceVerdictStable(
-                     (*request.base_margins)[mbegin + c],
-                     options.coherence_threshold, n_now)) {
-        // Counts provably unchanged + bound says the verdict cannot have
-        // flipped: reuse it without touching a posting list.
-        const CoherenceProfile& p = (*request.base_margins)[mbegin + c];
-        pass = p.score >= options.coherence_threshold;
-        margin.push_back(p);
-        skips.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        CoherenceProfile fresh;
-        pass = ColumnPassesCoherence(index, t.columns[c], options, &fresh);
-        margin.push_back(fresh);
-        rechecks.fetch_add(1, std::memory_order_relaxed);
+      bool pass = true;
+      if (margins_on) {
+        const size_t k = result.margin_offsets[ti] + c;
+        CoherenceProfile& margin = result.margins[k];
+        const Column& col = t.columns[c];
+        switch (path[k]) {
+          case kSkip: {
+            margin = (*request.base_margins)[*base + c];
+            const std::span<const uint32_t> from = base_counts(*base + c);
+            std::copy(from.begin(), from.end(), out_counts(k).begin());
+            skips.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+          case kCached:
+            ColumnCoherenceFromCounts(index, delta, col.cells, coherence,
+                                      base_counts(*base + c), out_counts(k),
+                                      &margin);
+            cached_rechecks.fetch_add(1, std::memory_order_relaxed);
+            break;
+          case kFull:
+            ColumnCoherence(index, col.cells, coherence, &margin,
+                            out_counts(k));
+            full_walks.fetch_add(1, std::memory_order_relaxed);
+        }
+        pass = margin.score >= threshold;
       }
       if (pass) kept.push_back(static_cast<uint32_t>(c));
     }
@@ -262,36 +333,41 @@ DeltaExtractionResult ExtractCandidatesDelta(
     }
   };
 
-  auto process_table = [&](size_t ti) {
-    if (ti < first_new_table) {
-      if (std::binary_search(request.removed_tables.begin(),
-                             request.removed_tables.end(),
-                             static_cast<TableId>(ti))) {
-        // Tombstoned this mutation: empty signature, no flip, no margins —
-        // the caller retires its candidates directly.
-        return;
-      }
-      process_old(ti);
-      return;
-    }
+  auto process_new = [&](size_t ti) {
     const Table& t = tables[ti];
     ExtractionStats& st = per_stats[ti];
-    ComputeKeptColumns(t, index, options, &st, &per_kept[ti],
-                       margins_on ? &per_margin[ti] : nullptr);
-    ExtractFromKept(t, per_kept[ti], corpus.pool(), &norm, options, &st,
+    auto& kept = per_kept[ti];
+    st.tables_seen += 1;
+    st.columns_seen += t.num_columns();
+    if (width_passed(t)) {
+      for (size_t c = 0; c < t.columns.size(); ++c) {
+        const size_t k = margins_on ? result.margin_offsets[ti] + c : 0;
+        if (ColumnPassesCoherence(
+                index, t.columns[c], options,
+                margins_on ? &result.margins[k] : nullptr,
+                margins_on ? out_counts(k) : std::span<uint32_t>{})) {
+          kept.push_back(static_cast<uint32_t>(c));
+        }
+      }
+      st.columns_kept += kept.size();
+    }
+    ExtractFromKept(t, kept, corpus.pool(), &norm, options, &st,
                     &per_table[ti]);
   };
-  auto process = [&](size_t ti) {
-    const CoherenceWork before = ThreadCoherenceWork();
-    process_table(ti);
-    per_work[ti] = ThreadCoherenceWork() - before;
-  };
 
-  if (pool) {
-    pool->ParallelFor(tables.size(), process);
-  } else {
-    for (size_t i = 0; i < tables.size(); ++i) process(i);
-  }
+  for_each_table([&](size_t ti) {
+    const CoherenceWork before = ThreadCoherenceWork();
+    if (ti >= first_new_table) {
+      process_new(ti);
+    } else if (!std::binary_search(request.removed_tables.begin(),
+                                   request.removed_tables.end(),
+                                   static_cast<TableId>(ti))) {
+      // A table tombstoned by this mutation gets an empty signature and no
+      // flip: the caller retires its candidates directly.
+      process_old(ti);
+    }
+    per_work[ti] = ThreadCoherenceWork() - before;
+  });
 
   for (size_t i = 0; i < first_new_table; ++i) {
     if (flipped[i]) result.flipped_tables.push_back(static_cast<TableId>(i));
@@ -299,7 +375,8 @@ DeltaExtractionResult ExtractCandidatesDelta(
   result.unstable_tables = result.flipped_tables.size();
   result.stable = result.flipped_tables.empty();
   result.margin_skips = skips.load();
-  result.margin_rechecks = rechecks.load();
+  result.cached_rechecks = cached_rechecks.load();
+  result.margin_rechecks = full_walks.load() + result.cached_rechecks;
   result.stats.normalize_cache_hits = norm.hits();
   result.stats.normalize_cache_misses = norm.misses();
   for (size_t i = first_new_table; i < tables.size(); ++i) {
@@ -318,9 +395,6 @@ DeltaExtractionResult ExtractCandidatesDelta(
     }
   }
   BuildCsr(per_kept, &result.kept_offsets, &result.kept_columns);
-  if (margins_on) {
-    BuildCsr(per_margin, &result.margin_offsets, &result.margins);
-  }
   return result;
 }
 

@@ -6,6 +6,7 @@
 // so all downstream matching operates on normalized values.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -85,14 +86,26 @@ struct ExtractionResult {
   /// table (CSR over corpus table index, same shape discipline as kept_*;
   /// empty slices for width-skipped tables). Incremental maintenance uses
   /// these to prove a column's verdict cannot flip under the mutated index
-  /// without re-touching the posting lists (CoherenceVerdictStable). Both
-  /// vectors stay empty when the coherence filter is disabled
+  /// without re-scoring it (CoherenceVerdictStable). Every vector below
+  /// stays empty when the coherence filter is disabled
   /// (coherence_threshold <= -1), where verdicts are index-independent.
   std::vector<uint32_t> margin_offsets;  ///< size tables + 1, or empty
   std::vector<CoherenceProfile> margins;
-  /// Coherence work this pass did (columns scored, posting entries walked),
-  /// cold columns and re-checks alike; margin skips cost none. Not part of
-  /// `stats`, which incremental passes keep equal to a cold rebuild's.
+  /// Count cache: for each margin, the c_uv of every pair of its column's
+  /// sampled values (ColumnCoherence's layout), CSR over the margins in one
+  /// flat array. A mutation moves these by its appended and removed
+  /// columns alone and re-scores from them (ColumnCoherenceFromCounts)
+  /// instead of walking the index's posting lists again. A margin skip
+  /// carries its base slice over, so a column skipped while its base held
+  /// no counts has an empty slice; its next re-check walks in full and
+  /// fills one.
+  std::vector<uint64_t> count_offsets;  ///< size margins + 1, or empty
+  std::vector<uint32_t> counts;
+  /// Coherence work this pass did (columns scored, posting entries walked:
+  /// index entries for a full walk, delta entries for a re-score from
+  /// cached counts), cold columns and re-checks alike; margin skips cost
+  /// none. Not part of `stats`, which incremental passes keep equal to a
+  /// cold rebuild's.
   CoherenceWork coherence;
 };
 
@@ -107,9 +120,12 @@ ExtractionResult ExtractCandidates(const TableCorpus& corpus,
 
 /// Inputs for one incremental extraction pass over a mutated corpus
 /// (appended and/or tombstoned tables). The base signatures come from the
-/// previous artifact generation; the margin cache is optional (snapshots
-/// from before format v3 restore without one — every column then pays an
-/// exact re-check once and the cache repopulates).
+/// previous artifact generation. Its margins and counts are optional, and
+/// each serves on its own: margins without counts (a restored family's;
+/// snapshots never hold counts) still settle verdicts by the margin skip,
+/// and every other column walks in full once, which fills its count slice;
+/// counts without usable margins (another min_value_support) re-score
+/// every column from them.
 struct DeltaExtractionRequest {
   /// Tables [first_new_table, corpus.size()) are the appended delta.
   size_t first_new_table = 0;
@@ -120,16 +136,23 @@ struct DeltaExtractionRequest {
   const std::vector<uint32_t>* base_kept_columns = nullptr;
   const std::vector<uint32_t>* base_margin_offsets = nullptr;  ///< optional
   const std::vector<CoherenceProfile>* base_margins = nullptr; ///< optional
+  const std::vector<uint64_t>* base_count_offsets = nullptr;   ///< optional
+  const std::vector<uint32_t>* base_counts = nullptr;          ///< optional
+  /// The coherence options the base margins and counts were computed
+  /// under. Counts are reused only under the same max_sampled_values and
+  /// sample_seed (they cover every sampled pair, so min_value_support does
+  /// not matter); margins only under equal options.
+  CoherenceOptions base_coherence;
   /// Tables tombstoned by this mutation (sorted ids, already cleared in the
   /// corpus). Their signatures are reset to empty without counting as
   /// flips — the caller tombstones their candidates wholesale.
   std::vector<TableId> removed_tables;
-  /// Every distinct cell value the removed tables held, captured before
-  /// the tombstoning cleared them. Together with the appended tables'
-  /// values this is the "touched" set: an old column containing none of
-  /// these provably kept all its value counts, which is what lets the
-  /// margin cache skip its coherence re-check.
-  std::vector<ValueId> removed_values;
+  /// The cells of every column the removed tables held, captured before
+  /// the tombstoning cleared them. With the appended tables' columns these
+  /// are the columns that moved a cached count: re-scores subtract their
+  /// co-occurrences, and an old column holding none of their values kept
+  /// all its counts, which is what lets the margin cache skip it.
+  std::vector<const std::vector<ValueId>*> removed_columns;
 };
 
 /// Output of one incremental extraction pass (SynthesisSession::
@@ -143,8 +166,9 @@ struct DeltaExtractionRequest {
 /// run's to get the union totals; flipped re-extractions are deliberately
 /// excluded so the stable path stays byte-identical to a cold rebuild's
 /// counters), and its normalize-cache counters cover this pass alone. The
-/// kept/margin CSRs are the union signatures (old tables re-checked +
-/// appended tables), ready to carry on the merged candidate artifact.
+/// kept, margin and count CSRs are the union signatures (old tables
+/// re-checked + appended tables), ready to carry on the merged candidate
+/// artifact.
 struct DeltaExtractionResult : ExtractionResult {
   /// True iff no live old table's kept-column set changed under the
   /// mutated index. When false, `flipped_tables` lists the tables whose
@@ -158,19 +182,22 @@ struct DeltaExtractionResult : ExtractionResult {
   std::vector<TableId> flipped_tables;  ///< sorted
   /// Margin-cache effectiveness: columns whose verdict the cached bound
   /// settled without touching the index vs columns that paid the exact
-  /// sampled re-check.
+  /// sampled re-check. `cached_rechecks` of the latter re-scored from the
+  /// base's counts; the rest walked the index in full.
   size_t margin_skips = 0;
   size_t margin_rechecks = 0;
+  size_t cached_rechecks = 0;
 };
 
 /// Incremental Algorithm 1: `index` must reflect the *mutated* corpus
 /// (appended tables indexed, removed tables' columns dropped). Re-checks
 /// coherence signatures of live tables [0, first_new_table) against the
-/// base run's CSR — through the margin cache when the bound applies, via
-/// exact sampled re-scoring when it does not — fully extracts tables
-/// [first_new_table, corpus.size()), and re-extracts any old table whose
-/// kept set flipped. The re-check tax is what the margin cache amortizes:
-/// an untouched column with a comfortable margin never re-reads the index.
+/// base run's CSR — through the margin cache when the bound applies, by
+/// re-scoring from the base's counts moved by the delta columns when it
+/// does not, and by a full sampled walk where the base has no counts —
+/// fully extracts tables [first_new_table, corpus.size()), and re-extracts
+/// any old table whose kept set flipped. Every re-checked profile and count
+/// is bitwise what a cold pass over the mutated corpus computes.
 DeltaExtractionResult ExtractCandidatesDelta(
     const TableCorpus& corpus, const ColumnInvertedIndex& index,
     const DeltaExtractionRequest& request,
@@ -178,10 +205,12 @@ DeltaExtractionResult ExtractCandidatesDelta(
 
 /// Exposed for tests: true when the column passes the coherence filter.
 /// Fills `profile` (when given and the filter is enabled) with the margin
-/// cache for the evaluation.
+/// cache for the evaluation, and `counts` (when non-empty) with its sampled
+/// pairs' c_uv (see ColumnCoherence).
 bool ColumnPassesCoherence(const ColumnInvertedIndex& index,
                            const Column& column,
                            const ExtractionOptions& options,
-                           CoherenceProfile* profile = nullptr);
+                           CoherenceProfile* profile = nullptr,
+                           std::span<uint32_t> counts = {});
 
 }  // namespace ms

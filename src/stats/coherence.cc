@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 
 #include "stats/npmi.h"
@@ -9,22 +10,20 @@
 namespace ms {
 namespace {
 
-/// Per-thread state of the counting kernel. `slots[c]` holds, for ColumnId
-/// c, the epoch of the block pass that last wrote it (high 32 bits) and the
-/// mask of that block's values seen in c so far (low 32 bits). Each block
-/// pass takes a fresh epoch, so a slot from any earlier pass, column or
-/// index reads as an empty mask and no pass clears the array; only a wrap
-/// of the epoch does.
+/// Per-thread state of the counting kernel. `slots[c]` holds, for column c
+/// (a ColumnId of the index, or a local id of a delta), the epoch of the
+/// block pass that last wrote it (high 32 bits) and the mask of that
+/// block's values seen in c so far (low 32 bits). Each block pass takes a
+/// fresh epoch, so a slot from any earlier pass, column or index reads as
+/// an empty mask and no pass clears the array; only a wrap of the epoch
+/// does.
 struct CoherenceScratch {
   std::vector<uint64_t> slots;
   uint32_t epoch = 0;
-  std::vector<ValueId> distinct;
-  std::vector<size_t> freq;       ///< |C(u)| per sampled value
-  std::vector<uint32_t> rank;     ///< position among the supported values
-  std::vector<ValueId> supported; ///< supported values in sample order
-  /// c_uv by supported rank, lower triangle: pair (i, j < i) at
-  /// i * (i - 1) / 2 + j.
-  std::vector<uint32_t> counts;
+  std::vector<ValueId> sample;     ///< the column's sampled values
+  std::vector<PostingsView> lists; ///< the list each sampled value walks
+  std::vector<size_t> freq;        ///< |C(u)| per sampled value
+  std::vector<uint32_t> counts;    ///< c_uv when the caller keeps none
   CoherenceWork work;
 };
 
@@ -43,20 +42,41 @@ uint32_t NextEpoch(CoherenceScratch& s) {
 
 size_t TriangleRow(size_t r) { return r * (r - 1) / 2; }
 
-/// Fills s.counts with c_uv for every pair of s.supported and returns the
-/// posting entries walked. Values are taken in blocks of 32, one mask bit
-/// each. A block's own lists are walked once, each entry first adding one
-/// to the count of every earlier value of the block already in that column
-/// and then setting its own bit; the lists of every later value are then
-/// walked read-only against those bits. Every pair (j, i) with j < i is so
-/// counted exactly once, in the pass of the block holding j.
-uint64_t CountCoOccurrences(const ColumnInvertedIndex& index,
-                            CoherenceScratch& s) {
-  const size_t m = s.supported.size();
-  s.counts.assign(TriangleRow(m), 0);
-  if (s.slots.size() < index.column_id_bound()) {
-    s.slots.resize(index.column_id_bound(), 0);
+/// The column's distinct values, ascending, into s.sample.
+void DistinctValues(const std::vector<ValueId>& cells, CoherenceScratch& s) {
+  std::vector<ValueId>& sample = s.sample;
+  sample.assign(cells.begin(), cells.end());
+  std::sort(sample.begin(), sample.end());
+  sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
+}
+
+/// The column's distinct values, and past max_sampled_values a seeded
+/// shuffle's first max_sampled_values of them, into s.sample.
+void SampleValues(const std::vector<ValueId>& cells,
+                  const CoherenceOptions& opts, CoherenceScratch& s) {
+  DistinctValues(cells, s);
+  std::vector<ValueId>& sample = s.sample;
+  if (sample.size() > opts.max_sampled_values) {
+    Rng rng(opts.sample_seed);
+    rng.Shuffle(sample);
+    sample.resize(opts.max_sampled_values);
   }
+}
+
+/// Adds to `counts` (lower triangle over sample positions) the columns of
+/// s.lists holding each pair, column c counting `weight(c)`, and returns
+/// the entries walked. Values are taken in blocks of 32, one mask bit each.
+/// A block's own lists are walked once, each entry first adding to the
+/// count of every earlier value of the block already in that column and
+/// then setting its own bit; the lists of every later value are then
+/// walked read-only against those bits. Every pair (j, i) with j < i is so
+/// counted exactly once, in the pass of the block holding j. Column ids
+/// must lie below `slot_bound`.
+template <typename Weight>
+uint64_t CountCoOccurrences(CoherenceScratch& s, size_t slot_bound,
+                            uint32_t* counts, Weight weight) {
+  const size_t m = s.lists.size();
+  if (s.slots.size() < slot_bound) s.slots.resize(slot_bound, 0);
   uint64_t walked = 0;
   // A lone value in the last block has no pair left to count.
   for (size_t b0 = 0; b0 + 1 < m; b0 += 32) {
@@ -64,113 +84,72 @@ uint64_t CountCoOccurrences(const ColumnInvertedIndex& index,
     const uint32_t epoch = NextEpoch(s);
     const uint64_t fresh = static_cast<uint64_t>(epoch) << 32;
     for (size_t r = b0; r < b1; ++r) {
-      uint32_t* row = s.counts.data() + TriangleRow(r) + b0;
+      uint32_t* row = counts + TriangleRow(r) + b0;
       const uint64_t bit = uint64_t{1} << (r - b0);
-      const PostingsView list = index.Postings(s.supported[r]);
-      for (const ColumnId c : list) {
+      for (const ColumnId c : s.lists[r]) {
         uint64_t& slot = s.slots[c];
         const uint64_t live = (slot >> 32) == epoch ? slot : fresh;
+        const uint32_t w = weight(c);
         for (uint32_t seen = static_cast<uint32_t>(live); seen != 0;
              seen &= seen - 1) {
-          ++row[std::countr_zero(seen)];
+          row[std::countr_zero(seen)] += w;
         }
         slot = live | bit;
       }
-      walked += list.size;
+      walked += s.lists[r].size;
     }
     for (size_t r = b1; r < m; ++r) {
-      uint32_t* row = s.counts.data() + TriangleRow(r) + b0;
-      const PostingsView list = index.Postings(s.supported[r]);
-      for (const ColumnId c : list) {
+      uint32_t* row = counts + TriangleRow(r) + b0;
+      for (const ColumnId c : s.lists[r]) {
         const uint64_t slot = s.slots[c];
         if ((slot >> 32) != epoch) continue;
+        const uint32_t w = weight(c);
         for (uint32_t seen = static_cast<uint32_t>(slot); seen != 0;
              seen &= seen - 1) {
-          ++row[std::countr_zero(seen)];
+          row[std::countr_zero(seen)] += w;
         }
       }
-      walked += list.size;
+      walked += s.lists[r].size;
     }
   }
   return walked;
 }
 
-}  // namespace
-
-double ColumnCoherence(const ColumnInvertedIndex& index,
-                       const std::vector<ValueId>& cells,
-                       const CoherenceOptions& opts,
-                       CoherenceProfile* profile) {
-  CoherenceScratch& s = Scratch();
-  ++s.work.columns;
-  if (profile != nullptr) {
-    *profile = CoherenceProfile{};
-    profile->n_eval = static_cast<uint32_t>(index.num_columns());
-  }
-  std::vector<ValueId>& distinct = s.distinct;
-  distinct.assign(cells.begin(), cells.end());
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                 distinct.end());
-  if (distinct.empty()) return 0.0;
-  if (distinct.size() == 1) {
-    if (profile != nullptr) profile->score = 1.0;
-    return 1.0;
-  }
-
-  if (distinct.size() > opts.max_sampled_values) {
-    Rng rng(opts.sample_seed);
-    rng.Shuffle(distinct);
-    distinct.resize(opts.max_sampled_values);
-  }
-
-  // Only pairs of supported values read c_uv; count them all in one pass.
-  s.freq.resize(distinct.size());
-  s.rank.resize(distinct.size());
-  s.supported.clear();
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    s.freq[i] = index.ColumnFrequency(distinct[i]);
-    s.rank[i] = static_cast<uint32_t>(s.supported.size());
-    if (s.freq[i] >= opts.min_value_support) {
-      s.supported.push_back(distinct[i]);
-    }
-  }
-  s.work.postings += CountCoOccurrences(index, s);
-
+/// S(C) of s.sample from its counts and s.freq at corpus size `n`, pairs
+/// taken in (i, j) order; fills the profile's pair aggregates.
+double ScoreSample(size_t n, const CoherenceScratch& s,
+                   const uint32_t* counts, const CoherenceOptions& opts,
+                   CoherenceProfile* profile) {
+  const size_t m = s.sample.size();
   double sum = 0.0;
   double sum_pos = 0.0;
   size_t pairs = 0;
   uint32_t sup_pos = 0;
   uint32_t sup_zero = 0;
   uint32_t b_max = 0;
-  const size_t n = index.num_columns();
-  for (size_t i = 0; i < distinct.size(); ++i) {
+  for (size_t i = 0; i < m; ++i) {
     const size_t cu = s.freq[i];
     const bool i_supported = cu >= opts.min_value_support;
-    for (size_t j = i + 1; j < distinct.size(); ++j) {
+    for (size_t j = i + 1; j < m; ++j) {
       const size_t cv = s.freq[j];
       if (i_supported && cv >= opts.min_value_support) {
         // One count per pair feeds both the NPMI and the margin profile.
-        const size_t c_uv = s.counts[TriangleRow(s.rank[j]) + s.rank[i]];
+        const uint32_t c_uv = counts[TriangleRow(j) + i];
         const double npmi = NpmiFromCounts(n, cu, cv, c_uv);
         sum += npmi;
-        if (profile != nullptr) {
-          const uint32_t cuv = static_cast<uint32_t>(c_uv);
-          if (cuv > 0) {
-            ++sup_pos;
-            sum_pos += npmi;
-            b_max = std::max(b_max, cuv);
-          } else {
-            ++sup_zero;
-          }
+        if (c_uv > 0) {
+          ++sup_pos;
+          sum_pos += npmi;
+          b_max = std::max(b_max, c_uv);
+        } else {
+          ++sup_zero;
         }
       }
       // Unsupported pairs contribute 0 (no evidence either way).
       ++pairs;
     }
   }
-  const double score =
-      pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
+  const double score = pairs == 0 ? 0.0 : sum / static_cast<double>(pairs);
   if (profile != nullptr) {
     profile->score = score;
     profile->sum_pos = sum_pos;
@@ -180,6 +159,155 @@ double ColumnCoherence(const ColumnInvertedIndex& index,
     profile->b_max = b_max;
   }
   return score;
+}
+
+/// The index-independent scores: 0 for an empty sample, 1 for one value.
+/// Returns false (and touches nothing) for a sample with pairs.
+bool TrivialScore(size_t m, CoherenceProfile* profile, double* score) {
+  if (m > 1) return false;
+  *score = m == 0 ? 0.0 : 1.0;
+  if (profile != nullptr) profile->score = *score;
+  return true;
+}
+
+/// Counts into the caller's array when it keeps one, else into scratch.
+uint32_t* CountsFor(CoherenceScratch& s, std::span<uint32_t> counts) {
+  const size_t pairs = TriangleRow(s.sample.size());
+  if (counts.empty()) {
+    s.counts.resize(pairs);
+    return s.counts.data();
+  }
+  assert(counts.size() == pairs);
+  return counts.data();
+}
+
+void StartProfile(size_t n, CoherenceProfile* profile) {
+  if (profile == nullptr) return;
+  *profile = CoherenceProfile{};
+  profile->n_eval = static_cast<uint32_t>(n);
+}
+
+}  // namespace
+
+size_t SampledPairCount(const std::vector<ValueId>& cells,
+                        const CoherenceOptions& opts) {
+  // The sample's size needs no shuffle: which values it keeps does not
+  // change how many.
+  CoherenceScratch& s = Scratch();
+  DistinctValues(cells, s);
+  return TriangleRow(
+      std::min<size_t>(s.sample.size(), opts.max_sampled_values));
+}
+
+double ColumnCoherence(const ColumnInvertedIndex& index,
+                       const std::vector<ValueId>& cells,
+                       const CoherenceOptions& opts,
+                       CoherenceProfile* profile,
+                       std::span<uint32_t> counts) {
+  CoherenceScratch& s = Scratch();
+  ++s.work.columns;
+  StartProfile(index.num_columns(), profile);
+  SampleValues(cells, opts, s);
+  double score;
+  if (TrivialScore(s.sample.size(), profile, &score)) return score;
+
+  s.lists.clear();
+  s.freq.clear();
+  for (ValueId v : s.sample) {
+    s.lists.push_back(index.Postings(v));
+    s.freq.push_back(s.lists.back().size);
+  }
+  uint32_t* c = CountsFor(s, counts);
+  std::fill(c, c + TriangleRow(s.sample.size()), 0);
+  s.work.postings += CountCoOccurrences(s, index.column_id_bound(), c,
+                                        [](ColumnId) { return 1u; });
+  return ScoreSample(index.num_columns(), s, c, opts, profile);
+}
+
+void CoOccurrenceDelta::Build(
+    const std::vector<const std::vector<ValueId>*>& appended,
+    const std::vector<const std::vector<ValueId>*>& removed) {
+  // (value, local column) for every distinct value of every column, then
+  // one sort groups each value's columns in ascending local id.
+  std::vector<std::pair<ValueId, ColumnId>> entries;
+  std::vector<ValueId> distinct;
+  ColumnId local = 0;
+  for (const auto* columns : {&appended, &removed}) {
+    for (const std::vector<ValueId>* cells : *columns) {
+      distinct.assign(cells->begin(), cells->end());
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                     distinct.end());
+      for (ValueId v : distinct) entries.emplace_back(v, local);
+      ++local;
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  num_appended_ = appended.size();
+  num_columns_ = local;
+  size_t values = 0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    values += i == 0 || entries[i].first != entries[i - 1].first;
+  }
+  lists_ = FlatMap64<uint64_t>(values);
+  postings_.resize(entries.size());
+  for (size_t i = 0; i < entries.size();) {
+    const size_t begin = i;
+    for (; i < entries.size() && entries[i].first == entries[begin].first;
+         ++i) {
+      postings_[i] = entries[i].second;
+    }
+    lists_[Key(entries[begin].first)] =
+        (uint64_t{begin} << 32) | static_cast<uint64_t>(i - begin);
+  }
+}
+
+PostingsView CoOccurrenceDelta::Postings(ValueId v) const {
+  const uint64_t* list = lists_.Find(Key(v));
+  if (list == nullptr) return {};
+  return {postings_.data() + (*list >> 32),
+          static_cast<size_t>(*list & 0xffffffffu)};
+}
+
+double ColumnCoherenceFromCounts(const ColumnInvertedIndex& index,
+                                 const CoOccurrenceDelta& delta,
+                                 const std::vector<ValueId>& cells,
+                                 const CoherenceOptions& opts,
+                                 std::span<const uint32_t> base_counts,
+                                 std::span<uint32_t> counts,
+                                 CoherenceProfile* profile) {
+  CoherenceScratch& s = Scratch();
+  SampleValues(cells, opts, s);
+  const size_t pairs = TriangleRow(s.sample.size());
+  if (base_counts.size() != pairs ||
+      (!counts.empty() && counts.size() != pairs)) {
+    // The cells sample another number of values than the slices hold, so
+    // the counts were not taken on this column: score it in full instead,
+    // and leave `counts` as it is.
+    return ColumnCoherence(index, cells, opts, profile);
+  }
+  ++s.work.columns;
+  StartProfile(index.num_columns(), profile);
+  double score;
+  if (TrivialScore(s.sample.size(), profile, &score)) return score;
+
+  uint32_t* c = CountsFor(s, counts);
+  if (c != base_counts.data()) {
+    std::copy(base_counts.begin(), base_counts.end(), c);
+  }
+  s.lists.clear();
+  s.freq.clear();
+  for (ValueId v : s.sample) {
+    s.lists.push_back(delta.Postings(v));
+    s.freq.push_back(index.ColumnFrequency(v));
+  }
+  // Removed columns subtract one from each pair they hold; the true counts
+  // are never negative, so modular uint32 arithmetic lands on them exactly.
+  const size_t appended = delta.num_appended();
+  s.work.postings += CountCoOccurrences(
+      s, delta.num_columns(), c,
+      [appended](ColumnId col) { return col < appended ? 1u : ~0u; });
+  return ScoreSample(index.num_columns(), s, c, opts, profile);
 }
 
 CoherenceWork ThreadCoherenceWork() { return Scratch().work; }

@@ -4,6 +4,9 @@
 // out of candidate extraction.
 #pragma once
 
+#include <span>
+
+#include "common/flat_hash.h"
 #include "common/random.h"
 #include "stats/inverted_index.h"
 
@@ -48,26 +51,84 @@ struct CoherenceProfile {
   bool operator==(const CoherenceProfile&) const = default;
 };
 
+/// How many c_uv a column's count cache holds: one per pair of its sampled
+/// values (its distinct values, at most max_sampled_values of them).
+size_t SampledPairCount(const std::vector<ValueId>& cells,
+                        const CoherenceOptions& opts = {});
+
 /// Computes S(C) over the distinct values of `cells`. Columns with a single
 /// distinct value get coherence 1 (trivially coherent). Empty columns get 0.
 /// When `profile` is non-null it is filled with the margin cache for this
 /// evaluation (score/n_eval always set; pair aggregates zero for the
 /// trivial empty/single-value cases, which are index-independent anyway).
 ///
-/// Every c_uv the score needs comes from one pass over the supported
-/// sampled values' posting lists: a per-thread slot per ColumnId records
-/// which of those values the column held so far, so each list is walked
-/// once per column (once per 32-value block it trails when the sample holds
-/// more than 32 supported values), never once per partner.
+/// Every c_uv comes from one pass over the sampled values' posting lists: a
+/// per-thread slot per ColumnId records which of those values the column
+/// held so far, so each list is walked once per column (once per 32-value
+/// block it trails when the sample holds more than 32 values), never once
+/// per partner. Unsupported values are counted too, since a later mutation
+/// can lift them over min_value_support. When `counts` is non-empty it
+/// receives every sampled pair's c_uv: SampledPairCount(cells, opts)
+/// entries, pair (j, i) with j < i at i * (i - 1) / 2 + j, in sample order.
 double ColumnCoherence(const ColumnInvertedIndex& index,
                        const std::vector<ValueId>& cells,
                        const CoherenceOptions& opts = {},
-                       CoherenceProfile* profile = nullptr);
+                       CoherenceProfile* profile = nullptr,
+                       std::span<uint32_t> counts = {});
+
+/// The columns one corpus mutation appended and removed, indexed by value.
+/// A c_uv moves only through a column holding both u and v, and |C(u)|
+/// only through one holding u, so these few columns are all that separates
+/// a count taken before the mutation from one taken after it. Local ids
+/// number the appended columns from 0, then the removed ones.
+class CoOccurrenceDelta {
+ public:
+  /// Each column is given by its cells; a value counts once per column.
+  void Build(const std::vector<const std::vector<ValueId>*>& appended,
+             const std::vector<const std::vector<ValueId>*>& removed);
+
+  /// True when an appended or removed column holds `v`.
+  bool Touches(ValueId v) const { return lists_.Find(Key(v)) != nullptr; }
+  /// The local ids of the delta columns holding `v`, ascending.
+  PostingsView Postings(ValueId v) const;
+  size_t num_appended() const { return num_appended_; }
+  size_t num_columns() const { return num_columns_; }
+
+ private:
+  static uint64_t Key(ValueId v) { return uint64_t{v} + 1; }
+
+  FlatMap64<uint64_t> lists_;  ///< value key -> begin << 32 | size
+  std::vector<ColumnId> postings_;
+  size_t num_appended_ = 0;
+  size_t num_columns_ = 0;
+};
+
+/// ColumnCoherence from a column's cached counts. `base_counts` holds the
+/// column's sampled pairs' c_uv (the layout ColumnCoherence writes) as they
+/// stood on the index that `delta` turned into `index`; sampling options
+/// must be the ones they were counted under. Each pair's count moves by the
+/// delta columns holding both values, +1 per appended and -1 per removed
+/// one, counted by the same kernel over the values' delta lists; |C(u)|
+/// and N are read from `index`. The moved counts go to `counts` (which may
+/// alias `base_counts`), and score and profile are bitwise what
+/// ColumnCoherence(index, cells, opts) gives. The posting entries it adds
+/// to the thread's work are delta entries. A slice whose size does not fit
+/// the column's sample cannot hold its counts: the column is then scored
+/// by ColumnCoherence and `counts` is left as it is.
+double ColumnCoherenceFromCounts(const ColumnInvertedIndex& index,
+                                 const CoOccurrenceDelta& delta,
+                                 const std::vector<ValueId>& cells,
+                                 const CoherenceOptions& opts,
+                                 std::span<const uint32_t> base_counts,
+                                 std::span<uint32_t> counts,
+                                 CoherenceProfile* profile = nullptr);
 
 /// Running totals of the coherence work the calling thread has done since
-/// it started: ColumnCoherence evaluations, and the posting entries their
-/// counting passes walked. Callers difference two reads to attribute a
-/// stretch of work (one extraction task, say) without a shared counter.
+/// it started: ColumnCoherence and ColumnCoherenceFromCounts evaluations,
+/// and the posting entries their counting passes walked (index entries for
+/// the first, delta entries for the second). Callers difference two reads
+/// to attribute a stretch of work (one extraction task, say) without a
+/// shared counter.
 struct CoherenceWork {
   uint64_t columns = 0;
   uint64_t postings = 0;

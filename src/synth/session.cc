@@ -424,8 +424,9 @@ ConflictResolutionOptions SynthesisSession::EffectiveConflict() {
 struct SynthesisSession::Delta {
   size_t first_new_table = 0;            ///< tables from here on are new
   std::vector<uint32_t> removed_tables;  ///< sorted, already tombstoned
-  std::vector<ValueId> removed_values;   ///< their distinct cell values
-  size_t removed_columns = 0;
+  /// The cells of every column those tables held, captured before the
+  /// tombstoning cleared them.
+  std::vector<const std::vector<ValueId>*> removed_columns;
   std::vector<uint32_t> tombstoned;  ///< the new family's shells, sorted
 
   double index_seconds = 0.0;
@@ -434,7 +435,6 @@ struct SynthesisSession::Delta {
   bool majority_flip = false;
   BinaryTableId first_new_id = 0;  ///< candidates from here on are new
   std::vector<uint8_t> retired;    ///< per base candidate: retired now
-  size_t dead = 0;                 ///< dead candidates of the new family
   /// Blocked pairs the base lacks: the only pairs a step with a base scores.
   std::vector<CandidateTablePair> fresh_pairs;
   std::vector<uint8_t> dirty;    ///< per vertex: its scope is redone
@@ -692,8 +692,8 @@ const ColumnInvertedIndex& SynthesisSession::MaintainedIndexLocked(
   for (size_t t = d->first_new_table; t < corpus.size(); ++t) {
     appended_columns += corpus.table(t).num_columns();
   }
-  const size_t pre_columns =
-      corpus.TotalColumns() - appended_columns + d->removed_columns;
+  const size_t pre_columns = corpus.TotalColumns() - appended_columns +
+                             d->removed_columns.size();
   const bool patchable = base != nullptr && index_corpus_ == &corpus &&
                          index_tables_ == d->first_new_table &&
                          index_columns_ == pre_columns &&
@@ -729,6 +729,12 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   static obs::Counter* const margin_rechecks_total =
       obs::MetricsRegistry::Global().GetCounter(
           "ms_synth_coherence_margin_rechecks_total");
+  static obs::Counter* const cached_rechecks_total =
+      obs::MetricsRegistry::Global().GetCounter(
+          "ms_synth_coherence_cached_rechecks_total");
+  static obs::Gauge* const cache_bytes =
+      obs::MetricsRegistry::Global().GetGauge(
+          "ms_synth_coherence_cache_bytes");
   const CandidateSet none;
   const CandidateSet& b = base != nullptr ? *base : none;
   const std::vector<BinaryTable>& base_tables = b.tables();
@@ -748,8 +754,9 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
 
   // Re-checking every live old table's coherence signature is the
   // exactness tax: coherence is corpus-global (p(u) = |C(u)|/N moves for
-  // every value when the corpus changes), but the margin cache proves most
-  // verdicts stable without touching a posting list, and the expensive half
+  // every value when the corpus changes). The margin cache proves many
+  // verdicts stable without a re-score, the count cache re-scores the rest
+  // from counts moved by the delta columns alone, and the expensive half
   // of extraction (normalize + FD filter + candidate assembly) runs only
   // over the new and flipped tables. Without a base every table is new.
   Timer timer;
@@ -760,8 +767,11 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   request.base_kept_columns = &b.kept_columns;
   request.base_margin_offsets = &b.margin_offsets;
   request.base_margins = &b.margins;
+  request.base_count_offsets = &b.count_offsets;
+  request.base_counts = &b.counts;
+  request.base_coherence = b.counted_under;
   request.removed_tables = d->removed_tables;
-  request.removed_values = std::move(d->removed_values);
+  request.removed_columns = d->removed_columns;
   DeltaExtractionResult delta = ExtractCandidatesDelta(
       corpus, index, request, options_.extraction, threads_.get());
   const double extract_seconds = timer.ElapsedSeconds();
@@ -769,10 +779,12 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   d->stats.unstable_tables = delta.unstable_tables;
   d->stats.margin_skips = delta.margin_skips;
   d->stats.margin_rechecks = delta.margin_rechecks;
+  d->stats.cached_rechecks = delta.cached_rechecks;
   d->stats.new_candidates = delta.candidates.size();
   unstable_total->Add(delta.unstable_tables);
   margin_skips_total->Add(delta.margin_skips);
   margin_rechecks_total->Add(delta.margin_rechecks);
+  cached_rechecks_total->Add(delta.cached_rechecks);
   RecordCoherenceWork(delta.coherence);
   const size_t live_old_tables = d->first_new_table -
                                  b.tombstoned_tables.size() -
@@ -814,7 +826,6 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
     t = std::move(cleared);
     out.dead[i] = 1;
   }
-  d->dead = out.num_dead();
   out.tombstoned_tables = d->tombstoned;
   out.pool = &corpus.pool();
   out.source_tables = corpus.size();
@@ -822,11 +833,17 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   out.kept_columns = std::move(delta.kept_columns);
   out.margin_offsets = std::move(delta.margin_offsets);
   out.margins = std::move(delta.margins);
+  out.count_offsets = std::move(delta.count_offsets);
+  out.counts = std::move(delta.counts);
+  out.counted_under = options_.extraction.coherence;
+  cache_bytes->Set(static_cast<int64_t>(
+      out.counts.size() * sizeof(uint32_t) +
+      out.count_offsets.size() * sizeof(uint64_t)));
   out.stats = b.stats;
   out.stats.index_seconds += d->index_seconds;
   out.stats.extract_seconds += extract_seconds;
   AddExtractionStats(&out.stats.extraction, delta.stats);
-  out.stats.candidates = out.owned.size() - d->dead;
+  out.stats.candidates = out.num_live();
   Stamp(&out, NextArtifactId(), this);
   return out;
 }
@@ -1025,12 +1042,15 @@ Partitions SynthesisSession::PartitionStep(const ScoredGraph& sg,
   out.stats = sg.stats;
   // Retired candidates sit in singleton scopes holding a reserved
   // partition slot each; the reported counts cover live structure only,
-  // matching what a cold rebuild over the surviving tables sees.
-  if (options_.divide_and_conquer) out.stats.components = num_scopes - d->dead;
+  // matching what a cold rebuild over the surviving tables sees. The graph
+  // has a vertex per candidate and its stats count the live ones, on every
+  // path that made it (extracted, mutated, adopted or restored).
+  const size_t dead = num_vertices - sg.stats.candidates;
+  if (options_.divide_and_conquer) out.stats.components = num_scopes - dead;
   out.stats.partition_seconds =
       (base != nullptr ? base->stats.partition_seconds : 0.0) +
       timer.ElapsedSeconds();
-  out.stats.partitions = out.partition.num_partitions - d->dead;
+  out.stats.partitions = out.partition.num_partitions - dead;
   Stamp(&out, NextArtifactId(), this, sg.candidates_id);
   out.graph_id = sg.artifact_id;
   return out;
@@ -1392,19 +1412,10 @@ Result<AppendedArtifacts> SynthesisSession::MutateCorpusLocked(
   Delta d;
   d.first_new_table = num_tables;
   std::vector<std::pair<uint32_t, std::vector<Column>>> saved;
-  for (uint32_t id : removed) {
-    const Table& t = corpus->table(id);
-    d.removed_columns += t.num_columns();
-    for (const Column& c : t.columns) {
-      d.removed_values.insert(d.removed_values.end(), c.cells.begin(),
-                              c.cells.end());
-    }
-    saved.emplace_back(id, corpus->Tombstone(id));
+  for (uint32_t id : removed) saved.emplace_back(id, corpus->Tombstone(id));
+  for (const auto& [id, columns] : saved) {
+    for (const Column& c : columns) d.removed_columns.push_back(&c.cells);
   }
-  std::sort(d.removed_values.begin(), d.removed_values.end());
-  d.removed_values.erase(
-      std::unique(d.removed_values.begin(), d.removed_values.end()),
-      d.removed_values.end());
   d.removed_tables = std::move(removed);
   Result<AppendedArtifacts> out = [&]() -> Result<AppendedArtifacts> {
     if (delta != nullptr) {
@@ -1482,6 +1493,9 @@ Result<SessionSnapshot> SynthesisSession::RestoreSnapshot(
                              : 0;
   snap.candidates->session = this;
   snap.candidates->artifact_id += shift;
+  // The snapshot matched this session's options fingerprint, which covers
+  // the coherence options, so its margins were scored under them.
+  snap.candidates->counted_under = options_.extraction.coherence;
   if (snap.blocked) {
     snap.blocked->session = this;
     snap.blocked->artifact_id += shift;

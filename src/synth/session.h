@@ -160,6 +160,21 @@ struct CandidateSet {
   /// or restored from a pre-v3 snapshot.
   std::vector<uint32_t> margin_offsets;
   std::vector<CoherenceProfile> margins;
+  /// Count cache mirroring ExtractionResult::counts: every sampled pair's
+  /// c_uv per margin, so the next mutation re-scores a column from these
+  /// moved by its delta columns instead of walking posting lists. Held in
+  /// memory only: snapshots do not persist it, so a restored family (like
+  /// an adopted one, or one whose filter is disabled) has none. Its first
+  /// mutation still settles what the margin skip can, and walks every
+  /// other column in full, which fills that column's slice; a skipped
+  /// column keeps an empty slice until it is re-checked.
+  std::vector<uint64_t> count_offsets;
+  std::vector<uint32_t> counts;
+  /// The coherence options `margins` and `counts` were computed under (a
+  /// restored family's are the session's, which its snapshot's fingerprint
+  /// matched). A mutation under other options re-checks every column;
+  /// only a change of min_value_support keeps the counts.
+  CoherenceOptions counted_under;
   /// Corpus table ids tombstoned by RemoveTables/ReplaceTables, sorted.
   /// Tombstoned tables keep their corpus slots (ids stay stable); their
   /// candidates are marked dead below.
@@ -272,8 +287,11 @@ struct AppendStats {
   size_t unstable_tables = 0;
   /// Margin-cache effectiveness for this mutation: coherence verdicts
   /// settled by the cached monotonicity bound vs exact re-checks paid.
+  /// `cached_rechecks` of the re-checks re-scored from the base family's
+  /// cached counts; the rest walked the index in full.
   size_t margin_skips = 0;
   size_t margin_rechecks = 0;
+  size_t cached_rechecks = 0;
   /// True only when a majority of the surviving old tables flipped their
   /// coherence verdict (unstable_tables * 2 > live old tables): an internal
   /// cold re-run then replaces partial re-extraction (results are still

@@ -1,10 +1,13 @@
 // Tests for Step 1 candidate extraction (Section 3, Algorithm 1): PMI-based
 // column filtering and approximate-FD column-pair filtering, reproducing the
 // paper's Table 7 walk-through (Examples 5 and 6).
+#include <bit>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/thread_pool.h"
 #include "extract/candidate_extraction.h"
 #include "extract/normalization_cache.h"
 #include "stats/inverted_index.h"
@@ -335,6 +338,119 @@ TEST(ExtractOptionsTest, SelfPairsAreDropped) {
   opts.min_pairs = 1;
   auto result = ExtractCandidates(corpus, index, opts);
   EXPECT_TRUE(result.candidates.empty());
+}
+
+// ------------------------------------------ concurrency (TSan leg)
+
+/// Adds `n` random tables of two or three columns over one skewed
+/// vocabulary; one in five is wider than 64 distinct values.
+void AddRandomTables(Rng& rng, size_t n, TableCorpus* corpus) {
+  for (size_t t = 0; t < n; ++t) {
+    const bool wide = rng.Uniform(5) == 0;
+    const size_t rows = wide ? 70 + rng.Uniform(40) : 3 + rng.Uniform(12);
+    const size_t n_cols = 2 + rng.Uniform(2);
+    std::vector<std::string> names;
+    std::vector<std::vector<std::string>> cols(n_cols);
+    for (size_t c = 0; c < n_cols; ++c) {
+      names.push_back("c" + std::to_string(c));
+      for (size_t r = 0; r < rows; ++r) {
+        const uint64_t v = rng.Bernoulli(0.6) ? rng.Uniform(1 + rng.Uniform(30))
+                                              : 30 + rng.Uniform(500);
+        cols[c].push_back("value " + std::to_string(v));
+      }
+    }
+    corpus->AddFromStrings("site" + std::to_string(rng.Uniform(4)),
+                           TableSource::kWeb, names, cols);
+  }
+}
+
+/// Everything the coherence pass writes per table: signatures, margins
+/// (doubles compared bit for bit) and counts.
+void ExpectSameCoherenceOutput(const ExtractionResult& want,
+                               const ExtractionResult& got,
+                               const std::string& ctx) {
+  EXPECT_EQ(want.kept_offsets, got.kept_offsets) << ctx;
+  EXPECT_EQ(want.kept_columns, got.kept_columns) << ctx;
+  EXPECT_EQ(want.margin_offsets, got.margin_offsets) << ctx;
+  ASSERT_EQ(want.margins.size(), got.margins.size()) << ctx;
+  for (size_t k = 0; k < want.margins.size(); ++k) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.margins[k].score),
+              std::bit_cast<uint64_t>(got.margins[k].score))
+        << ctx << " margin " << k;
+    EXPECT_EQ(std::bit_cast<uint64_t>(want.margins[k].sum_pos),
+              std::bit_cast<uint64_t>(got.margins[k].sum_pos))
+        << ctx << " margin " << k;
+    EXPECT_EQ(want.margins[k], got.margins[k]) << ctx << " margin " << k;
+  }
+  EXPECT_EQ(want.count_offsets, got.count_offsets) << ctx;
+  EXPECT_EQ(want.counts, got.counts) << ctx;
+  EXPECT_EQ(want.candidates.size(), got.candidates.size()) << ctx;
+}
+
+TEST(CoherenceCacheConcurrencyTest, ThreadCountsWriteIdenticalSlices) {
+  // Each table writes its margins and count slices into one shared array
+  // at offsets fixed before the pass. One, two and four threads must
+  // write the same bytes, on a cold pass and on a mutation that re-scores
+  // old columns from the cold pass's counts.
+  Rng rng(2026);
+  TableCorpus corpus;
+  AddRandomTables(rng, 80, &corpus);
+  ExtractionOptions opts;
+  opts.coherence.max_sampled_values = 64;
+  ColumnInvertedIndex index;
+  index.Build(corpus);
+  const size_t thread_counts[] = {1, 2, 4};
+
+  std::vector<ExtractionResult> cold;
+  for (size_t threads : thread_counts) {
+    ThreadPool pool(threads);
+    cold.push_back(ExtractCandidates(corpus, index, opts, &pool));
+  }
+  ASSERT_FALSE(cold[0].counts.empty());
+  for (size_t i = 1; i < cold.size(); ++i) {
+    ExpectSameCoherenceOutput(
+        cold[0], cold[i],
+        "cold, " + std::to_string(thread_counts[i]) + " threads");
+  }
+
+  // Replace: tombstone a few tables, append new ones, patch the index.
+  const size_t first_new = corpus.size();
+  const std::vector<TableId> removed = {3, 17, 40, 41};
+  std::vector<std::vector<Column>> saved;
+  DeltaExtractionRequest request;
+  for (TableId id : removed) saved.push_back(corpus.Tombstone(id));
+  for (const auto& columns : saved) {
+    for (const Column& c : columns) request.removed_columns.push_back(&c.cells);
+  }
+  AddRandomTables(rng, 8, &corpus);
+  index.RemoveTables(removed);
+  index.AppendTables(corpus, first_new);
+  request.first_new_table = first_new;
+  request.first_new_id = static_cast<BinaryTableId>(cold[0].candidates.size());
+  request.base_kept_offsets = &cold[0].kept_offsets;
+  request.base_kept_columns = &cold[0].kept_columns;
+  request.base_margin_offsets = &cold[0].margin_offsets;
+  request.base_margins = &cold[0].margins;
+  request.base_count_offsets = &cold[0].count_offsets;
+  request.base_counts = &cold[0].counts;
+  request.base_coherence = opts.coherence;
+  request.removed_tables = removed;
+
+  std::vector<DeltaExtractionResult> mutated;
+  for (size_t threads : thread_counts) {
+    ThreadPool pool(threads);
+    mutated.push_back(
+        ExtractCandidatesDelta(corpus, index, request, opts, &pool));
+  }
+  EXPECT_GT(mutated[0].cached_rechecks, 0u);
+  for (size_t i = 1; i < mutated.size(); ++i) {
+    const std::string ctx =
+        "mutated, " + std::to_string(thread_counts[i]) + " threads";
+    ExpectSameCoherenceOutput(mutated[0], mutated[i], ctx);
+    EXPECT_EQ(mutated[0].flipped_tables, mutated[i].flipped_tables) << ctx;
+    EXPECT_EQ(mutated[0].margin_skips, mutated[i].margin_skips) << ctx;
+    EXPECT_EQ(mutated[0].cached_rechecks, mutated[i].cached_rechecks) << ctx;
+  }
 }
 
 }  // namespace

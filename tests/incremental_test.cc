@@ -24,6 +24,7 @@
 // majority flip falls back to the internal cold rebuild.
 // The randomized differential runs under the ASan+UBSan CI leg like every
 // other suite; MS_FUZZ_ITERS deepens it in CI (see .github/workflows/ci.yml).
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -41,6 +42,8 @@
 #include "oracles/blocking_reference.h"
 #include "persist/corpus_store.h"
 #include "persist/snapshot.h"
+#include "stats/coherence.h"
+#include "stats/inverted_index.h"
 #include "synth/blocking.h"
 #include "synth/session.h"
 #include "table/corpus.h"
@@ -986,6 +989,472 @@ TEST(IncrementalDifferentialTest, RemovalsKeepTheColdBlockingKeyCount) {
   }
 }
 
+// ------------------------------------------------- coherence count cache
+
+/// Tables of two or three columns over one skewed vocabulary. One in six is
+/// far wider than 64 distinct values, so every sampling cap from 2 to 64
+/// samples some column and caps past 32 split the count kernel into
+/// blocks; the rest are short. Tail values sit in one to three columns, so
+/// appends and removals lift some over min_value_support and drop others
+/// under it.
+std::vector<TableSpec> CoherenceCacheSpec(Rng& rng, size_t n_tables) {
+  std::vector<TableSpec> specs;
+  specs.reserve(n_tables);
+  for (size_t t = 0; t < n_tables; ++t) {
+    TableSpec spec;
+    spec.domain = "site" + std::to_string(rng.Uniform(5)) + ".example";
+    const bool wide = rng.Uniform(6) == 0;
+    const size_t rows = wide ? 70 + rng.Uniform(50) : 2 + rng.Uniform(12);
+    const size_t n_cols = 2 + rng.Uniform(2);
+    for (size_t c = 0; c < n_cols; ++c) {
+      spec.names.push_back("c" + std::to_string(c));
+      std::vector<std::string> col;
+      for (size_t r = 0; r < rows; ++r) {
+        const uint64_t v = rng.Bernoulli(0.6) ? rng.Uniform(1 + rng.Uniform(30))
+                                              : 30 + rng.Uniform(600);
+        col.push_back("value " + std::to_string(v));
+      }
+      spec.cols.push_back(std::move(col));
+    }
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+/// The sample ColumnCoherence scores: distinct values, then a seeded
+/// shuffle's first max_sampled_values of them.
+std::vector<ValueId> SampledValues(const std::vector<ValueId>& cells,
+                                   const CoherenceOptions& opts) {
+  std::vector<ValueId> sample = cells;
+  std::sort(sample.begin(), sample.end());
+  sample.erase(std::unique(sample.begin(), sample.end()), sample.end());
+  if (sample.size() > opts.max_sampled_values) {
+    Rng rng(opts.sample_seed);
+    rng.Shuffle(sample);
+    sample.resize(opts.max_sampled_values);
+  }
+  return sample;
+}
+
+bool SameBits(const CoherenceProfile& a, const CoherenceProfile& b) {
+  return std::bit_cast<uint64_t>(a.score) == std::bit_cast<uint64_t>(b.score) &&
+         std::bit_cast<uint64_t>(a.sum_pos) ==
+             std::bit_cast<uint64_t>(b.sum_pos) &&
+         a.pairs == b.pairs && a.sup_pos == b.sup_pos &&
+         a.sup_zero == b.sup_zero && a.b_max == b.b_max &&
+         a.n_eval == b.n_eval;
+}
+
+struct CacheTally {
+  size_t rescored = 0;  ///< re-checked columns, profile checked bitwise
+  size_t skipped = 0;   ///< margin-skipped columns, verdict checked
+  /// Columns re-scored from cached counts while one of their sampled values
+  /// rose to (up) or fell below (down) min_value_support.
+  size_t crossed_up = 0;
+  size_t crossed_down = 0;
+};
+
+/// The count cache's oracle over a fresh index of `corpus`. Every count of
+/// every width-passed column equals CoOccurrence of its sampled pair. A
+/// column re-checked this mutation (its profile evaluated at today's N)
+/// carries ColumnCoherence's profile bit for bit; a margin-skipped one
+/// carries an older profile whose verdict is still today's, and may hold
+/// no counts (an empty slice, counted in `absent`) when its base held
+/// none. When `before` indexes the corpus before the mutation and the
+/// mutation re-scored every re-checked column from cached counts, the old
+/// tables' re-scored columns whose sample crossed the support floor are
+/// tallied.
+void ExpectCacheMatchesFreshIndex(const CandidateSet& c,
+                                  const TableCorpus& corpus,
+                                  const ExtractionOptions& o,
+                                  const ColumnInvertedIndex* before,
+                                  size_t old_tables, CacheTally* tally,
+                                  size_t* absent = nullptr) {
+  ColumnInvertedIndex fresh;
+  fresh.Build(corpus);
+  const size_t n = fresh.num_columns();
+  const CoherenceOptions& opts = o.coherence;
+  ASSERT_EQ(c.margin_offsets.size(), corpus.size() + 1);
+  ASSERT_EQ(c.count_offsets.size(), c.margins.size() + 1);
+  ASSERT_EQ(c.count_offsets.back(), c.counts.size());
+  EXPECT_EQ(c.counted_under, opts);
+  if (absent != nullptr) *absent = 0;
+  for (size_t ti = 0; ti < corpus.size(); ++ti) {
+    const Table& t = corpus.table(ti);
+    const bool width_passed =
+        t.num_columns() >= 2 && t.num_columns() <= o.max_columns;
+    ASSERT_EQ(c.margin_offsets[ti + 1] - c.margin_offsets[ti],
+              width_passed ? t.num_columns() : 0u)
+        << "table " << ti;
+    if (!width_passed) continue;
+    for (size_t col = 0; col < t.num_columns(); ++col) {
+      const std::string ctx =
+          "table " + std::to_string(ti) + " column " + std::to_string(col);
+      const size_t k = c.margin_offsets[ti] + col;
+      const std::vector<ValueId>& cells = t.columns[col].cells;
+      const std::vector<ValueId> sample = SampledValues(cells, opts);
+      const size_t m = sample.size();
+      const uint32_t* counts = c.counts.data() + c.count_offsets[k];
+      const size_t slice = c.count_offsets[k + 1] - c.count_offsets[k];
+      const CoherenceProfile& got = c.margins[k];
+      if (slice == 0 && m >= 2) {
+        // Only a margin skip leaves a column without counts.
+        ASSERT_NE(got.n_eval, n) << ctx << " re-checked without counts";
+        ASSERT_NE(absent, nullptr) << ctx << " has no counts";
+        ++*absent;
+      } else {
+        ASSERT_EQ(slice, m < 2 ? 0 : m * (m - 1) / 2) << ctx;
+      }
+      for (size_t i = 1; slice > 0 && i < m; ++i) {
+        for (size_t j = 0; j < i; ++j) {
+          ASSERT_EQ(counts[i * (i - 1) / 2 + j],
+                    fresh.CoOccurrence(sample[j], sample[i]))
+              << ctx << " pair " << j << ", " << i;
+        }
+      }
+      CoherenceProfile want;
+      ColumnCoherence(fresh, cells, opts, &want);
+      if (got.n_eval == n) {
+        ++tally->rescored;
+        EXPECT_TRUE(SameBits(got, want)) << ctx;
+      } else {
+        ++tally->skipped;
+        EXPECT_EQ(got.score >= o.coherence_threshold,
+                  want.score >= o.coherence_threshold)
+            << ctx;
+      }
+      if (before == nullptr || ti >= old_tables || got.n_eval != n) continue;
+      bool up = false, down = false;
+      for (ValueId v : sample) {
+        const bool was = before->ColumnFrequency(v) >= opts.min_value_support;
+        const bool is = fresh.ColumnFrequency(v) >= opts.min_value_support;
+        up = up || (!was && is);
+        down = down || (was && !is);
+      }
+      tally->crossed_up += up;
+      tally->crossed_down += down;
+    }
+  }
+}
+
+TEST(IncrementalDifferentialTest, CoherenceCacheMatchesFreshEvaluation) {
+  // Random append/remove/replace schedules under every sampling cap from
+  // 2 to 64 and support floors of 1 to 3. After every step each cached
+  // count, each re-checked profile and each margin-skipped verdict must be
+  // what a fresh index of the mutated corpus gives. Some schedules restore
+  // their family from a snapshot (which holds no counts) and mutate it
+  // twice; some move the sampling options, or only the support floor,
+  // between two mutations.
+  const size_t iters = FuzzIters(10);
+  Rng rng(20261020);
+  const size_t caps[] = {2, 3, 32, 33, 64};
+  const std::string snap = ScratchPath("incremental_coherence_cache.mssnap");
+  CacheTally tally;
+  size_t cached = 0, full_walks = 0, fallbacks = 0, restores = 0;
+  size_t resampled = 0, resupported = 0, restored_skips = 0;
+  for (size_t iter = 0; iter < iters; ++iter) {
+    const size_t n_specs = 40 + rng.Uniform(30);
+    const auto specs = CoherenceCacheSpec(rng, n_specs);
+    SynthesisOptions o = BaseOptions();
+    o.num_threads = 1 + rng.Uniform(4);
+    const double coh[] = {0.0, 0.05, 0.2};
+    o.extraction.coherence_threshold = coh[rng.Uniform(3)];
+    o.extraction.coherence.max_sampled_values = caps[iter % 5];
+    o.extraction.coherence.min_value_support = 1 + rng.Uniform(3);
+    o.extraction.coherence.sample_seed = rng.Uniform(1000);
+    // One event per schedule, at a random step: a save and restore before
+    // it, new sampling (a new seed) or a new support floor.
+    const uint64_t event = rng.Uniform(4);  // 0 none, 1-3 as listed
+    const size_t steps = 3 + rng.Uniform(3);
+    const size_t event_step = rng.Uniform(steps - 1);
+    const size_t base_n = 10 + rng.Uniform(n_specs / 2);
+    SCOPED_TRACE("iter " + std::to_string(iter) + " cap " +
+                 std::to_string(o.extraction.coherence.max_sampled_values) +
+                 " support " +
+                 std::to_string(o.extraction.coherence.min_value_support) +
+                 " coh " + std::to_string(o.extraction.coherence_threshold) +
+                 " event " + std::to_string(event) + " at " +
+                 std::to_string(event_step));
+
+    TableCorpus corpus;
+    AddSpecs(&corpus, specs, 0, base_n);
+    std::vector<uint8_t> live(base_n, 1);
+    size_t next_spec = base_n;
+    SynthesisSession session(o);
+    ASSERT_TRUE(session.status().ok());
+    Family inc = ColdChain(&session, corpus);
+    ASSERT_FALSE(HasFailure());
+    {
+      CacheTally cold_tally;
+      ExpectCacheMatchesFreshIndex(inc.candidates, corpus, o.extraction,
+                                   nullptr, 0, &cold_tally);
+      EXPECT_EQ(cold_tally.skipped, 0u);
+    }
+    ASSERT_FALSE(HasFailure());
+    // Whether the family's counts serve the session's sampling, how many
+    // of its columns hold none, and whether its margins serve its options:
+    // the path every re-check must take.
+    bool counts_usable = true;
+    size_t absent = 0;
+    bool margins_usable = true;
+    bool just_restored = false;
+    SessionSnapshot restored;
+    for (size_t s = 0; s < steps; ++s) {
+      if (s == event_step && event == 1) {
+        ++restores;
+        ASSERT_TRUE(session
+                        .SaveSnapshot(snap, inc.candidates, &inc.blocked,
+                                      &inc.scored, &inc.result)
+                        .ok());
+        auto r = session.RestoreSnapshot(snap);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        std::remove(snap.c_str());
+        restored = std::move(r).value();
+        ASSERT_TRUE(restored.blocked && restored.scored &&
+                    restored.has_result);
+        EXPECT_TRUE(restored.candidates->counts.empty());
+        auto parts = session.Partition(*restored.scored);
+        ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+        inc.candidates = *restored.candidates;
+        inc.blocked = *restored.blocked;
+        inc.scored = *restored.scored;
+        inc.partitions = std::move(parts).value();
+        inc.result = restored.result;
+        counts_usable = false;
+        just_restored = true;
+      } else if (s == event_step && event == 2) {
+        ++resampled;
+        o.extraction.coherence.sample_seed += 1;
+        ASSERT_TRUE(session.UpdateOptions(o).ok());
+        counts_usable = margins_usable = false;
+      } else if (s == event_step && event == 3) {
+        ++resupported;
+        o.extraction.coherence.min_value_support =
+            1 + o.extraction.coherence.min_value_support % 3;
+        ASSERT_TRUE(session.UpdateOptions(o).ok());
+        margins_usable = false;
+      }
+
+      const uint64_t op = rng.Uniform(3);  // 0 append, 1 remove, 2 replace
+      std::vector<uint32_t> removed;
+      for (size_t slot = 0; op != 0 && slot < live.size(); ++slot) {
+        if (live[slot] && rng.Bernoulli(0.25)) {
+          removed.push_back(static_cast<uint32_t>(slot));
+        }
+      }
+      size_t batch = 0;
+      if (op != 1 && next_spec < n_specs) {
+        batch = std::min<size_t>(1 + rng.Uniform(8), n_specs - next_spec);
+      }
+      ColumnInvertedIndex before;
+      before.Build(corpus);
+      const size_t old_tables = corpus.size();
+      Result<AppendedArtifacts> grown = [&] {
+        TableCorpus delta;
+        AddSpecs(&delta, specs, next_spec, next_spec + batch);
+        if (op == 0) {
+          return session.AppendCorpus(&corpus, delta, inc.candidates,
+                                      inc.blocked, inc.scored,
+                                      inc.partitions, inc.result);
+        }
+        if (op == 1) {
+          return session.RemoveTables(&corpus, removed, inc.candidates,
+                                      inc.blocked, inc.scored,
+                                      inc.partitions, inc.result);
+        }
+        return session.ReplaceTables(&corpus, removed, delta, inc.candidates,
+                                     inc.blocked, inc.scored, inc.partitions,
+                                     inc.result);
+      }();
+      ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+      AppendedArtifacts family = std::move(grown).value();
+      for (uint32_t slot : removed) live[slot] = 0;
+      live.resize(live.size() + batch, 1);
+      next_spec += batch;
+      SCOPED_TRACE("step " + std::to_string(s) + " op " + std::to_string(op) +
+                   " batch " + std::to_string(batch) + " removed " +
+                   std::to_string(removed.size()));
+
+      // The path each re-check took: cached counts whenever the base has
+      // them under this sampling, a full walk otherwise, and a margin skip
+      // only with margins usable. A restored family's margins serve.
+      const AppendStats& a = family.append;
+      if (batch > 0 || !removed.empty()) {
+        if (!counts_usable) {
+          EXPECT_EQ(a.cached_rechecks, 0u);
+        } else if (absent == 0) {
+          EXPECT_EQ(a.cached_rechecks, a.margin_rechecks);
+        }
+        if (!margins_usable) {
+          EXPECT_EQ(a.margin_skips, 0u);
+        }
+      }
+      if (just_restored) restored_skips += a.margin_skips;
+      cached += a.cached_rechecks;
+      full_walks += a.margin_rechecks - a.cached_rechecks;
+      fallbacks += a.full_rebuild;
+      // A majority flip re-extracts from an empty base: no old table keeps
+      // its profile, so none is tallied as a cached re-score.
+      const bool all_cached = a.margin_rechecks > 0 &&
+                              a.cached_rechecks == a.margin_rechecks &&
+                              !a.full_rebuild;
+      ExpectCacheMatchesFreshIndex(family.candidates, corpus, o.extraction,
+                                   all_cached ? &before : nullptr,
+                                   old_tables, &tally, &absent);
+      ASSERT_FALSE(HasFailure());
+      inc.candidates = std::move(family.candidates);
+      inc.blocked = std::move(family.blocked);
+      inc.scored = std::move(family.scored);
+      inc.partitions = std::move(family.partitions);
+      inc.result = std::move(family.result);
+      counts_usable = margins_usable = true;
+      just_restored = false;
+    }
+
+    // The schedule's end state is the cold rebuild's under the final
+    // options. The rebuild reads the same corpus, shells and all: a sample
+    // of more than max_sampled_values distinct values follows ValueId
+    // order, so a corpus interned afresh could sample other values.
+    SynthesisSession cold_session(o);
+    Family cold = ColdChain(&cold_session, corpus);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_EQ(Canonical(cold.result, corpus.pool()),
+              Canonical(inc.result, corpus.pool()));
+    ASSERT_FALSE(HasFailure());
+  }
+  if (AtDefaultDepth(10)) {
+    EXPECT_GT(cached, 0u) << "no re-check read cached counts";
+    EXPECT_GT(full_walks, 0u) << "no re-check walked the index in full";
+    EXPECT_GT(tally.crossed_up, 0u)
+        << "no cached re-score saw a sampled value rise to the support floor";
+    EXPECT_GT(tally.crossed_down, 0u)
+        << "no cached re-score saw a sampled value fall below the floor";
+    EXPECT_GT(restores + resampled + resupported, 0u);
+  }
+  std::printf(
+      "coherence cache: %zu cached re-scores, %zu full walks, %zu profiles "
+      "checked bitwise, %zu margin skips, %zu/%zu support crossings up/down, "
+      "%zu fallbacks, %zu restores (%zu margin skips right after one), "
+      "%zu resampled, %zu resupported\n",
+      cached, full_walks, tally.rescored, tally.skipped, tally.crossed_up,
+      tally.crossed_down, fallbacks, restores, restored_skips, resampled,
+      resupported);
+}
+
+/// Tables of one site each, drawing every value from that site's own
+/// vocabulary, as on a sharded-vocabulary corpus: a mutation confined to
+/// some sites leaves every other site's columns, and their counts, as
+/// they were.
+TableSpec SiteTable(Rng& rng, size_t site) {
+  TableSpec spec;
+  spec.domain = "site" + std::to_string(site) + ".example";
+  const size_t rows = 4 + rng.Uniform(8);
+  for (size_t c = 0; c < 2 + rng.Uniform(2); ++c) {
+    spec.names.push_back("c" + std::to_string(c));
+    std::vector<std::string> col;
+    for (size_t r = 0; r < rows; ++r) {
+      col.push_back("s" + std::to_string(site) + " " + std::to_string(c) +
+                    " " + std::to_string(rng.Uniform(12)));
+    }
+    spec.cols.push_back(std::move(col));
+  }
+  return spec;
+}
+
+TEST(IncrementalDifferentialTest, RestoredFamilyKeepsTheMarginSkip) {
+  // A snapshot holds margins but no counts. The first mutation of the
+  // restored family must still settle the columns it did not touch by
+  // the margin skip, walk the rest in full, and leave the skipped columns
+  // without counts; a later mutation touching those walks them in full
+  // once, and then re-scores from counts again. Each step must equal a
+  // fresh evaluation and a cold rebuild.
+  Rng rng(41);
+  SynthesisOptions o = BaseOptions();
+  o.extraction.coherence_threshold = 0.05;
+  std::vector<TableSpec> specs;
+  for (size_t t = 0; t < 48; ++t) specs.push_back(SiteTable(rng, t % 6));
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, specs.size());
+  const std::string snap = ScratchPath("incremental_restored_skip.mssnap");
+  SynthesisSession session(o);
+  Family inc = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_TRUE(session
+                  .SaveSnapshot(snap, inc.candidates, &inc.blocked,
+                                &inc.scored, &inc.result)
+                  .ok());
+  SynthesisSession restarted(o);
+  auto r = restarted.RestoreSnapshot(snap);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  std::remove(snap.c_str());
+  SessionSnapshot restored = std::move(r).value();
+  ASSERT_TRUE(restored.blocked && restored.scored && restored.has_result);
+  ASSERT_TRUE(restored.candidates->counts.empty());
+  ASSERT_FALSE(restored.candidates->margins.empty());
+  auto parts = restarted.Partition(*restored.scored);
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  inc = Family{*restored.candidates, *restored.blocked, *restored.scored,
+               std::move(parts).value(), restored.result};
+
+  // An append of a new site (6), a replace that touches sites 0 and 6,
+  // and an append to site 0.
+  const std::vector<std::vector<size_t>> appended_sites = {
+      {6, 6, 6}, {0, 6}, {0}};
+  const std::vector<std::vector<uint32_t>> removed = {{}, {0}, {}};
+  for (size_t step = 0; step < 3; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<TableSpec> batch;
+    for (size_t site : appended_sites[step]) {
+      batch.push_back(SiteTable(rng, site));
+    }
+    TableCorpus delta;
+    AddSpecs(&delta, batch, 0, batch.size());
+    auto grown = removed[step].empty()
+                     ? restarted.AppendCorpus(&corpus, delta, inc.candidates,
+                                              inc.blocked, inc.scored,
+                                              inc.partitions, inc.result)
+                     : restarted.ReplaceTables(
+                           &corpus, removed[step], delta, inc.candidates,
+                           inc.blocked, inc.scored, inc.partitions,
+                           inc.result);
+    ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+    AppendedArtifacts family = std::move(grown).value();
+    const AppendStats& a = family.append;
+    ASSERT_FALSE(a.full_rebuild);
+    CacheTally tally;
+    size_t absent = 0;
+    ExpectCacheMatchesFreshIndex(family.candidates, corpus, o.extraction,
+                                 nullptr, 0, &tally, &absent);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_GT(a.margin_skips, 0u);
+    if (step == 0) {
+      // No counts to re-score from; the skipped columns keep none.
+      EXPECT_EQ(a.cached_rechecks, 0u);
+      EXPECT_GT(absent, 0u);
+    } else if (step == 1) {
+      // Site 0's columns were skipped without counts; touched now, they
+      // walk in full, while site 6's re-score from the counts the first
+      // mutation took.
+      EXPECT_GT(a.cached_rechecks, 0u);
+      EXPECT_GT(a.margin_rechecks, a.cached_rechecks);
+    } else {
+      EXPECT_GT(a.cached_rechecks, 0u);
+    }
+    std::printf("restored family, step %zu: %zu margin skips, %zu re-checks "
+                "(%zu from cached counts), %zu columns without counts\n",
+                step, a.margin_skips, a.margin_rechecks, a.cached_rechecks,
+                absent);
+    inc = Family{std::move(family.candidates), std::move(family.blocked),
+                 std::move(family.scored), std::move(family.partitions),
+                 std::move(family.result)};
+    SynthesisSession cold_session(o);
+    const Family cold = ColdChain(&cold_session, corpus);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_EQ(Canonical(cold.result, corpus.pool()),
+              Canonical(inc.result, corpus.pool()));
+  }
+}
+
 // ------------------------------------------------------------- edge cases
 
 TEST(IncrementalApiTest, EmptyAppendIsIdentityWithFreshGeneration) {
@@ -1587,6 +2056,63 @@ TEST(IncrementalKeyIndexTest, MutationOfARestoredFamilyMatchesCold) {
   ASSERT_TRUE(m2.ok()) << m2.status().ToString();
   ExpectMatchesColdRebuild(o, specs, LiveSlots(40, removed),
                            NextFamily(std::move(m2).value()), corpus.pool());
+}
+
+TEST(IncrementalPartitionTest, RePartitionReportsTheMutationsLiveCounts) {
+  // A removal leaves dead candidates as isolated vertices, and the family
+  // it returns counts components and partitions over live structure only,
+  // as a cold rebuild over the surviving tables does. Partition() on that
+  // family's graph, in this session or restored from a snapshot into
+  // another, must report the same counts, under either partitioning mode.
+  Rng rng(35);
+  const auto specs = RandomCorpusSpec(rng, 12);
+  const std::vector<uint32_t> removed = {1, 4, 7};
+  const std::string snap = ScratchPath("incremental_repartition.mssnap");
+  for (const bool dnc : {true, false}) {
+    SCOPED_TRACE(dnc ? "divide and conquer" : "global");
+    SynthesisOptions o = BaseOptions();
+    o.divide_and_conquer = dnc;
+    TableCorpus corpus;
+    AddSpecs(&corpus, specs, 0, specs.size());
+    SynthesisSession session(o);
+    Family f0 = ColdChain(&session, corpus);
+    ASSERT_FALSE(HasFailure());
+    auto m = session.RemoveTables(&corpus, removed, f0.candidates, f0.blocked,
+                                  f0.scored, f0.partitions, f0.result);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    const Family f1 = NextFamily(std::move(m).value());
+    ASSERT_GT(f1.candidates.num_dead(), 0u);
+    const PipelineStats& want = f1.partitions.stats;
+
+    TableCorpus cold_corpus;
+    for (size_t i : LiveSlots(specs.size(), removed)) {
+      AddSpecs(&cold_corpus, specs, i, i + 1);
+    }
+    SynthesisSession cold_session(o);
+    const Family cold = ColdChain(&cold_session, cold_corpus);
+    ASSERT_FALSE(HasFailure());
+    EXPECT_EQ(want.components, cold.partitions.stats.components);
+    EXPECT_EQ(want.partitions, cold.partitions.stats.partitions);
+
+    auto again = session.Partition(f1.scored);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_EQ(again.value().stats.components, want.components);
+    EXPECT_EQ(again.value().stats.partitions, want.partitions);
+
+    ASSERT_TRUE(session
+                    .SaveSnapshot(snap, f1.candidates, &f1.blocked,
+                                  &f1.scored, &f1.result)
+                    .ok());
+    SynthesisSession other(o);
+    auto restored = other.RestoreSnapshot(snap);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    std::remove(snap.c_str());
+    ASSERT_TRUE(restored.value().scored != nullptr);
+    auto parts = other.Partition(*restored.value().scored);
+    ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+    EXPECT_EQ(parts.value().stats.components, want.components);
+    EXPECT_EQ(parts.value().stats.partitions, want.partitions);
+  }
 }
 
 TEST(IncrementalPartitionTest, ResurrectedPairRepartitionsItsEndpoints) {

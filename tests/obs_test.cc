@@ -421,10 +421,12 @@ TEST(ObsSynthCountersTest, AppendMaintenanceCountersReconcileWithStats) {
   Counter* skips = reg.GetCounter("ms_synth_coherence_margin_skips_total");
   Counter* rechecks =
       reg.GetCounter("ms_synth_coherence_margin_rechecks_total");
+  Counter* cached = reg.GetCounter("ms_synth_coherence_cached_rechecks_total");
   const uint64_t unstable0 = unstable->Value();
   const uint64_t rebuilds0 = rebuilds->Value();
   const uint64_t skips0 = skips->Value();
   const uint64_t rechecks0 = rechecks->Value();
+  const uint64_t cached0 = cached->Value();
 
   // Small deterministic corpus over a shared vocabulary: enough value
   // co-occurrence for real candidates, margins, and blocking.
@@ -471,10 +473,13 @@ TEST(ObsSynthCountersTest, AppendMaintenanceCountersReconcileWithStats) {
   EXPECT_EQ(rebuilds->Value(), rebuilds0 + (stats.full_rebuild ? 1u : 0u));
   EXPECT_EQ(skips->Value(), skips0 + stats.margin_skips);
   EXPECT_EQ(rechecks->Value(), rechecks0 + stats.margin_rechecks);
+  EXPECT_EQ(cached->Value(), cached0 + stats.cached_rechecks);
   // Every live old column is either proven stable by its cached margin or
   // re-evaluated, so with a non-empty base the cache must have been
-  // consulted one way or the other.
+  // consulted one way or the other; a base extracted in this session has
+  // every column's counts, so no re-check walks the index in full.
   EXPECT_GT(stats.margin_skips + stats.margin_rechecks, 0u);
+  EXPECT_EQ(stats.cached_rechecks, stats.margin_rechecks);
 
   const std::string text = reg.ExpositionText();
   EXPECT_NE(text.find("ms_synth_append_unstable_total"), std::string::npos);
@@ -490,6 +495,8 @@ TEST(ObsSynthCountersTest, CoherenceCountersReconcileWithColumnsAndPostings) {
   auto& reg = MetricsRegistry::Global();
   Counter* columns = reg.GetCounter("ms_synth_coherence_columns_total");
   Counter* postings = reg.GetCounter("ms_synth_coherence_postings_total");
+  Counter* cached = reg.GetCounter("ms_synth_coherence_cached_rechecks_total");
+  Gauge* cache_bytes = reg.GetGauge("ms_synth_coherence_cache_bytes");
 
   // Every two-column table also holds the row ("shared name", "shared
   // code"), so an append touches every old column and each pays the exact
@@ -515,40 +522,38 @@ TEST(ObsSynthCountersTest, CoherenceCountersReconcileWithColumnsAndPostings) {
   o.min_pairs = 1;
   ASSERT_GT(o.extraction.coherence_threshold, -1.0);
   // Test-side count over the width-passed columns of tables [first, end):
-  // each column's distinct values (no column reaches the sampling cap)
-  // whose corpus frequency meets the support floor have their posting
-  // lists walked once, when at least two of them do.
-  const auto expected = [&](size_t first, size_t* width_passed) {
-    ColumnInvertedIndex index;
-    index.Build(corpus);
-    uint64_t walked = 0;
-    *width_passed = 0;
-    for (size_t t = first; t < corpus.size(); ++t) {
+  // a column with at least two distinct values (no column reaches the
+  // sampling cap) walks one list per value, supported or not, of
+  // `list_size(value)` entries: its posting list on a cold pass, its delta
+  // list (the appended columns holding it) on a re-score from cached
+  // counts. The cache holds one count per pair of distinct values.
+  struct Walk {
+    uint64_t entries = 0;
+    size_t columns = 0;
+    size_t pairs = 0;
+  };
+  const auto walk = [&](size_t first, size_t end, const auto& list_size) {
+    Walk w;
+    for (size_t t = first; t < end; ++t) {
       const Table& table = corpus.table(t);
       if (table.num_columns() < 2 ||
           table.num_columns() > o.extraction.max_columns) {
         continue;
       }
       for (const Column& c : table.columns) {
-        ++*width_passed;
+        ++w.columns;
         std::vector<ValueId> distinct = c.cells;
         std::sort(distinct.begin(), distinct.end());
         distinct.erase(std::unique(distinct.begin(), distinct.end()),
                        distinct.end());
         EXPECT_LE(distinct.size(),
                   o.extraction.coherence.max_sampled_values);
-        uint64_t lists = 0;
-        size_t supported = 0;
-        for (ValueId v : distinct) {
-          const size_t f = index.ColumnFrequency(v);
-          if (f < o.extraction.coherence.min_value_support) continue;
-          lists += f;
-          ++supported;
-        }
-        if (supported >= 2) walked += lists;
+        w.pairs += distinct.size() * (distinct.size() - 1) / 2;
+        if (distinct.size() < 2) continue;
+        for (ValueId v : distinct) w.entries += list_size(v);
       }
     }
-    return walked;
+    return w;
   };
 
   SynthesisSession session(o);
@@ -557,12 +562,21 @@ TEST(ObsSynthCountersTest, CoherenceCountersReconcileWithColumnsAndPostings) {
   uint64_t postings0 = postings->Value();
   auto c = session.ExtractCandidates(corpus);
   ASSERT_TRUE(c.ok()) << c.status().ToString();
-  size_t cold_columns = 0;
-  const uint64_t cold_walked = expected(0, &cold_columns);
-  EXPECT_EQ(cold_columns, 16u);
-  EXPECT_EQ(columns->Value() - columns0, cold_columns);
-  EXPECT_EQ(postings->Value() - postings0, cold_walked);
-  EXPECT_GT(cold_walked, 0u);
+  ColumnInvertedIndex before;
+  before.Build(corpus);
+  const Walk cold = walk(0, corpus.size(), [&](ValueId v) {
+    return before.ColumnFrequency(v);
+  });
+  EXPECT_EQ(cold.columns, 16u);
+  EXPECT_EQ(columns->Value() - columns0, cold.columns);
+  EXPECT_EQ(postings->Value() - postings0, cold.entries);
+  EXPECT_GT(cold.entries, 0u);
+  // The gauge reads the extracted family's cache: a count per sampled
+  // pair, and an offset per margin plus one.
+  EXPECT_EQ(c.value().counts.size(), cold.pairs);
+  EXPECT_EQ(cache_bytes->Value(),
+            static_cast<int64_t>(cold.pairs * sizeof(uint32_t) +
+                                 (cold.columns + 1) * sizeof(uint64_t)));
   auto b = session.BlockPairs(c.value());
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   auto g = session.ScorePairs(c.value(), b.value());
@@ -572,33 +586,53 @@ TEST(ObsSynthCountersTest, CoherenceCountersReconcileWithColumnsAndPostings) {
   auto r = session.Resolve(c.value(), g.value(), p.value());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 
-  // An append: every old column re-checks under the grown index and the
-  // appended columns score cold, so together they cover every
-  // width-passed column of the grown corpus.
+  // An append: every old column re-scores from its cached counts under the
+  // grown index, walking only its values' delta lists, and the appended
+  // columns score cold, so together they cover every width-passed column
+  // of the grown corpus.
   const size_t first_new = corpus.size();
   for (size_t t = 8; t < 10; ++t) add_tables(t);
   columns0 = columns->Value();
   postings0 = postings->Value();
+  const uint64_t cached0 = cached->Value();
   auto grown = session.AppendTables(corpus, first_new, c.value(), b.value(),
                                     g.value(), p.value(), r.value());
   ASSERT_TRUE(grown.ok()) << grown.status().ToString();
   const AppendStats& stats = grown.value().append;
   ASSERT_FALSE(stats.full_rebuild);
-  size_t appended_columns = 0;
-  expected(first_new, &appended_columns);
-  size_t all_columns = 0;
-  const uint64_t grown_walked = expected(0, &all_columns);
-  EXPECT_EQ(appended_columns, 4u);
+  ColumnInvertedIndex after;
+  after.Build(corpus);
+  const auto frequency = [&](ValueId v) { return after.ColumnFrequency(v); };
+  const Walk appended = walk(first_new, corpus.size(), frequency);
+  const Walk rescored = walk(0, first_new, [&](ValueId v) {
+    return after.ColumnFrequency(v) - before.ColumnFrequency(v);
+  });
+  EXPECT_EQ(appended.columns, 4u);
   EXPECT_EQ(stats.margin_skips, 0u);
-  EXPECT_EQ(stats.margin_rechecks, cold_columns);
+  EXPECT_EQ(stats.margin_rechecks, cold.columns);
+  EXPECT_EQ(stats.cached_rechecks, cold.columns);
+  EXPECT_EQ(cached->Value() - cached0, stats.cached_rechecks);
   EXPECT_EQ(columns->Value() - columns0,
-            appended_columns + stats.margin_rechecks);
-  EXPECT_EQ(postings->Value() - postings0, grown_walked);
+            appended.columns + stats.margin_rechecks);
+  EXPECT_EQ(postings->Value() - postings0,
+            appended.entries + rescored.entries);
+  // Each old column's delta list is far shorter than its posting list.
+  EXPECT_GT(rescored.entries, 0u);
+  EXPECT_LT(rescored.entries, walk(0, first_new, frequency).entries);
+  const size_t pairs = cold.pairs + appended.pairs;
+  EXPECT_EQ(grown.value().candidates.counts.size(), pairs);
+  EXPECT_EQ(cache_bytes->Value(),
+            static_cast<int64_t>(pairs * sizeof(uint32_t) +
+                                 (cold.columns + appended.columns + 1) *
+                                     sizeof(uint64_t)));
 
   const std::string text = reg.ExpositionText();
   EXPECT_NE(text.find("ms_synth_coherence_columns_total"), std::string::npos);
   EXPECT_NE(text.find("ms_synth_coherence_postings_total"),
             std::string::npos);
+  EXPECT_NE(text.find("ms_synth_coherence_cached_rechecks_total"),
+            std::string::npos);
+  EXPECT_NE(text.find("ms_synth_coherence_cache_bytes"), std::string::npos);
 }
 
 TEST(ObsSynthCountersTest, BlockingRowsAndIndexBytesReconcile) {

@@ -615,6 +615,91 @@ TEST(CoherenceFusionTest, NpmiFromCountsKeepsTheOrderOfChecks) {
   EXPECT_LT(NpmiFromCounts(10, 4, 3, 2), 1.0);
 }
 
+// ---------------------------------------------- counts moved by a delta
+
+TEST(CoherenceCacheTest, DeltaMovesBaseCountsToTheMutatedIndex) {
+  // `patched` is `base` with the wide tables appended and tables 1, 4 and
+  // the third appended one removed. Counts taken on `base` and moved by
+  // those columns must be `patched`'s counts, and the re-score its
+  // profile, bit for bit: at every support floor, for one- to four-block
+  // samples, for columns holding values no index has seen, and for a table
+  // both appended and removed (its two delta columns cancel).
+  size_t moved = 0;
+  for (uint64_t seed : {5u, 29u}) {
+    OracleCorpus oc;
+    BuildOracleCorpus(seed, &oc);
+    const size_t first_new = oc.columns.size() - 8;
+    std::vector<const std::vector<ValueId>*> appended, removed;
+    for (size_t t = first_new; t < oc.corpus.size(); ++t) {
+      appended.push_back(&oc.corpus.table(t).columns[0].cells);
+    }
+    for (size_t t : {size_t{1}, size_t{4}, first_new + 2}) {
+      removed.push_back(&oc.corpus.table(t).columns[0].cells);
+    }
+    CoOccurrenceDelta delta;
+    delta.Build(appended, removed);
+    for (const size_t support : {0u, 1u, 2u}) {
+      for (const size_t cap : {2u, 32u, 33u, 64u, 100u}) {
+        CoherenceOptions opts;
+        opts.min_value_support = support;
+        opts.max_sampled_values = cap;
+        for (size_t c = 0; c < oc.columns.size(); ++c) {
+          const std::string ctx =
+              "seed " + std::to_string(seed) + " support " +
+              std::to_string(support) + " cap " + std::to_string(cap) +
+              " column " + std::to_string(c);
+          const std::vector<ValueId> cells = oc.Cells(c);
+          std::vector<uint32_t> base(SampledPairCount(cells, opts));
+          ColumnCoherence(oc.base, cells, opts, nullptr, base);
+          std::vector<uint32_t> want(base.size()), got(base.size());
+          CoherenceProfile want_profile, got_profile;
+          ColumnCoherence(oc.patched, cells, opts, &want_profile, want);
+          ColumnCoherenceFromCounts(oc.patched, delta, cells, opts, base, got,
+                                    &got_profile);
+          ASSERT_EQ(got, want) << ctx;
+          ASSERT_EQ(Bits(got_profile.score), Bits(want_profile.score)) << ctx;
+          ASSERT_EQ(Bits(got_profile.sum_pos), Bits(want_profile.sum_pos))
+              << ctx;
+          ASSERT_EQ(got_profile, want_profile) << ctx;
+          moved += base != want;
+          // In place: the moved counts may overwrite the base slice.
+          ColumnCoherenceFromCounts(oc.patched, delta, cells, opts, base, base);
+          ASSERT_EQ(base, want) << ctx;
+        }
+      }
+    }
+  }
+  EXPECT_GT(moved, 0u);
+}
+
+TEST(CoherenceCacheTest, SliceOfAnotherSizeScoresTheColumnInFull) {
+  // A count slice sized for another sample (counts taken on other cells)
+  // cannot be this column's: the column is scored as ColumnCoherence
+  // scores it, and the output slice is left alone.
+  OracleCorpus oc;
+  BuildOracleCorpus(5, &oc);
+  CoOccurrenceDelta delta;
+  delta.Build({}, {});
+  const CoherenceOptions opts;
+  size_t checked = 0;
+  for (size_t c = 0; c < oc.columns.size(); ++c) {
+    const std::vector<ValueId> cells = oc.Cells(c);
+    const size_t pairs = SampledPairCount(cells, opts);
+    if (pairs < 3) continue;
+    ++checked;
+    const std::vector<uint32_t> wrong(pairs - 1, 7);
+    std::vector<uint32_t> out(pairs - 1, 9);
+    CoherenceProfile want, got;
+    const double score = ColumnCoherence(oc.full, cells, opts, &want);
+    EXPECT_EQ(Bits(ColumnCoherenceFromCounts(oc.full, delta, cells, opts,
+                                             wrong, out, &got)),
+              Bits(score));
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(out, std::vector<uint32_t>(pairs - 1, 9));
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 // ------------------------------------------ concurrency (TSan leg)
 
 TEST(CoherenceConcurrencyTest, FourThreadsMatchOneThreadBitwise) {
