@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ms {
@@ -20,12 +21,16 @@ struct CompatEdge {
   double w_neg = 0.0;  ///< w-(u, v) in [-1, 0]
 };
 
-/// Sparse undirected graph stored as an edge list plus CSR-style adjacency.
-/// Build once via AddEdge()+Finalize(); adjacency queries after Finalize().
+/// Sparse undirected graph stored as an edge list plus CSR adjacency: one
+/// offsets array and one incident-edge array, filled by a counting pass.
+/// Build via AddEdge()+Finalize(), or adopt a whole edge list at
+/// construction; adjacency queries after Finalize().
 class CompatibilityGraph {
  public:
   explicit CompatibilityGraph(size_t num_vertices = 0)
       : num_vertices_(num_vertices) {}
+  /// Adopts `edges` (each u < v < num_vertices) and finalizes.
+  CompatibilityGraph(size_t num_vertices, std::vector<CompatEdge> edges);
 
   void set_num_vertices(size_t n) { num_vertices_ = n; }
   size_t num_vertices() const { return num_vertices_; }
@@ -39,8 +44,9 @@ class CompatibilityGraph {
 
   const std::vector<CompatEdge>& edges() const { return edges_; }
 
-  /// Indices into edges() incident to vertex v (valid after Finalize()).
-  const std::vector<uint32_t>& IncidentEdges(VertexId v) const;
+  /// Indices into edges() incident to vertex v, ascending (valid after
+  /// Finalize()).
+  std::span<const uint32_t> IncidentEdges(VertexId v) const;
 
   /// The other endpoint of edge e relative to v.
   VertexId Other(const CompatEdge& e, VertexId v) const {
@@ -50,7 +56,9 @@ class CompatibilityGraph {
  private:
   size_t num_vertices_;
   std::vector<CompatEdge> edges_;
-  std::vector<std::vector<uint32_t>> adj_;
+  /// Vertex v's incident edges are incident_[offsets_[v], offsets_[v + 1]).
+  std::vector<size_t> offsets_;
+  std::vector<uint32_t> incident_;
   bool finalized_ = false;
 };
 

@@ -467,21 +467,22 @@ Status DecodeScored(std::string_view payload, size_t num_candidates,
       num_edges > r.remaining() / 24) {  // 24 bytes per encoded edge
     return Status::DataLoss("scored-graph section is malformed");
   }
-  out->graph = CompatibilityGraph(static_cast<size_t>(num_vertices));
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    uint32_t u = r.U32();
-    uint32_t v = r.U32();
-    double w_pos = r.F64();
-    double w_neg = r.F64();
-    if (u >= num_vertices || v >= num_vertices || u == v) {
+  std::vector<CompatEdge> edges(static_cast<size_t>(num_edges));
+  for (CompatEdge& e : edges) {
+    e.u = r.U32();
+    e.v = r.U32();
+    e.w_pos = r.F64();
+    e.w_neg = r.F64();
+    if (e.u >= num_vertices || e.v >= num_vertices || e.u == e.v) {
       return Status::DataLoss("scored-graph section has an invalid edge");
     }
-    out->graph.AddEdge(u, v, w_pos, w_neg);
+    if (e.u > e.v) std::swap(e.u, e.v);
   }
   if (!r.AtEnd()) {
     return Status::DataLoss("scored-graph section has trailing bytes");
   }
-  out->graph.Finalize();
+  out->graph =
+      CompatibilityGraph(static_cast<size_t>(num_vertices), std::move(edges));
   return Status::OK();
 }
 

@@ -60,17 +60,54 @@ bool PopularityGreater::operator()(const SynthesizedMapping& a,
   return cold_key(a) < cold_key(b);
 }
 
+namespace {
+
+/// The curation floor FilterByPopularity and MergeByPopularity apply.
+bool Popular(const SynthesizedMapping& m, size_t min_domains,
+             size_t min_pairs) {
+  return m.num_domains >= min_domains && m.size() >= min_pairs;
+}
+
+}  // namespace
+
 std::vector<SynthesizedMapping> FilterByPopularity(
     std::vector<SynthesizedMapping> mappings, size_t min_domains,
     size_t min_pairs, const std::vector<uint32_t>& order) {
   std::vector<SynthesizedMapping> out;
   out.reserve(mappings.size());
   for (auto& m : mappings) {
-    if (m.num_domains >= min_domains && m.size() >= min_pairs) {
-      out.push_back(std::move(m));
-    }
+    if (Popular(m, min_domains, min_pairs)) out.push_back(std::move(m));
   }
   std::sort(out.begin(), out.end(), PopularityGreater(order));
+  return out;
+}
+
+std::vector<SynthesizedMapping> MergeByPopularity(
+    std::vector<const SynthesizedMapping*> carried,
+    std::vector<SynthesizedMapping> fresh, size_t min_domains,
+    size_t min_pairs, const std::vector<uint32_t>& order) {
+  fresh = FilterByPopularity(std::move(fresh), min_domains, min_pairs, order);
+  std::erase_if(carried, [&](const SynthesizedMapping* m) {
+    return !Popular(*m, min_domains, min_pairs);
+  });
+  const PopularityGreater rank(order);
+  const auto rank_ptr = [&](const SynthesizedMapping* a,
+                            const SynthesizedMapping* b) {
+    return rank(*a, *b);
+  };
+  if (!std::is_sorted(carried.begin(), carried.end(), rank_ptr)) {
+    std::sort(carried.begin(), carried.end(), rank_ptr);
+  }
+  std::vector<SynthesizedMapping> out;
+  out.reserve(carried.size() + fresh.size());
+  size_t fi = 0;
+  for (const SynthesizedMapping* m : carried) {
+    while (fi < fresh.size() && rank(fresh[fi], *m)) {
+      out.push_back(std::move(fresh[fi++]));
+    }
+    out.push_back(*m);
+  }
+  while (fi < fresh.size()) out.push_back(std::move(fresh[fi++]));
   return out;
 }
 

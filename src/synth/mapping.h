@@ -51,7 +51,7 @@ SynthesizedMapping BuildMapping(const std::vector<const BinaryTable*>& tables,
                                 const std::vector<size_t>& kept);
 
 /// The output order of a family's mappings, the one comparator both
-/// FilterByPopularity and the incremental merge sort by: domains desc, size
+/// FilterByPopularity and MergeByPopularity rank by: domains desc, size
 /// desc, then the cold order of each mapping's first member, (order[id],
 /// id) with `order` the family's ScoredGraph::order (empty: id order).
 /// Members are listed in cold order and no candidate belongs to two
@@ -75,5 +75,16 @@ class PopularityGreater {
 std::vector<SynthesizedMapping> FilterByPopularity(
     std::vector<SynthesizedMapping> mappings, size_t min_domains,
     size_t min_pairs, const std::vector<uint32_t>& order = {});
+
+/// FilterByPopularity over `fresh` and copies of `carried`: mappings that
+/// an earlier result holds, normally already in rank order under the same
+/// `order`. The carried run is filtered and checked in one pass, sorted
+/// only when it is out of order (ranked under an older tie rule), and
+/// merged with the ranked fresh mappings. The order is total, so the result
+/// equals FilterByPopularity over both.
+std::vector<SynthesizedMapping> MergeByPopularity(
+    std::vector<const SynthesizedMapping*> carried,
+    std::vector<SynthesizedMapping> fresh, size_t min_domains,
+    size_t min_pairs, const std::vector<uint32_t>& order);
 
 }  // namespace ms

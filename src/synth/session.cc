@@ -4,10 +4,9 @@
 #include <atomic>
 #include <iterator>
 #include <mutex>
-#include <numeric>
 #include <optional>
+#include <span>
 #include <type_traits>
-#include <unordered_map>
 
 #include "common/hashing.h"
 #include "common/logging.h"
@@ -98,59 +97,87 @@ namespace {
 /// and ColdOrder); an empty `order` is id order, which ascending member
 /// lists already follow.
 void SortColdOrder(const std::vector<uint32_t>& order,
-                   std::vector<VertexId>* members) {
+                   std::span<VertexId> members) {
   if (order.empty()) return;
-  std::sort(members->begin(), members->end(), [&](VertexId x, VertexId y) {
+  std::sort(members.begin(), members.end(), [&](VertexId x, VertexId y) {
     return std::tie(order[x], x) < std::tie(order[y], y);
   });
 }
 
-/// The vertex groups Algorithm 3 runs on, members in cold order (`order`,
-/// see SortColdOrder): the positive components (Appendix F
-/// divide-and-conquer) or, without it, one group holding every vertex.
-/// `comp` receives each vertex's group index.
-std::vector<std::vector<VertexId>> PartitionScopes(
-    const CompatibilityGraph& graph, const SynthesisOptions& options,
-    const std::vector<uint32_t>& order, std::vector<uint32_t>* comp) {
-  std::vector<std::vector<VertexId>> groups;
+/// Vertex groups in one flat array: group g's members are
+/// members[offsets[g], offsets[g + 1]).
+struct Scopes {
+  std::vector<uint32_t> offsets{0};
+  std::vector<VertexId> members;
+
+  size_t size() const { return offsets.size() - 1; }
+  std::span<const VertexId> operator[](size_t g) const {
+    return {members.data() + offsets[g], offsets[g + 1] - offsets[g]};
+  }
+};
+
+/// The vertex groups Algorithm 3 runs on: the positive components
+/// (Appendix F divide-and-conquer) or, without it, one group holding every
+/// vertex. `comp` receives each vertex's group index. Members are taken in
+/// cold order (`order`, see SortColdOrder).
+Scopes PartitionScopes(const CompatibilityGraph& graph,
+                       const SynthesisOptions& options,
+                       const std::vector<uint32_t>& order,
+                       std::vector<uint32_t>* comp) {
+  const size_t n = graph.num_vertices();
   if (options.divide_and_conquer) {
     *comp = ConnectedComponentsBfs(graph, options.partitioner.theta_edge);
-    groups = GroupByComponent(*comp);
   } else {
-    comp->assign(graph.num_vertices(), 0);
-    if (graph.num_vertices() == 0) return {};
-    groups.emplace_back(graph.num_vertices());
-    std::iota(groups[0].begin(), groups[0].end(), VertexId{0});
+    comp->assign(n, 0);
   }
-  for (auto& members : groups) SortColdOrder(order, &members);
-  return groups;
+  // Counting sort by group: count sizes, turn them into each group's end,
+  // then place vertices from the last id down, moving each end to its
+  // group's start, so every group comes out ascending.
+  Scopes scopes;
+  for (uint32_t c : *comp) {
+    if (c >= scopes.size()) scopes.offsets.resize(c + 2, 0);
+    ++scopes.offsets[c];
+  }
+  uint32_t end = 0;
+  for (uint32_t& o : scopes.offsets) o = end += o;
+  scopes.members.resize(n);
+  for (size_t v = n; v-- > 0;) {
+    scopes.members[--scopes.offsets[(*comp)[v]]] = static_cast<VertexId>(v);
+  }
+  for (size_t g = 0; !order.empty() && g < scopes.size(); ++g) {
+    SortColdOrder(order, {scopes.members.data() + scopes.offsets[g],
+                          scopes.members.data() + scopes.offsets[g + 1]});
+  }
+  return scopes;
 }
 
-/// Algorithm 3 per scope (see PartitionScopes): each of `components` is
+/// Algorithm 3 per scope: each of `scopes[g]` for g in `redo` is
 /// partitioned on its component-local subgraph, with members in the order
 /// given — the greedy tie-breaks on local index, so that order is part of
-/// the result. `comp` maps every vertex to its scope, which filters
-/// out cross-component edges (positive weight below θ_edge). New partition
-/// ids are drawn from `partition->num_partitions` upward; vertices outside
-/// `components` keep whatever `partition->partition_of` already holds.
+/// the result. `comp` maps every vertex to its scope, which filters out
+/// cross-component edges (positive weight below θ_edge). New partition ids
+/// are drawn from `partition->num_partitions` upward; vertices outside the
+/// redone scopes keep whatever `partition->partition_of` already holds.
 void PartitionComponents(const CompatibilityGraph& graph,
                          const std::vector<uint32_t>& comp,
-                         const std::vector<std::vector<VertexId>>& components,
+                         const Scopes& scopes,
+                         const std::vector<uint32_t>& redo,
                          const PartitionerOptions& options,
                          ThreadPool* threads, PartitionResult* partition) {
   // One global vertex -> component-local-index table, filled in a single
-  // O(V) pass: component member lists are disjoint, so per-component O(V)
+  // pass over the redone members: scopes are disjoint, so per-scope O(V)
   // scratch vectors would cost O(V·C) total.
   std::vector<uint32_t> local_of(graph.num_vertices(), 0);
-  for (const auto& members : components) {
+  for (uint32_t g : redo) {
+    const std::span<const VertexId> members = scopes[g];
     for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
   }
   partition->partition_of.resize(graph.num_vertices(), 0);
   std::atomic<uint32_t> next_partition{
       static_cast<uint32_t>(partition->num_partitions)};
   std::mutex mu;
-  threads->ParallelFor(components.size(), [&](size_t k) {
-    const auto& members = components[k];
+  threads->ParallelFor(redo.size(), [&](size_t k) {
+    const std::span<const VertexId> members = scopes[redo[k]];
     if (members.size() == 1) {
       partition->partition_of[members[0]] = next_partition.fetch_add(1);
       return;
@@ -239,6 +266,14 @@ obs::Histogram* StageHistogram(const char* stage) {
 obs::Histogram* MutationStepHistogram(const char* step) {
   return obs::MetricsRegistry::Global().GetHistogram(
       "ms_synth_mutation_step_us", {{"step", step}});
+}
+
+/// One histogram per timed part of a mutation step, labelled
+/// `ms_synth_mutation_substep_us{substep="<step>.<part>"}`; recorded only
+/// when the step runs over a base, and cached like StageHistogram's.
+obs::Histogram* MutationSubstepHistogram(const char* substep) {
+  return obs::MetricsRegistry::Global().GetHistogram(
+      "ms_synth_mutation_substep_us", {{"substep", substep}});
 }
 
 /// Feeds the live coherence counters once per extraction pass, cold or
@@ -493,7 +528,7 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
   return out;
 }
 
-CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
+std::vector<CompatEdge> SynthesisSession::ScoreThroughSessionMatchers(
     const std::vector<BinaryTable>& tables, const StringPool& pool,
     const std::vector<CandidateTablePair>& pairs, ScoringStats* scoring) {
   const CompatibilityOptions eff = EffectiveCompat();
@@ -599,14 +634,15 @@ CompatibilityGraph SynthesisSession::ScoreThroughSessionMatchers(
                          run.matcher.myers_blocked_calls);
   charmask_rejects_total->Add(run.matcher.charmask_rejects);
   scoring->Add(run);
-  CompatibilityGraph graph(tables.size());
+  std::vector<CompatEdge> edges;
+  edges.reserve(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
     if (scores[i].w_pos > 0.0 || scores[i].w_neg < 0.0) {
-      graph.AddEdge(pairs[i].a, pairs[i].b, scores[i].w_pos, scores[i].w_neg);
+      edges.push_back(
+          {pairs[i].a, pairs[i].b, scores[i].w_pos, scores[i].w_neg});
     }
   }
-  graph.Finalize();
-  return graph;
+  return edges;
 }
 
 Result<ScoredGraph> SynthesisSession::ScorePairs(
@@ -735,6 +771,8 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   static obs::Gauge* const cache_bytes =
       obs::MetricsRegistry::Global().GetGauge(
           "ms_synth_coherence_cache_bytes");
+  static obs::Histogram* const merge_us =
+      MutationSubstepHistogram("extract.merge");
   const CandidateSet none;
   const CandidateSet& b = base != nullptr ? *base : none;
   const std::vector<BinaryTable>& base_tables = b.tables();
@@ -805,6 +843,10 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   // Retired candidates keep their id and provenance but lose their pairs —
   // downstream they have the footprint of a candidate that was never
   // extracted.
+  std::optional<obs::TraceSpan> substep;
+  if (base != nullptr) {
+    substep.emplace("synth.mutation.extract.merge", merge_us);
+  }
   CandidateSet out;
   out.owned.reserve(base_tables.size() + delta.candidates.size());
   out.owned.assign(base_tables.begin(), base_tables.end());
@@ -844,6 +886,7 @@ CandidateSet SynthesisSession::ExtractStep(const TableCorpus& corpus,
   out.stats.extract_seconds += extract_seconds;
   AddExtractionStats(&out.stats.extraction, delta.stats);
   out.stats.candidates = out.num_live();
+  substep.reset();
   Stamp(&out, NextArtifactId(), this);
   return out;
 }
@@ -887,11 +930,16 @@ BlockedPairs SynthesisSession::BlockStep(const CandidateSet& candidates,
   if (base == nullptr) {
     out.pairs = std::move(counted);  // every pair is fresh
   } else {
+    static obs::Histogram* const splice_us =
+        MutationSubstepHistogram("block.splice");
     std::vector<uint8_t> changed(tables.size(), patch ? 0 : 1);
     for (uint32_t id : rows) changed[id] = 1;
     Timer splice;
-    out.pairs =
-        SpliceChangedRows(base->pairs, changed, counted, &d->fresh_pairs);
+    {
+      obs::TraceSpan substep("synth.mutation.block.splice", splice_us);
+      out.pairs =
+          SpliceChangedRows(base->pairs, changed, counted, &d->fresh_pairs);
+    }
     bstats.reduce_seconds = splice.ElapsedSeconds();
     // Phase timings accumulate over the family, like blocking_seconds.
     bstats.map_shuffle_seconds += base->blocking.map_shuffle_seconds;
@@ -913,39 +961,47 @@ BlockedPairs SynthesisSession::BlockStep(const CandidateSet& candidates,
 ScoredGraph SynthesisSession::ScoreStep(const CandidateSet& candidates,
                                         const BlockedPairs& blocked,
                                         const ScoredGraph* base, Delta* d) {
+  static obs::Histogram* const delta_us =
+      MutationSubstepHistogram("score.delta");
+  static obs::Histogram* const splice_us =
+      MutationSubstepHistogram("score.splice");
   Timer timer;
   ScoredGraph out;
   ScoringStats scoring;
-  CompatibilityGraph fresh = ScoreThroughSessionMatchers(
+  const size_t num_vertices = candidates.tables().size();
+  std::optional<obs::TraceSpan> substep;
+  if (base != nullptr) substep.emplace("synth.mutation.score.delta", delta_us);
+  std::vector<CompatEdge> fresh = ScoreThroughSessionMatchers(
       candidates.tables(), *candidates.pool,
       base != nullptr ? d->fresh_pairs : blocked.pairs, &scoring);
-  d->stats.delta_edges = fresh.num_edges();
+  d->stats.delta_edges = fresh.size();
   if (base == nullptr) {
-    out.graph = std::move(fresh);
+    out.graph = CompatibilityGraph(num_vertices, std::move(fresh));
   } else {
     // Splice: both edge lists are sorted by (u, v) — blocking emits pairs
-    // sorted and scoring adds edges in pair order — so the merged list is
-    // exactly what one cold scoring pass over the merged pairs would have
-    // built. A base edge stays iff its pair still survives blocking (a
-    // retired candidate loses every pair; a displaced posting can cost an
-    // old pair its overlap) and is then reused verbatim: weights depend only
-    // on the two candidates' contents, which are unchanged. Both endpoints
-    // of every dropped base edge are marked dirty for the partition step,
-    // and so are those of every fresh edge between two base candidates: a
-    // resurrected old-old pair can link two scopes that hold no new
-    // candidate. A fresh edge that touches a new candidate needs no marking
-    // (new candidates are dirty anyway), and an edge into another scope
-    // lies below θ_edge, so it leaves that scope's subgraph as it was.
-    const size_t num_vertices = candidates.tables().size();
+    // sorted and scoring keeps pair order — so the merged list is exactly
+    // what one cold scoring pass over the merged pairs would have built,
+    // and the graph adopts it whole. A base edge stays iff its pair still
+    // survives blocking (a retired candidate loses every pair; a displaced
+    // posting can cost an old pair its overlap) and is then reused
+    // verbatim: weights depend only on the two candidates' contents, which
+    // are unchanged. Both endpoints of every dropped base edge are marked
+    // dirty for the partition step, and so are those of every fresh edge
+    // between two base candidates: a resurrected old-old pair can link two
+    // scopes that hold no new candidate. A fresh edge that touches a new
+    // candidate needs no marking (new candidates are dirty anyway), and an
+    // edge into another scope lies below θ_edge, so it leaves that scope's
+    // subgraph as it was.
+    substep.emplace("synth.mutation.score.splice", splice_us);
     d->dirty.assign(num_vertices, 0);
     const auto mark_endpoints = [&](const CompatEdge& e) {
       d->dirty[e.u] = 1;
       d->dirty[e.v] = 1;
     };
-    CompatibilityGraph merged(num_vertices);
     const auto& be = base->graph.edges();
-    const auto& fe = fresh.edges();
     const auto& kept = blocked.pairs;
+    std::vector<CompatEdge> merged;
+    merged.reserve(be.size() + fresh.size());
     size_t bi = 0, fi = 0, ki = 0;
     const auto base_survives = [&](const CompatEdge& e) {
       while (ki < kept.size() &&
@@ -954,24 +1010,24 @@ ScoredGraph SynthesisSession::ScoreStep(const CandidateSet& candidates,
       }
       return ki < kept.size() && kept[ki].a == e.u && kept[ki].b == e.v;
     };
-    while (bi < be.size() || fi < fe.size()) {
+    while (bi < be.size() || fi < fresh.size()) {
       if (bi < be.size() && !base_survives(be[bi])) {
         mark_endpoints(be[bi++]);
         continue;
       }
       const bool take_base =
-          fi >= fe.size() ||
+          fi >= fresh.size() ||
           (bi < be.size() &&
-           std::tie(be[bi].u, be[bi].v) < std::tie(fe[fi].u, fe[fi].v));
-      const CompatEdge& e = take_base ? be[bi++] : fe[fi++];
+           std::tie(be[bi].u, be[bi].v) < std::tie(fresh[fi].u, fresh[fi].v));
+      const CompatEdge& e = take_base ? be[bi++] : fresh[fi++];
       if (!take_base && e.u < d->first_new_id && e.v < d->first_new_id) {
         mark_endpoints(e);
       }
-      merged.AddEdge(e.u, e.v, e.w_pos, e.w_neg);
+      merged.push_back(e);
     }
-    merged.Finalize();
-    out.graph = std::move(merged);
+    out.graph = CompatibilityGraph(num_vertices, std::move(merged));
   }
+  substep.reset();
   out.order = ColdOrder(candidates);
   out.stats = blocked.stats;  // blocking never fills scoring
   if (base != nullptr) out.stats.scoring = base->stats.scoring;
@@ -995,44 +1051,53 @@ Partitions SynthesisSession::PartitionStep(const ScoredGraph& sg,
   // identical to the base run's; carry it. (If a dropped edge split a base
   // component, every resulting piece holds one of its endpoints, so all
   // pieces are re-partitioned.) Without a base every scope is new.
+  static obs::Histogram* const scopes_us =
+      MutationSubstepHistogram("partition.scopes");
   Timer timer;
   const CompatibilityGraph& graph = sg.graph;
   const size_t num_vertices = graph.num_vertices();
+  std::optional<obs::TraceSpan> substep;
+  if (base != nullptr) {
+    substep.emplace("synth.mutation.partition.scopes", scopes_us);
+  }
   std::vector<uint8_t>& dirty = d->dirty;
   dirty.resize(num_vertices, 0);
   for (size_t v = d->first_new_id; v < num_vertices; ++v) dirty[v] = 1;
   for (size_t v = 0; v < d->retired.size(); ++v) dirty[v] |= d->retired[v];
-  std::vector<std::vector<VertexId>> scopes =
-      PartitionScopes(graph, options_, sg.order, &d->comp);
+  const Scopes scopes = PartitionScopes(graph, options_, sg.order, &d->comp);
   const size_t num_scopes = scopes.size();
   d->comp_dirty.assign(num_scopes, 0);
-  // Clean scopes carry the base partitioning, renumbered densely; the
-  // dirty ones draw fresh ids after them.
+  // Clean scopes carry the base partitioning, renumbered densely in scope
+  // order; the dirty ones draw fresh ids after them.
   PartitionResult partition;
   partition.partition_of.assign(num_vertices, 0);
-  std::unordered_map<uint32_t, uint32_t> remap;
-  std::vector<std::vector<VertexId>> redo;
-  for (size_t g = 0; g < num_scopes; ++g) {
-    std::vector<VertexId>& members = scopes[g];
+  std::vector<uint32_t> remap(
+      base != nullptr ? base->partition.num_partitions : 0, UINT32_MAX);
+  uint32_t carried = 0;
+  std::vector<uint32_t> redo;
+  for (uint32_t g = 0; g < num_scopes; ++g) {
+    const std::span<const VertexId> members = scopes[g];
     d->comp_dirty[g] =
         base == nullptr || std::any_of(members.begin(), members.end(),
                                        [&](VertexId v) { return dirty[v]; });
     if (d->comp_dirty[g]) {
-      redo.push_back(std::move(members));
+      redo.push_back(g);
       continue;
     }
     for (VertexId v : members) {
-      const auto [it, inserted] = remap.emplace(
-          base->partition.partition_of[v], static_cast<uint32_t>(remap.size()));
-      partition.partition_of[v] = it->second;
+      const uint32_t was = base->partition.partition_of[v];
+      if (was >= remap.size()) remap.resize(was + 1, UINT32_MAX);
+      if (remap[was] == UINT32_MAX) remap[was] = carried++;
+      partition.partition_of[v] = remap[was];
     }
   }
-  d->fresh_partitions = static_cast<uint32_t>(remap.size());
+  substep.reset();
+  d->fresh_partitions = carried;
   // merges_performed covers only re-partitioned scopes: the base artifact
   // stores a whole-run total that cannot be decomposed per clean scope, so
   // after a mutation this informational counter reports its own work.
-  partition.num_partitions = remap.size();
-  PartitionComponents(graph, d->comp, redo, options_.partitioner,
+  partition.num_partitions = carried;
+  PartitionComponents(graph, d->comp, scopes, redo, options_.partitioner,
                       threads_.get(), &partition);
   d->stats.dirty_components = redo.size();
   d->stats.clean_components = num_scopes - redo.size();
@@ -1075,25 +1140,37 @@ SynthesisResult SynthesisSession::ResolveStep(const CandidateSet& candidates,
     }
   }
   std::erase_if(groups, [](const auto& g) { return g.empty(); });
-  for (auto& members : groups) SortColdOrder(graph.order, &members);
-  std::vector<SynthesizedMapping> mappings =
+  for (auto& members : groups) SortColdOrder(graph.order, members);
+  std::vector<SynthesizedMapping> fresh =
       ResolveGroups(candidates.tables(), groups, options_,
                     EffectiveConflict(), threads_.get());
   // Mappings of clean scopes carry over verbatim: their partitions,
-  // members and conflict sets are untouched.
+  // members and conflict sets are untouched. They already sit in rank
+  // order: the order is total, and each one's first member is a live base
+  // candidate whose (source table, id) key ranks alike under the base's
+  // order and this graph's. So they merge with the ranked fresh mappings in
+  // one pass, and pass the curation filter again (its floors may have
+  // moved since the base ran).
+  static obs::Histogram* const merge_us =
+      MutationSubstepHistogram("resolve.merge");
+  std::optional<obs::TraceSpan> substep;
+  std::vector<const SynthesizedMapping*> carried;
   if (base != nullptr) {
+    substep.emplace("synth.mutation.resolve.merge", merge_us);
     for (const SynthesizedMapping& m : base->mappings) {
       if (m.member_tables.empty() ||
           d->comp_dirty[d->comp[m.member_tables[0]]]) {
         continue;
       }
-      mappings.push_back(m);
+      carried.push_back(&m);
       ++d->stats.carried_mappings;
     }
   }
   SynthesisResult out;
-  out.mappings = FilterByPopularity(std::move(mappings), options_.min_domains,
-                                    options_.min_pairs, graph.order);
+  out.mappings =
+      MergeByPopularity(std::move(carried), std::move(fresh),
+                        options_.min_domains, options_.min_pairs, graph.order);
+  substep.reset();
   out.stats = partitions.stats;
   out.stats.resolve_seconds =
       (base != nullptr ? base->stats.resolve_seconds : 0.0) +

@@ -582,9 +582,10 @@ class SynthesisSession {
   ConflictResolutionOptions EffectiveConflict();
   uint64_t NextArtifactId() { return next_artifact_id_++; }
   /// Scores `pairs` over `tables` through the session's persistent
-  /// per-worker matchers (building/warming them as needed) into a finalized
-  /// graph; the score step's, so cold runs and mutations score alike.
-  CompatibilityGraph ScoreThroughSessionMatchers(
+  /// per-worker matchers (building/warming them as needed) into the edges
+  /// of the pairs that scored, in pair order; the score step's, so cold
+  /// runs and mutations score alike.
+  std::vector<CompatEdge> ScoreThroughSessionMatchers(
       const std::vector<BinaryTable>& tables, const StringPool& pool,
       const std::vector<CandidateTablePair>& pairs, ScoringStats* scoring);
   Status CheckSameSession(const char* stage, const void* session) const;

@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -600,6 +601,11 @@ TEST(IncrementalDifferentialTest, RandomAppendSchedulesMatchColdRebuild) {
     }
     EXPECT_EQ(Canonical(cold.result, cold_corpus.pool()),
               Canonical(inc.result, inc_corpus.pool()));
+    // The merged ranking too: after a minority flip the family's cold order
+    // is no longer its id order, and carried and fresh mappings must still
+    // interleave as the cold rebuild ranks them.
+    EXPECT_EQ(InOrder(cold.result, cold_corpus.pool()),
+              InOrder(inc.result, inc_corpus.pool()));
     ASSERT_FALSE(HasFailure());
   }
   // The suite must exercise the delta fast path, not just the fallback,
@@ -1757,6 +1763,216 @@ TEST(IncrementalApiTest, MutationStepsRecordOneSpanEach) {
                                     f.scored, f.partitions, f.result);
   ASSERT_TRUE(empty.ok()) << empty.status().ToString();
   ExpectOneMutationOfSpans(before, SpanCounts::Take(), true);
+}
+
+/// The parts of a mutation step timed under
+/// ms_synth_mutation_substep_us, each with its parent step, and how often
+/// each was recorded and for how long at one moment.
+struct SubstepCounts {
+  static constexpr const char* kSubsteps[][2] = {
+      {"extract.merge", "extract"},      {"block.splice", "block"},
+      {"score.delta", "score"},          {"score.splice", "score"},
+      {"partition.scopes", "partition"}, {"resolve.merge", "resolve"}};
+  uint64_t count[6] = {};
+  uint64_t us[6] = {};
+  uint64_t step_us[6] = {};  ///< the parent step's sum, per substep
+
+  static SubstepCounts Take() {
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+    SubstepCounts c;
+    for (size_t i = 0; i < 6; ++i) {
+      const obs::HistogramSnapshot s =
+          reg.GetHistogram("ms_synth_mutation_substep_us",
+                           {{"substep", kSubsteps[i][0]}})
+              ->Snapshot();
+      c.count[i] = s.TotalCount();
+      c.us[i] = s.sum;
+      c.step_us[i] = reg.GetHistogram("ms_synth_mutation_step_us",
+                                      {{"step", kSubsteps[i][1]}})
+                         ->Snapshot()
+                         .sum;
+    }
+    return c;
+  }
+};
+
+/// Between `before` and `after`, every substep was recorded `times` times,
+/// and the substeps of each step took no longer than the step.
+void ExpectSubsteps(const SubstepCounts& before, const SubstepCounts& after,
+                    uint64_t times) {
+  std::map<std::string, std::pair<uint64_t, uint64_t>> per_step;
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(after.count[i], before.count[i] + times)
+        << "ms_synth_mutation_substep_us{substep="
+        << SubstepCounts::kSubsteps[i][0] << "}";
+    auto& [substeps_us, step_us] = per_step[SubstepCounts::kSubsteps[i][1]];
+    substeps_us += after.us[i] - before.us[i];
+    step_us = after.step_us[i] - before.step_us[i];
+  }
+  for (const auto& [step, sums] : per_step) {
+    EXPECT_LE(sums.first, sums.second) << "substeps of step " << step;
+  }
+}
+
+TEST(IncrementalApiTest, MutationSubstepsRecordOnceInsideTheirStep) {
+  // A mutation on the delta path times the parts of its steps that splice
+  // the family (candidate merge, pair splice, delta scoring, edge splice,
+  // scopes, mapping merge) once each, inside their step. Cold stages and an
+  // empty mutation record none.
+  Rng rng(31);
+  auto specs = RandomCorpusSpec(rng, 28);
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 20);
+  SynthesisSession session(BaseOptions());
+  SubstepCounts before = SubstepCounts::Take();
+  Family f = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ExpectSubsteps(before, SubstepCounts::Take(), 0);
+  const auto adopt = [&f](AppendedArtifacts a) {
+    EXPECT_FALSE(a.append.full_rebuild);
+    f = Family{std::move(a.candidates), std::move(a.blocked),
+               std::move(a.scored), std::move(a.partitions),
+               std::move(a.result)};
+  };
+
+  TableCorpus delta;
+  AddSpecs(&delta, specs, 20, 24);
+  before = SubstepCounts::Take();
+  auto appended = session.AppendCorpus(&corpus, delta, f.candidates,
+                                       f.blocked, f.scored, f.partitions,
+                                       f.result);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  ExpectSubsteps(before, SubstepCounts::Take(), 1);
+  adopt(std::move(appended).value());
+
+  before = SubstepCounts::Take();
+  auto removed = session.RemoveTables(&corpus, {3, 11}, f.candidates,
+                                      f.blocked, f.scored, f.partitions,
+                                      f.result);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  ExpectSubsteps(before, SubstepCounts::Take(), 1);
+  adopt(std::move(removed).value());
+
+  TableCorpus more;
+  AddSpecs(&more, specs, 24, 28);
+  before = SubstepCounts::Take();
+  auto replaced = session.ReplaceTables(&corpus, {6}, more, f.candidates,
+                                        f.blocked, f.scored, f.partitions,
+                                        f.result);
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
+  ExpectSubsteps(before, SubstepCounts::Take(), 1);
+  adopt(std::move(replaced).value());
+
+  before = SubstepCounts::Take();
+  auto empty = session.RemoveTables(&corpus, {}, f.candidates, f.blocked,
+                                    f.scored, f.partitions, f.result);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  ExpectSubsteps(before, SubstepCounts::Take(), 0);
+}
+
+// ------------------------------------------------- ranking carried mappings
+
+/// Adds `tables` two-column tables over island `name`'s own vocabulary,
+/// each from its own domain: rows "<name> entity i" -> "<name> code
+/// (i mod 3)", so only the left-to-right direction is a candidate. Tables
+/// of one island are identical and merge into one mapping; islands share
+/// no value, so no pair is blocked across them.
+void AddIsland(TableCorpus* corpus, const std::string& name, size_t tables,
+               size_t rows) {
+  std::vector<std::string> lefts, rights;
+  for (size_t i = 0; i < rows; ++i) {
+    lefts.push_back(name + " entity " + std::to_string(i));
+    rights.push_back(name + " code " + std::to_string(i % 3));
+  }
+  for (size_t t = 0; t < tables; ++t) {
+    corpus->AddFromStrings(name + std::to_string(t) + ".example",
+                           TableSource::kWeb, {"entity", "code"},
+                           {lefts, rights});
+  }
+}
+
+SynthesisOptions IslandOptions() {
+  SynthesisOptions o = BaseOptions();
+  o.extraction.coherence_threshold = -1.0;  // every column passes
+  return o;
+}
+
+TEST(IncrementalRankTest, OutOfOrderCarriedMappingsAreRankedAfresh) {
+  // Islands alpha and bravo give two mappings that tie on (domains, size),
+  // so only their first members order them, alpha first. A base result
+  // that lists them swapped (ranked under an older tie rule, or by a
+  // caller) carries both through an append that touches neither, and the
+  // mutation must still rank them as a cold rebuild does.
+  const SynthesisOptions o = IslandOptions();
+  TableCorpus corpus;
+  AddIsland(&corpus, "alpha", 2, 6);
+  AddIsland(&corpus, "bravo", 2, 6);
+  SynthesisSession session(o);
+  Family f = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(f.result.mappings.size(), 2u);
+  const SynthesizedMapping& first = f.result.mappings[0];
+  const SynthesizedMapping& second = f.result.mappings[1];
+  ASSERT_EQ(first.num_domains, second.num_domains);
+  ASSERT_EQ(first.size(), second.size());
+  ASSERT_LT(first.member_tables[0], second.member_tables[0]);
+  std::swap(f.result.mappings[0], f.result.mappings[1]);
+
+  // Charlie ranks first (more pairs), so the merge interleaves.
+  TableCorpus delta;
+  AddIsland(&delta, "charlie", 2, 7);
+  auto grown = session.AppendCorpus(&corpus, delta, f.candidates, f.blocked,
+                                    f.scored, f.partitions, f.result);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_FALSE(grown.value().append.full_rebuild);
+  EXPECT_EQ(grown.value().append.carried_mappings, 2u);
+
+  TableCorpus cold_corpus;
+  AddIsland(&cold_corpus, "alpha", 2, 6);
+  AddIsland(&cold_corpus, "bravo", 2, 6);
+  AddIsland(&cold_corpus, "charlie", 2, 7);
+  SynthesisSession cold_session(o);
+  const Family cold = ColdChain(&cold_session, cold_corpus);
+  ASSERT_EQ(cold.result.mappings.size(), 3u);
+  EXPECT_EQ(InOrder(cold.result, cold_corpus.pool()),
+            InOrder(grown.value().result, corpus.pool()));
+}
+
+TEST(IncrementalRankTest, RaisedMinPairsDropsCarriedMappings) {
+  // The curation floor applies to carried mappings too: raising min_pairs
+  // between two generations drops the carried mappings below it, exactly
+  // as a cold rebuild under the new floor keeps none of them.
+  SynthesisOptions o = IslandOptions();
+  TableCorpus corpus;
+  AddIsland(&corpus, "alpha", 2, 6);
+  AddIsland(&corpus, "bravo", 2, 4);
+  SynthesisSession session(o);
+  Family f = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(f.result.mappings.size(), 2u);
+
+  o.min_pairs = 5;
+  ASSERT_TRUE(session.UpdateOptions(o).ok());
+  TableCorpus delta;
+  AddIsland(&delta, "charlie", 2, 6);
+  auto grown = session.AppendCorpus(&corpus, delta, f.candidates, f.blocked,
+                                    f.scored, f.partitions, f.result);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_FALSE(grown.value().append.full_rebuild);
+  EXPECT_EQ(grown.value().append.carried_mappings, 2u);
+  ASSERT_EQ(grown.value().result.mappings.size(), 2u);
+  for (const SynthesizedMapping& m : grown.value().result.mappings) {
+    EXPECT_GE(m.size(), 5u);
+  }
+
+  TableCorpus cold_corpus;
+  AddIsland(&cold_corpus, "alpha", 2, 6);
+  AddIsland(&cold_corpus, "bravo", 2, 4);
+  AddIsland(&cold_corpus, "charlie", 2, 6);
+  SynthesisSession cold_session(o);
+  const Family cold = ColdChain(&cold_session, cold_corpus);
+  EXPECT_EQ(InOrder(cold.result, cold_corpus.pool()),
+            InOrder(grown.value().result, corpus.pool()));
 }
 
 TEST(IncrementalApiTest, AppendFromGrowingCorpusStartsEmpty) {

@@ -2,7 +2,9 @@
 // container, and connected components (BFS vs Hash-to-Min equivalence).
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +176,79 @@ TEST(CompatibilityGraphTest, EdgeStorageAndAdjacency) {
   EXPECT_EQ(g.edges()[1].u, 1u);
   EXPECT_EQ(g.edges()[1].v, 2u);
   EXPECT_EQ(g.Other(g.edges()[1], 1), 2u);
+}
+
+TEST(CompatibilityGraphTest, CsrListsIncidentEdgesInIndexOrder) {
+  // Random graphs of 0-300 vertices with isolated vertices, a hub and an
+  // edge on the last vertex: every vertex's CSR list is the ascending-index
+  // scan of edges(), also for a graph that adopted the same edge list.
+  const auto naive = [](const CompatibilityGraph& g, VertexId v) {
+    std::vector<uint32_t> out;
+    for (uint32_t e = 0; e < g.num_edges(); ++e) {
+      if (g.edges()[e].u == v || g.edges()[e].v == v) out.push_back(e);
+    }
+    return out;
+  };
+  const auto listed = [](const CompatibilityGraph& g, VertexId v) {
+    const std::span<const uint32_t> s = g.IncidentEdges(v);
+    return std::vector<uint32_t>(s.begin(), s.end());
+  };
+  const auto expect_csr = [&](const CompatibilityGraph& g) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(listed(g, v), naive(g, v)) << "vertex " << v;
+    }
+  };
+  Rng rng(20261020);
+  for (size_t iter = 0; iter < 60; ++iter) {
+    const size_t n = iter < 2 ? iter : rng.Uniform(301);
+    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n));
+    CompatibilityGraph g(n);
+    if (n >= 2) {
+      // About a fifth of the vertices stay isolated; the hub and the last
+      // vertex never do.
+      const VertexId hub = static_cast<VertexId>(rng.Uniform(n - 1));
+      const VertexId last = static_cast<VertexId>(n - 1);
+      std::vector<VertexId> linked;
+      for (VertexId v = 0; v < n; ++v) {
+        if (v == hub || v == last || !rng.Bernoulli(0.2)) linked.push_back(v);
+      }
+      const auto draw = [&] { return linked[rng.Uniform(linked.size())]; };
+      const size_t m = rng.Uniform(3 * n);
+      for (size_t e = 0; e < m; ++e) {
+        const VertexId u = rng.Bernoulli(0.3) ? hub : draw();
+        const VertexId v = draw();
+        if (u != v) g.AddEdge(u, v, rng.UniformDouble(), -rng.UniformDouble());
+      }
+      g.AddEdge(last, hub, 0.5, 0.0);
+    }
+    g.Finalize();
+    expect_csr(g);
+    if (n >= 2) {
+      EXPECT_FALSE(g.IncidentEdges(VertexId(n - 1)).empty());
+    }
+
+    // A second Finalize changes nothing.
+    std::vector<std::vector<uint32_t>> lists;
+    for (VertexId v = 0; v < n; ++v) lists.push_back(listed(g, v));
+    g.Finalize();
+    for (VertexId v = 0; v < n; ++v) EXPECT_EQ(listed(g, v), lists[v]);
+
+    expect_csr(CompatibilityGraph(n, g.edges()));
+
+    // An edge added after Finalize is listed after the next one.
+    if (n >= 2) {
+      const VertexId u = static_cast<VertexId>(rng.Uniform(n));
+      const VertexId v =
+          static_cast<VertexId>((u + 1 + rng.Uniform(n - 1)) % n);
+      g.AddEdge(u, v, 0.25, 0.0);
+      g.Finalize();
+      expect_csr(g);
+      const uint32_t added = static_cast<uint32_t>(g.num_edges() - 1);
+      EXPECT_EQ(listed(g, u).back(), added);
+      EXPECT_EQ(listed(g, v).back(), added);
+    }
+    if (HasFailure()) return;
+  }
 }
 
 // ----------------------------------------------------------- Components

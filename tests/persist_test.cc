@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -364,6 +365,17 @@ TEST(SessionSnapshotTest, RoundTripRestoresArtifactsAndResolvesIdentically) {
     EXPECT_EQ(std::bit_cast<uint64_t>(loaded[e].w_neg),
               std::bit_cast<uint64_t>(saved[e].w_neg))
         << "edge " << e;
+  }
+  // The restored adjacency lists every vertex's incident edges exactly as
+  // the saved graph does.
+  ASSERT_EQ(snap.scored->graph.num_vertices(),
+            run.scored.graph.num_vertices());
+  for (VertexId v = 0; v < run.scored.graph.num_vertices(); ++v) {
+    const std::span<const uint32_t> want = run.scored.graph.IncidentEdges(v);
+    const std::span<const uint32_t> got = snap.scored->graph.IncidentEdges(v);
+    EXPECT_EQ(std::vector<uint32_t>(got.begin(), got.end()),
+              std::vector<uint32_t>(want.begin(), want.end()))
+        << "vertex " << v;
   }
 
   // The saved result round-trips...
