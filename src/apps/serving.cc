@@ -288,178 +288,122 @@ Status MappingService::AttachCorpus(const TableCorpus& corpus) {
 }
 
 Status MappingService::AppendAndResynthesize(const TableCorpus& delta) {
+  static obs::Histogram* const transition_us = TransitionHistogram("append");
   const std::lock_guard<std::mutex> lock(writer_mu_);
-  return AppendChainLocked(&delta);
+  obs::TraceSpan span("serving.append", transition_us);
+  return MutateChainLocked(CorpusChange::kAppend, {}, &delta);
 }
 
 Status MappingService::ResynthesizeAppended() {
-  const std::lock_guard<std::mutex> lock(writer_mu_);
-  return AppendChainLocked(nullptr);
-}
-
-Status MappingService::AppendChainLocked(const TableCorpus* delta) {
   static obs::Histogram* const transition_us = TransitionHistogram("append");
+  const std::lock_guard<std::mutex> lock(writer_mu_);
   obs::TraceSpan span("serving.append", transition_us);
-  if (candidates_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Append: nothing synthesized yet — call Synthesize (or "
-        "OpenFromSnapshot + AttachCorpus) first so there are artifacts to "
-        "grow");
-  }
-  if (corpus_ == nullptr) {
-    return Status::FailedPrecondition(
-        "Append: this service has no corpus (opened from a snapshot) — "
-        "AttachCorpus the snapshot's source corpus first; incremental "
-        "extraction needs the corpus-global statistics");
-  }
-  // Cheap entry-point preconditions first: a call that is going to be
-  // rejected must not pay a re-score or partition materialization on its
-  // way to the error.
-  if (delta != nullptr) {
-    if (owned_corpus_ == nullptr) {
-      return Status::FailedPrecondition(
-          "AppendAndResynthesize: the service does not own its corpus — "
-          "grow the external corpus yourself and call "
-          "ResynthesizeAppended()");
-    }
-    if (owned_corpus_->size() != candidates_->source_tables) {
-      return Status::FailedPrecondition(
-          "AppendAndResynthesize: the corpus already grew past the "
-          "synthesized prefix (" +
-          std::to_string(owned_corpus_->size()) + " tables vs " +
-          std::to_string(candidates_->source_tables) +
-          " synthesized) — recover with ResynthesizeAppended(), which "
-          "synthesizes every externally added table; delta appends work "
-          "again once it succeeds");
-    }
-  } else if (corpus_->size() <= candidates_->source_tables) {
-    return Status::FailedPrecondition(
-        "ResynthesizeAppended: the corpus did not grow (still " +
-        std::to_string(corpus_->size()) + " tables)");
-  }
-  BuildState s = StageFromCurrent();
-  MS_RETURN_IF_ERROR(PrepareIncrementalFamilyLocked(&s));
-  // The append protocol: remember the synthesized prefix (tables AND pool),
-  // merge, append, and roll the merge back on ANY failure past it — a
-  // failed append must leave the corpus at the prefix the served artifacts
-  // describe, so the same delta can simply be retried (previously the
-  // grown corpus made every retry fail FailedPrecondition until
-  // ResynthesizeAppended). The pool truncation matters under retries:
-  // Truncate() alone leaves the dead delta's interned strings behind, so N
-  // failed attempts would pin N copies' worth of orphaned values.
-  const size_t prev_tables = corpus_->size();
-  const size_t prev_pool_size = corpus_->shared_pool()->size();
-  if (delta != nullptr) {
-    Result<size_t> merged = owned_corpus_->AppendFrom(*delta);
-    if (!merged.ok()) return merged.status();
-  }
-  auto rollback_merge = [&] {
-    if (delta != nullptr && owned_corpus_ != nullptr &&
-        owned_corpus_->size() > prev_tables) {
-      owned_corpus_->Truncate(prev_tables);
-      owned_corpus_->pool().TruncateTo(prev_pool_size);
-    }
-  };
-  Result<AppendedArtifacts> appended = session_.AppendTables(
-      *corpus_, s.candidates->source_tables, *s.candidates, *s.blocked,
-      *s.scored, *s.partitions, *s.result);
-  Status append_status =
-      appended.ok() ? ConsumeFault(ServingFault::kAppendCommit)
-                    : appended.status();
-  if (!append_status.ok()) {
-    rollback_merge();
-    return append_status;
-  }
-  const Status st = CommitFamilyLocked(std::move(s),
-                                       std::move(appended).value());
-  if (!st.ok()) rollback_merge();
-  return st;
+  return MutateChainLocked(CorpusChange::kAppended, {}, nullptr);
 }
 
 Status MappingService::RemoveAndResynthesize(
     const std::vector<uint32_t>& removed) {
+  static obs::Histogram* const transition_us = TransitionHistogram("remove");
   const std::lock_guard<std::mutex> lock(writer_mu_);
-  return MutateChainLocked(removed, nullptr);
+  obs::TraceSpan span("serving.remove", transition_us);
+  return MutateChainLocked(CorpusChange::kRemove, removed, nullptr);
 }
 
 Status MappingService::ReplaceAndResynthesize(
     const std::vector<uint32_t>& removed, const TableCorpus& delta) {
+  static obs::Histogram* const transition_us = TransitionHistogram("replace");
   const std::lock_guard<std::mutex> lock(writer_mu_);
-  return MutateChainLocked(removed, &delta);
+  obs::TraceSpan span("serving.replace", transition_us);
+  return MutateChainLocked(CorpusChange::kReplace, removed, &delta);
 }
 
-Status MappingService::MutateChainLocked(std::vector<uint32_t> removed,
+Status MappingService::MutateChainLocked(CorpusChange change,
+                                         std::vector<uint32_t> removed,
                                          const TableCorpus* delta) {
-  static obs::Histogram* const remove_us = TransitionHistogram("remove");
-  static obs::Histogram* const replace_us = TransitionHistogram("replace");
-  obs::TraceSpan span(delta != nullptr ? "serving.replace" : "serving.remove",
-                      delta != nullptr ? replace_us : remove_us);
-  const char* op = delta != nullptr ? "ReplaceAndResynthesize"
-                                    : "RemoveAndResynthesize";
+  static constexpr const char* kOp[] = {
+      "AppendAndResynthesize", "ResynthesizeAppended",
+      "RemoveAndResynthesize", "ReplaceAndResynthesize"};
+  const std::string op = kOp[static_cast<int>(change)];
+  // Cheap entry-point preconditions first: a call that is going to be
+  // rejected must not pay a re-score or partition materialization on its
+  // way to the error.
   if (candidates_ == nullptr) {
     return Status::FailedPrecondition(
-        std::string(op) + ": nothing synthesized yet — call Synthesize "
-        "first so there are artifacts to maintain");
+        op + ": nothing synthesized yet — call Synthesize (or "
+        "OpenFromSnapshot + AttachCorpus) first so there are artifacts to "
+        "maintain");
   }
-  if (owned_corpus_ == nullptr) {
+  if (change == CorpusChange::kAppended) {
+    if (corpus_ == nullptr) {
+      return Status::FailedPrecondition(
+          op + ": this service has no corpus (opened from a snapshot) — "
+          "AttachCorpus the snapshot's source corpus first; incremental "
+          "extraction needs the corpus-global statistics");
+    }
+    if (corpus_->size() <= candidates_->source_tables) {
+      return Status::FailedPrecondition(
+          op + ": the corpus did not grow (still " +
+          std::to_string(corpus_->size()) + " tables)");
+    }
+  } else if (owned_corpus_ == nullptr) {
     return Status::FailedPrecondition(
-        std::string(op) + ": the service does not own its corpus — "
-        "removals tombstone tables in place, which the service must not do "
-        "to an external or snapshot-restored corpus");
-  }
-  if (owned_corpus_->size() != candidates_->source_tables) {
-    return Status::FailedPrecondition(
-        std::string(op) + ": the corpus grew past the synthesized prefix (" +
-        std::to_string(owned_corpus_->size()) + " tables vs " +
-        std::to_string(candidates_->source_tables) +
-        " synthesized) — recover with ResynthesizeAppended() first");
+        op + ": the service does not own its corpus (a caller's corpus, "
+        "or none after a snapshot open) — it mutates only a corpus it "
+        "loaded itself; grow an attached corpus in place and call "
+        "ResynthesizeAppended()");
   }
   BuildState s = StageFromCurrent();
   MS_RETURN_IF_ERROR(PrepareIncrementalFamilyLocked(&s));
-  // The session rolls the corpus back itself when ITS mutation fails; the
-  // service only needs to undo a mutation that SUCCEEDED but whose publish
-  // did not (injected commit fault, store-build failure). Capture enough to
-  // do that here: the prefix sizes plus copies of the columns the session
-  // is about to tombstone — the copies reference only pre-mutation pool
-  // ids, so they stay valid across the pool-tail truncation below.
-  const size_t prev_tables = owned_corpus_->size();
-  const size_t prev_pool_size = owned_corpus_->pool().size();
-  std::vector<std::pair<uint32_t, std::vector<Column>>> saved;
-  saved.reserve(removed.size());
-  for (uint32_t id : removed) {
-    if (id < owned_corpus_->size()) {
-      saved.emplace_back(id, owned_corpus_->table(id).columns);
+  const auto mutate = [&]() -> Result<AppendedArtifacts> {
+    TableCorpus* corpus = owned_corpus_.get();
+    switch (change) {
+      case CorpusChange::kAppend:
+        return session_.AppendCorpus(corpus, *delta, *s.candidates,
+                                     *s.blocked, *s.scored, *s.partitions,
+                                     *s.result);
+      case CorpusChange::kAppended:
+        return session_.AppendTables(*corpus_, s.candidates->source_tables,
+                                     *s.candidates, *s.blocked, *s.scored,
+                                     *s.partitions, *s.result);
+      case CorpusChange::kRemove:
+        return session_.RemoveTables(corpus, std::move(removed),
+                                     *s.candidates, *s.blocked, *s.scored,
+                                     *s.partitions, *s.result);
+      case CorpusChange::kReplace:
+        return session_.ReplaceTables(corpus, std::move(removed), *delta,
+                                      *s.candidates, *s.blocked, *s.scored,
+                                      *s.partitions, *s.result);
     }
-  }
-  auto rollback_mutation = [&] {
-    if (owned_corpus_->size() > prev_tables) {
-      owned_corpus_->Truncate(prev_tables);
-    }
-    owned_corpus_->pool().TruncateTo(prev_pool_size);
-    for (auto& [id, cols] : saved) {
-      if (!cols.empty() && owned_corpus_->table(id).num_columns() == 0) {
-        owned_corpus_->RestoreColumns(id, std::move(cols));
-      }
-    }
+    return Status::Internal(op + ": unknown corpus change");
   };
-  Result<AppendedArtifacts> mutated =
-      delta != nullptr
-          ? session_.ReplaceTables(owned_corpus_.get(), std::move(removed),
-                                   *delta, *s.candidates, *s.blocked,
-                                   *s.scored, *s.partitions, *s.result)
-          : session_.RemoveTables(owned_corpus_.get(), std::move(removed),
-                                  *s.candidates, *s.blocked, *s.scored,
-                                  *s.partitions, *s.result);
-  Status mutate_status =
-      mutated.ok() ? ConsumeFault(ServingFault::kAppendCommit)
-                   : mutated.status();
-  if (!mutate_status.ok()) {
-    if (mutated.ok()) rollback_mutation();
-    return mutate_status;
+  // A failed session call has already undone its corpus change itself.
+  Result<AppendedArtifacts> mutated = mutate();
+  if (!mutated.ok()) return mutated.status();
+  AppendedArtifacts family = std::move(mutated).value();
+  Status st = ConsumeFault(ServingFault::kAppendCommit);
+  if (st.ok()) {
+    s.candidates =
+        std::make_shared<const CandidateSet>(std::move(family.candidates));
+    s.blocked =
+        std::make_shared<const BlockedPairs>(std::move(family.blocked));
+    s.scored = std::make_shared<const ScoredGraph>(std::move(family.scored));
+    s.partitions =
+        std::make_shared<const Partitions>(std::move(family.partitions));
+    const SynonymDictionary* dict = session_.options().compat.synonyms;
+    s.scored_synonym_version = dict ? dict->version() : 0;
+    s.result =
+        std::make_shared<const SynthesisResult>(std::move(family.result));
+    // The merged artifacts resolve against the (possibly different) corpus
+    // pool from here on.
+    s.pool = corpus_->shared_pool();
+    st = CommitAndPublish(std::move(s));
   }
-  const Status st = CommitFamilyLocked(std::move(s),
-                                       std::move(mutated).value());
-  if (!st.ok()) rollback_mutation();
+  // The family is not served, so the corpus goes back to the prefix the
+  // served artifacts describe and the same call can simply be retried. (The
+  // undo is empty after ResynthesizeAppended: the caller grew that corpus.)
+  if (!st.ok() && owned_corpus_ != nullptr) {
+    owned_corpus_->Undo(std::move(family.undo));
+  }
   return st;
 }
 
@@ -489,23 +433,6 @@ Status MappingService::PrepareIncrementalFamilyLocked(BuildState* s) {
         std::make_shared<const Partitions>(std::move(parts).value());
   }
   return Status::OK();
-}
-
-Status MappingService::CommitFamilyLocked(BuildState&& s,
-                                          AppendedArtifacts family) {
-  s.candidates =
-      std::make_shared<const CandidateSet>(std::move(family.candidates));
-  s.blocked = std::make_shared<const BlockedPairs>(std::move(family.blocked));
-  s.scored = std::make_shared<const ScoredGraph>(std::move(family.scored));
-  s.partitions =
-      std::make_shared<const Partitions>(std::move(family.partitions));
-  const SynonymDictionary* dict = session_.options().compat.synonyms;
-  s.scored_synonym_version = dict ? dict->version() : 0;
-  s.result = std::make_shared<const SynthesisResult>(std::move(family.result));
-  // The merged artifacts resolve against the (possibly different) corpus
-  // pool from here on.
-  s.pool = corpus_->shared_pool();
-  return CommitAndPublish(std::move(s));
 }
 
 Status MappingService::Resynthesize(SynthesisOptions new_options) {

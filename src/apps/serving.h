@@ -256,41 +256,43 @@ class MappingService {
 
   // ------------------------------------------------- incremental growth
 
-  /// Incremental corpus growth without a cold rebuild: merges `delta`'s
-  /// tables into the service's corpus and runs
-  /// SynthesisSession::AppendTables over the cached artifacts — extraction,
+  /// Incremental corpus growth without a cold rebuild: runs
+  /// SynthesisSession::AppendCorpus, which merges `delta`'s tables into the
+  /// service's corpus and grows the cached artifacts — extraction,
   /// blocking, and scoring run only over the delta (plus the corpus-global
   /// coherence re-check), untouched components' mappings carry over, and
-  /// the store is rebuilt from the merged result. The service must own or
-  /// have an attached corpus (Synthesize*/AttachCorpus) — a purely
-  /// snapshot-restored service has nothing to extract from. Fail-closed
-  /// AND recoverable: a failed append rolls the corpus merge back, so the
-  /// same delta can simply be retried.
+  /// the store is rebuilt from the merged result. Requires a corpus the
+  /// service loaded itself (SynthesizeFromFile/SynthesizeFromCorpusStore).
+  ///
+  /// The corpus changes (this, RemoveAndResynthesize and
+  /// ReplaceAndResynthesize) share one transition and are fail-closed AND
+  /// recoverable: the session undoes a corpus change it could not finish,
+  /// and the service applies the undo the session returned when the
+  /// publish fails, so the corpus (tables, columns, and pool tail) is back
+  /// at the served prefix and the same call can simply be retried.
   Status AppendAndResynthesize(const TableCorpus& delta);
 
   /// Same append path for an externally-owned corpus the caller already
-  /// grew in place: picks up every table added since the last synthesis.
-  /// FailedPrecondition when the corpus did not grow.
+  /// grew in place (SynthesisSession::AppendTables): picks up every table
+  /// added since the last synthesis. The service never touches that
+  /// corpus, so a failure has nothing to undo. FailedPrecondition when the
+  /// corpus did not grow.
   Status ResynthesizeAppended();
 
   /// Incremental removal without a cold rebuild: tombstones `removed`
-  /// tables in the service's corpus (slots and ids stay stable) and runs
-  /// SynthesisSession::RemoveTables over the cached artifacts — only graph
-  /// components that lost a candidate are re-partitioned and re-resolved,
-  /// and the store is rebuilt from the surviving mappings. Requires an
-  /// owned corpus (Synthesize/SynthesizeFromFile/...): removal mutates the
-  /// corpus in place, which the service must not do to a caller-owned one.
-  /// Fail-closed AND recoverable like appends: a failure at any point —
-  /// inside the session or between the session mutation and the publish —
-  /// restores the corpus (columns, tables, and pool tail), so the same
-  /// removal can simply be retried.
+  /// tables in the service's corpus (slots and ids stay stable) through
+  /// SynthesisSession::RemoveTables — only graph components that lost a
+  /// candidate are re-partitioned and re-resolved, and the store is rebuilt
+  /// from the surviving mappings. Same owned-corpus requirement and
+  /// retryable undo as AppendAndResynthesize: removal mutates the corpus in
+  /// place, which the service must not do to a caller-owned one.
   Status RemoveAndResynthesize(const std::vector<uint32_t>& removed);
 
   /// Atomic remove + append in one maintenance pass
   /// (SynthesisSession::ReplaceTables): tombstones `removed`, merges
   /// `delta`'s tables at the tail, reconciles the artifact family once, and
-  /// rebuilds the store. Same owned-corpus requirement and retryable
-  /// rollback contract as RemoveAndResynthesize.
+  /// rebuilds the store. Same owned-corpus requirement and retryable undo
+  /// as AppendAndResynthesize.
   Status ReplaceAndResynthesize(const std::vector<uint32_t>& removed,
                                 const TableCorpus& delta);
 
@@ -407,7 +409,7 @@ class MappingService {
     kScore,          ///< before stage 3
     kPartition,      ///< before stage 4
     kResolve,        ///< before stage 5
-    kAppendCommit,   ///< after the session append succeeded, before commit
+    kAppendCommit,   ///< after the session mutation succeeded, before commit
     kPublish,        ///< at the head of commit, before any state mutates
   };
   void InjectFaultForTests(ServingFault point);
@@ -452,16 +454,20 @@ class MappingService {
                              const TableCorpus* external);
   Status OpenFromSnapshotLocked(const std::string& path);
   Status SaveSnapshotLocked(const std::string& path);
-  Status AppendChainLocked(const TableCorpus* delta);
-  Status MutateChainLocked(std::vector<uint32_t> removed,
+  /// The four corpus changes (MutateChainLocked's error messages name the
+  /// entry points in this order).
+  enum class CorpusChange { kAppend, kAppended, kRemove, kReplace };
+  /// The one transition behind AppendAndResynthesize (`delta`),
+  /// ResynthesizeAppended (neither), RemoveAndResynthesize (`removed`) and
+  /// ReplaceAndResynthesize (both): the session mutates the corpus and
+  /// undoes its own failures; when the commit fails, the service applies
+  /// the undo the session returned.
+  Status MutateChainLocked(CorpusChange change, std::vector<uint32_t> removed,
                            const TableCorpus* delta);
-  /// Shared incremental-transition preamble: re-scores the staged graph if
-  /// the synonym dictionary moved past the version it was scored at, then
-  /// materializes whatever family members a snapshot restore left out.
+  /// The mutation's preamble: re-scores the staged graph if the synonym
+  /// dictionary moved past the version it was scored at, then materializes
+  /// whatever family members a snapshot restore left out.
   Status PrepareIncrementalFamilyLocked(BuildState* s);
-  /// Shared incremental-transition tail: moves a session-produced artifact
-  /// family into the staged state and publishes it.
-  Status CommitFamilyLocked(BuildState&& s, AppendedArtifacts family);
   Status ResynthesizeLocked(SynthesisOptions new_options);
 
   SynthesisSession session_;

@@ -1,7 +1,6 @@
 #include "synth/session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -156,8 +155,9 @@ Scopes PartitionScopes(const CompatibilityGraph& graph,
 /// given — the greedy tie-breaks on local index, so that order is part of
 /// the result. `comp` maps every vertex to its scope, which filters out
 /// cross-component edges (positive weight below θ_edge). New partition ids
-/// are drawn from `partition->num_partitions` upward; vertices outside the
-/// redone scopes keep whatever `partition->partition_of` already holds.
+/// are drawn from `partition->num_partitions` upward in `redo` order, so
+/// they do not depend on the thread count; vertices outside the redone
+/// scopes keep whatever `partition->partition_of` already holds.
 void PartitionComponents(const CompatibilityGraph& graph,
                          const std::vector<uint32_t>& comp,
                          const Scopes& scopes,
@@ -173,13 +173,14 @@ void PartitionComponents(const CompatibilityGraph& graph,
     for (uint32_t i = 0; i < members.size(); ++i) local_of[members[i]] = i;
   }
   partition->partition_of.resize(graph.num_vertices(), 0);
-  std::atomic<uint32_t> next_partition{
-      static_cast<uint32_t>(partition->num_partitions)};
-  std::mutex mu;
+  // Each scope writes its members' local partition ids and its counts;
+  // the prefix sum below turns them into global ids.
+  std::vector<uint32_t> num_local(redo.size(), 1);
+  std::vector<size_t> merges(redo.size(), 0);
   threads->ParallelFor(redo.size(), [&](size_t k) {
     const std::span<const VertexId> members = scopes[redo[k]];
     if (members.size() == 1) {
-      partition->partition_of[members[0]] = next_partition.fetch_add(1);
+      partition->partition_of[members[0]] = 0;
       return;
     }
     CompatibilityGraph sub(members.size());
@@ -194,15 +195,19 @@ void PartitionComponents(const CompatibilityGraph& graph,
     }
     sub.Finalize();
     const PartitionResult local = GreedyPartition(sub, options);
-    const uint32_t base = next_partition.fetch_add(
-        static_cast<uint32_t>(local.num_partitions));
     for (uint32_t i = 0; i < members.size(); ++i) {
-      partition->partition_of[members[i]] = base + local.partition_of[i];
+      partition->partition_of[members[i]] = local.partition_of[i];
     }
-    std::lock_guard<std::mutex> lock(mu);
-    partition->merges_performed += local.merges_performed;
+    num_local[k] = static_cast<uint32_t>(local.num_partitions);
+    merges[k] = local.merges_performed;
   });
-  partition->num_partitions = next_partition.load();
+  auto next = static_cast<uint32_t>(partition->num_partitions);
+  for (size_t k = 0; k < redo.size(); ++k) {
+    for (VertexId v : scopes[redo[k]]) partition->partition_of[v] += next;
+    next += num_local[k];
+    partition->merges_performed += merges[k];
+  }
+  partition->num_partitions = next;
 }
 
 /// Conflict resolution + mapping assembly for a set of partition groups
@@ -720,6 +725,8 @@ const ColumnInvertedIndex& SynthesisSession::MaintainedIndexLocked(
   // index: neither build nor patch one.
   static const ColumnInvertedIndex kNoIndex;
   if (options_.extraction.coherence_threshold <= -1.0) return kNoIndex;
+  static obs::Counter* const builds_total =
+      obs::MetricsRegistry::Global().GetCounter("ms_synth_index_builds_total");
   Timer timer;
   // Reconstruct the pre-mutation fingerprint: the corpus is already
   // mutated, so the pre-state is its current live columns minus the
@@ -743,6 +750,7 @@ const ColumnInvertedIndex& SynthesisSession::MaintainedIndexLocked(
     }
   } else {
     index_cache_.Build(corpus, threads_.get());
+    builds_total->Increment();
   }
   index_corpus_ = &corpus;
   index_tables_ = corpus.size();
@@ -1317,8 +1325,10 @@ Result<AppendedArtifacts> SynthesisSession::ApplyCorpusDeltaLocked(
   d->stats.removed_tables = d->removed_tables.size();
 
   // Empty mutation: nothing can change — hand back copies of the inputs
-  // under a fresh lineage generation.
+  // under a fresh lineage generation. The maintained corpus index and key
+  // index describe the copies whenever they described the inputs.
   if (corpus.size() == d->first_new_table && d->removed_tables.empty()) {
+    if (index_generation_ == candidates.generation) ++index_generation_;
     const bool indexed = key_index_tag_ == KeyIndexTagOf(blocked);
     out.candidates = candidates;
     out.blocked = blocked;
@@ -1481,16 +1491,19 @@ Result<AppendedArtifacts> SynthesisSession::MutateCorpusLocked(
     return corpus->table(id).num_columns() == 0;
   });
 
-  // Tombstone the removed tables (capturing their footprint), merge the
-  // delta at the tail, and reconcile in one pass. Any failure rolls the
-  // corpus back: tables, columns and pool tail.
-  const size_t num_tables = corpus->size();
-  const size_t pool_size = corpus->pool().size();
+  // Tombstone the removed tables (their columns move into the undo, which
+  // is also the delta's view of their footprint), merge the delta at the
+  // tail, and reconcile in one pass. Any failure applies the undo; a
+  // success hands it to the caller, whose commit may still fail.
+  CorpusUndo undo;
+  undo.num_tables = corpus->size();
+  undo.pool_size = corpus->pool().size();
   Delta d;
-  d.first_new_table = num_tables;
-  std::vector<std::pair<uint32_t, std::vector<Column>>> saved;
-  for (uint32_t id : removed) saved.emplace_back(id, corpus->Tombstone(id));
-  for (const auto& [id, columns] : saved) {
+  d.first_new_table = undo.num_tables;
+  for (uint32_t id : removed) {
+    undo.tombstoned.emplace_back(id, corpus->Tombstone(id));
+  }
+  for (const auto& [id, columns] : undo.tombstoned) {
     for (const Column& c : columns) d.removed_columns.push_back(&c.cells);
   }
   d.removed_tables = std::move(removed);
@@ -1502,11 +1515,9 @@ Result<AppendedArtifacts> SynthesisSession::MutateCorpusLocked(
                                   scored, partitions, result);
   }();
   if (!out.ok()) {
-    corpus->Truncate(num_tables);
-    corpus->pool().TruncateTo(pool_size);
-    for (auto& [id, columns] : saved) {
-      corpus->RestoreColumns(id, std::move(columns));
-    }
+    corpus->Undo(std::move(undo));
+  } else {
+    out.value().undo = std::move(undo);
   }
   return out;
 }

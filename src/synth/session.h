@@ -56,7 +56,13 @@ struct SynthesisOptions {
   /// Use majority voting instead of Algorithm 4 (Section 5.6 comparison).
   bool use_majority_voting = false;
   /// Split the graph into positively-connected components first and
-  /// partition each independently (Appendix F). Off = one global run.
+  /// partition each independently (Appendix F). Off = one global run, which
+  /// also keeps the negative edges between components; those change which
+  /// representative the greedy keeps for a merged partition and so how it
+  /// breaks ties between equal-weight merges. The mappings can therefore
+  /// differ (web world at popularity scale 2.0: seeds 11, 12 and 13 gave
+  /// 270 vs 269, 360 vs 365 and 290 vs 289), so this is the Appendix F
+  /// ablation, not a speed knob between equivalent runs.
   bool divide_and_conquer = true;
 
   /// Curation filter (Section 4.3: the paper keeps mappings from >= 8
@@ -303,7 +309,7 @@ struct AppendStats {
 
 /// The merged artifact family one AppendTables call produces: a complete,
 /// self-consistent replacement for the inputs, byte-equivalent to running
-/// the full chain cold over the grown corpus.
+/// the full chain cold over the grown corpus. Move-only.
 struct AppendedArtifacts {
   CandidateSet candidates;
   BlockedPairs blocked;
@@ -311,6 +317,11 @@ struct AppendedArtifacts {
   Partitions partitions;
   SynthesisResult result;
   AppendStats append;
+  /// What AppendCorpus, RemoveTables or ReplaceTables changed in the
+  /// corpus. A caller that cannot keep this family (its commit failed)
+  /// passes it to TableCorpus::Undo, so a retry sees the input corpus.
+  /// Empty after AppendTables, which does not touch the corpus.
+  CorpusUndo undo;
 };
 
 /// Stable 64-bit fingerprint of every option that affects artifact
@@ -471,8 +482,8 @@ class SynthesisSession {
   /// Convenience: merges `delta`'s tables into `*corpus` (re-interning into
   /// its pool) and appends them. The ingestion shape of a serving fleet:
   /// batches arrive as independently-loaded corpora. A failure after the
-  /// merge rolls the corpus (tables and pool tail) back, as the removing
-  /// entry points below do.
+  /// merge undoes it (tables and pool tail), as the removing entry points
+  /// below do; a success returns that undo (AppendedArtifacts::undo).
   Result<AppendedArtifacts> AppendCorpus(TableCorpus* corpus,
                                          const TableCorpus& delta,
                                          const CandidateSet& candidates,
@@ -642,9 +653,11 @@ class SynthesisSession {
       const ScoredGraph& scored, const Partitions& partitions,
       const SynthesisResult& result);
   /// The corpus-mutating half of AppendCorpus, RemoveTables and
-  /// ReplaceTables: validates, tombstones `removed`, merges `delta` (when
-  /// given) at the tail, runs the driver, and rolls the corpus back on any
-  /// failure. Caller holds run_mu_.
+  /// ReplaceTables, and the one place a synthesized corpus is mutated:
+  /// validates, tombstones `removed`, merges `delta` (when given) at the
+  /// tail, and runs ApplyCorpusDeltaLocked. It records one CorpusUndo,
+  /// applies it on any failure and returns it with the family on success.
+  /// Caller holds run_mu_.
   Result<AppendedArtifacts> MutateCorpusLocked(
       const char* caller, TableCorpus* corpus, std::vector<uint32_t> removed,
       const TableCorpus* delta, const CandidateSet& candidates,

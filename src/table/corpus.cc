@@ -65,11 +65,6 @@ Result<size_t> TableCorpus::AppendFrom(const TableCorpus& other) {
   return first_new;
 }
 
-void TableCorpus::Truncate(size_t num_tables) {
-  if (num_tables >= tables_.size()) return;
-  tables_.resize(num_tables);
-}
-
 std::vector<Column> TableCorpus::Tombstone(TableId id) {
   assert(id < tables_.size());
   std::vector<Column> out = std::move(tables_[id].columns);
@@ -77,9 +72,13 @@ std::vector<Column> TableCorpus::Tombstone(TableId id) {
   return out;
 }
 
-void TableCorpus::RestoreColumns(TableId id, std::vector<Column> columns) {
-  assert(id < tables_.size());
-  tables_[id].columns = std::move(columns);
+void TableCorpus::Undo(CorpusUndo undo) {
+  if (undo.num_tables < tables_.size()) tables_.resize(undo.num_tables);
+  pool_->TruncateTo(undo.pool_size);
+  for (auto& [id, columns] : undo.tombstoned) {
+    assert(id < tables_.size());
+    tables_[id].columns = std::move(columns);
+  }
 }
 
 size_t TableCorpus::TotalColumns() const {

@@ -2,9 +2,11 @@
 // (Definition 3). Owns the interning pool shared by all contained tables.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -12,6 +14,22 @@
 #include "table/table.h"
 
 namespace ms {
+
+/// What one corpus mutation changed, kept so TableCorpus::Undo can put the
+/// corpus back: the table count and pool size before the mutation, and the
+/// columns it tombstoned. Move-only, since it owns those columns. A
+/// default-constructed undo changes nothing.
+struct CorpusUndo {
+  size_t num_tables = SIZE_MAX;
+  size_t pool_size = SIZE_MAX;
+  std::vector<std::pair<TableId, std::vector<Column>>> tombstoned;
+
+  CorpusUndo() = default;
+  CorpusUndo(CorpusUndo&&) = default;
+  CorpusUndo& operator=(CorpusUndo&&) = default;
+  CorpusUndo(const CorpusUndo&) = delete;
+  CorpusUndo& operator=(const CorpusUndo&) = delete;
+};
 
 /// Container for tables plus the shared string pool. Movable, not copyable
 /// (a corpus can be large).
@@ -49,15 +67,6 @@ class TableCorpus {
   /// downstream extraction.
   Result<size_t> AppendFrom(const TableCorpus& other);
 
-  /// Drops every table at index >= `num_tables` (no-op when the corpus is
-  /// already that small or smaller). The rollback half of the append
-  /// protocol: a failed append undoes its AppendFrom merge so retries see
-  /// the exact pre-append corpus. Pool entries interned by the dropped
-  /// tables remain — callers that must reclaim them (the serving rollback
-  /// path) record pool().size() before the append and call
-  /// StringPool::TruncateTo alongside this.
-  void Truncate(size_t num_tables);
-
   /// Tombstones table `id` in place: its columns are moved out and
   /// returned, leaving an empty shell that keeps its slot, id, domain, and
   /// source. Table ids therefore stay stable across removals — the
@@ -65,12 +74,15 @@ class TableCorpus {
   /// and snapshot provenance rely on. A cold rebuild over the mutated
   /// corpus sees the shell contribute zero columns, exactly as if the
   /// table had never existed. The returned columns let the caller restore
-  /// the table on a failed mutation (RestoreColumns).
+  /// the table on a failed mutation (CorpusUndo::tombstoned).
   std::vector<Column> Tombstone(TableId id);
 
-  /// Puts back the columns Tombstone() moved out — the rollback half of a
-  /// failed remove/replace.
-  void RestoreColumns(TableId id, std::vector<Column> columns);
+  /// Reverts a mutation recorded in `undo`: drops the tables appended after
+  /// it, truncates the pool to its size before it (so neither the dropped
+  /// tables' strings nor any memory for them survive), and puts back the
+  /// columns Tombstone() moved out. A retry then sees the exact
+  /// pre-mutation corpus.
+  void Undo(CorpusUndo undo);
 
   const std::vector<Table>& tables() const { return tables_; }
   const Table& table(TableId id) const { return tables_[id]; }

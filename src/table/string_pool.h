@@ -87,10 +87,10 @@ class StringPool {
   bool read_only() const;
 
   /// Removes every id >= `new_size`, releasing owned storage and index
-  /// entries for the dropped tail. The unintern half of the append-rollback
-  /// protocol: a failed corpus append truncates the pool back to its
-  /// pre-append size so the strings the dead delta interned are neither
-  /// Find-able nor held in memory. Only owned (Intern'd) strings may be in
+  /// entries for the dropped tail. TableCorpus::Undo calls it to truncate
+  /// the pool back to its size before a failed mutation, so the strings the
+  /// dead delta interned are neither Find-able nor held in memory. Only
+  /// owned (Intern'd) strings may be in
   /// the dropped tail — adopted views are only ever created by restore
   /// paths that precede any append. No-op when new_size >= size().
   void TruncateTo(size_t new_size);

@@ -2171,16 +2171,11 @@ TEST(IncrementalKeyIndexTest, DiscardedMutationThenAnotherMatchesCold) {
   Family f0 = ColdChain(&session, corpus);
   ASSERT_FALSE(HasFailure());
 
-  const std::vector<uint32_t> dropped = {1, 4, 9};
-  std::vector<std::vector<Column>> saved;
-  for (uint32_t id : dropped) saved.push_back(corpus.table(id).columns);
-  auto discarded = session.RemoveTables(&corpus, dropped, f0.candidates,
+  auto discarded = session.RemoveTables(&corpus, {1, 4, 9}, f0.candidates,
                                         f0.blocked, f0.scored, f0.partitions,
                                         f0.result);
   ASSERT_TRUE(discarded.ok()) << discarded.status().ToString();
-  for (size_t i = 0; i < dropped.size(); ++i) {
-    corpus.RestoreColumns(dropped[i], std::move(saved[i]));
-  }
+  corpus.Undo(std::move(discarded.value().undo));
 
   const std::vector<uint32_t> removed = {2, 5};
   auto m = session.RemoveTables(&corpus, removed, f0.candidates, f0.blocked,
@@ -2249,15 +2244,11 @@ TEST(IncrementalKeyIndexTest, MutationOfARestoredFamilyMatchesCold) {
                                 &f0.result)
                   .ok());
 
-  const std::vector<uint32_t> earlier = {1, 4, 9};
-  std::vector<std::vector<Column>> saved;
-  for (uint32_t id : earlier) saved.push_back(corpus.table(id).columns);
-  auto m1 = session.RemoveTables(&corpus, earlier, f0.candidates, f0.blocked,
-                                 f0.scored, f0.partitions, f0.result);
+  auto m1 = session.RemoveTables(&corpus, {1, 4, 9}, f0.candidates,
+                                 f0.blocked, f0.scored, f0.partitions,
+                                 f0.result);
   ASSERT_TRUE(m1.ok()) << m1.status().ToString();
-  for (size_t i = 0; i < earlier.size(); ++i) {
-    corpus.RestoreColumns(earlier[i], std::move(saved[i]));
-  }
+  corpus.Undo(std::move(m1.value().undo));
 
   auto restored = session.RestoreSnapshot(snap);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -2272,6 +2263,34 @@ TEST(IncrementalKeyIndexTest, MutationOfARestoredFamilyMatchesCold) {
   ASSERT_TRUE(m2.ok()) << m2.status().ToString();
   ExpectMatchesColdRebuild(o, specs, LiveSlots(40, removed),
                            NextFamily(std::move(m2).value()), corpus.pool());
+}
+
+TEST(IncrementalApiTest, EmptyMutationKeepsTheMaintainedCorpusIndex) {
+  // Removing an already tombstoned table is an empty mutation: it hands
+  // back copies of its inputs, so the maintained corpus index still
+  // describes them, and the next mutation patches the index instead of
+  // building it again over the whole corpus.
+  Rng rng(35);
+  const auto specs = RandomCorpusSpec(rng, 30);
+  const SynthesisOptions o = BaseOptions();
+  ASSERT_GT(o.extraction.coherence_threshold, -1.0);  // the index is in use
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 30);
+  const obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+      "ms_synth_index_builds_total");
+  const uint64_t before = builds->Value();
+  SynthesisSession session(o);
+  Family f = ColdChain(&session, corpus);
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(builds->Value(), before + 1);  // the cold extraction's
+  for (const uint32_t id : {3u, 3u, 5u}) {
+    auto m = session.RemoveTables(&corpus, {id}, f.candidates, f.blocked,
+                                  f.scored, f.partitions, f.result);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    f = NextFamily(std::move(m).value());
+  }
+  EXPECT_EQ(builds->Value(), before + 1);
+  ExpectMatchesColdRebuild(o, specs, LiveSlots(30, {3, 5}), f, corpus.pool());
 }
 
 TEST(IncrementalPartitionTest, RePartitionReportsTheMutationsLiveCounts) {

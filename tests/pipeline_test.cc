@@ -154,8 +154,10 @@ TEST(PipelineOptionTest, DivideAndConquerMatchesGlobalRun) {
   b.divide_and_conquer = false;
   SynthesisResult ra = Synthesize(a, world.corpus);
   SynthesisResult rb = Synthesize(b, world.corpus);
-  // Same number of mappings with identical pair-set sizes (partition ids
-  // may differ, the partition contents may not).
+  // On this world the two modes agree: the same number of mappings with
+  // identical pair-set sizes. They need not on others, since a global run
+  // breaks the greedy's ties differently (see
+  // SynthesisOptions::divide_and_conquer).
   ASSERT_EQ(ra.mappings.size(), rb.mappings.size());
   std::multiset<size_t> sa, sb;
   for (const auto& m : ra.mappings) sa.insert(m.size());

@@ -1,11 +1,12 @@
 // Concurrency lockdown for the MappingService serving tier: N reader
 // threads hammer the RCU snapshot path while a writer thread runs real
-// transitions (appends, resynthesis). Every reader asserts the published
-// invariants on every operation — store/result sizes agree, versions never
-// move backwards, batched lookups agree with scalar lookups within one
-// snapshot — so ANY torn publication (a store from one generation served
-// with a result from another) fails deterministically, and TSan has dense
-// cross-thread traffic to verify the acquire/release protocol on.
+// transitions (appends, removals, replacements, resynthesis). Every reader
+// asserts the published invariants on every operation — store/result
+// sizes agree, versions never move backwards, batched lookups agree with
+// scalar lookups within one snapshot — so ANY torn publication (a store
+// from one generation served with a result from another) fails
+// deterministically, and TSan has dense cross-thread traffic to verify the
+// acquire/release protocol on.
 //
 // These tests run under the `concurrency` ctest label (which CI also runs
 // under -fsanitize=thread); test names must match *ServingConcurrency* —
@@ -156,13 +157,16 @@ uint64_t CheckOnce(const MappingService& svc, Rng& rng,
   return snap->version;
 }
 
-// The torture test ISSUE.md names: continuous appends under read load,
-// zero torn reads.
-TEST(ServingConcurrencyTest, AppendsUnderReadLoadServeNoTornState) {
+// Continuous corpus changes under read load, zero torn reads: appends,
+// then removals and a replacement whose first attempt fails after the
+// session tombstoned and merged (kAppendCommit), so readers also race the
+// service undoing that change.
+TEST(ServingConcurrencyTest, CorpusChangesUnderReadLoadServeNoTornState) {
   Rng rng(701);
   const size_t kTotalTables = 14;
   const size_t kInitialTables = 6;
-  auto specs = SmallCorpusSpec(rng, kTotalTables);
+  // Two more tables replace removed ones after the appends.
+  auto specs = SmallCorpusSpec(rng, kTotalTables + 2);
 
   // Delta appends require a service-owned corpus: bootstrap through a TSV.
   const char* tmpdir = std::getenv("TMPDIR");
@@ -203,27 +207,42 @@ TEST(ServingConcurrencyTest, AppendsUnderReadLoadServeNoTornState) {
   }
 
   // Writer: append the remaining tables one at a time under full read
-  // load, then keep resynthesizing until every reader has seen plenty of
-  // transitions.
-  for (size_t i = kInitialTables; i < kTotalTables; ++i) {
-    TableCorpus delta;
-    AddSpecs(&delta, specs, i, i + 1);
-    ASSERT_TRUE(svc.AppendAndResynthesize(delta).ok());
-  }
-  while (reads.load(std::memory_order_relaxed) < 2000) {
-    ASSERT_TRUE(svc.Resynthesize(ServingOptions()).ok());
-  }
+  // load, remove and replace some, then keep resynthesizing until every
+  // reader has seen plenty of transitions. A failed assertion leaves the
+  // lambda, not the test, so the readers are always joined.
+  const auto write = [&] {
+    for (size_t i = kInitialTables; i < kTotalTables; ++i) {
+      TableCorpus delta;
+      AddSpecs(&delta, specs, i, i + 1);
+      ASSERT_TRUE(svc.AppendAndResynthesize(delta).ok());
+    }
+    ASSERT_TRUE(svc.RemoveAndResynthesize({1, 8}).ok());
+    TableCorpus fresh;
+    AddSpecs(&fresh, specs, kTotalTables, kTotalTables + 2);
+    svc.InjectFaultForTests(MappingService::ServingFault::kAppendCommit);
+    ASSERT_FALSE(svc.ReplaceAndResynthesize({3, 10}, fresh).ok());
+    ASSERT_TRUE(svc.ReplaceAndResynthesize({3, 10}, fresh).ok());
+    ASSERT_TRUE(svc.RemoveAndResynthesize({5}).ok());
+    while (reads.load(std::memory_order_relaxed) < 2000) {
+      ASSERT_TRUE(svc.Resynthesize(ServingOptions()).ok());
+    }
+  };
+  write();
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : readers) th.join();
+  if (HasFatalFailure()) return;
 
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(monotonicity_violations.load(), 0u);
   EXPECT_GT(reads.load(), 0u);
 
-  // The appended end state equals a cold rebuild over all tables — the
-  // concurrency machinery must not change results.
+  // The end state equals a cold rebuild over the surviving tables, in
+  // corpus order — the concurrency machinery must not change results.
   TableCorpus cold_corpus;
-  AddSpecs(&cold_corpus, specs, 0, kTotalTables);
+  for (size_t i = 0; i < kTotalTables + 2; ++i) {
+    if (i == 1 || i == 3 || i == 5 || i == 8 || i == 10) continue;
+    AddSpecs(&cold_corpus, specs, i, i + 1);
+  }
   MappingService cold(ServingOptions());
   ASSERT_TRUE(cold.Synthesize(cold_corpus).ok());
   EXPECT_EQ(Canonical(svc.last_result(), *svc.shared_pool()),

@@ -47,9 +47,9 @@ SynthesisOptions FastOptions() {
   return o;
 }
 
-/// Canonical view of a mapping set: partition ids (and hence vector order)
-/// depend on thread scheduling, so compare as a sorted multiset of
-/// (labels, member count, exact pair list).
+/// Canonical view of a mapping set, independent of the pool's ids and of
+/// mapping order: a sorted multiset of (labels, member count, exact pair
+/// list).
 std::multiset<std::string> CanonicalMappings(const SynthesisResult& r,
                                              const StringPool& pool) {
   std::multiset<std::string> out;
@@ -199,6 +199,44 @@ TEST(ScoringConcurrencyTest, EdgesAreBitwiseEqualAcrossThreadCounts) {
         ASSERT_EQ(got[e].w_pos, want[e].w_pos) << "edge " << e;  // bitwise
         ASSERT_EQ(got[e].w_neg, want[e].w_neg) << "edge " << e;
       }
+    }
+  }
+}
+
+TEST(PartitionConcurrencyTest, PartitionIdsAreEqualAcrossThreadCounts) {
+  // Every scope is partitioned on a worker, but partition ids follow scope
+  // order, not the order workers finish: one graph numbers its partitions
+  // identically at 1, 2 and 4 threads, every run.
+  GeneratorOptions gen;
+  gen.seed = 11;
+  gen.popularity_scale = 0.5;
+  GeneratedWorld world = GenerateWebWorld(gen);
+  SynthesisOptions opts = FastOptions();
+  opts.num_threads = 1;
+  SynthesisSession session(opts);
+  auto cands = session.ExtractCandidates(world.corpus);
+  ASSERT_TRUE(cands.ok());
+  auto blocked = session.BlockPairs(cands.value());
+  ASSERT_TRUE(blocked.ok());
+  auto scored = session.ScorePairs(cands.value(), blocked.value());
+  ASSERT_TRUE(scored.ok());
+  auto base = session.Partition(scored.value());
+  ASSERT_TRUE(base.ok());
+  const PartitionResult& want = base.value().partition;
+  // Enough scopes that workers finish out of scope order.
+  ASSERT_GT(base.value().stats.components, 4u * 4u * 8u)
+      << base.value().stats.candidates << " candidates";
+  for (const size_t threads : {1u, 2u, 4u}) {
+    opts.num_threads = threads;
+    ASSERT_TRUE(session.UpdateOptions(opts).ok());
+    for (int run = 0; run < 3; ++run) {
+      auto got = session.Partition(scored.value());
+      ASSERT_TRUE(got.ok());
+      const PartitionResult& p = got.value().partition;
+      EXPECT_EQ(p.num_partitions, want.num_partitions);
+      EXPECT_EQ(p.merges_performed, want.merges_performed);
+      EXPECT_EQ(p.partition_of, want.partition_of)
+          << threads << " threads, run " << run;
     }
   }
 }

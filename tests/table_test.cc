@@ -298,21 +298,27 @@ TEST(TableCorpusTest, TombstoneAndRestoreRoundTrip) {
   // The neighbor is untouched.
   EXPECT_EQ(corpus.pool().Get(corpus.table(1).columns[0].cells[0]), "france");
 
-  corpus.RestoreColumns(0, std::move(moved));
+  CorpusUndo undo;
+  undo.tombstoned.emplace_back(0, std::move(moved));
+  corpus.Undo(std::move(undo));
   EXPECT_EQ(corpus.table(0).num_columns(), 2u);
   EXPECT_EQ(corpus.TotalColumns(), cols_before);
   EXPECT_EQ(corpus.pool().Get(corpus.table(0).columns[0].cells[1]), "canada");
   EXPECT_EQ(corpus.pool().Get(corpus.table(0).columns[1].cells[0]), "US");
 }
 
-TEST(TableCorpusTest, TruncateLeavesPoolForTruncateTo) {
-  // The two-step rollback protocol: Truncate() drops the merged tables but
-  // deliberately leaves their pool entries; the caller reclaims them with
-  // StringPool::TruncateTo at the size recorded before the append.
+TEST(TableCorpusTest, UndoRevertsAMergeAndItsTombstones) {
+  // A mutation records the table count and pool size before it and the
+  // columns it tombstoned; Undo drops the merged tables AND their pool
+  // entries, and restores the columns.
   TableCorpus corpus;
   corpus.AddFromStrings("a.com", TableSource::kWeb, {"x"}, {{"kept"}});
-  const size_t prev_tables = corpus.size();
-  const size_t prev_pool = corpus.pool().size();
+  corpus.AddFromStrings("c.com", TableSource::kWeb, {"x", "y"},
+                        {{"gone"}, {"GO"}});
+  CorpusUndo undo;
+  undo.num_tables = corpus.size();
+  undo.pool_size = corpus.pool().size();
+  undo.tombstoned.emplace_back(1, corpus.Tombstone(1));
 
   TableCorpus delta;
   delta.AddFromStrings("b.com", TableSource::kWeb, {"x"},
@@ -321,14 +327,19 @@ TEST(TableCorpusTest, TruncateLeavesPoolForTruncateTo) {
   ASSERT_TRUE(merged.ok());
   ASSERT_NE(corpus.pool().Find("orphaned value"), kInvalidValueId);
 
-  corpus.Truncate(prev_tables);
-  EXPECT_EQ(corpus.size(), prev_tables);
-  EXPECT_NE(corpus.pool().Find("orphaned value"), kInvalidValueId);
+  // A default undo changes nothing.
+  corpus.Undo(CorpusUndo());
+  EXPECT_EQ(corpus.size(), 3u);
+  EXPECT_EQ(corpus.table(1).num_columns(), 0u);
 
-  corpus.pool().TruncateTo(prev_pool);
+  const size_t prev_pool = undo.pool_size;
+  corpus.Undo(std::move(undo));
+  EXPECT_EQ(corpus.size(), 2u);
   EXPECT_EQ(corpus.pool().size(), prev_pool);
   EXPECT_EQ(corpus.pool().Find("orphaned value"), kInvalidValueId);
   EXPECT_NE(corpus.pool().Find("kept"), kInvalidValueId);
+  ASSERT_EQ(corpus.table(1).num_columns(), 2u);
+  EXPECT_EQ(corpus.pool().Get(corpus.table(1).columns[1].cells[0]), "GO");
 }
 
 TEST(TableCorpusTest, SubsetClampsFraction) {
