@@ -131,8 +131,6 @@ Status MappingService::OpenFromSnapshotLocked(const std::string& path) {
   s.blocked = std::move(snap.blocked);
   s.scored = std::move(snap.scored);
   // Snapshots do not persist the partition artifact.
-  const SynonymDictionary* dict = session_.options().compat.synonyms;
-  s.scored_synonym_version = dict ? dict->version() : 0;
   if (snap.has_result) {
     s.result = std::make_shared<const SynthesisResult>(std::move(snap.result));
   } else {
@@ -389,8 +387,6 @@ Status MappingService::MutateChainLocked(CorpusChange change,
     s.scored = std::make_shared<const ScoredGraph>(std::move(family.scored));
     s.partitions =
         std::make_shared<const Partitions>(std::move(family.partitions));
-    const SynonymDictionary* dict = session_.options().compat.synonyms;
-    s.scored_synonym_version = dict ? dict->version() : 0;
     s.result =
         std::make_shared<const SynthesisResult>(std::move(family.result));
     // The merged artifacts resolve against the (possibly different) corpus
@@ -409,14 +405,15 @@ Status MappingService::MutateChainLocked(CorpusChange change,
 
 Status MappingService::PrepareIncrementalFamilyLocked(BuildState* s) {
   // The cached graph must reflect the current synonym dictionary contents:
-  // delta pairs would be scored under the new snapshot while base edges
-  // keep old-dictionary weights, merging a graph no cold run could produce.
-  // Re-score first (same guard Resynthesize applies), then mutate. The
+  // delta pairs would be scored under the new view while base edges keep
+  // old-dictionary weights, merging a graph no cold run could produce.
+  // Re-score first when the dictionary moved past the version the graph was
+  // scored under (same guard Resynthesize applies), then mutate. The
   // re-scored family lives only in the BuildState — a failure below
   // publishes nothing.
   const SynonymDictionary* synonyms = session_.options().compat.synonyms;
-  if (synonyms != nullptr &&
-      synonyms->version() != scored_synonym_version_) {
+  if (synonyms != nullptr && s->scored != nullptr &&
+      synonyms->version() != s->scored->synonym_version) {
     MS_RETURN_IF_ERROR(RunChain(s, true, s->blocked != nullptr, false));
   }
   // A snapshot-restored family lacks the partition artifact; materialize
@@ -459,7 +456,8 @@ Status MappingService::ResynthesizeLocked(SynthesisOptions new_options) {
   // (results are deterministic across worker counts), so they alone
   // invalidate nothing. The graph additionally depends on the synonym
   // dictionary's *contents*: the pointer compares equal after AddSynonym,
-  // so reuse also requires the version the graph was scored at.
+  // so reuse also requires the version the graph was scored at
+  // (ScoredGraph::synonym_version).
   const bool keep_candidates = old.extraction == now.extraction;
   if (!keep_candidates && corpus_ == nullptr) {
     // Snapshot-restored services carry artifacts but no raw corpus, so an
@@ -475,7 +473,8 @@ Status MappingService::ResynthesizeLocked(SynthesisOptions new_options) {
   const bool keep_blocked = keep_candidates && old.blocking == now.blocking;
   const bool synonyms_unchanged =
       now.compat.synonyms == nullptr ||
-      now.compat.synonyms->version() == scored_synonym_version_;
+      (scored_ != nullptr &&
+       now.compat.synonyms->version() == scored_->synonym_version);
   const bool keep_scored =
       keep_blocked && old.compat == now.compat && synonyms_unchanged;
   BuildState s = StageFromCurrent();
@@ -502,7 +501,6 @@ MappingService::BuildState MappingService::StageFromCurrent() const {
   s.scored = scored_;
   s.partitions = partitions_;
   s.result = last_result_;
-  s.scored_synonym_version = scored_synonym_version_;
   return s;
 }
 
@@ -528,8 +526,6 @@ Status MappingService::RunChain(BuildState* s, bool have_candidates,
     Result<ScoredGraph> g = session_.ScorePairs(*s->candidates, *s->blocked);
     if (!g.ok()) return g.status();
     s->scored = std::make_shared<const ScoredGraph>(std::move(g).value());
-    const SynonymDictionary* dict = session_.options().compat.synonyms;
-    s->scored_synonym_version = dict ? dict->version() : 0;
   }
   MS_RETURN_IF_ERROR(ConsumeFault(ServingFault::kPartition));
   Result<Partitions> parts = session_.Partition(*s->scored);
@@ -586,7 +582,6 @@ Status MappingService::CommitAndPublish(BuildState&& s) {
   blocked_ = std::move(s.blocked);
   scored_ = std::move(s.scored);
   partitions_ = std::move(s.partitions);
-  scored_synonym_version_ = s.scored_synonym_version;
   last_result_ = std::move(s.result);
   store_ = std::move(store);
   auto snap = std::make_shared<const ServingSnapshot>(ServingSnapshot{

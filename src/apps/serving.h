@@ -432,7 +432,6 @@ class MappingService {
     std::shared_ptr<const ScoredGraph> scored;
     std::shared_ptr<const Partitions> partitions;
     std::shared_ptr<const SynthesisResult> result;
-    uint64_t scored_synonym_version = 0;
   };
 
   /// Stages the current family (shared aliases, current corpus) as the
@@ -487,9 +486,6 @@ class MappingService {
   std::shared_ptr<const BlockedPairs> blocked_;
   std::shared_ptr<const ScoredGraph> scored_;
   std::shared_ptr<const Partitions> partitions_;
-  /// Synonym-dictionary version the cached graph was scored at; mutations
-  /// behind an unchanged pointer must invalidate the graph.
-  uint64_t scored_synonym_version_ = 0;
 
   std::shared_ptr<const SynthesisResult> last_result_;
   std::shared_ptr<const MappingStore> store_;

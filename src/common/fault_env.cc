@@ -111,12 +111,6 @@ void FaultInjectionEnv::CrashAfterOp(uint64_t index) {
   crashed_ = false;
 }
 
-void FaultInjectionEnv::ClearPlan() {
-  std::lock_guard<std::mutex> lock(mu_);
-  fail_plan_.reset();
-  crash_after_.reset();
-}
-
 void FaultInjectionEnv::ResetOpCount() {
   std::lock_guard<std::mutex> lock(mu_);
   ops_ = 0;

@@ -62,9 +62,6 @@ class FaultInjectionEnv final : public Env {
   /// the crash point. Ops up to and including `index` run normally.
   void CrashAfterOp(uint64_t index);
 
-  /// Clears any plan (thaws a crash) without touching the op counter.
-  void ClearPlan();
-
   void ResetOpCount();
 
   // ------------------------------------------------------ observability

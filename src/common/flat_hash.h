@@ -78,14 +78,6 @@ class FlatMap64 {
     if (cap > slots_.size()) Rehash(cap);
   }
 
-  /// Visits every occupied slot (unspecified order).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.key != 0) fn(s.key, s.value);
-    }
-  }
-
  private:
   void Grow() { Rehash(slots_.empty() ? 16 : slots_.size() * 2); }
 

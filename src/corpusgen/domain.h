@@ -63,9 +63,6 @@ struct RelationshipSpec {
   std::vector<std::string> sibling_relations;
 
   size_t num_entities() const { return entities.size(); }
-
-  /// Total distinct (left-form, right) ground-truth pairs.
-  size_t GroundTruthSize() const;
 };
 
 }  // namespace ms

@@ -17,8 +17,4 @@ namespace ms {
 std::vector<uint32_t> ConnectedComponentsBfs(const CompatibilityGraph& graph,
                                              double min_pos_weight = 0.0);
 
-/// Groups vertex ids by component id.
-std::vector<std::vector<VertexId>> GroupByComponent(
-    const std::vector<uint32_t>& component_of);
-
 }  // namespace ms

@@ -26,10 +26,4 @@ double Npmi(const ColumnInvertedIndex& index, ValueId u, ValueId v);
 double NpmiFromCounts(size_t num_columns, size_t c_u, size_t c_v,
                       size_t c_uv);
 
-/// The paper's s(u, v) coherence between two values == NPMI.
-inline double ValueCoherence(const ColumnInvertedIndex& index, ValueId u,
-                             ValueId v) {
-  return Npmi(index, u, v);
-}
-
 }  // namespace ms

@@ -9,29 +9,14 @@
 
 namespace ms {
 
-Status CompatibilityOptions::Validate() const {
-  MS_RETURN_IF_ERROR(edit.Validate());
-  if (synonym_snapshot != nullptr) {
-    if (synonyms == nullptr) {
-      return Status::InvalidArgument(
-          "compat.synonym_snapshot set without compat.synonyms; a snapshot "
-          "is a view of a dictionary, not a replacement for one");
-    }
-    if (synonym_snapshot->source_version() != synonyms->version()) {
-      return Status::FailedPrecondition(
-          "compat.synonym_snapshot is stale (dictionary version " +
-          std::to_string(synonyms->version()) + ", snapshot version " +
-          std::to_string(synonym_snapshot->source_version()) +
-          "); re-take it with SynonymDictionary::Snapshot()");
-    }
-  }
-  return Status::OK();
-}
+Status CompatibilityOptions::Validate() const { return edit.Validate(); }
 
 bool ValuesMatch(ValueId a, ValueId b, const StringPool& pool,
                  const CompatibilityOptions& opts) {
   if (a == b) return true;
-  if (AreSynonymsVia(opts.synonym_snapshot, opts.synonyms, a, b)) return true;
+  if (opts.synonyms != nullptr && opts.synonyms->View()->AreSynonyms(a, b)) {
+    return true;
+  }
   if (!opts.approximate_matching) return false;
   return ApproxMatch(pool.Get(a), pool.Get(b), opts.edit);
 }
@@ -312,7 +297,7 @@ PairScores ComputeCompatibility(const BinaryTable& a, const BinaryTable& b,
                                 const StringPool& pool,
                                 const CompatibilityOptions& opts) {
   BatchApproxMatcher matcher(pool, opts.edit, opts.approximate_matching,
-                             opts.synonyms, opts.synonym_snapshot);
+                             opts.synonyms);
   return ComputeCompatibility(a, b, pool, opts, &matcher);
 }
 

@@ -32,17 +32,11 @@ struct CompatibilityOptions {
   /// Enables edit-distance matching of near-identical values (Example 8).
   bool approximate_matching = true;
   EditDistanceOptions edit;
-  /// Optional synonym feed; synonymous rights never conflict.
+  /// Optional synonym feed; synonymous rights never conflict. Matching
+  /// reads the dictionary's View().
   const SynonymDictionary* synonyms = nullptr;
-  /// Optional immutable snapshot of `synonyms`. When set, every synonym
-  /// check on the scoring hot path goes through the snapshot (two lock-free
-  /// hash probes) instead of the dictionary's mutex + union-find walk.
-  /// Results are identical as long as the snapshot reflects the current
-  /// dictionary state; SynthesisSession maintains this automatically.
-  const SynonymSnapshot* synonym_snapshot = nullptr;
 
-  /// InvalidArgument on malformed edit-distance thresholds, or when a
-  /// snapshot is supplied without (or stale against) its dictionary.
+  /// InvalidArgument on malformed edit-distance thresholds.
   Status Validate() const;
 
   /// Pointer equality for the synonym feed — callers tracking dictionary
@@ -87,7 +81,8 @@ struct ScoringStats {
   }
 };
 
-/// True when two values match under the configured predicate.
+/// True when two values match under the configured predicate (synonyms
+/// through the dictionary's current view).
 bool ValuesMatch(ValueId a, ValueId b, const StringPool& pool,
                  const CompatibilityOptions& opts);
 

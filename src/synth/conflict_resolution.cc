@@ -2,15 +2,21 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <unordered_map>
 
 namespace ms {
 namespace {
 
-bool RightsConflict(ValueId r1, ValueId r2,
-                    const ConflictResolutionOptions& options) {
+/// The synonym view one call reads; null without a feed.
+std::shared_ptr<const SynonymSnapshot> ViewOf(
+    const ConflictResolutionOptions& options) {
+  return options.synonyms != nullptr ? options.synonyms->View() : nullptr;
+}
+
+bool RightsConflict(ValueId r1, ValueId r2, const SynonymSnapshot* synonyms) {
   if (r1 == r2) return false;
-  return !AreSynonymsVia(options.synonym_snapshot, options.synonyms, r1, r2);
+  return synonyms == nullptr || !synonyms->AreSynonyms(r1, r2);
 }
 
 /// Grouping of every (table, pair) instance by left value.
@@ -25,6 +31,7 @@ ConflictResolutionResult ResolveConflicts(
     const std::vector<const BinaryTable*>& tables,
     const ConflictResolutionOptions& options) {
   ConflictResolutionResult result;
+  const auto synonyms = ViewOf(options);
   const size_t n = tables.size();
   std::vector<bool> removed(n, false);
 
@@ -51,7 +58,9 @@ ConflictResolutionResult ResolveConflicts(
         size_t conflicts = 0;
         for (size_t j = 0; j < rs.size(); ++j) {
           if (i == j) continue;
-          if (RightsConflict(rs[i].second, rs[j].second, options)) ++conflicts;
+          if (RightsConflict(rs[i].second, rs[j].second, synonyms.get())) {
+            ++conflicts;
+          }
         }
         if (conflicts > 0) {
           any_conflict = true;
@@ -86,6 +95,7 @@ ConflictResolutionResult ResolveConflicts(
 bool IsConflictFree(const std::vector<const BinaryTable*>& tables,
                     const std::vector<size_t>& kept,
                     const ConflictResolutionOptions& options) {
+  const auto synonyms = ViewOf(options);
   std::unordered_map<ValueId, std::vector<ValueId>> rights_by_left;
   for (size_t t : kept) {
     for (const auto& p : tables[t]->pairs()) {
@@ -95,7 +105,7 @@ bool IsConflictFree(const std::vector<const BinaryTable*>& tables,
   for (const auto& [left, rights] : rights_by_left) {
     for (size_t i = 0; i < rights.size(); ++i) {
       for (size_t j = i + 1; j < rights.size(); ++j) {
-        if (RightsConflict(rights[i], rights[j], options)) return false;
+        if (RightsConflict(rights[i], rights[j], synonyms.get())) return false;
       }
     }
   }

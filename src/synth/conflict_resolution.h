@@ -18,12 +18,9 @@
 namespace ms {
 
 struct ConflictResolutionOptions {
-  /// Rights that are synonyms are not conflicts (Section 4.2).
+  /// Rights that are synonyms are not conflicts (Section 4.2). Each
+  /// ResolveConflicts / IsConflictFree call reads one View() of it.
   const SynonymDictionary* synonyms = nullptr;
-  /// Optional immutable snapshot of `synonyms` (see CompatibilityOptions);
-  /// preferred over the dictionary when set — resolution runs in parallel
-  /// across partitions and the snapshot needs no locking.
-  const SynonymSnapshot* synonym_snapshot = nullptr;
 };
 
 /// Result of resolving one partition.

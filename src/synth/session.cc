@@ -215,8 +215,7 @@ void PartitionComponents(const CompatibilityGraph& graph,
 std::vector<SynthesizedMapping> ResolveGroups(
     const std::vector<BinaryTable>& cands,
     const std::vector<std::vector<VertexId>>& groups,
-    const SynthesisOptions& options, const ConflictResolutionOptions& conflict,
-    ThreadPool* threads) {
+    const SynthesisOptions& options, ThreadPool* threads) {
   std::vector<SynthesizedMapping> mappings(groups.size());
   auto resolve_one = [&](size_t gi) {
     std::vector<const BinaryTable*> tables;
@@ -227,10 +226,11 @@ std::vector<SynthesizedMapping> ResolveGroups(
       std::vector<size_t> all(tables.size());
       for (size_t i = 0; i < all.size(); ++i) all[i] = i;
       SynthesizedMapping m = BuildMapping(tables, all);
-      m.merged = BinaryTable::FromPairs(MajorityVotePairs(tables, conflict));
+      m.merged =
+          BinaryTable::FromPairs(MajorityVotePairs(tables, options.conflict));
       mappings[gi] = std::move(m);
     } else if (options.resolve_conflicts) {
-      auto resolved = ResolveConflicts(tables, conflict);
+      auto resolved = ResolveConflicts(tables, options.conflict);
       mappings[gi] = BuildMapping(tables, resolved.kept);
     } else {
       std::vector<size_t> all(tables.size());
@@ -384,9 +384,6 @@ Status SynthesisSession::UpdateOptions(SynthesisOptions options) {
   MS_RETURN_IF_ERROR(options.Validate());
   const bool threads_changed =
       options.num_threads != options_.num_threads || threads_ == nullptr;
-  if (options.compat.synonyms != options_.compat.synonyms) {
-    snapshot_valid_ = false;
-  }
   options_ = std::move(options);
   init_status_ = Status::OK();
   if (threads_changed) {
@@ -423,37 +420,6 @@ Status SynthesisSession::CheckLineage(const char* stage, const void* session,
         std::to_string(want_candidates_id) + ")");
   }
   return Status::OK();
-}
-
-const SynonymSnapshot* SynthesisSession::RefreshSnapshot(
-    const SynonymDictionary* dict) {
-  const uint64_t v = dict->version();
-  if (!snapshot_valid_ || synonym_snapshot_.source_version() != v) {
-    synonym_snapshot_ = dict->Snapshot();
-    snapshot_valid_ = true;
-    ++session_stats_.snapshot_rebuilds;
-  }
-  return &synonym_snapshot_;
-}
-
-CompatibilityOptions SynthesisSession::EffectiveCompat() {
-  CompatibilityOptions eff = options_.compat;
-  if (eff.synonyms != nullptr && eff.synonym_snapshot == nullptr) {
-    eff.synonym_snapshot = RefreshSnapshot(eff.synonyms);
-  }
-  return eff;
-}
-
-ConflictResolutionOptions SynthesisSession::EffectiveConflict() {
-  ConflictResolutionOptions eff = options_.conflict;
-  // Reuse the scoring snapshot when conflict resolution reads the same
-  // dictionary (the common wiring); a different dictionary keeps the locked
-  // path rather than risking a view of the wrong feed.
-  if (eff.synonyms != nullptr && eff.synonym_snapshot == nullptr &&
-      eff.synonyms == options_.compat.synonyms) {
-    eff.synonym_snapshot = RefreshSnapshot(eff.synonyms);
-  }
-  return eff;
 }
 
 
@@ -536,11 +502,12 @@ Result<BlockedPairs> SynthesisSession::BlockPairs(
 std::vector<CompatEdge> SynthesisSession::ScoreThroughSessionMatchers(
     const std::vector<BinaryTable>& tables, const StringPool& pool,
     const std::vector<CandidateTablePair>& pairs, ScoringStats* scoring) {
-  const CompatibilityOptions eff = EffectiveCompat();
+  const CompatibilityOptions& compat = options_.compat;
 
-  // (Re)build or re-point the per-worker matchers. Everything cached in a
-  // matcher depends only on the pool contents and edit.fractional, so a
-  // re-score under tweaked thresholds starts with every mask it ever built.
+  // (Re)build or re-point the per-worker matchers; each takes the synonym
+  // dictionary's current view. Everything cached in a matcher depends only
+  // on the pool contents and edit.fractional, so a re-score under tweaked
+  // thresholds starts with every mask it ever built.
   // A pool truncation (append rollback) can rebind cached ids to different
   // strings and frees the cached views' bytes, so it forces a rebuild.
   const size_t num_slots = threads_->num_threads() + 1;
@@ -548,25 +515,25 @@ std::vector<CompatEdge> SynthesisSession::ScoreThroughSessionMatchers(
   const bool warm = matchers_ != nullptr && matchers_->pool == &pool &&
                     matchers_->pool_truncations == truncations &&
                     matchers_->slots.size() == num_slots &&
-                    matchers_->fractional == eff.edit.fractional &&
+                    matchers_->fractional == compat.edit.fractional &&
                     matchers_->cap == options_.matcher_cache_cap;
   if (!warm) {
     matchers_ = std::make_unique<MatcherSlots>();
     matchers_->pool = &pool;
     matchers_->pool_truncations = truncations;
-    matchers_->fractional = eff.edit.fractional;
+    matchers_->fractional = compat.edit.fractional;
     matchers_->cap = options_.matcher_cache_cap;
     matchers_->slots.resize(num_slots);
     for (auto& slot : matchers_->slots) {
       slot = std::make_unique<BatchApproxMatcher>(
-          pool, eff.edit, eff.approximate_matching, eff.synonyms,
-          eff.synonym_snapshot, options_.matcher_cache_cap);
+          pool, compat.edit, compat.approximate_matching, compat.synonyms,
+          options_.matcher_cache_cap);
     }
   } else {
     ++session_stats_.warm_scoring_runs;
     for (auto& slot : matchers_->slots) {
-      slot->Reconfigure(eff.edit, eff.approximate_matching, eff.synonyms,
-                        eff.synonym_snapshot);
+      slot->Reconfigure(compat.edit, compat.approximate_matching,
+                        compat.synonyms);
     }
   }
   for (auto& slot : matchers_->slots) slot->ResetStats();
@@ -576,7 +543,7 @@ std::vector<CompatEdge> SynthesisSession::ScoreThroughSessionMatchers(
   std::vector<std::unique_ptr<PairScorer>> scorers(num_slots);
   for (size_t i = 0; i < num_slots; ++i) {
     scorers[i] =
-        std::make_unique<PairScorer>(eff, matchers_->slots[i].get());
+        std::make_unique<PairScorer>(compat, matchers_->slots[i].get());
   }
   auto worker_scorer = [&scorers, num_slots]() -> PairScorer& {
     size_t wi = ThreadPool::CurrentWorkerIndex();
@@ -975,6 +942,12 @@ ScoredGraph SynthesisSession::ScoreStep(const CandidateSet& candidates,
       MutationSubstepHistogram("score.splice");
   Timer timer;
   ScoredGraph out;
+  // Read before the scorers take their view, so an edit racing this run
+  // can only make the graph look stale. Base edges keep the base's version.
+  const SynonymDictionary* synonyms = options_.compat.synonyms;
+  out.synonym_version = base != nullptr      ? base->synonym_version
+                        : synonyms != nullptr ? synonyms->version()
+                                              : 0;
   ScoringStats scoring;
   const size_t num_vertices = candidates.tables().size();
   std::optional<obs::TraceSpan> substep;
@@ -1150,8 +1123,7 @@ SynthesisResult SynthesisSession::ResolveStep(const CandidateSet& candidates,
   std::erase_if(groups, [](const auto& g) { return g.empty(); });
   for (auto& members : groups) SortColdOrder(graph.order, members);
   std::vector<SynthesizedMapping> fresh =
-      ResolveGroups(candidates.tables(), groups, options_,
-                    EffectiveConflict(), threads_.get());
+      ResolveGroups(candidates.tables(), groups, options_, threads_.get());
   // Mappings of clean scopes carry over verbatim: their partitions,
   // members and conflict sets are untouched. They already sit in rank
   // order: the order is total, and each one's first member is a live base
@@ -1559,6 +1531,12 @@ Result<SessionSnapshot> SynthesisSession::RestoreSnapshot(
   static obs::Histogram* const restore_us =
       obs::MetricsRegistry::Global().GetHistogram("ms_persist_restore_us");
   obs::TraceSpan span("persist.restore_snapshot", restore_us);
+  // The fingerprint covers the synonym version, so a restored graph was
+  // scored under it. Read first: an edit racing the restore can only make
+  // the graph look stale.
+  const SynonymDictionary* synonyms = options_.compat.synonyms;
+  const uint64_t synonym_version =
+      synonyms != nullptr ? synonyms->version() : 0;
   Result<SessionSnapshot> loaded =
       persist::LoadSessionSnapshot(path, OptionsFingerprint(options_), env_);
   if (!loaded.ok()) return loaded.status();
@@ -1594,6 +1572,7 @@ Result<SessionSnapshot> SynthesisSession::RestoreSnapshot(
     snap.scored->artifact_id += shift;
     snap.scored->candidates_id += shift;
     snap.scored->order = ColdOrder(*snap.candidates);
+    snap.scored->synonym_version = synonym_version;
   }
   next_artifact_id_ = std::max(next_artifact_id_, max_id + shift + 1);
   ++session_stats_.snapshot_restores;

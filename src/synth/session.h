@@ -14,8 +14,7 @@
 // verbatim; new PartitionerOptions re-partition the same ScoredGraph. The
 // session owns the warm state worth keeping across runs — the ThreadPool,
 // per-worker BatchApproxMatcher caches (pattern bitmasks survive re-scoring
-// runs), and an immutable SynonymSnapshot refreshed only when the
-// dictionary actually changed.
+// runs). Synonym checks read the dictionary's own View().
 //
 // All fallible entry points return Status / Result<T> (common/status.h):
 // malformed options are rejected with InvalidArgument by
@@ -227,6 +226,12 @@ struct ScoredGraph {
   /// ids impose, since the greedy partitioner and conflict resolution break
   /// ties on member position. Derived from the candidates, never persisted.
   std::vector<uint32_t> order;
+  /// The compat synonym dictionary's version() this graph was scored under
+  /// (0 without a feed), read before scoring took its view; a mutation that
+  /// splices fresh edges into a base keeps the base's. RestoreSnapshot
+  /// stamps the version its fingerprint matched. A holder whose dictionary
+  /// moved past it re-scores. Never persisted.
+  uint64_t synonym_version = 0;
 
   uint64_t artifact_id = 0;
   uint64_t candidates_id = 0;
@@ -564,8 +569,6 @@ class SynthesisSession {
     size_t resolve_runs = 0;
     /// Scoring runs whose per-worker matchers started warm (caches kept).
     size_t warm_scoring_runs = 0;
-    /// Synonym snapshots (re)built because the dictionary version moved.
-    size_t snapshot_rebuilds = 0;
     /// Persistence round trips through Save/RestoreSnapshot.
     size_t snapshot_saves = 0;
     size_t snapshot_restores = 0;
@@ -586,11 +589,6 @@ class SynthesisSession {
   struct MatcherSlots;
 
   Status ReadyToRun() const;
-  /// Re-takes the session snapshot iff `dict`'s version moved; returns it.
-  const SynonymSnapshot* RefreshSnapshot(const SynonymDictionary* dict);
-  /// Effective per-run options with the session snapshot wired in.
-  CompatibilityOptions EffectiveCompat();
-  ConflictResolutionOptions EffectiveConflict();
   uint64_t NextArtifactId() { return next_artifact_id_++; }
   /// Scores `pairs` over `tables` through the session's persistent
   /// per-worker matchers (building/warming them as needed) into the edges
@@ -667,7 +665,7 @@ class SynthesisSession {
   /// Writer-side mutual exclusion: every public stage/composite/persistence
   /// entry point locks this, so two threads driving the same session
   /// serialize instead of corrupting the warm state (matcher caches,
-  /// synonym snapshot, artifact-id counter, stage counters). Recursive
+  /// artifact-id counter, stage counters). Recursive
   /// because composites (Run, FinishFromCandidates, …) re-enter the stage
   /// entry points. This makes concurrent *writes* safe, not cheap — the serving
   /// tier (MappingService) keeps reads off the session entirely via
@@ -678,8 +676,6 @@ class SynthesisSession {
   Status init_status_;
   std::unique_ptr<ThreadPool> threads_;
   std::unique_ptr<MatcherSlots> matchers_;
-  SynonymSnapshot synonym_snapshot_;
-  bool snapshot_valid_ = false;
   uint64_t next_artifact_id_ = 1;
   SessionStats session_stats_;
   Env* env_ = Env::Default();

@@ -183,14 +183,14 @@ size_t MyersBlocked(std::string_view pattern, std::string_view text) {
 bool BatchApproxMatcher::Match(ValueId a, ValueId b) {
   ++stats_.match_calls;
   if (a == b) return true;
-  if (AreSynonymsVia(snapshot_, synonyms_, a, b)) return true;
+  if (synonyms_ != nullptr && synonyms_->AreSynonyms(a, b)) return true;
   return approximate_ && Approx(Resolve(a), Resolve(b));
 }
 
 BatchApproxMatcher::Record BatchApproxMatcher::Resolve(ValueId id) {
   Record r;
   r.id = id;
-  if (snapshot_ != nullptr) r.syn_class = snapshot_->ClassOf(id);
+  if (synonyms_ != nullptr) r.syn_class = synonyms_->ClassOf(id);
   if (approximate_) {
     const ValueInfo& vi = CachedInfo(id);
     r.length = static_cast<uint32_t>(vi.text.size());
@@ -225,16 +225,14 @@ std::string_view BatchApproxMatcher::Text(ValueId id) {
 
 void BatchApproxMatcher::Reconfigure(const EditDistanceOptions& edit,
                                      bool approximate_matching,
-                                     const SynonymDictionary* synonyms,
-                                     const SynonymSnapshot* synonym_snapshot) {
+                                     const SynonymDictionary* synonyms) {
   // frac_floor is the only cached value-state derived from the
   // configuration; everything else (text views, charmasks, pattern masks)
   // depends solely on the pool contents, which are append-only.
   if (edit.fractional != edit_.fractional) FlushCache();
   edit_ = edit;
   approximate_ = approximate_matching;
-  synonyms_ = synonyms;
-  snapshot_ = synonym_snapshot;
+  synonyms_ = synonyms != nullptr ? synonyms->View() : nullptr;
 }
 
 void BatchApproxMatcher::FlushCache() {

@@ -156,22 +156,19 @@ class BatchApproxMatcher {
   BatchApproxMatcher(const StringPool& pool, const EditDistanceOptions& edit,
                      bool approximate_matching,
                      const SynonymDictionary* synonyms,
-                     const SynonymSnapshot* synonym_snapshot = nullptr,
                      size_t max_cached_values = 0)
       : pool_(pool),
         edit_(edit),
         approximate_(approximate_matching),
-        synonyms_(synonyms),
-        snapshot_(synonym_snapshot),
+        synonyms_(synonyms != nullptr ? synonyms->View() : nullptr),
         max_cached_values_(max_cached_values) {}
 
   BatchApproxMatcher(const BatchApproxMatcher&) = delete;
   BatchApproxMatcher& operator=(const BatchApproxMatcher&) = delete;
 
   /// The ValuesMatch predicate: exact id equality, then synonyms (through
-  /// the snapshot when one is set — lock-free — otherwise the dictionary),
-  /// then the fractional-threshold approximate match with `a` as the
-  /// pattern side.
+  /// the dictionary's view the matcher holds), then the fractional-threshold
+  /// approximate match with `a` as the pattern side.
   bool Match(ValueId a, ValueId b);
 
   /// One value resolved for a scored pair: the inputs of the predicate's
@@ -179,8 +176,8 @@ class BatchApproxMatcher {
   /// so a cache flush never invalidates it (`text` points into the pool).
   struct Record {
     ValueId id = kInvalidValueId;
-    /// Class root through the synonym snapshot; kInvalidValueId when the
-    /// value has no synonym or no snapshot is set.
+    /// Class root through the dictionary's view; kInvalidValueId when the
+    /// value has no synonym or no dictionary is set.
     ValueId syn_class = kInvalidValueId;
     uint32_t length = 0;
     uint32_t frac_floor = 0;  ///< ⌊length · f_ed⌋
@@ -204,11 +201,7 @@ class BatchApproxMatcher {
   bool Match(const Record& a, const Record& b) {
     ++stats_.match_calls;
     if (a.id == b.id) return true;
-    if (snapshot_ != nullptr) {
-      if (a.syn_class != kInvalidValueId && a.syn_class == b.syn_class) {
-        return true;
-      }
-    } else if (synonyms_ != nullptr && synonyms_->AreSynonyms(a.id, b.id)) {
+    if (a.syn_class != kInvalidValueId && a.syn_class == b.syn_class) {
       return true;
     }
     return approximate_ && Approx(a, b);
@@ -226,9 +219,9 @@ class BatchApproxMatcher {
   /// `edit.fractional` is unchanged — none of it depends on any other
   /// option — and is flushed otherwise. This is what lets a session re-run
   /// scoring under tweaked thresholds without rebuilding a single mask.
+  /// The synonym view is re-read from `synonyms`.
   void Reconfigure(const EditDistanceOptions& edit, bool approximate_matching,
-                   const SynonymDictionary* synonyms,
-                   const SynonymSnapshot* synonym_snapshot);
+                   const SynonymDictionary* synonyms);
 
   const MatcherStats& stats() const { return stats_; }
 
@@ -294,8 +287,9 @@ class BatchApproxMatcher {
   const StringPool& pool_;
   EditDistanceOptions edit_;
   bool approximate_;
-  const SynonymDictionary* synonyms_;
-  const SynonymSnapshot* snapshot_;
+  /// The dictionary's view as of construction or the last Reconfigure;
+  /// null without a synonym feed.
+  std::shared_ptr<const SynonymSnapshot> synonyms_;
   size_t max_cached_values_;
   FlatMap64<uint32_t> index_;  ///< id+1 -> infos_ slot + 1 (0 = absent)
   std::deque<ValueInfo> infos_;

@@ -1,7 +1,5 @@
 #include "text/synonyms.h"
 
-#include <unordered_set>
-
 namespace ms {
 
 ValueId SynonymDictionary::FindLocked(ValueId v) const {
@@ -59,27 +57,23 @@ std::vector<ValueId> SynonymDictionary::ClassMembers(ValueId v) const {
   return out;
 }
 
-size_t SynonymDictionary::num_classes_with_synonyms() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unordered_set<ValueId> roots;
-  for (const auto& [child, _] : parent_) roots.insert(FindLocked(child));
-  return roots.size();
-}
-
 uint64_t SynonymDictionary::version() const {
   std::lock_guard<std::mutex> lock(mu_);
   return version_;
 }
 
-SynonymSnapshot SynonymDictionary::Snapshot() const {
+std::shared_ptr<const SynonymSnapshot> SynonymDictionary::View() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SynonymSnapshot snap;
-  snap.source_version_ = version_;
-  snap.class_of_.Reserve(parent_.size());
-  for (const auto& [child, _] : parent_) {
-    snap.class_of_[static_cast<uint64_t>(child) + 1] = FindLocked(child);
+  if (view_ == nullptr || view_->source_version_ != version_) {
+    auto view = std::make_shared<SynonymSnapshot>();
+    view->source_version_ = version_;
+    view->class_of_.Reserve(parent_.size());
+    for (const auto& [child, _] : parent_) {
+      view->class_of_[static_cast<uint64_t>(child) + 1] = FindLocked(child);
+    }
+    view_ = std::move(view);
   }
-  return snap;
+  return view_;
 }
 
 }  // namespace ms

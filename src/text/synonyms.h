@@ -4,12 +4,11 @@
 // treated as conflicting right-hand sides when computing w- / F(B,B').
 //
 // The dictionary is a mutable union-find guarded by a mutex (AddSynonym can
-// race with lookups, and even const lookups path-compress). That makes
-// every AreSynonyms call on the pair-scoring hot path a lock + hash probe.
-// `SynonymSnapshot` is the scoring-time answer: an immutable, fully
-// flattened value -> class-id view taken once per scoring run. Lookups are
-// two lock-free flat-hash probes and the snapshot records the dictionary
-// version it was taken at, so long-lived sessions know when to refresh.
+// race with lookups, and even const lookups path-compress). Every matching
+// path reads its `View()` instead: one immutable, fully flattened
+// value -> class-root map, rebuilt under the mutex only when the version
+// moved and shared by every reader. Lookups are lock-free flat-hash probes,
+// and a view records the dictionary version it reflects.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +64,8 @@ class SynonymSnapshot {
 };
 
 /// Union-find over interned values: synonymous values share a class id.
-/// All methods are thread-safe (one mutex); hot paths should go through a
-/// SynonymSnapshot instead.
+/// All methods are thread-safe (one mutex). Matching reads View(); the
+/// locked AreSynonyms is the reference tests compare the view against.
 class SynonymDictionary {
  public:
   explicit SynonymDictionary(std::shared_ptr<StringPool> pool)
@@ -85,15 +84,16 @@ class SynonymDictionary {
   /// All members of v's synonym class, including v.
   std::vector<ValueId> ClassMembers(ValueId v) const;
 
-  size_t num_classes_with_synonyms() const;
-
   /// Monotonic mutation counter: bumped by every AddSynonym that changes
-  /// the dictionary. Snapshot holders compare against it to decide whether
-  /// their snapshot is stale.
+  /// the dictionary. A graph scored under the feed records it
+  /// (ScoredGraph::synonym_version) so its holder can tell it is stale.
   uint64_t version() const;
 
-  /// Takes an immutable flattened view of the current state.
-  SynonymSnapshot Snapshot() const;
+  /// The immutable flattened view of the current state, with
+  /// source_version() == version() as of the call. Views are shared: the
+  /// dictionary rebuilds one only after AddSynonym moved the version, and
+  /// a held view never changes.
+  std::shared_ptr<const SynonymSnapshot> View() const;
 
  private:
   ValueId FindLocked(ValueId v) const;
@@ -103,17 +103,7 @@ class SynonymDictionary {
   // Parent pointers; values absent from the map are their own class.
   mutable std::unordered_map<ValueId, ValueId> parent_;
   uint64_t version_ = 0;
+  mutable std::shared_ptr<const SynonymSnapshot> view_;  ///< null until read
 };
-
-/// The synonym check every matching path shares: the snapshot (lock-free)
-/// when one is wired in, otherwise the dictionary, otherwise no synonyms.
-/// Centralized so precedence can never diverge between scoring, conflict
-/// resolution, and the batch matcher.
-inline bool AreSynonymsVia(const SynonymSnapshot* snapshot,
-                           const SynonymDictionary* dict, ValueId a,
-                           ValueId b) {
-  if (snapshot != nullptr) return snapshot->AreSynonyms(a, b);
-  return dict != nullptr && dict->AreSynonyms(a, b);
-}
 
 }  // namespace ms

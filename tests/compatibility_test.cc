@@ -486,7 +486,7 @@ TEST_F(FastPathFixture, ResidueKeysRespectTheMatcherCacheCap) {
     opts.approximate_matching = approx;
     if (!approx) opts.synonyms = &dict;
     BatchApproxMatcher capped(*pool_, opts.edit, approx, opts.synonyms,
-                              nullptr, /*max_cached_values=*/4);
+                              /*max_cached_values=*/4);
     BatchApproxMatcher uncapped(*pool_, opts.edit, approx, opts.synonyms);
     for (int round = 0; round < 150; ++round) {
       const BinaryTable a = RandomTable(rng, lefts, rights);
@@ -635,41 +635,37 @@ TEST_F(FastPathFixture, PairScorerDecidesEachLeftPairOnce) {
     dict.AddSynonym(pool_->Get(rng.Pick(rights)),
                     pool_->Get(rng.Pick(rights)));
   }
-  const SynonymSnapshot snapshot = dict.Snapshot();
 
+  // The engine reads the dictionary's view; the reference walks its locked
+  // union-find.
   struct Config {
     const char* name;
     bool approximate;
     bool synonyms;
-    bool snapshot;
   };
   const Config configs[] = {
-      {"approximate", true, false, false},
-      {"dictionary", true, true, false},
-      {"snapshot", true, true, true},
-      {"dictionary-only", false, true, false},
-      {"snapshot-only", false, true, true},
-      {"exact-only", false, false, false},
+      {"approximate", true, false},
+      {"synonym", true, true},
+      {"synonym-only", false, true},
+      {"exact-only", false, false},
   };
   size_t kernel_runs = 0, replay_kernel_runs = 0;
   for (const Config& config : configs) {
     CompatibilityOptions opts;
     opts.approximate_matching = config.approximate;
     if (config.synonyms) opts.synonyms = &dict;
-    if (config.snapshot) opts.synonym_snapshot = &snapshot;
     ASSERT_TRUE(opts.Validate().ok());
     for (const size_t cap : {size_t{0}, size_t{2}, size_t{4}}) {
       const std::string ctx =
           std::string(config.name) + " cap " + std::to_string(cap);
       BatchApproxMatcher matcher(*pool_, opts.edit, opts.approximate_matching,
-                                 opts.synonyms, opts.synonym_snapshot, cap);
+                                 opts.synonyms, cap);
       PairScorer scorer(opts, &matcher);
       BatchApproxMatcher replay_left(*pool_, opts.edit,
-                                     opts.approximate_matching, opts.synonyms,
-                                     opts.synonym_snapshot);
+                                     opts.approximate_matching, opts.synonyms);
       BatchApproxMatcher replay_right(*pool_, opts.edit,
                                       opts.approximate_matching,
-                                      opts.synonyms, opts.synonym_snapshot);
+                                      opts.synonyms);
       for (const auto& [i, j] : pairs) {
         const BinaryTable& a = tables[i];
         const BinaryTable& b = tables[j];
@@ -713,7 +709,7 @@ TEST_F(FastPathFixture, TextReadsThePoolThroughTheCache) {
     ids.push_back(pool_->Intern("value " + std::to_string(i)));
   }
   BatchApproxMatcher matcher(*pool_, EditDistanceOptions{}, true, nullptr,
-                             nullptr, /*max_cached_values=*/4);
+                             /*max_cached_values=*/4);
   for (int pass = 0; pass < 2; ++pass) {
     for (const ValueId id : ids) {
       EXPECT_EQ(matcher.Text(id), pool_->Get(id));

@@ -41,6 +41,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "oracles/blocking_reference.h"
+#include "oracles/hash_to_min.h"
 #include "persist/corpus_store.h"
 #include "persist/snapshot.h"
 #include "stats/coherence.h"

@@ -12,12 +12,15 @@ namespace ms {
 
 namespace {
 
-/// The seed value predicate: exact, synonym, then the banded DP under the
-/// fractional threshold.
+/// The seed value predicate: exact, synonym (the dictionary's locked
+/// union-find walk, not the view the engine reads), then the banded DP under
+/// the fractional threshold.
 bool ReferenceValuesMatch(ValueId a, ValueId b, const StringPool& pool,
                           const CompatibilityOptions& opts) {
   if (a == b) return true;
-  if (AreSynonymsVia(opts.synonym_snapshot, opts.synonyms, a, b)) return true;
+  if (opts.synonyms != nullptr && opts.synonyms->AreSynonyms(a, b)) {
+    return true;
+  }
   if (!opts.approximate_matching) return false;
   const std::string_view sa = pool.Get(a);
   const std::string_view sb = pool.Get(b);

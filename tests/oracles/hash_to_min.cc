@@ -72,4 +72,16 @@ std::vector<uint32_t> ConnectedComponentsHashToMin(
   return comp;
 }
 
+std::vector<std::vector<VertexId>> GroupByComponent(
+    const std::vector<uint32_t>& component_of) {
+  uint32_t max_comp = 0;
+  for (uint32_t c : component_of) max_comp = std::max(max_comp, c);
+  std::vector<std::vector<VertexId>> groups(component_of.empty() ? 0
+                                                                 : max_comp + 1);
+  for (VertexId v = 0; v < component_of.size(); ++v) {
+    groups[component_of[v]].push_back(v);
+  }
+  return groups;
+}
+
 }  // namespace ms

@@ -288,11 +288,17 @@ TEST(ServingConcurrencyTest, ReadersSurviveContinuousResynthesis) {
     });
   }
 
-  for (int round = 0; round < 30; ++round) {
-    ASSERT_TRUE(svc.Resynthesize(round % 2 == 0 ? b : a).ok());
-  }
+  // A failed assertion leaves the lambda, not the test, so the readers are
+  // always joined.
+  const auto write = [&] {
+    for (int round = 0; round < 30; ++round) {
+      ASSERT_TRUE(svc.Resynthesize(round % 2 == 0 ? b : a).ok());
+    }
+  };
+  write();
   stop.store(true, std::memory_order_relaxed);
   for (auto& th : readers) th.join();
+  if (HasFatalFailure()) return;
 
   EXPECT_EQ(torn.load(), 0u);
   EXPECT_EQ(held_handle_violations.load(), 0u);
@@ -326,11 +332,15 @@ TEST(ServingConcurrencyTest, HealthAndSizePollingRaceWriters) {
     }
   });
 
-  for (int round = 0; round < 20; ++round) {
-    ASSERT_TRUE(svc.Resynthesize(ServingOptions()).ok());
-  }
+  const auto write = [&] {
+    for (int round = 0; round < 20; ++round) {
+      ASSERT_TRUE(svc.Resynthesize(ServingOptions()).ok());
+    }
+  };
+  write();
   stop.store(true, std::memory_order_relaxed);
   poller.join();
+  if (HasFatalFailure()) return;
   EXPECT_EQ(inconsistencies.load(), 0u);
 }
 

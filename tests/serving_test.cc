@@ -20,6 +20,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "synth/session.h"
 #include "table/corpus.h"
 #include "table/tsv.h"
+#include "text/synonyms.h"
 
 namespace ms {
 namespace {
@@ -729,6 +731,138 @@ TEST(ServingMutationTest, MutationsRequireAnOwnedCorpus) {
   // The rejected mutations left serving untouched.
   EXPECT_EQ(corpus.size(), 6u);
   EXPECT_EQ(ServiceCanonical(svc).size(), svc.num_mappings());
+}
+
+using SynonymPairs = std::vector<std::pair<std::string, std::string>>;
+
+/// Exact matching plus the feed: under approximate matching the generated
+/// names and codes already match their neighbours, so no synonym among them
+/// could change a result.
+SynthesisOptions WithSynonyms(const SynonymDictionary* dict) {
+  SynthesisOptions o = ServingOptions();
+  o.compat.approximate_matching = false;
+  o.compat.synonyms = dict;
+  o.conflict.synonyms = dict;
+  return o;
+}
+
+/// Cold-rebuild oracle over `specs[tables]`, in that order, under a feed
+/// declaring `synonyms` (a dictionary over the cold corpus's own pool).
+std::multiset<std::string> ColdUnderSynonyms(
+    const std::vector<TableSpec>& specs, const std::vector<size_t>& tables,
+    const SynonymPairs& synonyms) {
+  TableCorpus corpus;
+  for (const size_t i : tables) AddSpecs(&corpus, specs, i, i + 1);
+  SynonymDictionary dict(corpus.shared_pool());
+  for (const auto& [a, b] : synonyms) dict.AddSynonym(a, b);
+  MappingService cold(WithSynonyms(&dict));
+  EXPECT_TRUE(cold.Synthesize(corpus).ok());
+  return ServiceCanonical(cold);
+}
+
+std::vector<size_t> TablesUpTo(size_t n, const std::set<size_t>& removed) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < n; ++i) {
+    if (removed.count(i) == 0) out.push_back(i);
+  }
+  return out;
+}
+
+TEST(ServingMutationTest, SynonymEditRescoresBeforeEachMutation) {
+  // AddSynonym moves the feed behind an unchanged options pointer. The
+  // mutation after it must re-score the served graph first: splicing edges
+  // scored under the new view into base edges scored under the old one
+  // builds a graph no cold run produces.
+  Rng rng(408);
+  auto specs = SmallCorpusSpec(rng, 14);
+  const std::string tsv = ScratchRoot() + "/serving_synonym_edit.tsv";
+  {
+    TableCorpus base;
+    AddSpecs(&base, specs, 0, 10);
+    ASSERT_TRUE(SaveCorpus(base, tsv).ok());
+  }
+  MappingService svc(ServingOptions());
+  ASSERT_TRUE(svc.SynthesizeFromFile(tsv).ok());
+  // The feed interns into the service's corpus pool, so it is wired in
+  // once that corpus exists.
+  SynonymDictionary dict(svc.shared_pool());
+  ASSERT_TRUE(svc.Resynthesize(WithSynonyms(&dict)).ok());
+  SynonymPairs synonyms;
+  const auto edit = [&](const char* a, const char* b) {
+    dict.AddSynonym(a, b);
+    synonyms.emplace_back(a, b);
+  };
+
+  edit("entity name 3", "entity name 5");
+  size_t runs = svc.session_stats().scoring_runs;
+  TableCorpus delta;
+  AddSpecs(&delta, specs, 10, 14);
+  ASSERT_TRUE(svc.AppendAndResynthesize(delta).ok());
+  EXPECT_EQ(svc.session_stats().scoring_runs, runs + 1);
+  const auto appended = TablesUpTo(14, {});
+  const auto cold_append = ColdUnderSynonyms(specs, appended, synonyms);
+  EXPECT_NE(cold_append, ColdUnderSynonyms(specs, appended, {}))
+      << "the edit must change the cold result";
+  EXPECT_EQ(ServiceCanonical(svc), cold_append);
+
+  edit("entity name 1", "entity name 9");
+  runs = svc.session_stats().scoring_runs;
+  ASSERT_TRUE(svc.RemoveAndResynthesize({2, 5}).ok());
+  EXPECT_EQ(svc.session_stats().scoring_runs, runs + 1);
+  const auto remaining = TablesUpTo(14, {2, 5});
+  const auto cold_remove = ColdUnderSynonyms(specs, remaining, synonyms);
+  EXPECT_NE(cold_remove, ColdUnderSynonyms(specs, remaining, {synonyms[0]}))
+      << "the edit must change the cold result";
+  EXPECT_EQ(ServiceCanonical(svc), cold_remove);
+
+  // An unchanged feed: the next mutation reuses the graph.
+  runs = svc.session_stats().scoring_runs;
+  ASSERT_TRUE(svc.RemoveAndResynthesize({7}).ok());
+  EXPECT_EQ(svc.session_stats().scoring_runs, runs);
+  EXPECT_EQ(ServiceCanonical(svc),
+            ColdUnderSynonyms(specs, TablesUpTo(14, {2, 5, 7}), synonyms));
+  std::remove(tsv.c_str());
+}
+
+TEST(ServingMutationTest, RestoredServiceRescoresAfterASynonymEdit) {
+  // A restored graph carries the synonym version its options fingerprint
+  // matched, so an append with the feed unchanged reuses it, and an append
+  // after an edit re-scores it first.
+  Rng rng(409);
+  auto specs = SmallCorpusSpec(rng, 14);
+  TableCorpus corpus;
+  AddSpecs(&corpus, specs, 0, 10);
+  SynonymDictionary dict(corpus.shared_pool());
+  SynonymPairs synonyms = {{"entity name 3", "entity name 5"}};
+  dict.AddSynonym(synonyms[0].first, synonyms[0].second);
+  const std::string path =
+      FreshDir("serving_synonym_restore") + "/family.mssnap";
+  {
+    MappingService saver(WithSynonyms(&dict));
+    ASSERT_TRUE(saver.Synthesize(corpus).ok());
+    ASSERT_TRUE(saver.SaveSnapshot(path).ok());
+  }
+  MappingService svc(WithSynonyms(&dict));
+  ASSERT_TRUE(svc.OpenFromSnapshot(path).ok());
+  ASSERT_TRUE(svc.AttachCorpus(corpus).ok());
+  ASSERT_EQ(svc.session_stats().scoring_runs, 0u);
+
+  AddSpecs(&corpus, specs, 10, 12);
+  ASSERT_TRUE(svc.ResynthesizeAppended().ok());
+  EXPECT_EQ(svc.session_stats().scoring_runs, 0u);
+  EXPECT_EQ(ServiceCanonical(svc),
+            ColdUnderSynonyms(specs, TablesUpTo(12, {}), synonyms));
+
+  dict.AddSynonym("entity name 1", "entity name 2");
+  synonyms.emplace_back("entity name 1", "entity name 2");
+  AddSpecs(&corpus, specs, 12, 14);
+  ASSERT_TRUE(svc.ResynthesizeAppended().ok());
+  EXPECT_EQ(svc.session_stats().scoring_runs, 1u);
+  const auto all = TablesUpTo(14, {});
+  const auto cold = ColdUnderSynonyms(specs, all, synonyms);
+  EXPECT_NE(cold, ColdUnderSynonyms(specs, all, {synonyms[0]}))
+      << "the edit must change the cold result";
+  EXPECT_EQ(ServiceCanonical(svc), cold);
 }
 
 // ===================================================== BatchLookupTest

@@ -5,11 +5,15 @@
 // undefined behavior, artifact lineage misuse must fail with
 // FailedPrecondition, and corpus-file failures must propagate.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +22,7 @@
 #include "corpusgen/generator.h"
 #include "graph/connected_components.h"
 #include "oracles/blocking_reference.h"
+#include "oracles/hash_to_min.h"
 #include "synth/session.h"
 #include "table/tsv.h"
 
@@ -199,6 +204,133 @@ TEST(ScoringConcurrencyTest, EdgesAreBitwiseEqualAcrossThreadCounts) {
         ASSERT_EQ(got[e].w_pos, want[e].w_pos) << "edge " << e;  // bitwise
         ASSERT_EQ(got[e].w_neg, want[e].w_neg) << "edge " << e;
       }
+    }
+  }
+}
+
+TEST(SynonymConcurrencyTest, EveryViewHoldsExactlyThePairsOfItsVersion) {
+  // One writer adds disjoint pairs, so version v means pairs [0, v) are in
+  // and the rest are not. Readers race View() against it and check each
+  // view they receive against its own source_version(); they tally, and
+  // the main thread asserts.
+  constexpr size_t kPairs = 300;
+  auto pool = std::make_shared<StringPool>();
+  SynonymDictionary dict(pool);
+  std::vector<std::pair<ValueId, ValueId>> ids;
+  for (size_t i = 0; i < kPairs; ++i) {
+    ids.emplace_back(pool->Intern("left " + std::to_string(i)),
+                     pool->Intern("right " + std::to_string(i)));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> views{0};
+  std::atomic<uint64_t> violations{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      uint64_t last = 0;
+      // One more check after the writer stops sees the final version.
+      for (bool done = false; !done;) {
+        done = stop.load(std::memory_order_acquire);
+        const std::shared_ptr<const SynonymSnapshot> view = dict.View();
+        const uint64_t v = view->source_version();
+        bool ok = v >= last && v <= kPairs && view->size() == 2 * v;
+        for (size_t i = 0; ok && i < kPairs; ++i) {
+          const auto [a, b] = ids[i];
+          ok = i < v ? view->AreSynonyms(a, b) &&
+                           view->ClassOf(a) != kInvalidValueId &&
+                           (i == 0 || !view->AreSynonyms(a, ids[i - 1].first))
+                     : view->ClassOf(a) == kInvalidValueId &&
+                           view->ClassOf(b) == kInvalidValueId;
+        }
+        if (!ok) violations.fetch_add(1, std::memory_order_relaxed);
+        last = v;
+        views.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  // Start editing once the readers are taking views.
+  while (views.load(std::memory_order_relaxed) < readers.size()) {
+    std::this_thread::yield();
+  }
+  for (const auto& [a, b] : ids) {
+    dict.AddSynonym(pool->Get(a), pool->Get(b));
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(violations.load(), 0u);
+  EXPECT_GT(views.load(), 0u);
+  EXPECT_EQ(dict.View()->source_version(), kPairs);
+}
+
+TEST(SynonymConcurrencyTest, OneFeedScoresAndResolvesAlikeAcrossThreadCounts) {
+  // Scoring workers hold the feed's view through their matchers, and
+  // conflict resolution reads one View() per partition on the workers:
+  // edges and mappings must not depend on the thread count.
+  GeneratedWorld world = SmallWorld(59, /*popularity=*/20);
+  SynthesisOptions opts = FastOptions();
+  opts.num_threads = 1;
+  SynthesisSession session(opts);
+  auto cands = session.ExtractCandidates(world.corpus);
+  ASSERT_TRUE(cands.ok());
+  auto blocked = session.BlockPairs(cands.value());
+  ASSERT_TRUE(blocked.ok());
+  auto plain = session.ScorePairs(cands.value(), blocked.value());
+  ASSERT_TRUE(plain.ok());
+
+  // Declare the first two rights of many candidates synonymous, so the feed
+  // decides real overlaps and conflicts.
+  const StringPool& pool = *cands.value().pool;
+  SynonymDictionary dict(world.corpus.shared_pool());
+  for (size_t c = 0; c < cands.value().tables().size(); c += 3) {
+    const auto& pairs = cands.value().tables()[c].pairs();
+    if (pairs.size() < 2) continue;
+    dict.AddSynonym(pool.Get(pairs[0].right), pool.Get(pairs[1].right));
+  }
+  ASSERT_GT(dict.version(), 0u);
+  opts.compat.synonyms = &dict;
+  opts.conflict.synonyms = &dict;
+
+  std::vector<CompatEdge> want_edges;
+  std::vector<SynthesizedMapping> want_mappings;
+  for (const size_t threads : {1u, 2u, 4u}) {
+    opts.num_threads = threads;
+    ASSERT_TRUE(session.UpdateOptions(opts).ok());
+    auto g = session.ScorePairs(cands.value(), blocked.value());
+    ASSERT_TRUE(g.ok());
+    auto parts = session.Partition(g.value());
+    ASSERT_TRUE(parts.ok());
+    auto r = session.Resolve(cands.value(), g.value(), parts.value());
+    ASSERT_TRUE(r.ok());
+    const auto& edges = g.value().graph.edges();
+    const auto& mappings = r.value().mappings;
+    if (threads == 1) {
+      want_edges = edges;
+      want_mappings = mappings;
+      // The feed must matter, or this checks nothing synonym-specific.
+      const auto& before = plain.value().graph.edges();
+      bool differs = edges.size() != before.size();
+      for (size_t e = 0; !differs && e < edges.size(); ++e) {
+        differs = edges[e].w_pos != before[e].w_pos ||
+                  edges[e].w_neg != before[e].w_neg;
+      }
+      EXPECT_TRUE(differs);
+      continue;
+    }
+    ASSERT_EQ(edges.size(), want_edges.size()) << threads << " threads";
+    for (size_t e = 0; e < edges.size(); ++e) {
+      ASSERT_EQ(edges[e].u, want_edges[e].u) << "edge " << e;
+      ASSERT_EQ(edges[e].v, want_edges[e].v) << "edge " << e;
+      ASSERT_EQ(edges[e].w_pos, want_edges[e].w_pos) << "edge " << e;
+      ASSERT_EQ(edges[e].w_neg, want_edges[e].w_neg) << "edge " << e;
+    }
+    ASSERT_EQ(mappings.size(), want_mappings.size()) << threads << " threads";
+    for (size_t m = 0; m < mappings.size(); ++m) {
+      EXPECT_EQ(mappings[m].member_tables, want_mappings[m].member_tables)
+          << "mapping " << m << ", " << threads << " threads";
+      EXPECT_EQ(mappings[m].kept_tables, want_mappings[m].kept_tables)
+          << "mapping " << m << ", " << threads << " threads";
+      EXPECT_EQ(mappings[m].merged.pairs(), want_mappings[m].merged.pairs())
+          << "mapping " << m << ", " << threads << " threads";
     }
   }
 }
@@ -538,89 +670,151 @@ TEST(SessionCorpusFileTest, ValidFileRoundTrips) {
   std::remove(path.c_str());
 }
 
-// --------------------------------------------------- synonym snapshot
+// ------------------------------------------------------- synonym view
 
-TEST(SessionSnapshotTest, SnapshotMatchesDictionaryAndRefreshesOnChange) {
+TEST(SynonymViewTest, ViewMatchesDictionaryAndIsRetakenOnChange) {
   auto pool = std::make_shared<StringPool>();
   SynonymDictionary dict(pool);
   dict.AddSynonym("usa", "united states");
   dict.AddSynonym("usa", "u.s.a.");
   dict.AddSynonym("uk", "united kingdom");
 
-  SynonymSnapshot snap = dict.Snapshot();
-  EXPECT_EQ(snap.source_version(), dict.version());
+  const std::shared_ptr<const SynonymSnapshot> view = dict.View();
+  EXPECT_EQ(view->source_version(), dict.version());
   auto check = [&](std::string_view x, std::string_view y) {
     ValueId a = pool->Find(x);
     ValueId b = pool->Find(y);
     ASSERT_NE(a, kInvalidValueId);
     ASSERT_NE(b, kInvalidValueId);
-    EXPECT_EQ(snap.AreSynonyms(a, b), dict.AreSynonyms(a, b))
+    EXPECT_EQ(view->AreSynonyms(a, b), dict.AreSynonyms(a, b))
         << x << " / " << y;
   };
   check("usa", "united states");
   check("united states", "u.s.a.");
   check("usa", "uk");
   check("uk", "united kingdom");
-  // Unknown-to-snapshot values are their own class.
+  // Values the view does not know are their own class.
   ValueId fresh = pool->Intern("france");
-  EXPECT_FALSE(snap.AreSynonyms(fresh, pool->Find("usa")));
-  EXPECT_TRUE(snap.AreSynonyms(fresh, fresh));
+  EXPECT_FALSE(view->AreSynonyms(fresh, pool->Find("usa")));
+  EXPECT_TRUE(view->AreSynonyms(fresh, fresh));
 
-  // Mutation bumps the version; a stale snapshot is detectable.
+  // An edit bumps the version; a held view keeps its answers and the next
+  // View() reflects the edit.
   const uint64_t before = dict.version();
   dict.AddSynonym("france", "republique francaise");
   EXPECT_GT(dict.version(), before);
-  EXPECT_NE(snap.source_version(), dict.version());
+  EXPECT_EQ(view->source_version(), before);
+  const ValueId republique = pool->Find("republique francaise");
+  EXPECT_FALSE(view->AreSynonyms(fresh, republique));
+  const auto retaken = dict.View();
+  EXPECT_EQ(retaken->source_version(), dict.version());
+  EXPECT_TRUE(retaken->AreSynonyms(fresh, republique));
 }
 
-TEST(SessionSnapshotTest, SessionRebuildsSnapshotOnlyWhenDictionaryMoves) {
+TEST(SynonymViewTest, ViewIsRebuiltOnlyWhenTheVersionMoves) {
   GeneratedWorld world = SmallWorld(67);
-  auto pool_handle = world.corpus.shared_pool();
-  SynonymDictionary dict(pool_handle);
+  SynonymDictionary dict(world.corpus.shared_pool());
   dict.AddSynonym("usa", "united states");
 
   SynthesisOptions opts = FastOptions();
   opts.compat.synonyms = &dict;
   opts.conflict.synonyms = &dict;
   SynthesisSession session(opts);
-  ASSERT_TRUE(session.Run(world.corpus).ok());
-  const size_t builds_after_first = session.session_stats().snapshot_rebuilds;
-  EXPECT_GE(builds_after_first, 1u);
+  const auto first = dict.View();
+  EXPECT_EQ(dict.View(), first);
 
-  // Unchanged dictionary: no rebuild on the next run.
+  // Scoring and conflict resolution share the dictionary's view: a run
+  // over an unchanged dictionary leaves the same one in place.
   ASSERT_TRUE(session.Run(world.corpus).ok());
-  EXPECT_EQ(session.session_stats().snapshot_rebuilds, builds_after_first);
+  EXPECT_EQ(dict.View(), first);
+  // Re-declaring a known pair changes nothing, so neither does the view.
+  dict.AddSynonym("united states", "usa");
+  EXPECT_EQ(dict.View(), first);
 
-  // Dictionary moved: exactly one refresh on the next scoring run.
+  // An edit moves the version: the next read rebuilds, once.
   dict.AddSynonym("uk", "united kingdom");
+  const auto second = dict.View();
+  EXPECT_NE(second, first);
+  EXPECT_EQ(second->source_version(), dict.version());
   ASSERT_TRUE(session.Run(world.corpus).ok());
-  EXPECT_EQ(session.session_stats().snapshot_rebuilds, builds_after_first + 1);
+  EXPECT_EQ(dict.View(), second);
 }
 
-TEST(SessionSnapshotTest, SnapshotScoringMatchesDictionaryScoring) {
-  // ValuesMatch through a snapshot must agree with the locked dictionary
-  // path on every pair (the snapshot is the hot-path replacement).
+TEST(SynonymViewTest, ValuesMatchAgreesWithTheLockedDictionary) {
+  // ValuesMatch reads the dictionary's view; the locked union-find walk is
+  // the reference, before and after an edit.
   auto pool = std::make_shared<StringPool>();
   SynonymDictionary dict(pool);
   dict.AddSynonym("ca", "california");
   dict.AddSynonym("wa", "washington");
   std::vector<ValueId> ids;
   for (const char* s : {"ca", "california", "wa", "washington", "oregon",
-                        "calif"}) {
+                        "calif", "or"}) {
     ids.push_back(pool->Intern(s));
   }
-  SynonymSnapshot snap = dict.Snapshot();
-  CompatibilityOptions with_dict;
+  CompatibilityOptions plain;
+  CompatibilityOptions with_dict = plain;
   with_dict.synonyms = &dict;
-  CompatibilityOptions with_snap = with_dict;
-  with_snap.synonym_snapshot = &snap;
-  for (ValueId a : ids) {
-    for (ValueId b : ids) {
-      EXPECT_EQ(ValuesMatch(a, b, *pool, with_dict),
-                ValuesMatch(a, b, *pool, with_snap))
-          << pool->Get(a) << " / " << pool->Get(b);
+  for (int round = 0; round < 2; ++round) {
+    for (ValueId a : ids) {
+      for (ValueId b : ids) {
+        EXPECT_EQ(ValuesMatch(a, b, *pool, with_dict),
+                  dict.AreSynonyms(a, b) || ValuesMatch(a, b, *pool, plain))
+            << pool->Get(a) << " / " << pool->Get(b) << " round " << round;
+      }
     }
+    dict.AddSynonym("oregon", "or");
   }
+  EXPECT_TRUE(ValuesMatch(pool->Find("oregon"), pool->Find("or"), *pool,
+                          with_dict));
+}
+
+TEST(SynonymViewTest, ScoredGraphRecordsTheVersionItWasScoredUnder) {
+  GeneratedWorld world = SmallWorld(68);
+  SynonymDictionary dict(world.corpus.shared_pool());
+  dict.AddSynonym("usa", "united states");
+  SynthesisOptions opts = FastOptions();
+  opts.compat.synonyms = &dict;
+  SynthesisSession session(opts);
+  auto cands = session.ExtractCandidates(world.corpus);
+  ASSERT_TRUE(cands.ok());
+  auto blocked = session.BlockPairs(cands.value());
+  ASSERT_TRUE(blocked.ok());
+  auto scored = session.ScorePairs(cands.value(), blocked.value());
+  ASSERT_TRUE(scored.ok());
+  const uint64_t scored_at = dict.version();
+  EXPECT_EQ(scored.value().synonym_version, scored_at);
+
+  // A mutation splices fresh edges into the base's, so its graph keeps the
+  // base's version even though the dictionary moved since.
+  dict.AddSynonym("uk", "united kingdom");
+  auto parts = session.Partition(scored.value());
+  ASSERT_TRUE(parts.ok());
+  auto result = session.Resolve(cands.value(), scored.value(), parts.value());
+  ASSERT_TRUE(result.ok());
+  auto removed = session.RemoveTables(&world.corpus, {0}, cands.value(),
+                                      blocked.value(), scored.value(),
+                                      parts.value(), result.value());
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed.value().scored.synonym_version, scored_at);
+
+  // A fresh scoring run stamps the version it read.
+  auto rescored = session.ScorePairs(removed.value().candidates,
+                                     removed.value().blocked);
+  ASSERT_TRUE(rescored.ok());
+  EXPECT_EQ(rescored.value().synonym_version, dict.version());
+  EXPECT_GT(dict.version(), scored_at);
+
+  // Without a feed the stamp is 0.
+  SynthesisSession plain(FastOptions());
+  auto plain_cands = plain.ExtractCandidates(world.corpus);
+  ASSERT_TRUE(plain_cands.ok());
+  auto plain_blocked = plain.BlockPairs(plain_cands.value());
+  ASSERT_TRUE(plain_blocked.ok());
+  auto plain_scored =
+      plain.ScorePairs(plain_cands.value(), plain_blocked.value());
+  ASSERT_TRUE(plain_scored.ok());
+  EXPECT_EQ(plain_scored.value().synonym_version, 0u);
 }
 
 // ----------------------------------------------- per-pair truncation reuse
@@ -824,9 +1018,9 @@ TEST(SessionMatcherTest, CacheCapFlushesAndStaysCorrect) {
     ids.push_back(pool.Intern("value_number_" + std::to_string(i)));
   }
   EditDistanceOptions edit;
-  BatchApproxMatcher capped(pool, edit, true, nullptr, nullptr,
+  BatchApproxMatcher capped(pool, edit, true, nullptr,
                             /*max_cached_values=*/8);
-  BatchApproxMatcher unbounded(pool, edit, true, nullptr, nullptr);
+  BatchApproxMatcher unbounded(pool, edit, true, nullptr);
   for (ValueId a : ids) {
     for (ValueId b : ids) {
       EXPECT_EQ(capped.Match(a, b), unbounded.Match(a, b));
